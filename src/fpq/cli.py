@@ -11,16 +11,13 @@ Reports embed the invoking configuration under ``"config"`` and are
 serialized deterministically (sorted keys, floats at 12 significant
 digits, exact integers as integers), so identical invocations produce
 byte-identical output.  ``verify`` runs a named property suite and exits
-nonzero if any case fails; FPQ_THREADS bounds its worker count, and case
-ordering in the report is canonical regardless of completion order.
+nonzero if any case fails; cases are reported in canonical key order.
 """
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import engine, wba
@@ -309,7 +306,7 @@ def _cmd_spectral(args):
     }, 0
 
 
-def _spec_from_args(args, need_quiver=False):
+def _spec_from_args(args):
     q = _load_quiver(args.quiver) if getattr(args, "quiver", None) else None
     if getattr(args, "spec", None):
         spec = _load_spec(args.spec, q)
@@ -317,7 +314,7 @@ def _spec_from_args(args, need_quiver=False):
         spec = _load_spec(args.structure, q)
     else:
         raise UsageError("give --spec FILE or --structure NAME")
-    if need_quiver and q is not None and spec.quiver.key() != q.key():
+    if q is not None and spec.quiver.key() != q.key():
         raise WrongQuiverError("structure and --quiver disagree")
     return spec
 
@@ -368,23 +365,15 @@ def _cmd_wba_discrete(args):
 
 
 def _run_cases(cases):
-    """Evaluate (key, thunk) pairs, possibly in parallel, and return
-    (key, ok, detail) sorted by key."""
-
-    def call(pair):
-        key, thunk = pair
+    """Evaluate (key, thunk) pairs and return (key, ok, detail) sorted by
+    key."""
+    results = []
+    for key, thunk in cases:
         try:
             ok, detail = thunk()
         except FpqError as exc:
             ok, detail = False, {"error": exc.payload()}
-        return key, bool(ok), detail
-
-    workers = int(os.environ.get("FPQ_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(call, cases))
-    else:
-        results = [call(pair) for pair in cases]
+        results.append((key, bool(ok), detail))
     return sorted(results, key=lambda r: r[0])
 
 

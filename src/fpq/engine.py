@@ -24,7 +24,13 @@ bound, flagging divergence when the radii keep climbing through a hub
 pattern in the adjacency.
 """
 
-from .bricks import DerivedObject, brick_set, is_brick, maximal_brick_sets
+from .bricks import (
+    DerivedObject,
+    brick_set,
+    derived_hom_dim,
+    is_brick,
+    maximal_brick_sets,
+)
 from .errors import (
     DimensionGuardError,
     IncompleteListError,
@@ -32,7 +38,7 @@ from .errors import (
     NotTypeAError,
     StructureMismatchError,
 )
-from .quiver import dim_ext1, hom_dim, simple, tensor_vertexwise
+from .quiver import hom_dim, simple, tensor_vertexwise
 from .spectral import DEFAULT_TOL, as_integer, spectral_radius
 from .typea import all_intervals, interval_rep, orientation_of
 
@@ -103,27 +109,12 @@ def _cached_radius(matrix, tol):
     return _RADIUS_CACHE[key]
 
 
-def _twisted_hom(x, tensored, shift):
-    """dim Hom(x, tensored[shift]) for a module x and a module tensored."""
-    if shift == 0:
-        return hom_dim(x, tensored)
-    if shift == 1:
-        return dim_ext1(x, tensored)
-    return 0
-
-
 def adjacency(members, m, shift, structure):
     """A[i][j] = dim Hom(X_i, (M (x) X_j)[shift + shift of X_j])."""
     tensored = [
         DerivedObject(structure.tensor(m, x.rep), x.shift + shift) for x in members
     ]
-    return [
-        [
-            _twisted_hom(x.rep, t.rep, t.shift - x.shift)
-            for t in tensored
-        ]
-        for x in members
-    ]
+    return [[derived_hom_dim(x, t) for t in tensored] for x in members]
 
 
 def _candidate_objects(m, indecomposables):

@@ -50,27 +50,12 @@ def mat_from(rows):
     return [[frac(x) for x in row] for row in rows]
 
 
-def mat_eq(a, b):
-    if len(a) != len(b):
-        return False
-    return all(list(ra) == list(rb) for ra, rb in zip(a, b))
-
-
 def is_zero_matrix(m):
     return all(x == 0 for row in m for x in row)
 
 
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a):
-    c = frac(c)
-    return [[c * x for x in row] for row in a]
 
 
 def mat_mul(a, b):
@@ -92,10 +77,6 @@ def mat_mul(a, b):
                 if brow[j] != 0:
                     orow[j] += aik * brow[j]
     return out
-
-
-def mat_vec(a, v):
-    return [sum((x * y for x, y in zip(row, v)), ZERO) for row in a]
 
 
 def transpose(m, rows=None, cols=None):
@@ -128,18 +109,6 @@ def kron(a, b, sa=None, sb=None):
                 for l in range(cb):
                     if brow[l] != 0:
                         orow[base + l] = aij * brow[l]
-    return out
-
-
-def hstack(blocks):
-    rows = len(blocks[0])
-    return [sum((list(b[i]) for b in blocks), []) for i in range(rows)]
-
-
-def vstack(blocks):
-    out = []
-    for b in blocks:
-        out.extend(list(row) for row in b)
     return out
 
 
@@ -217,11 +186,6 @@ def nullspace(m, ncols):
     return basis
 
 
-def column_space_pivots(m, ncols=None):
-    """Indices of a deterministic column basis (pivot columns of the RREF)."""
-    return rref(m, ncols)[1]
-
-
 def solve(a, b, ncols_a=None, ncols_b=None):
     """Solve a @ x = b exactly for each column of b.
 
@@ -262,7 +226,3 @@ def invert(m):
 def freeze(m):
     """Immutable (hashable) copy of a matrix."""
     return tuple(tuple(row) for row in m)
-
-
-def thaw(m):
-    return [list(row) for row in m]

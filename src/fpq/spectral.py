@@ -15,6 +15,7 @@ the last bracket instead of returning a guess.
 """
 
 import math
+import numbers
 
 from .errors import InputError, NoConvergenceError
 
@@ -28,6 +29,14 @@ def _check_square(a):
         if len(row) != n:
             raise InputError("matrix must be square")
         for x in row:
+            if not isinstance(x, numbers.Real):
+                raise InputError("matrix entries must be numbers")
+            try:
+                finite = math.isfinite(x)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
+                raise InputError("matrix entries must be finite")
             if x < 0:
                 raise InputError("matrix entries must be nonnegative")
             if x != int(x):

@@ -614,13 +614,11 @@ class LeftModule:
     are orthogonal idempotents summing to the identity, and each arrow
     action is supported on the (target, source) block."""
 
-    def __init__(self, algebra, dim, actions, check=True):
+    def __init__(self, algebra, dim, actions):
         self.algebra = algebra
         self.dim = dim
         self.actions = actions
-        self._path_cache = {}
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         q = self.algebra.quiver
@@ -654,42 +652,6 @@ class LeftModule:
                     f" ({a.target}, {a.source}) block"
                 )
 
-    @classmethod
-    def from_representation(cls, algebra, rep):
-        q = algebra.quiver
-        dims = list(rep.dims)
-        total = sum(dims)
-        offs = [0]
-        for d in dims:
-            offs.append(offs[-1] + d)
-        actions = {}
-        for v in range(1, q.n + 1):
-            e = exact.zeros(total, total)
-            for k in range(offs[v - 1], offs[v]):
-                e[k][k] = ONE
-            actions[f"e{v}"] = e
-        for a in q.arrows:
-            mat = exact.zeros(total, total)
-            block = rep.map_for(a.id)
-            for r in range(dims[a.target - 1]):
-                for c in range(dims[a.source - 1]):
-                    mat[offs[a.target - 1] + r][offs[a.source - 1] + c] = block[r][c]
-            actions[a.id] = mat
-        return cls(algebra, total, actions, check=False)
-
-    def act_path(self, k):
-        if k in self._path_cache:
-            return self._path_cache[k]
-        s, t, ids = self.algebra.paths[k]
-        if not ids:
-            out = self.actions[f"e{s}"]
-        else:
-            out = self.actions[ids[0]]
-            for aid in ids[1:]:
-                out = exact.mat_mul(self.actions[aid], out)
-        self._path_cache[k] = out
-        return out
-
     def to_representation(self):
         q = self.algebra.quiver
         dims = []
@@ -721,6 +683,24 @@ class LeftModule:
         return Representation(q, dims, maps)
 
 
+def _path_blocks(alg, rep):
+    """Each basis path's action on rep as (row offset of its target
+    vertex, column offset of its source vertex, block): the block is the
+    product of the path's arrow maps, or [] when the path runs through a
+    zero space."""
+    offs = [0]
+    for d in rep.dims:
+        offs.append(offs[-1] + d)
+    out = []
+    for s, t, ids in alg.paths:
+        block = exact.identity(rep.dims[s - 1])
+        for aid in ids:
+            arrow = rep.map_for(aid)
+            block = exact.mat_mul(arrow, block) if arrow and block else []
+        out.append((offs[t - 1], offs[s - 1], block))
+    return out
+
+
 def tensor_wba(spec, m, n):
     """Tensor product of representations twisted through the coproduct.
 
@@ -738,15 +718,29 @@ def tensor_wba(spec, m, n):
     if dm == 0 or dn == 0:
         return zero_rep(spec.quiver)
     alg = spec.algebra
-    mod_m = LeftModule.from_representation(alg, m)
-    mod_n = LeftModule.from_representation(alg, n)
+    blocks_m = _path_blocks(alg, m)
+    blocks_n = _path_blocks(alg, n)
     size = dm * dn
 
     def act(element):
+        """The element's action on M (x) N, M's index varying slowest:
+        each term c * u (x) v adds c * x * y for every nonzero entry x of
+        u's block and y of v's block."""
         out = exact.zeros(size, size)
         for (i, j), c in element.items():
-            k = exact.kron(mod_m.act_path(i), mod_n.act_path(j))
-            out = exact.mat_add(out, exact.mat_scale(c, k))
+            row_m, col_m, block_m = blocks_m[i]
+            row_n, col_n, block_n = blocks_n[j]
+            for r, mrow in enumerate(block_m, row_m):
+                for k, x in enumerate(mrow, col_m):
+                    if x == 0:
+                        continue
+                    cx = c * x
+                    base = k * dn + col_n
+                    for r2, nrow in enumerate(block_n, r * dn + row_n):
+                        orow = out[r2]
+                        for l, y in enumerate(nrow, base):
+                            if y != 0:
+                                orow[l] += cx * y
         return out
 
     projector = act(spec.delta_unit)

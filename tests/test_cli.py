@@ -9,7 +9,6 @@ import contextlib
 import io
 import json
 import math
-import os
 
 import pytest
 
@@ -148,6 +147,17 @@ def test_spectral_integer_and_float_formats(tmp_path):
     assert data["value"] == float(f"{data['value']:.12g}")
 
 
+@pytest.mark.parametrize(
+    "text", ['[["x", 1], [1, 0]]', "[[1e400, 1], [1, 0]]", "[[NaN, 1], [1, 0]]"]
+)
+def test_spectral_rejects_non_numeric_and_non_finite_entries(tmp_path, text):
+    matrix = tmp_path / "m.json"
+    matrix.write_text(text)
+    code, out, _ = run_cli(["spectral", "--matrix", str(matrix)])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "bad_input"
+
+
 def test_wba_check_single_structure():
     data = run_json(["wba", "check", "--structure", "k2-a"])
     assert data["ok"] is True
@@ -185,6 +195,24 @@ def test_wba_tensor_of_simples(tmp_path):
     assert data["representation"]["dims"] == [1, 0]
 
 
+def test_wba_commands_reject_a_disagreeing_quiver(tmp_path):
+    left = write_json(tmp_path / "l.json", SIMPLE_1)
+    for argv in (
+        ["wba", "tensor", "--structure", "kronecker1-e", "--left", left,
+         "--right", left],
+        ["wba", "check", "--structure", "kronecker1-e"],
+        ["wba", "discrete", "--structure", "kronecker1-e"],
+    ):
+        code, out, _ = run_cli(argv[:2] + ["--quiver", "typeA:>>"] + argv[2:])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "wrong_quiver"
+    kron1 = write_json(tmp_path / "kron1.json",
+                       {"vertices": 2, "arrows": [{"id": "r1", "from": 1, "to": 2}]})
+    data = run_json(["wba", "check", "--structure", "kronecker1-e",
+                     "--quiver", kron1])
+    assert data["ok"] is True
+
+
 def test_wba_discrete_flags_witness():
     data = run_json(["wba", "discrete", "--structure", "kronecker1-a"])
     assert data["discrete"] is False
@@ -207,21 +235,11 @@ def test_verify_suite_passes_and_reports_config():
         assert "key" in case
 
 
-def test_verify_bytes_stable_across_thread_counts():
+def test_verify_bytes_stable_across_runs():
     argv = ["verify", "euler", "--pairs", "12", "--seed", "3"]
-    old = os.environ.get("FPQ_THREADS")
-    try:
-        os.environ["FPQ_THREADS"] = "1"
-        single = run_cli(argv)
-        os.environ["FPQ_THREADS"] = "4"
-        multi = run_cli(argv)
-    finally:
-        if old is None:
-            os.environ.pop("FPQ_THREADS", None)
-        else:
-            os.environ["FPQ_THREADS"] = old
-    assert single == multi
-    assert single[0] == 0
+    first = run_cli(argv)
+    assert first == run_cli(argv)
+    assert first[0] == 0
 
 
 def test_malformed_json_reports_position(tmp_path):

@@ -39,7 +39,7 @@ def test_nullspace_is_kernel_basis():
         basis = exact.nullspace(m, 5)
         assert len(basis) == 5 - exact.rank(m)
         for v in basis:
-            assert all(x == 0 for x in exact.mat_vec(m, v))
+            assert exact.is_zero_matrix(exact.mat_mul(m, [[x] for x in v]))
         if basis:
             assert exact.rank([list(v) for v in basis]) == len(basis)
 
@@ -49,14 +49,14 @@ def test_solve_roundtrip_and_inconsistent():
     x = exact.mat_from([[1], [Fraction(1, 2)]])
     b = exact.mat_mul(a, x)
     got = exact.solve(a, b)
-    assert exact.mat_eq(exact.mat_mul(a, got), b)
+    assert exact.mat_mul(a, got) == b
     assert exact.solve(a, [[1], [0], [0]]) is None
 
 
 def test_invert_roundtrip_and_singular():
     m = exact.mat_from([[2, 1], [1, 1]])
     inv = exact.invert(m)
-    assert exact.mat_eq(exact.mat_mul(m, inv), exact.identity(2))
+    assert exact.mat_mul(m, inv) == exact.identity(2)
     assert exact.invert(exact.mat_from([[1, 2], [2, 4]])) is None
 
 
@@ -74,15 +74,8 @@ def test_kron_empty_factor_gives_empty_product():
     assert got == []
 
 
-def test_block_diag_and_stacks():
+def test_block_diag():
     a = exact.mat_from([[1]])
     b = exact.mat_from([[2, 3]])
     d = exact.block_diag(a, b)
     assert d == [[1, 0, 0], [0, 2, 3]]
-    assert exact.hstack([a, [[5]]]) == [[1, 5]]
-    assert exact.vstack([[[1, 0]], b]) == [[1, 0], [2, 3]]
-
-
-def test_column_space_pivots():
-    m = exact.mat_from([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
-    assert exact.column_space_pivots(m) == [0, 2]

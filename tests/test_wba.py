@@ -114,17 +114,32 @@ def test_tensor_rejects_foreign_representations():
 
 
 def test_left_module_roundtrip_and_validation():
-    q = KRON2
-    alg = wba.PathAlgebra(q)
-    m = random_representation(q, 3, seed=13)
-    mod = wba.LeftModule.from_representation(alg, m)
-    assert mod.to_representation() == m
+    alg = wba.PathAlgebra(KRON2)
+    # total space k^2 (+) k: vertex 1 spans the first two coordinates
+    actions = {
+        "e1": [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+        "e2": [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
+        "r1": [[0, 0, 0], [0, 0, 0], [1, 0, 0]],
+        "r2": [[0, 0, 0], [0, 0, 0], [0, 3, 0]],
+    }
+    mod = wba.LeftModule(alg, 3, actions)
+    assert mod.to_representation() == Representation(
+        KRON2, [2, 1], {"r1": [[1, 0]], "r2": [[0, 3]]}
+    )
     # an arrow block outside e_target * A * e_source is not a quiver action
-    dim = m.total_dim()
-    bad_actions = dict(mod.actions)
-    bad_actions["r1"] = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+    bad_actions = dict(actions)
+    bad_actions["r1"] = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
     with pytest.raises(NotAQuiverActionError):
-        wba.LeftModule(alg, dim, bad_actions)
+        wba.LeftModule(alg, 3, bad_actions)
+
+
+def test_tensor_rejects_structures_that_do_not_act():
+    spec = by_name(wba.catalog_kronecker(1))["kronecker1-a"]
+    s1, s2 = simple(KRON1, 1), simple(KRON1, 2)
+    with pytest.raises(NotAQuiverActionError, match="arrow r1 is not supported"):
+        wba.tensor_wba(wba.perturb_spec(spec, 4), s2, s2)
+    with pytest.raises(StructureMismatchError, match="does not act idempotently"):
+        wba.tensor_wba(wba.perturb_spec(spec, 6), s1, s1)
 
 
 def test_discreteness_reports():
