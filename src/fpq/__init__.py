@@ -91,7 +91,6 @@ from .typea import (
 from .wba import (
     AxiomReport,
     CoproductSpec,
-    LeftModule,
     PathAlgebra,
     canonical_wba,
     catalog_k2,

@@ -83,6 +83,8 @@ def _load_object(desc, quiver):
         word = orientation_of(quiver)
         return interval_rep(word, (int(m.group(1)), int(m.group(2))), quiver)
     data = _read_json(desc)
+    if not isinstance(data, dict):
+        raise InputError(f"{desc}: a representation must be a JSON object")
     if isinstance(data.get("quiver"), str):
         data = dict(data)
         data["quiver"] = _read_json(data["quiver"])
@@ -260,7 +262,12 @@ def _cmd_fpv(args):
 def _cmd_bricks(args):
     q = _load_quiver(args.quiver)
     word = orientation_of(q)
-    shifts = [int(s) for s in args.shifts.split(",")] if args.shifts else [0]
+    try:
+        shifts = [int(s) for s in args.shifts.split(",")] if args.shifts else [0]
+    except ValueError:
+        raise UsageError(
+            f"--shifts must be comma-joined integers, got {args.shifts!r}"
+        ) from None
     objs = []
     for shift in shifts:
         for i, j in all_intervals(word.n):
@@ -631,6 +638,21 @@ def _cmd_verify(args):
 # argument parsing
 
 
+def _int_at_least(low):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_quiver_opt(p, required=False):
     p.add_argument(
         "--quiver",
@@ -698,7 +720,7 @@ def build_parser():
     _add_quiver_opt(p, required=True)
     p.add_argument("--object", required=True)
     _add_structure_opt(p)
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=_int_at_least(1), default=10)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fpv)
 
@@ -760,7 +782,7 @@ def build_parser():
     pv = vsub.add_parser("euler", help="hom - ext vs the Euler form")
     pv.add_argument("--pairs", type=int, default=200)
     pv.add_argument("--quivers", type=int, default=10)
-    pv.add_argument("--max-dim", type=int, default=4)
+    pv.add_argument("--max-dim", type=_int_at_least(0), default=4)
     pv.add_argument("--seed", type=int, default=7)
     pv.add_argument("--out")
     pv.set_defaults(func=_cmd_verify)
@@ -768,7 +790,7 @@ def build_parser():
     pv = vsub.add_parser("duality", help="hom duality and dual-interval dimensions")
     pv.add_argument("--triples", type=int, default=100)
     pv.add_argument("--n", type=int, default=5)
-    pv.add_argument("--max-dim", type=int, default=3)
+    pv.add_argument("--max-dim", type=_int_at_least(0), default=3)
     pv.add_argument("--seed", type=int, default=11)
     pv.add_argument("--out")
     pv.set_defaults(func=_cmd_verify)
@@ -778,7 +800,7 @@ def build_parser():
     )
     pv.add_argument("--n", type=int, default=4)
     pv.add_argument("--pairs", type=int, default=50)
-    pv.add_argument("--max-dim", type=int, default=3)
+    pv.add_argument("--max-dim", type=_int_at_least(0), default=3)
     pv.add_argument("--seed", type=int, default=3)
     pv.add_argument("--out")
     pv.set_defaults(func=_cmd_verify)
@@ -804,10 +826,10 @@ def build_parser():
     pv.set_defaults(func=_cmd_verify)
 
     pv = vsub.add_parser("fpv", help="empirical curvature vs the closed form")
-    pv.add_argument("--n", type=int, default=4)
+    pv.add_argument("--n", type=_int_at_least(2), default=4)
     pv.add_argument("--count", type=int, default=50)
-    pv.add_argument("--max-dim", type=int, default=3)
-    pv.add_argument("--n-max", type=int, default=10)
+    pv.add_argument("--max-dim", type=_int_at_least(0), default=3)
+    pv.add_argument("--n-max", type=_int_at_least(1), default=10)
     pv.add_argument("--seed", type=int, default=17)
     pv.add_argument("--out")
     pv.set_defaults(func=_cmd_verify)

@@ -50,14 +50,6 @@ def mat_from(rows):
     return [[frac(x) for x in row] for row in rows]
 
 
-def is_zero_matrix(m):
-    return all(x == 0 for row in m for x in row)
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_mul(a, b):
     """Product a @ b; inner dimensions must agree (0 is fine)."""
     ra, ca = shape(a)

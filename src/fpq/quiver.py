@@ -31,6 +31,11 @@ from .errors import (
 )
 
 
+def _is_int(x):
+    """Whether a parsed JSON value is an integer (not a bool or a float)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Arrow(NamedTuple):
     id: str
     source: int
@@ -77,6 +82,10 @@ class Quiver:
             arrows = [(a["id"], a["from"], a["to"]) for a in data.get("arrows", [])]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed quiver object: {exc}") from exc
+        if not _is_int(n) or not all(_is_int(s) and _is_int(t) for _, s, t in arrows):
+            raise InputError(
+                "malformed quiver object: vertex count and arrow ends must be integers"
+            )
         return cls(n, arrows)
 
 
@@ -191,6 +200,10 @@ class Representation:
             }
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed representation object: {exc}") from exc
+        if not isinstance(dims, list) or not all(_is_int(d) for d in dims):
+            raise InputError(
+                "malformed representation object: dims must be a list of integers"
+            )
         unknown = set(maps) - {a.id for a in quiver.arrows}
         if unknown:
             raise InputError(f"maps refer to unknown arrows: {sorted(unknown)}")
@@ -305,7 +318,10 @@ def hom_space(m, n):
 
 
 def dim_ext1(m, n):
-    """dim Ext^1(m, n) = dim Hom(m, n) - <dim m, dim n> (hereditary)."""
+    """dim Ext^1(m, n) = dim Hom(m, n) - <dim m, dim n> (hereditary).
+
+    Derived from hom_dim, so hom - ext = <dim m, dim n> holds by
+    construction; checking that identity only shows Ext^1 >= 0."""
     val = hom_dim(m, n) - euler_form(m.quiver, m.dims, n.dims)
     if val < 0:
         raise ShapeError(

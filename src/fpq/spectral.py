@@ -115,6 +115,12 @@ def _block_radius(block, tol, max_iter):
                 if row[j]:
                     s += row[j] * x[j]
             y.append(s)
+        top = max(y)
+        if not math.isfinite(top):
+            raise InputError(
+                "power iteration overflowed the float range: the spectral"
+                " radius is too large for a float"
+            )
         # Collatz-Wielandt bounds for B + I at the positive vector x
         ratios = [yi / xi for yi, xi in zip(y, x)]
         lo, hi = min(ratios), max(ratios)
@@ -123,7 +129,6 @@ def _block_radius(block, tol, max_iter):
         if hi_best - lo_best <= tol * hi_best:
             mid = (lo_best + hi_best) / 2.0
             return mid - 1.0, lo_best - 1.0, hi_best - 1.0
-        top = max(y)
         x = [yi / top for yi in y]
     raise NoConvergenceError(
         f"power iteration did not converge within {max_iter} iterations "

@@ -607,82 +607,6 @@ def _grouplike_table(quiver):
     return delta, counit
 
 
-class LeftModule:
-    """A module over the path algebra presented by generator action
-    matrices on one total space.  The invariants are exactly those that
-    make the module a quiver representation in disguise: the e_i actions
-    are orthogonal idempotents summing to the identity, and each arrow
-    action is supported on the (target, source) block."""
-
-    def __init__(self, algebra, dim, actions):
-        self.algebra = algebra
-        self.dim = dim
-        self.actions = actions
-        self._validate()
-
-    def _validate(self):
-        q = self.algebra.quiver
-        ident = exact.identity(self.dim)
-        total = exact.zeros(self.dim, self.dim)
-        es = []
-        for v in range(1, q.n + 1):
-            e = self.actions[f"e{v}"]
-            if exact.mat_mul(e, e) != e:
-                raise NotAQuiverActionError(
-                    f"action of e{v} is not idempotent"
-                )
-            es.append(e)
-            total = exact.mat_add(total, e)
-        if total != ident:
-            raise NotAQuiverActionError("idempotent actions do not sum to 1")
-        for i in range(len(es)):
-            for j in range(len(es)):
-                if i != j and not exact.is_zero_matrix(exact.mat_mul(es[i], es[j])):
-                    raise NotAQuiverActionError(
-                        f"actions of e{i + 1} and e{j + 1} are not orthogonal"
-                    )
-        for a in q.arrows:
-            mat = self.actions[a.id]
-            framed = exact.mat_mul(
-                es[a.target - 1], exact.mat_mul(mat, es[a.source - 1])
-            )
-            if framed != mat:
-                raise NotAQuiverActionError(
-                    f"action of arrow {a.id} is not supported on the"
-                    f" ({a.target}, {a.source}) block"
-                )
-
-    def to_representation(self):
-        q = self.algebra.quiver
-        dims = []
-        cols = []
-        for v in range(1, q.n + 1):
-            e = self.actions[f"e{v}"]
-            _, pivots = exact.rref(e)
-            dims.append(len(pivots))
-            for p in pivots:
-                cols.append([e[r][p] for r in range(self.dim)])
-        if sum(dims) != self.dim:
-            raise NotAQuiverActionError(
-                "vertex images do not decompose the module"
-            )
-        basis = [[cols[c][r] for c in range(len(cols))] for r in range(self.dim)]
-        inverse = exact.invert(basis)
-        if inverse is None:
-            raise NotAQuiverActionError("vertex images are not independent")
-        offs = [0]
-        for d in dims:
-            offs.append(offs[-1] + d)
-        maps = {}
-        for a in q.arrows:
-            full = exact.mat_mul(inverse, exact.mat_mul(self.actions[a.id], basis))
-            maps[a.id] = [
-                row[offs[a.source - 1]:offs[a.source]]
-                for row in full[offs[a.target - 1]:offs[a.target]]
-            ]
-        return Representation(q, dims, maps)
-
-
 def _path_blocks(alg, rep):
     """Each basis path's action on rep as (row offset of its target
     vertex, column offset of its source vertex, block): the block is the
@@ -707,9 +631,11 @@ def tensor_wba(spec, m, n):
     Builds the componentwise tensor product as a module over the algebra's
     two-fold tensor square, cuts it down to the image of the idempotent
     D(1)-action, restricts the D(generator) actions to that image, and
-    converts the result back to a representation.  Raises
-    NotAQuiverAction when the restricted actions fail the module
-    invariants (which happens for structures that are not weak
+    reads off a representation: vertex v's space is the image of e_v, and
+    each arrow's map is its action in that vertex basis.  Raises
+    NotAQuiverAction when a restricted action leaves the image, an e_v
+    does not act idempotently, or an arrow acts outside its (target,
+    source) block (which happens for structures that are not weak
     bialgebras), and StructureMismatch when D(1) does not even act
     idempotently."""
     if m.quiver.key() != spec.quiver.key() or n.quiver.key() != spec.quiver.key():
@@ -762,7 +688,41 @@ def tensor_wba(spec, m, n):
                 f"D({key}) does not preserve the image of the D(1) action"
             )
         actions[key] = coords
-    return LeftModule(alg, rank, actions).to_representation()
+    # The e_v coordinates sum to the identity (D(1) is the sum of the D(e_v)
+    # and the basis lies in its image), and idempotents over Q that sum to
+    # the identity are orthogonal, so once each is idempotent their pivot
+    # columns form a basis adapted to the vertex decomposition.
+    q = spec.quiver
+    dims, cols = [], []
+    for v in range(1, q.n + 1):
+        e = actions[f"e{v}"]
+        if exact.mat_mul(e, e) != e:
+            raise NotAQuiverActionError(f"action of e{v} is not idempotent")
+        _, vpivots = exact.rref(e)
+        dims.append(len(vpivots))
+        cols.extend([row[p] for row in e] for p in vpivots)
+    vbasis = [[col[r] for col in cols] for r in range(rank)]
+    inverse = exact.invert(vbasis)
+    offs = [0]
+    for d in dims:
+        offs.append(offs[-1] + d)
+    maps = {}
+    for a in q.arrows:
+        full = exact.mat_mul(inverse, exact.mat_mul(actions[a.id], vbasis))
+        t0, t1 = offs[a.target - 1], offs[a.target]
+        s0, s1 = offs[a.source - 1], offs[a.source]
+        if any(
+            x != 0
+            for r, row in enumerate(full)
+            for c, x in enumerate(row)
+            if not (t0 <= r < t1 and s0 <= c < s1)
+        ):
+            raise NotAQuiverActionError(
+                f"action of arrow {a.id} is not supported on the"
+                f" ({a.target}, {a.source}) block"
+            )
+        maps[a.id] = [row[s0:s1] for row in full[t0:t1]]
+    return Representation(q, dims, maps)
 
 
 def is_discrete(spec):

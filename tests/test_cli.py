@@ -148,14 +148,57 @@ def test_spectral_integer_and_float_formats(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text", ['[["x", 1], [1, 0]]', "[[1e400, 1], [1, 0]]", "[[NaN, 1], [1, 0]]"]
+    "text",
+    [
+        '[["x", 1], [1, 0]]',
+        "[[1e400, 1], [1, 0]]",
+        "[[NaN, 1], [1, 0]]",
+        # finite entries whose radius (2e308) overflows the power iteration
+        "[[1e308, 1e308], [1e308, 1e308]]",
+    ],
 )
 def test_spectral_rejects_non_numeric_and_non_finite_entries(tmp_path, text):
     matrix = tmp_path / "m.json"
     matrix.write_text(text)
     code, out, _ = run_cli(["spectral", "--matrix", str(matrix)])
     assert code == 1
+    assert "Infinity" not in out
     assert json.loads(out)["error"]["type"] == "bad_input"
+
+
+@pytest.mark.parametrize(
+    "quiver, rep",
+    [
+        (KRONECKER, [1, 2]),  # a list where a representation object goes
+        ({"vertices": "x", "arrows": []}, SIMPLE_1),
+        (KRONECKER, {"dims": [1.5, 1], "maps": {}}),
+        (KRONECKER, {"dims": ["x", 1], "maps": {}}),
+    ],
+    ids=["rep-is-a-list", "vertices-not-int", "dims-float", "dims-string"],
+)
+def test_malformed_files_are_bad_input(tmp_path, quiver, rep):
+    q = write_json(tmp_path / "q.json", quiver)
+    m = write_json(tmp_path / "m.json", rep)
+    code, out, err = run_cli(["hom", "--quiver", q, "--left", m, "--right", m])
+    assert code == 1, err
+    assert json.loads(out)["error"]["type"] == "bad_input"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fpv", "--quiver", "typeA:>", "--object", "interval:1,2", "--n-max", "0"],
+        ["bricks", "enumerate", "--quiver", "typeA:>", "--shifts", "x"],
+        ["verify", "fpv", "--n", "1"],
+        ["verify", "euler", "--max-dim", "-1"],
+    ],
+    ids=["fpv-n-max-0", "bricks-shifts-x", "verify-fpv-n-1", "verify-euler-max-dim"],
+)
+def test_bad_option_values_are_usage_errors(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert "--" in err
 
 
 def test_wba_check_single_structure():

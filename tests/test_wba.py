@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from fpq import wba
+from fpq import exact, wba
 from fpq.errors import (
     DuplicateLabelError,
     NotAQuiverActionError,
@@ -17,6 +17,7 @@ from fpq.quiver import (
     Quiver,
     Representation,
     identity_rep,
+    is_isomorphic,
     random_representation,
     simple,
     tensor_vertexwise,
@@ -25,7 +26,6 @@ from fpq.typea import OrientationWord
 
 K2 = Quiver(2, [])
 KRON1 = wba.kronecker_quiver(1)
-KRON2 = wba.kronecker_quiver(2)
 
 
 def by_name(entries):
@@ -113,26 +113,6 @@ def test_tensor_rejects_foreign_representations():
         wba.tensor_wba(spec, simple(other, 1), simple(other, 2))
 
 
-def test_left_module_roundtrip_and_validation():
-    alg = wba.PathAlgebra(KRON2)
-    # total space k^2 (+) k: vertex 1 spans the first two coordinates
-    actions = {
-        "e1": [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
-        "e2": [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
-        "r1": [[0, 0, 0], [0, 0, 0], [1, 0, 0]],
-        "r2": [[0, 0, 0], [0, 0, 0], [0, 3, 0]],
-    }
-    mod = wba.LeftModule(alg, 3, actions)
-    assert mod.to_representation() == Representation(
-        KRON2, [2, 1], {"r1": [[1, 0]], "r2": [[0, 3]]}
-    )
-    # an arrow block outside e_target * A * e_source is not a quiver action
-    bad_actions = dict(actions)
-    bad_actions["r1"] = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-    with pytest.raises(NotAQuiverActionError):
-        wba.LeftModule(alg, 3, bad_actions)
-
-
 def test_tensor_rejects_structures_that_do_not_act():
     spec = by_name(wba.catalog_kronecker(1))["kronecker1-a"]
     s1, s2 = simple(KRON1, 1), simple(KRON1, 2)
@@ -140,6 +120,68 @@ def test_tensor_rejects_structures_that_do_not_act():
         wba.tensor_wba(wba.perturb_spec(spec, 4), s2, s2)
     with pytest.raises(StructureMismatchError, match="does not act idempotently"):
         wba.tensor_wba(wba.perturb_spec(spec, 6), s1, s1)
+    # D(1) = e1(x)e1 + e2(x)e2 is idempotent, but D(e1) = 2 e1(x)e1 is not
+    doubled = wba.CoproductSpec(
+        K2,
+        {"e1": [("e1", "e1", 2)], "e2": [("e1", "e1", -1), ("e2", "e2", 1)]},
+        {"e1": 1, "e2": 1},
+    )
+    k2_s1 = simple(K2, 1)
+    with pytest.raises(NotAQuiverActionError, match="e1 is not idempotent"):
+        wba.tensor_wba(doubled, k2_s1, k2_s1)
+
+
+def test_primitive_arrows_act_by_the_leibniz_rule():
+    """Under kronecker{w}-a, D(1) = 1 (x) 1 and D(r) = e1 (x) r + r (x) e1:
+    vertex 1 of M (x) N is M1 (x) N1, vertex 2 is the rest, and r sends
+    x (x) y to x (x) ry + rx (x) y.  The tensor must be isomorphic to that
+    representation, built here by hand (vertex 2 ordered M1 (x) N2,
+    M2 (x) N1, M2 (x) N2)."""
+    for w in (1, 2):
+        spec = by_name(wba.catalog_kronecker(w))[f"kronecker{w}-a"]
+        q = spec.quiver
+        for k in range(8):
+            m = random_representation(q, 2, seed=300 + 2 * k)
+            x = random_representation(q, 2, seed=301 + 2 * k)
+            (m1, m2), (n1, n2) = m.dims, x.dims
+            maps = {
+                a.id: exact.kron(
+                    exact.identity(m1), x.map_for(a.id), (m1, m1), (n2, n1)
+                )
+                + exact.kron(
+                    m.map_for(a.id), exact.identity(n1), (m2, m1), (n1, n1)
+                )
+                + exact.zeros(m2 * n2, m1 * n1)
+                for a in q.arrows
+            }
+            expected = Representation(
+                q, [m1 * n1, m1 * n2 + m2 * n1 + m2 * n2], maps
+            )
+            assert is_isomorphic(wba.tensor_wba(spec, m, x), expected) is True, (w, k)
+
+
+def test_tensor_vertex_dims_are_traces_of_the_unit_coproduct():
+    """dim (M (x) N)_v is the trace of D(e_v) on the componentwise tensor
+    product: only the terms c * e_i (x) e_j contribute, c dim M_i dim N_j
+    each, since a path of positive length acts nilpotently."""
+    specs = wba.catalog_k2() + [
+        spec for w in (1, 2, 3) for spec in wba.catalog_kronecker(w)
+    ]
+    assert len(specs) == 20
+    for spec in specs:
+        q, alg = spec.quiver, spec.algebra
+        for k in range(20):
+            m = random_representation(q, 3, seed=2 * k)
+            x = random_representation(q, 3, seed=2 * k + 1)
+            dims = []
+            for v in range(1, q.n + 1):
+                trace = 0
+                for (i, j), c in spec.delta_gen[f"e{v}"].items():
+                    (si, _, ids_i), (sj, _, ids_j) = alg.paths[i], alg.paths[j]
+                    if not ids_i and not ids_j:
+                        trace += c * m.dims[si - 1] * x.dims[sj - 1]
+                dims.append(trace)
+            assert list(wba.tensor_wba(spec, m, x).dims) == dims, (spec.name, k)
 
 
 def test_discreteness_reports():
