@@ -53,7 +53,6 @@ from .quiver import (
     Quiver,
     Representation,
     dim_ext1,
-    dimension_vector,
     direct_sum,
     dual,
     euler_form,

@@ -16,12 +16,13 @@ nonzero if any case fails; cases are reported in canonical key order.
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
 
 from . import engine, wba
-from .bricks import DerivedObject, band_family, certify_brick_set, maximal_brick_sets
+from .bricks import DerivedObject, band_family, brick_set, maximal_brick_sets
 from .errors import FpqError, InputError, WrongQuiverError
 from .quiver import (
     Quiver,
@@ -38,6 +39,7 @@ from .quiver import (
 from .spectral import as_integer, gamma_matrix, gamma_radius_closed, spectral_radius
 from .typea import (
     OrientationWord,
+    all_indecomposables,
     all_intervals,
     all_orientations,
     closed_form_fpd,
@@ -213,6 +215,8 @@ def _cmd_fpd(args):
     candidates = None
     if args.candidates:
         data = _read_json(args.candidates)
+        if not isinstance(data, list):
+            raise InputError(f"{args.candidates}: candidates must be a JSON list")
         candidates = [_parse_candidate(entry, q) for entry in data]
     if args.mode == "exact":
         report = engine.fpd_exact(
@@ -241,7 +245,9 @@ def _cmd_fpd(args):
 def _parse_candidate(entry, quiver):
     if isinstance(entry, str):
         return _load_object(entry, quiver)
-    if isinstance(entry, dict) and "quiver" not in entry:
+    if not isinstance(entry, dict):
+        raise InputError("a candidate must be a representation object or a string")
+    if "quiver" not in entry:
         return Representation.from_dict(entry, quiver=quiver)
     return Representation.from_dict(entry)
 
@@ -268,28 +274,17 @@ def _cmd_bricks(args):
         raise UsageError(
             f"--shifts must be comma-joined integers, got {args.shifts!r}"
         ) from None
-    objs = []
-    for shift in shifts:
-        for i, j in all_intervals(word.n):
-            objs.append(
-                DerivedObject(
-                    interval_rep(word, (i, j), q),
-                    shift,
-                    label=f"M[{i},{j}]",
-                )
-            )
-    sets = maximal_brick_sets(objs, cap=args.cap)
+    intervals = all_indecomposables(word, q)
+    objs = [
+        DerivedObject(x.rep, shift, label=x.label)
+        for shift in shifts
+        for x in intervals
+    ]
     entries = []
-    for clique in sets:
-        members = [objs[k] for k in clique]
-        ok, certificate = certify_brick_set(members)
-        entries.append(
-            {
-                "members": [x.describe() for x in members],
-                "certificate": certificate,
-                "size": len(members),
-            }
-        )
+    for clique in maximal_brick_sets(objs, cap=args.cap):
+        entry = brick_set([objs[k] for k in clique]).describe()
+        entry["size"] = len(clique)
+        entries.append(entry)
     return {
         "candidates": len(objs),
         "count": len(entries),
@@ -430,15 +425,10 @@ def _opposite_fpd(m):
     adjacency [dim Hom(M (x) X_j, X_i)]_ij.  Reversing every hom is the
     same as dualizing, so this must agree with the plain dimension of
     M* (x) - over the opposite quiver."""
-    word = orientation_of(m.quiver)
-    objs = [interval_rep(word, v, m.quiver) for v in all_intervals(word.n)]
-    best = 0.0
-    for clique in maximal_brick_sets([DerivedObject(r, 0) for r in objs]):
-        a = [
-            [hom_dim(tensor_vertexwise(m, objs[j]), objs[i]) for j in clique]
-            for i in clique
-        ]
-        best = max(best, spectral_radius(a))
+    objs = all_indecomposables(orientation_of(m.quiver), m.quiver)
+    tensored = [tensor_vertexwise(m, x.rep) for x in objs]
+    full = [[hom_dim(t, x.rep) for t in tensored] for x in objs]
+    best = engine.best_brick_set(objs, full)[0]
     exact = as_integer(best)
     return exact if exact is not None else best
 
@@ -653,6 +643,17 @@ def _int_at_least(low):
     return parse
 
 
+def _tolerance(text):
+    """An argparse type: a finite float no smaller than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def _add_quiver_opt(p, required=False):
     p.add_argument(
         "--quiver",
@@ -708,7 +709,7 @@ def build_parser():
     p.add_argument("--candidates", help="JSON list of candidate representations")
     p.add_argument("--cap", type=int, default=10 ** 6)
     p.add_argument("--budget", type=int, default=12)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--band-family", action="store_true",
                    help="lower mode: grow band modules on the two-arrow quiver")
     p.add_argument("--band-path1", help="comma-joined arrow ids of the first path")
@@ -735,7 +736,7 @@ def build_parser():
 
     p = sub.add_parser("spectral", help="spectral radius of a nonnegative matrix")
     p.add_argument("--matrix", required=True, help="JSON array of arrays")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_spectral)
 
@@ -821,7 +822,7 @@ def build_parser():
 
     pv = vsub.add_parser("gamma", help="hub-matrix radii vs the closed form")
     pv.add_argument("--n-max", type=int, default=50)
-    pv.add_argument("--tol", type=float, default=1e-9)
+    pv.add_argument("--tol", type=_tolerance, default=1e-9)
     pv.add_argument("--out")
     pv.set_defaults(func=_cmd_verify)
 

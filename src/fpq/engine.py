@@ -24,13 +24,7 @@ bound, flagging divergence when the radii keep climbing through a hub
 pattern in the adjacency.
 """
 
-from .bricks import (
-    DerivedObject,
-    brick_set,
-    derived_hom_dim,
-    is_brick,
-    maximal_brick_sets,
-)
+from .bricks import DerivedObject, brick_set, derived_hom_dim, maximal_brick_sets
 from .errors import (
     DimensionGuardError,
     IncompleteListError,
@@ -40,7 +34,7 @@ from .errors import (
 )
 from .quiver import hom_dim, simple, tensor_vertexwise
 from .spectral import DEFAULT_TOL, as_integer, spectral_radius
-from .typea import all_intervals, interval_rep, orientation_of
+from .typea import all_indecomposables, orientation_of
 
 _RADIUS_CACHE = {}
 
@@ -138,10 +132,27 @@ def _candidate_objects(m, indecomposables):
             "no candidate list given and the quiver is not a linear chain;"
             " pass a complete list of indecomposable representations"
         ) from exc
-    return [
-        DerivedObject(interval_rep(word, (i, j), m.quiver), 0, label=f"M[{i},{j}]")
-        for i, j in all_intervals(word.n)
-    ]
+    return all_indecomposables(word, m.quiver)
+
+
+def best_brick_set(objs, full, tol=DEFAULT_TOL, cap=10 ** 6):
+    """Maximize the spectral radius of full (a matrix indexed by objs)
+    restricted to each maximal brick set drawn from objs.
+
+    Returns (radius, clique, cliques): the largest radius, the first
+    maximal set reaching it (None when there are none), and every maximal
+    set.  A later set wins only by more than the tolerance, so ties keep
+    the earliest set."""
+    cliques = maximal_brick_sets(objs, cap=cap)
+    best = 0.0
+    best_clique = None
+    for clique in cliques:
+        sub = [[full[i][j] for j in clique] for i in clique]
+        r = _cached_radius(sub, tol)
+        if best_clique is None or r > best + max(tol, 1e-12) * max(1.0, best):
+            best = r
+            best_clique = clique
+    return best, best_clique, cliques
 
 
 def fpd_exact(m, shift=0, structure=None, indecomposables=None, cap=10 ** 6,
@@ -165,15 +176,7 @@ def fpd_exact(m, shift=0, structure=None, indecomposables=None, cap=10 ** 6,
                          adjacency=None, integral=True, candidates=0, **base)
     objs = _candidate_objects(m, indecomposables)
     full = adjacency(objs, m, shift, structure)
-    cliques = maximal_brick_sets(objs, cap=cap)
-    best = 0.0
-    best_clique = None
-    for clique in cliques:
-        sub = [[full[i][j] for j in clique] for i in clique]
-        r = _cached_radius(sub, tol)
-        if best_clique is None or r > best + max(tol, 1e-12) * max(1.0, best):
-            best = r
-            best_clique = clique
+    best, best_clique, cliques = best_brick_set(objs, full, tol, cap)
     rounded = as_integer(best)
     value = rounded if rounded is not None else best
     witness = None
@@ -214,8 +217,6 @@ def fpd_lower_bound(m, shift=0, structure=None, family=None, budget=12,
     floor_witness = None
     for v in range(1, m.quiver.n + 1):
         s = DerivedObject(simple(m.quiver, v), 0, label=f"S({v})")
-        if not is_brick(s):
-            continue
         r = _cached_radius(adjacency([s], m, shift, structure), tol)
         if r > floor:
             floor = r

@@ -154,14 +154,8 @@ class Representation:
     def map_for(self, arrow_id):
         return self.maps[self.quiver.arrow_index(arrow_id)]
 
-    def dim_at(self, v):
-        return self.dims[v - 1]
-
     def total_dim(self):
         return sum(self.dims)
-
-    def is_zero(self):
-        return self.total_dim() == 0
 
     def key(self):
         return self._key
@@ -227,10 +221,6 @@ def identity_rep(q):
     for the vertex-wise tensor product)."""
     one = [[Fraction(1)]]
     return Representation(q, [1] * q.n, {a.id: one for a in q.arrows})
-
-
-def dimension_vector(rep):
-    return tuple(rep.dims)
 
 
 def euler_form(q, x, y):

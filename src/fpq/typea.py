@@ -25,6 +25,7 @@ sink > source > flow (the two branches give equal values below).
 import enum
 from fractions import Fraction
 
+from .bricks import DerivedObject
 from .errors import InputError, NotTypeAError
 from .quiver import Quiver, Representation, hom_dim
 
@@ -144,11 +145,14 @@ def all_intervals(n):
 
 
 def all_indecomposables(w, quiver=None):
-    """The complete list of indecomposables of the A_n line: all interval
-    modules, ordered by (i, j)."""
+    """The complete list of indecomposables of the A_n line: every interval
+    module as a shift-0 DerivedObject labeled M[i,j], ordered by (i, j)."""
     if quiver is None:
         quiver = w.to_quiver()
-    return [interval_rep(w, v, quiver) for v in all_intervals(w.n)]
+    return [
+        DerivedObject(interval_rep(w, (i, j), quiver), 0, label=f"M[{i},{j}]")
+        for i, j in all_intervals(w.n)
+    ]
 
 
 def closed_form_fpd(w, v, shift):

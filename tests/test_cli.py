@@ -112,6 +112,21 @@ def test_fpd_exact_without_candidates_fails_cleanly(tmp_path):
     assert "message" in data["error"]
 
 
+@pytest.mark.parametrize(
+    "candidates",
+    [[{"dims": [1, 0], "maps": {}}, 5], {"a": 1}],
+    ids=["entry-is-a-number", "object-not-list"],
+)
+def test_fpd_candidates_must_be_a_list_of_objects_or_strings(tmp_path, candidates):
+    q = write_json(tmp_path / "kron.json", KRONECKER)
+    m = write_json(tmp_path / "s1.json", SIMPLE_1)
+    c = write_json(tmp_path / "c.json", candidates)
+    code, out, err = run_cli(["fpd", "--quiver", q, "--object", m,
+                              "--candidates", c])
+    assert code == 1, err
+    assert json.loads(out)["error"]["type"] == "bad_input"
+
+
 def test_fpv_closed_form_matches_empirical():
     data = run_json(["fpv", "--quiver", "typeA:><", "--object",
                      "interval:1,3", "--n-max", "5"])
@@ -126,7 +141,11 @@ def test_bricks_enumerate_with_shifts():
     assert data["candidates"] == 6
     assert data["sets"]
     for entry in data["sets"]:
-        assert len(entry["members"]) >= 1
+        size = len(entry["members"])
+        assert size >= 1 and entry["size"] == size
+        assert entry["certificate"] == [
+            [int(i == j) for j in range(size)] for i in range(size)
+        ]
 
 
 def test_spectral_integer_and_float_formats(tmp_path):
@@ -191,14 +210,38 @@ def test_malformed_files_are_bad_input(tmp_path, quiver, rep):
         ["bricks", "enumerate", "--quiver", "typeA:>", "--shifts", "x"],
         ["verify", "fpv", "--n", "1"],
         ["verify", "euler", "--max-dim", "-1"],
+        ["fpd", "--quiver", "typeA:<>", "--object", "interval:2,2", "--tol=inf"],
+        ["fpd", "--quiver", "typeA:<>", "--object", "interval:2,2", "--tol=-inf"],
+        ["spectral", "--matrix", "m.json", "--tol=nan"],
+        ["verify", "gamma", "--tol=-1"],
     ],
-    ids=["fpv-n-max-0", "bricks-shifts-x", "verify-fpv-n-1", "verify-euler-max-dim"],
+    ids=["fpv-n-max-0", "bricks-shifts-x", "verify-fpv-n-1", "verify-euler-max-dim",
+         "fpd-tol-inf", "fpd-tol-minus-inf", "spectral-tol-nan",
+         "verify-gamma-tol-minus-1"],
 )
 def test_bad_option_values_are_usage_errors(argv):
     code, out, err = run_cli(argv)
     assert code == 2
     assert out == ""
     assert "--" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["duality", "--n", "3", "--triples", "5"],
+        ["canonical-tensor", "--n", "2", "--pairs", "3"],
+        ["wba-axioms", "--w-max", "1", "--corruptions", "5"],
+        ["kronecker-divergence", "--size", "4"],
+        ["gamma", "--n-max", "5"],
+        ["fpv", "--n", "2", "--count", "3", "--n-max", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_verify_suites_pass_at_small_sizes(argv):
+    data = run_json(["verify"] + argv)
+    assert data["failures"] == 0
+    assert data["passes"] == len(data["cases"]) > 0
 
 
 def test_wba_check_single_structure():

@@ -17,6 +17,7 @@ from fpq.quiver import (
 )
 from fpq.typea import (
     OrientationWord,
+    all_indecomposables,
     all_intervals,
     all_orientations,
     closed_form_fpd,
@@ -100,6 +101,8 @@ def test_exact_report_contents():
     assert numpy_radius(report.extra["adjacency"]) == pytest.approx(2.0, abs=1e-9)
     d = report.describe()
     assert d["field"] == "Q" and d["value"] == 2
+    supplied = engine.fpd_exact(m, indecomposables=all_indecomposables(w, q))
+    assert supplied.describe() == d
 
 
 def test_out_of_range_shifts_are_zero():

@@ -38,7 +38,9 @@ def test_orientation_of_rejects_other_quivers():
 def test_enumeration_counts():
     assert len(all_orientations(4)) == 8
     assert len(all_intervals(4)) == 10
-    assert len(all_indecomposables(OrientationWord("><>"))) == 10
+    objs = all_indecomposables(OrientationWord("><>"))
+    assert [x.label for x in objs] == [f"M[{i},{j}]" for i, j in all_intervals(4)]
+    assert all(x.shift == 0 for x in objs)
 
 
 def test_classification_table():
