@@ -93,7 +93,7 @@ def _load_object(desc, quiver):
     if "quiver" not in data and quiver is not None:
         return Representation.from_dict(data, quiver=quiver)
     rep = Representation.from_dict(data)
-    if quiver is not None and rep.quiver.key() != quiver.key():
+    if quiver is not None and rep.quiver != quiver:
         raise WrongQuiverError(
             "the representation is over a different quiver than --quiver"
         )
@@ -131,7 +131,7 @@ def _load_structure(desc, quiver):
         return engine.vertexwise()
     inner = desc[4:] if desc.startswith("wba:") else desc
     spec = _load_spec(inner, quiver)
-    if quiver is not None and spec.quiver.key() != quiver.key():
+    if quiver is not None and spec.quiver != quiver:
         raise WrongQuiverError(
             "the coproduct structure lives on a different quiver than --quiver"
         )
@@ -316,7 +316,7 @@ def _spec_from_args(args):
         spec = _load_spec(args.structure, q)
     else:
         raise UsageError("give --spec FILE or --structure NAME")
-    if q is not None and spec.quiver.key() != q.key():
+    if q is not None and spec.quiver != q:
         raise WrongQuiverError("structure and --quiver disagree")
     return spec
 
@@ -610,7 +610,15 @@ _SUITES = {
 
 
 def _cmd_verify(args):
-    results = _run_cases(_SUITES[args.suite](args))
+    cases = _SUITES[args.suite](args)
+    if not cases:
+        sizes = ", ".join(
+            f"--{k.replace('_', '-')} {v}"
+            for k, v in sorted(vars(args).items())
+            if type(v) is int and k != "seed"
+        )
+        raise UsageError(f"verify {args.suite}: no case to check at {sizes}")
+    results = _run_cases(cases)
     failures = [r for r in results if not r[1]]
     data = {
         "suite": args.suite,
@@ -776,20 +784,20 @@ def build_parser():
     vsub = p.add_subparsers(dest="suite", required=True)
 
     pv = vsub.add_parser("closed-form", help="interval dimensions vs the closed form")
-    pv.add_argument("--n", type=int, default=4)
+    pv.add_argument("--n", type=_int_at_least(2), default=4)
     pv.add_argument("--out")
     pv.set_defaults(func=_cmd_verify)
 
     pv = vsub.add_parser("euler", help="hom - ext vs the Euler form")
-    pv.add_argument("--pairs", type=int, default=200)
-    pv.add_argument("--quivers", type=int, default=10)
+    pv.add_argument("--pairs", type=_int_at_least(0), default=200)
+    pv.add_argument("--quivers", type=_int_at_least(0), default=10)
     pv.add_argument("--max-dim", type=_int_at_least(0), default=4)
     pv.add_argument("--seed", type=int, default=7)
     pv.add_argument("--out")
     pv.set_defaults(func=_cmd_verify)
 
     pv = vsub.add_parser("duality", help="hom duality and dual-interval dimensions")
-    pv.add_argument("--triples", type=int, default=100)
+    pv.add_argument("--triples", type=_int_at_least(0), default=100)
     pv.add_argument("--n", type=int, default=5)
     pv.add_argument("--max-dim", type=_int_at_least(0), default=3)
     pv.add_argument("--seed", type=int, default=11)
@@ -799,8 +807,8 @@ def build_parser():
     pv = vsub.add_parser(
         "canonical-tensor", help="canonical coproduct vs componentwise tensor"
     )
-    pv.add_argument("--n", type=int, default=4)
-    pv.add_argument("--pairs", type=int, default=50)
+    pv.add_argument("--n", type=_int_at_least(2), default=4)
+    pv.add_argument("--pairs", type=_int_at_least(0), default=50)
     pv.add_argument("--max-dim", type=_int_at_least(0), default=3)
     pv.add_argument("--seed", type=int, default=3)
     pv.add_argument("--out")
@@ -808,7 +816,7 @@ def build_parser():
 
     pv = vsub.add_parser("wba-axioms", help="catalog axiom reports and corruptions")
     pv.add_argument("--w-max", type=int, default=3)
-    pv.add_argument("--corruptions", type=int, default=100)
+    pv.add_argument("--corruptions", type=_int_at_least(0), default=100)
     pv.add_argument("--seed", type=int, default=23)
     pv.add_argument("--out")
     pv.set_defaults(func=_cmd_verify)
@@ -816,19 +824,19 @@ def build_parser():
     pv = vsub.add_parser(
         "kronecker-divergence", help="band-module lower bounds grow without bound"
     )
-    pv.add_argument("--size", type=int, default=12)
+    pv.add_argument("--size", type=_int_at_least(3), default=12)
     pv.add_argument("--out")
     pv.set_defaults(func=_cmd_verify)
 
     pv = vsub.add_parser("gamma", help="hub-matrix radii vs the closed form")
-    pv.add_argument("--n-max", type=int, default=50)
+    pv.add_argument("--n-max", type=_int_at_least(1), default=50)
     pv.add_argument("--tol", type=_tolerance, default=1e-9)
     pv.add_argument("--out")
     pv.set_defaults(func=_cmd_verify)
 
     pv = vsub.add_parser("fpv", help="empirical curvature vs the closed form")
     pv.add_argument("--n", type=_int_at_least(2), default=4)
-    pv.add_argument("--count", type=int, default=50)
+    pv.add_argument("--count", type=_int_at_least(0), default=50)
     pv.add_argument("--max-dim", type=_int_at_least(0), default=3)
     pv.add_argument("--n-max", type=_int_at_least(1), default=10)
     pv.add_argument("--seed", type=int, default=17)

@@ -8,9 +8,13 @@ must be tracked by the caller when a dimension vanishes.
 
 Elimination uses the first nonzero entry in column order as the pivot
 (no magnitude pivoting): over Q the arithmetic is exact, and fixing the
-pivot rule makes every derived basis deterministic.
+pivot rule makes every derived basis deterministic.  ``rref`` and
+everything built on it (``nullspace``, ``solve``, ``invert``) work on
+Fractions; ``rank``, which needs no basis, clears denominators and
+eliminates fraction-free over the integers instead, which is still exact.
 """
 
+import math
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -157,7 +161,45 @@ def rref(m, ncols=None):
 
 
 def rank(m, ncols=None):
-    return len(rref(m, ncols)[1])
+    """Rank of the first ncols columns of m, by fraction-free (Bareiss)
+    elimination over the integers (Math. Comp. 22, 1968).
+
+    Each row is first cleared of denominators, which keeps the rank and
+    puts every step in Python ints: after k pivots each remaining entry is
+    a (k+1)-minor of the scaled matrix, so dividing by the previous pivot
+    is exact.  Elimination only goes forward, and each step drops the
+    column it has cleared, so no basis is built.
+    """
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+    rows = []
+    for row in m:
+        row = row[:ncols]
+        scale = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (scale // x.denominator) for x in row]
+        if any(ints):
+            rows.append(ints)
+    prev = 1
+    r = 0
+    for _ in range(ncols):
+        if not rows:
+            break
+        k = next((i for i, row in enumerate(rows) if row[0]), None)
+        if k is None:
+            rows = [row[1:] for row in rows]
+            continue
+        pivot = rows.pop(k)
+        p = pivot[0]
+        tail = pivot[1:]
+        for i, row in enumerate(rows):
+            f = row[0]
+            if f:
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
+            else:
+                rows[i] = [p * x // prev for x in row[1:]]
+        prev = p
+        r += 1
+    return r
 
 
 def nullspace(m, ncols):

@@ -11,11 +11,22 @@ Conventions
 
 The hom-space computation sets up the commuting-square system
 f_t . M_a = N_a . f_s over the per-vertex unknowns f_v and solves it by
-exact elimination.  Hom dimensions are memoized on the immutable
-representation data, which the higher layers lean on heavily.
+exact elimination.  Hom dimensions are memoized per pair of
+representations, which the higher layers lean on heavily.
+
+Identity
+--------
+Quivers and representations are immutable, and each is interned to a small
+int id keyed by its content: equality, hashing and the hom-dimension cache
+all compare ids, so a cache hit hashes two ints instead of every matrix
+entry.  Interning is lazy (the first hash, comparison or cache lookup), so
+a representation that is only built and read never enters the table.  Ids
+come from a counter, never from a table's size, so two contents can never
+share one.
 """
 
 import graphlib
+import itertools
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -36,6 +47,19 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_IDS = itertools.count()
+_QUIVER_IDS = {}
+_REP_IDS = {}
+
+
+def _intern(table, content):
+    """The id of content in table, taking a fresh one on first sight."""
+    got = table.get(content)
+    if got is None:
+        got = table.setdefault(content, next(_IDS))
+    return got
+
+
 class Arrow(NamedTuple):
     id: str
     source: int
@@ -49,19 +73,24 @@ class Quiver:
         self.n = int(n)
         self.arrows = tuple(Arrow(str(a[0]), int(a[1]), int(a[2])) for a in arrows)
         self._index = {a.id: k for k, a in enumerate(self.arrows)}
+        self._id = None
         validate_quiver(self)
 
     def arrow_index(self, arrow_id):
         return self._index[arrow_id]
 
-    def key(self):
-        return (self.n, self.arrows)
+    def _ident(self):
+        if self._id is None:
+            self._id = _intern(_QUIVER_IDS, (self.n, self.arrows))
+        return self._id
 
     def __eq__(self, other):
-        return isinstance(other, Quiver) and self.key() == other.key()
+        return self is other or (
+            isinstance(other, Quiver) and self._ident() == other._ident()
+        )
 
     def __hash__(self):
-        return hash(self.key())
+        return self._ident()
 
     def __repr__(self):
         arr = ", ".join(f"{a.id}:{a.source}->{a.target}" for a in self.arrows)
@@ -149,7 +178,7 @@ class Representation:
                 )
             frozen.append(exact.freeze(m))
         self.maps = tuple(frozen)
-        self._key = (self.quiver.key(), self.dims, self.maps)
+        self._id = None
 
     def map_for(self, arrow_id):
         return self.maps[self.quiver.arrow_index(arrow_id)]
@@ -158,13 +187,20 @@ class Representation:
         return sum(self.dims)
 
     def key(self):
-        return self._key
+        """The interned id: equal representations, and only they, share it."""
+        if self._id is None:
+            self._id = _intern(
+                _REP_IDS, (self.quiver._ident(), self.dims, self.maps)
+            )
+        return self._id
 
     def __eq__(self, other):
-        return isinstance(other, Representation) and self._key == other._key
+        return self is other or (
+            isinstance(other, Representation) and self.key() == other.key()
+        )
 
     def __hash__(self):
-        return hash(self._key)
+        return self.key()
 
     def __repr__(self):
         return f"Representation(dims={list(self.dims)})"

@@ -638,7 +638,7 @@ def tensor_wba(spec, m, n):
     source) block (which happens for structures that are not weak
     bialgebras), and StructureMismatch when D(1) does not even act
     idempotently."""
-    if m.quiver.key() != spec.quiver.key() or n.quiver.key() != spec.quiver.key():
+    if m.quiver != spec.quiver or n.quiver != spec.quiver:
         raise WrongQuiverError("representations are not over the coproduct's quiver")
     dm, dn = m.total_dim(), n.total_dim()
     if dm == 0 or dn == 0:
@@ -784,7 +784,7 @@ def equivalent_structures(s1, s2, budget=200, seed=0):
     with invertible substitutions on each parallel-arrow span (permutation
     matrices, then seeded random small-integer matrices up to the budget).
     A hit is a proof of equivalence; NotFound is inconclusive."""
-    if s1.quiver.key() != s2.quiver.key():
+    if s1.quiver != s2.quiver:
         raise WrongQuiverError("equivalence needs structures on the same quiver")
     q = s1.quiver
     alg = s1.algebra

@@ -1,14 +1,16 @@
 """Independent oracles the tests check the library against.
 
 Everything here deliberately avoids the library's own algorithms:
-spectral radii come from numpy's eigenvalue solver, and dimensions come
-from enumerating every subset of the interval candidates rather than
-maximal sets only.
+spectral radii come from numpy's eigenvalue solver, hom dimensions from a
+commuting-square system written out here and ranked by sympy, and
+dimensions from enumerating every subset of the interval candidates rather
+than maximal sets only.
 """
 
 import itertools
 
 import numpy as np
+import sympy
 
 from fpq.quiver import dim_ext1, hom_dim, tensor_vertexwise
 from fpq.typea import all_intervals, interval_rep
@@ -19,6 +21,35 @@ def numpy_radius(a):
     if not a or not a[0]:
         return 0.0
     return float(max(abs(np.linalg.eigvals(np.array(a, dtype=float)))))
+
+
+def sympy_hom_dim(m, n):
+    """dim Hom(m, n) as the nullity of the equations f_t . M_a = N_a . f_s
+    over the entries of the per-vertex maps f_v: n.dims[v] x m.dims[v],
+    ranked by sympy over the rationals."""
+    unknown = {}
+    for v in range(m.quiver.n):
+        for i in range(n.dims[v]):
+            for j in range(m.dims[v]):
+                unknown[v, i, j] = len(unknown)
+    equations = []
+    for a, ma, na in zip(m.quiver.arrows, m.maps, n.maps):
+        s, t = a.source - 1, a.target - 1
+        for i in range(n.dims[t]):
+            for j in range(m.dims[s]):
+                row = [sympy.Integer(0)] * len(unknown)
+                for k in range(m.dims[t]):  # (f_t . M_a)[i][j]
+                    row[unknown[t, i, k]] += sympy.Rational(
+                        ma[k][j].numerator, ma[k][j].denominator
+                    )
+                for k in range(n.dims[s]):  # (N_a . f_s)[i][j]
+                    row[unknown[s, k, j]] -= sympy.Rational(
+                        na[i][k].numerator, na[i][k].denominator
+                    )
+                equations.append(row)
+    if not unknown or not equations:
+        return len(unknown)
+    return len(unknown) - sympy.Matrix(equations).rank()
 
 
 def twisted_hom(x, m_tensor_y, shift):

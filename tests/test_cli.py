@@ -214,10 +214,23 @@ def test_malformed_files_are_bad_input(tmp_path, quiver, rep):
         ["fpd", "--quiver", "typeA:<>", "--object", "interval:2,2", "--tol=-inf"],
         ["spectral", "--matrix", "m.json", "--tol=nan"],
         ["verify", "gamma", "--tol=-1"],
+        ["verify", "gamma", "--n-max", "0"],
+        ["verify", "duality", "--n", "1", "--triples", "0"],
+        ["verify", "euler", "--pairs", "0"],
+        ["verify", "closed-form", "--n", "1"],
+        ["verify", "canonical-tensor", "--pairs", "0"],
+        ["verify", "fpv", "--count", "0"],
+        ["verify", "wba-axioms", "--corruptions", "-1"],
+        ["verify", "kronecker-divergence", "--size", "0"],
+        ["verify", "kronecker-divergence", "--size", "2"],
     ],
     ids=["fpv-n-max-0", "bricks-shifts-x", "verify-fpv-n-1", "verify-euler-max-dim",
          "fpd-tol-inf", "fpd-tol-minus-inf", "spectral-tol-nan",
-         "verify-gamma-tol-minus-1"],
+         "verify-gamma-tol-minus-1", "verify-gamma-n-max-0",
+         "verify-duality-empty", "verify-euler-pairs-0", "verify-closed-form-n-1",
+         "verify-canonical-tensor-pairs-0", "verify-fpv-count-0",
+         "verify-wba-axioms-corruptions-minus-1", "verify-kronecker-size-0",
+         "verify-kronecker-size-2"],
 )
 def test_bad_option_values_are_usage_errors(argv):
     code, out, err = run_cli(argv)

@@ -31,6 +31,32 @@ def test_rank_matches_numpy():
         got = exact.rank(m)
         want = np.linalg.matrix_rank(np.array(m, dtype=float))
         assert got == want
+    half = Fraction(1, 2)
+    third = Fraction(1, 3)
+    more = [
+        ([], 0),  # no rows
+        ([], 3),
+        ([[], [], []], 0),  # no columns
+        ([[0, 0, 0], [0, 0, 0]], 3),  # zero matrix
+        ([[half, third], [Fraction(3, 4), half]], 2),  # rational, singular
+        ([[half, third], [third, half]], 2),  # rational, regular
+        ([[0, 1, 2], [0, 2, 4], [0, 0, 0], [1, 1, 1]], 3),  # zero column first
+        ([[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 1], [1, 2, 4, 5]], 4),
+        ([[1, 2, 3], [2, 4, 7]], 2),  # only the first ncols columns count
+    ]
+    for seed in range(25):  # rank-deficient: the last row repeats a sum
+        m = rand_matrix(4, 6, 100 + seed)
+        m.append([x + Fraction(seed, 7) * y for x, y in zip(m[0], m[1])])
+        more.append((m, 6))
+    for seed in range(25):  # rational entries
+        rng = random.Random(200 + seed)
+        m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(5)]
+             for _ in range(rng.randint(1, 6))]
+        more.append((m, 5))
+    for rows, ncols in more:
+        m = exact.mat_from(rows)
+        assert exact.rank(m, ncols) == len(exact.rref(m, ncols)[1]), rows
+    assert exact.rank(exact.mat_from([[1, 2, 3], [2, 4, 7]]), 2) == 1
 
 
 def test_nullspace_is_kernel_basis():

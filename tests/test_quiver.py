@@ -1,7 +1,11 @@
 """Quivers, representations, hom/ext spaces, and the Euler form."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
+from fpq import quiver as quiver_module
 from fpq.errors import (
     BadArrowError,
     CyclicQuiverError,
@@ -28,6 +32,7 @@ from fpq.quiver import (
     tensor_vertexwise,
     zero_rep,
 )
+from oracles import sympy_hom_dim
 
 A2 = Quiver(2, [("a", 1, 2)])
 S1 = simple(A2, 1)
@@ -143,3 +148,100 @@ def test_representation_roundtrip():
     m = random_representation(A2, 3, seed=9)
     back = Representation.from_dict(m.to_dict())
     assert back == m and back.quiver == A2
+
+
+def fractional_representation(q, max_dim, seed):
+    """Seeded random representation whose entries have denominators."""
+    rng = random.Random(seed)
+    dims = [rng.randint(0, max_dim) for _ in range(q.n)]
+    maps = {
+        a.id: [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+             for _ in range(dims[a.source - 1])]
+            for _ in range(dims[a.target - 1])
+        ]
+        for a in q.arrows
+    }
+    return Representation(q, dims, maps)
+
+
+def test_hom_dim_matches_sympy_oracle_on_random_pairs():
+    for seed in range(16):
+        q = random_acyclic_quiver(6, 700 + seed)
+        m = random_representation(q, 3, seed=800 + 2 * seed)
+        n = random_representation(q, 3, seed=801 + 2 * seed)
+        for x, y in [(m, n), (n, m), (m, m), (m, direct_sum(m, n))]:
+            assert hom_dim(x, y) == sympy_hom_dim(x, y)
+
+
+def test_hom_dim_matches_sympy_oracle_on_tensors():
+    """The two sides of the duality triples: Hom(M (x) N, X) and
+    Hom(X*, M* (x) N*)."""
+    for seed in range(8):
+        q = random_acyclic_quiver(6, 900 + seed)
+        m, n, x = (random_representation(q, 3, seed=950 + 3 * seed + k)
+                   for k in range(3))
+        t = tensor_vertexwise(m, n)
+        assert hom_dim(t, x) == sympy_hom_dim(t, x)
+        t_dual = tensor_vertexwise(dual(m), dual(n))
+        assert hom_dim(dual(x), t_dual) == sympy_hom_dim(dual(x), t_dual)
+
+
+def test_hom_dim_matches_sympy_oracle_with_denominators():
+    for seed in range(12):
+        q = random_acyclic_quiver(6, 1000 + seed)
+        m = fractional_representation(q, 3, seed=1100 + 2 * seed)
+        n = fractional_representation(q, 3, seed=1101 + 2 * seed)
+        for x, y in [(m, n), (m, m), (direct_sum(m, n), m)]:
+            assert hom_dim(x, y) == sympy_hom_dim(x, y)
+
+
+def test_equal_content_means_equal_representations():
+    q = random_acyclic_quiver(5, 3)
+    a = random_representation(q, 3, seed=1200)
+    b = random_representation(q, 3, seed=1200)
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and a.key() == b.key()
+    cache = quiver_module._HOM_DIM_CACHE
+    d = hom_dim(a, a)
+    size = len(cache)
+    assert hom_dim(b, b) == d
+    assert len(cache) == size  # b found a's entry
+    assert {a, b} == {a}
+
+
+def test_one_differing_entry_makes_representations_unequal():
+    maps = {"a": [[1, 0], [0, 0]]}
+    m = Representation(A2, [2, 2], maps)  # M12 + S1 + S2
+    changed = Representation(A2, [2, 2], {"a": [[1, 0], [0, 1]]})  # M12 + M12
+    assert m == Representation(A2, [2, 2], maps)
+    assert m != changed and m.key() != changed.key()
+    assert hom_dim(m, m) == 5
+    assert hom_dim(changed, changed) == 4
+
+
+def test_separately_built_equal_quivers_work_together():
+    q1 = Quiver(3, [("a", 1, 2), ("b", 2, 3)])
+    q2 = Quiver(3, [("a", 1, 2), ("b", 2, 3)])
+    assert q1 is not q2 and q1 == q2 and hash(q1) == hash(q2)
+    m = Representation(q1, [1, 1, 0], {"a": [[1]]})
+    assert hom_dim(simple(q2, 2), m) == 1
+    assert tensor_vertexwise(m, identity_rep(q2)) == m
+    assert Representation(q2, [1, 1, 0], {"a": [[1]]}) == m
+    other = Quiver(3, [("a", 1, 2), ("b", 3, 2)])
+    assert other != q1
+    with pytest.raises(WrongQuiverError):
+        hom_dim(m, simple(other, 2))
+    with pytest.raises(WrongQuiverError):
+        direct_sum(m, simple(other, 2))
+
+
+def test_building_a_representation_does_not_intern_it():
+    table = quiver_module._REP_IDS
+    q = random_acyclic_quiver(4, 11)
+    before = len(table)
+    m = random_representation(q, 3, seed=1300)
+    tensor_vertexwise(m, m)
+    assert len(table) == before
+    m.key()
+    assert len(table) == before + 1
