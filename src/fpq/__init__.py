@@ -16,7 +16,6 @@ from .bricks import (
     compatibility_graph,
     derived_hom_dim,
     is_brick,
-    is_brick_set,
     maximal_brick_sets,
 )
 from .engine import (
@@ -45,7 +44,6 @@ from .errors import (
     NotTypeAError,
     ShapeError,
     StructureMismatchError,
-    UnitNotFoundError,
     WrongQuiverError,
 )
 from .quiver import (
@@ -71,13 +69,11 @@ from .spectral import (
     as_integer,
     gamma_matrix,
     gamma_radius_closed,
-    gershgorin_bound,
     spectral_radius,
 )
 from .typea import (
     IntervalKind,
     OrientationWord,
-    SuccOrder,
     all_indecomposables,
     all_intervals,
     all_orientations,
@@ -85,7 +81,6 @@ from .typea import (
     closed_form_fpd,
     interval_rep,
     orientation_of,
-    succ_order,
 )
 from .wba import (
     AxiomReport,
@@ -95,9 +90,6 @@ from .wba import (
     catalog_k2,
     catalog_kronecker,
     check_axioms,
-    check_unit,
-    equivalent_structures,
-    find_unit,
     is_discrete,
     kronecker_quiver,
     perturb_spec,

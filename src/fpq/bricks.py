@@ -98,12 +98,6 @@ def certify_brick_set(objs):
     return ok, cert
 
 
-def is_brick_set(objs):
-    if len(set(o.key() for o in objs)) != len(objs):
-        return False
-    return certify_brick_set(objs)[0]
-
-
 def brick_set(objs):
     """Build a BrickSet, raising on anything that is not one."""
     if len(set(o.key() for o in objs)) != len(objs):

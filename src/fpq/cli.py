@@ -400,9 +400,7 @@ def _suite_closed_form(args):
 
 def _suite_euler(args):
     cases = []
-    quivers = [
-        random_acyclic_quiver(6, args.seed + k) for k in range(max(args.quivers, 1))
-    ]
+    quivers = [random_acyclic_quiver(6, args.seed + k) for k in range(args.quivers)]
     for k in range(args.pairs):
         key = f"pair={k:04d}"
 
@@ -790,7 +788,7 @@ def build_parser():
 
     pv = vsub.add_parser("euler", help="hom - ext vs the Euler form")
     pv.add_argument("--pairs", type=_int_at_least(0), default=200)
-    pv.add_argument("--quivers", type=_int_at_least(0), default=10)
+    pv.add_argument("--quivers", type=_int_at_least(1), default=10)
     pv.add_argument("--max-dim", type=_int_at_least(0), default=4)
     pv.add_argument("--seed", type=int, default=7)
     pv.add_argument("--out")
@@ -798,7 +796,7 @@ def build_parser():
 
     pv = vsub.add_parser("duality", help="hom duality and dual-interval dimensions")
     pv.add_argument("--triples", type=_int_at_least(0), default=100)
-    pv.add_argument("--n", type=int, default=5)
+    pv.add_argument("--n", type=_int_at_least(1), default=5)
     pv.add_argument("--max-dim", type=_int_at_least(0), default=3)
     pv.add_argument("--seed", type=int, default=11)
     pv.add_argument("--out")
@@ -815,7 +813,7 @@ def build_parser():
     pv.set_defaults(func=_cmd_verify)
 
     pv = vsub.add_parser("wba-axioms", help="catalog axiom reports and corruptions")
-    pv.add_argument("--w-max", type=int, default=3)
+    pv.add_argument("--w-max", type=_int_at_least(0), default=3)
     pv.add_argument("--corruptions", type=_int_at_least(0), default=100)
     pv.add_argument("--seed", type=int, default=23)
     pv.add_argument("--out")

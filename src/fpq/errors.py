@@ -112,12 +112,6 @@ class WrongQuiverError(FpqError):
     code = "wrong_quiver"
 
 
-class UnitNotFoundError(FpqError):
-    """The budgeted search for a tensor unit object was inconclusive."""
-
-    code = "unit_not_found"
-
-
 class DimensionGuardError(FpqError):
     """An iterated tensor power exceeded the total-dimension guard."""
 

@@ -452,19 +452,22 @@ def _all_invertible(mats, dims):
 def is_isomorphic(m, n, seed=0, attempts=32):
     """True / False / None (undecided).
 
-    Equal dimension vectors are necessary; then an invertible element of
-    Hom(m, n) is an isomorphism.  Basis elements are tried first, then
-    seeded random combinations; None is returned when nothing invertible
-    was found (overwhelmingly unlikely when an isomorphism exists)."""
+    An isomorphism forces equal dimension vectors and dim End m =
+    dim Hom(m, n) = dim Hom(n, m) = dim End n, so any mismatch proves False.
+    Otherwise an invertible element of Hom(m, n) is an isomorphism: basis
+    elements are tried first, then seeded random combinations.  None means
+    the four hom dimensions agree and nothing invertible was found
+    (overwhelmingly unlikely when an isomorphism exists)."""
     if m.quiver != n.quiver:
         raise WrongQuiverError("representations live over different quivers")
     if m.dims != n.dims:
         return False
     if m.total_dim() == 0:
         return True
-    d, basis = hom_space(m, n)
-    if d == 0:
+    e = hom_dim(m, m)
+    if any(hom_dim(a, b) != e for a, b in ((m, n), (n, m), (n, n))):
         return False
+    d, basis = hom_space(m, n)
     for elem in basis:
         if _all_invertible(elem, m.dims):
             return True

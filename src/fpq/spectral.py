@@ -158,15 +158,6 @@ def spectral_radius(a, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     return best
 
 
-def gershgorin_bound(a):
-    """max row sum: an upper bound for the spectral radius of a
-    nonnegative matrix."""
-    _check_square(a)
-    if not a:
-        return 0
-    return max(sum(row) for row in a)
-
-
 def as_integer(value, tol=1e-6):
     """Round-verify: the nearest integer if within tol, else None."""
     r = round(value)

@@ -39,15 +39,6 @@ class IntervalKind(enum.Enum):
     FLOW = "flow"
 
 
-class SuccOrder(enum.Enum):
-    """Outcome of comparing two intervals by one-dimensional hom spaces."""
-
-    V1_BEATS_V2 = "v1_beats_v2"  # Hom(first, second) is k, other direction 0
-    V2_BEATS_V1 = "v2_beats_v1"
-    BRICK_PAIR = "brick_pair"  # hom vanishes both ways
-    EQUAL = "equal"
-
-
 class OrientationWord:
     """Orientation of the A_n line, n >= 1 (empty word for n = 1)."""
 
@@ -170,31 +161,6 @@ def closed_form_fpd(w, v, shift):
             return min(i - 1, n - j)
         return 0  # source and flow
     return 0
-
-
-def succ_order(w, v1, v2, quiver=None):
-    """Compare two intervals by their hom spaces (which are 0 or k here).
-
-    Returns V1_BEATS_V2 when Hom(v1, v2) = k and Hom(v2, v1) = 0, the
-    symmetric outcome the other way around, BRICK_PAIR when both vanish,
-    and EQUAL for identical intervals."""
-    a, b = _check_interval(w, v1), _check_interval(w, v2)
-    if a == b:
-        return SuccOrder.EQUAL
-    r1 = interval_rep(w, a, quiver)
-    r2 = interval_rep(w, b, quiver)
-    h12 = hom_dim(r1, r2)
-    h21 = hom_dim(r2, r1)
-    if h12 > 0 and h21 == 0:
-        return SuccOrder.V1_BEATS_V2
-    if h21 > 0 and h12 == 0:
-        return SuccOrder.V2_BEATS_V1
-    if h12 == 0 and h21 == 0:
-        return SuccOrder.BRICK_PAIR
-    raise InputError(
-        f"intervals {a} and {b} have hom spaces of dims {h12} and {h21}; "
-        "not an interval pair on a line quiver"
-    )
 
 
 def orientation_of(quiver):

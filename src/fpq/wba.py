@@ -40,7 +40,6 @@ coassociative — and check_axioms reports the witness.  The catalog
 transcribes the patterns as defined; it does not repair them.
 """
 
-import itertools
 import random
 import re
 from fractions import Fraction
@@ -51,7 +50,6 @@ from .errors import (
     InputError,
     NotAQuiverActionError,
     StructureMismatchError,
-    UnitNotFoundError,
     WrongQuiverError,
 )
 from .exact import frac
@@ -60,7 +58,6 @@ from .quiver import (
     Quiver,
     Representation,
     identity_rep,
-    is_isomorphic,
     simple,
     zero_rep,
 )
@@ -742,207 +739,6 @@ def is_discrete(spec):
                     "witness": {"i": i, "j": j, "dims": list(t.dims)},
                 }
     return {"discrete": True, "structure": spec.name, "witness": None}
-
-
-def _vertex_permutations(quiver):
-    """Vertex permutations that preserve the arrow-count matrix."""
-    n = quiver.n
-    counts = {}
-    for a in quiver.arrows:
-        counts[(a.source, a.target)] = counts.get((a.source, a.target), 0) + 1
-    out = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        mapped = {}
-        for (s, t), c in counts.items():
-            mapped[(perm[s - 1], perm[t - 1])] = c
-        if mapped == counts:
-            out.append(perm)
-    return out
-
-
-def _invertible_candidates(size, budget, rng):
-    """Permutation matrices first, then seeded random invertible matrices
-    with small integer entries."""
-    for perm in itertools.permutations(range(size)):
-        mat = [[ONE if perm[r] == c else Fraction(0) for c in range(size)]
-               for r in range(size)]
-        yield mat
-    for _ in range(budget):
-        mat = [
-            [Fraction(rng.randint(-2, 2)) for _ in range(size)]
-            for _ in range(size)
-        ]
-        if exact.invert(mat) is not None:
-            yield mat
-
-
-def equivalent_structures(s1, s2, budget=200, seed=0):
-    """Search for an algebra automorphism sigma with
-    D1 . sigma = (sigma (x) sigma) . D2 and eps1 . sigma = eps2.
-
-    The search runs over vertex permutations preserving the quiver combined
-    with invertible substitutions on each parallel-arrow span (permutation
-    matrices, then seeded random small-integer matrices up to the budget).
-    A hit is a proof of equivalence; NotFound is inconclusive."""
-    if s1.quiver != s2.quiver:
-        raise WrongQuiverError("equivalence needs structures on the same quiver")
-    q = s1.quiver
-    alg = s1.algebra
-    rng = random.Random(seed)
-    spans = {}
-    for k, a in enumerate(q.arrows):
-        spans.setdefault((a.source, a.target), []).append(a.id)
-    for perm in _vertex_permutations(q):
-        span_keys = sorted(spans)
-        pools = []
-        for s, t in span_keys:
-            target_span = (perm[s - 1], perm[t - 1])
-            if len(spans.get(target_span, [])) != len(spans[(s, t)]):
-                break
-            pools.append(
-                list(
-                    itertools.islice(
-                        _invertible_candidates(len(spans[(s, t)]), budget, rng),
-                        max(budget, 1),
-                    )
-                )
-            )
-        else:
-            for choice in itertools.product(*pools):
-                sigma = {}
-                for v in range(1, q.n + 1):
-                    sigma[alg.trivial[v]] = {alg.trivial[perm[v - 1]]: ONE}
-                for (s, t), mat in zip(span_keys, choice):
-                    ids = spans[(s, t)]
-                    target_ids = spans[(perm[s - 1], perm[t - 1])]
-                    for c_idx, aid in enumerate(ids):
-                        image = {}
-                        for r_idx, tid in enumerate(target_ids):
-                            if mat[r_idx][c_idx]:
-                                image[alg.arrow_path[tid]] = mat[r_idx][c_idx]
-                        sigma[alg.arrow_path[aid]] = image
-                if _is_equivalence(s1, s2, sigma):
-                    return {
-                        "equivalent": True,
-                        "sigma": _describe_sigma(alg, sigma),
-                    }
-    return {"equivalent": False, "sigma": None}
-
-
-def _sigma_on_path(alg, sigma, k):
-    """Image of basis path k under the substitution, as an element."""
-    s, t, ids = alg.paths[k]
-    if not ids:
-        return dict(sigma[k])
-    out = dict(sigma[alg.arrow_path[ids[0]]])
-    for aid in ids[1:]:
-        nxt = {}
-        for p1, c1 in sigma[alg.arrow_path[aid]].items():
-            for p0, c0 in out.items():
-                comp = alg.compose(p1, p0)
-                if comp is not None:
-                    _add_term(nxt, comp, c1 * c0)
-        out = nxt
-    return out
-
-
-def _is_equivalence(s1, s2, sigma):
-    alg = s1.algebra
-    gens = [alg.generator_index(k) for k in alg.generator_keys()]
-    for g in gens:
-        lhs = {}
-        for p, c in _sigma_on_path(alg, sigma, g).items():
-            for pair, d in s1.delta(p).items():
-                _add_term(lhs, pair, c * d)
-        rhs = {}
-        for (u, v), c in s2.delta(g).items():
-            for u2, cu in _sigma_on_path(alg, sigma, u).items():
-                for v2, cv in _sigma_on_path(alg, sigma, v).items():
-                    _add_term(rhs, (u2, v2), c * cu * cv)
-        if lhs != rhs:
-            return False
-    for p in range(len(alg)):
-        image = _sigma_on_path(alg, sigma, p)
-        val = sum((c * s1.eps(k) for k, c in image.items()), Fraction(0))
-        if val != s2.eps(p):
-            return False
-    return True
-
-
-def _describe_sigma(alg, sigma):
-    out = {}
-    for k, image in sigma.items():
-        out[alg.path_key(k)] = {
-            alg.path_key(p): str(c) for p, c in image.items()
-        }
-    return out
-
-
-def check_unit(spec, candidate=None, seed=0, extra_samples=3, max_dim=2):
-    """Verify that the stored (or supplied) unit representation U satisfies
-    U (x) M iso M iso M (x) U against the simples, the all-k identity
-    representation, and seeded random samples.  Raises UnitNotFound when no
-    candidate is available."""
-    from .quiver import random_representation
-
-    unit = candidate if candidate is not None else spec.unit
-    if unit is None:
-        raise UnitNotFoundError(
-            f"structure {spec.name!r} stores no unit representation"
-        )
-    q = spec.quiver
-    samples = [simple(q, v) for v in range(1, q.n + 1)]
-    samples.append(identity_rep(q))
-    for k in range(extra_samples):
-        samples.append(random_representation(q, max_dim, seed=seed + 7 * k + 1))
-    failures = []
-    for idx, m in enumerate(samples):
-        for side, t in (
-            ("left", tensor_wba(spec, unit, m)),
-            ("right", tensor_wba(spec, m, unit)),
-        ):
-            verdict = is_isomorphic(t, m, seed=seed)
-            if verdict is not True:
-                failures.append(
-                    {
-                        "sample": idx,
-                        "side": side,
-                        "dims": list(t.dims),
-                        "expected_dims": list(m.dims),
-                        "verdict": "undecided" if verdict is None else "no",
-                    }
-                )
-    return {"ok": not failures, "structure": spec.name, "failures": failures}
-
-
-def find_unit(spec, budget=64, seed=0):
-    """The stored unit if it verifies, else a bounded search over
-    representations with vertex dimensions in {0,1} and arrow entries in
-    {0,1}.  Raises UnitNotFound when the budget is exhausted."""
-    candidates = []
-    if spec.unit is not None:
-        candidates.append(spec.unit)
-    q = spec.quiver
-    for dims in itertools.product((1, 0), repeat=q.n):
-        arrow_spaces = []
-        for a in q.arrows:
-            if dims[a.source - 1] and dims[a.target - 1]:
-                arrow_spaces.append([[[Fraction(1)]], [[Fraction(0)]]])
-            else:
-                arrow_spaces.append([None])
-        for combo in itertools.product(*arrow_spaces):
-            maps = {
-                a.id: mat
-                for a, mat in zip(q.arrows, combo)
-                if mat is not None
-            }
-            candidates.append(Representation(q, list(dims), maps))
-    for candidate in candidates[: max(budget, 1)]:
-        if check_unit(spec, candidate=candidate, seed=seed)["ok"]:
-            return candidate
-    raise UnitNotFoundError(
-        f"no unit found for {spec.name!r} within the search budget"
-    )
 
 
 def perturb_spec(spec, seed):

@@ -13,7 +13,7 @@ import math
 import pytest
 
 from fpq.bricks import DerivedObject, band_family, certify_brick_set, \
-    is_brick_set, maximal_brick_sets
+    maximal_brick_sets
 from fpq.engine import adjacency, fpd_exact, fpd_lower_bound, \
     fpv_closed_form, fpv_empirical, vertexwise
 from fpq.quiver import dim_ext1, dual, euler_form, hom_dim, \

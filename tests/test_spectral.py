@@ -10,7 +10,6 @@ from fpq.spectral import (
     as_integer,
     gamma_matrix,
     gamma_radius_closed,
-    gershgorin_bound,
     spectral_radius,
     strongly_connected_components,
 )
@@ -70,7 +69,6 @@ def test_gamma_closed_form():
         assert spectral_radius(g) == pytest.approx(want, abs=1e-9)
         assert numpy_radius(g) == pytest.approx(want, abs=1e-9)
         assert want >= math.sqrt(n) - 1e-12
-        assert gershgorin_bound(g) >= want
 
 
 def test_as_integer_round_verify():

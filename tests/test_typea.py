@@ -7,7 +7,6 @@ from fpq.quiver import Quiver, hom_dim
 from fpq.typea import (
     IntervalKind,
     OrientationWord,
-    SuccOrder,
     all_indecomposables,
     all_intervals,
     all_orientations,
@@ -15,7 +14,6 @@ from fpq.typea import (
     closed_form_fpd,
     interval_rep,
     orientation_of,
-    succ_order,
 )
 
 
@@ -85,11 +83,3 @@ def test_interval_rep_shapes():
         interval_rep(w, (3, 2), q)
     with pytest.raises(InputError):
         interval_rep(w, (0, 2), q)
-
-
-def test_succ_order_cases():
-    w = OrientationWord(">")
-    assert succ_order(w, (1, 2), (2, 2)) is SuccOrder.V2_BEATS_V1
-    assert succ_order(w, (2, 2), (1, 2)) is SuccOrder.V1_BEATS_V2
-    assert succ_order(w, (1, 1), (2, 2)) is SuccOrder.BRICK_PAIR
-    assert succ_order(w, (1, 2), (1, 2)) is SuccOrder.EQUAL

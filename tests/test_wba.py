@@ -10,7 +10,6 @@ from fpq.errors import (
     DuplicateLabelError,
     NotAQuiverActionError,
     StructureMismatchError,
-    UnitNotFoundError,
     WrongQuiverError,
 )
 from fpq.quiver import (
@@ -193,32 +192,22 @@ def test_discreteness_reports():
     assert (report["witness"]["i"], report["witness"]["j"]) == (1, 2)
 
 
-def test_equivalences_between_catalog_entries():
-    entries = by_name(wba.catalog_k2())
-    assert wba.equivalent_structures(entries["k2-a"], entries["k2-c"])["equivalent"]
-    assert wba.equivalent_structures(entries["k2-b"], entries["k2-d"])["equivalent"]
-    assert wba.equivalent_structures(entries["k2-a"], entries["k2-a"])["equivalent"]
-    assert not wba.equivalent_structures(entries["k2-a"], entries["k2-e"])[
-        "equivalent"
+def test_stored_units_are_two_sided_units():
+    """U (x) M and M (x) U are isomorphic to M for the stored unit U of
+    every catalog structure, M running over the vertex simples, the
+    identity representation and three seeded samples."""
+    specs = wba.catalog_k2() + [
+        spec for w in (1, 2, 3) for spec in wba.catalog_kronecker(w)
     ]
-
-
-def test_units_verify_for_the_kronecker_catalog():
-    entries = by_name(wba.catalog_kronecker(2))
-    for v in "ace":
-        spec = entries[f"kronecker{2}-{v}"]
-        assert wba.check_unit(spec)["ok"], v
-    found = wba.find_unit(entries["kronecker2-a"])
-    assert list(found.dims) == list(entries["kronecker2-a"].unit.dims)
-    stripped = wba.CoproductSpec(
-        KRON1,
-        {k: [[l, r, str(c)] for (l, r), c in sorted(t.items())]
-         for k, t in _raw_delta(entries_k1("a")).items()},
-        {k: str(c) for k, c in entries_k1("a").eps_gen.items()},
-        name="no-unit",
-    )
-    with pytest.raises(UnitNotFoundError):
-        wba.check_unit(stripped)
+    assert len(specs) == 20
+    for spec in specs:
+        q, u = spec.quiver, spec.unit
+        samples = [simple(q, v) for v in range(1, q.n + 1)]
+        samples.append(identity_rep(q))
+        samples += [random_representation(q, 2, seed=1 + 7 * k) for k in range(3)]
+        for k, m in enumerate(samples):
+            assert is_isomorphic(wba.tensor_wba(spec, u, m), m) is True, (spec.name, k)
+            assert is_isomorphic(wba.tensor_wba(spec, m, u), m) is True, (spec.name, k)
 
 
 def entries_k1(v):
