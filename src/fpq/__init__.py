@@ -66,9 +66,9 @@ from .quiver import (
     zero_rep,
 )
 from .spectral import (
-    as_integer,
     gamma_matrix,
     gamma_radius_closed,
+    integer_radius,
     spectral_radius,
 )
 from .typea import (

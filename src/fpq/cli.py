@@ -10,8 +10,9 @@ JSON, which is reported with its line and column.
 Reports embed the invoking configuration under ``"config"`` and are
 serialized deterministically (sorted keys, floats at 12 significant
 digits, exact integers as integers), so identical invocations produce
-byte-identical output.  ``verify`` runs a named property suite and exits
-nonzero if any case fails; cases are reported in canonical key order.
+byte-identical output.  ``verify`` runs a named property suite from
+``fpq.verify`` and exits nonzero if any case fails; cases are reported in
+canonical key order.
 """
 
 import argparse
@@ -21,31 +22,12 @@ import re
 import sys
 from fractions import Fraction
 
-from . import engine, wba
+from . import engine, verify, wba
 from .bricks import DerivedObject, band_family, brick_set, maximal_brick_sets
 from .errors import FpqError, InputError, WrongQuiverError
-from .quiver import (
-    Quiver,
-    Representation,
-    dim_ext1,
-    dual,
-    euler_form,
-    hom_dim,
-    random_acyclic_quiver,
-    random_representation,
-    simple,
-    tensor_vertexwise,
-)
-from .spectral import as_integer, gamma_matrix, gamma_radius_closed, spectral_radius
-from .typea import (
-    OrientationWord,
-    all_indecomposables,
-    all_intervals,
-    all_orientations,
-    closed_form_fpd,
-    interval_rep,
-    orientation_of,
-)
+from .quiver import Quiver, Representation, dim_ext1, hom_dim
+from .spectral import integer_radius, spectral_radius
+from .typea import OrientationWord, all_indecomposables, interval_rep, orientation_of
 
 
 class UsageError(Exception):
@@ -298,7 +280,7 @@ def _cmd_spectral(args):
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise InputError("matrix JSON must be an array of arrays")
     radius = spectral_radius(rows, tol=args.tol)
-    rounded = as_integer(radius)
+    rounded = integer_radius(rows, radius)
     return {
         "radius": radius,
         "value": rounded if rounded is not None else radius,
@@ -362,261 +344,19 @@ def _cmd_wba_discrete(args):
     return data, 0
 
 
-# ---------------------------------------------------------------------------
-# verify suites
-
-
-def _run_cases(cases):
-    """Evaluate (key, thunk) pairs and return (key, ok, detail) sorted by
-    key."""
-    results = []
-    for key, thunk in cases:
-        try:
-            ok, detail = thunk()
-        except FpqError as exc:
-            ok, detail = False, {"error": exc.payload()}
-        results.append((key, bool(ok), detail))
-    return sorted(results, key=lambda r: r[0])
-
-
-def _suite_closed_form(args):
-    cases = []
-    for n in range(2, args.n + 1):
-        for w in all_orientations(n):
-            q = w.to_quiver()
-            for v in all_intervals(n):
-                for shift in range(-2, 4):
-                    key = f"n={n} w={w.dirs} v={v[0]},{v[1]} shift={shift}"
-
-                    def thunk(w=w, q=q, v=v, shift=shift):
-                        m = interval_rep(w, v, q)
-                        got = engine.fpd_exact(m, shift=shift).value
-                        want = closed_form_fpd(w, v, shift)
-                        return got == want, {"computed": got, "closed_form": want}
-
-                    cases.append((key, thunk))
-    return cases
-
-
-def _suite_euler(args):
-    cases = []
-    quivers = [random_acyclic_quiver(6, args.seed + k) for k in range(args.quivers)]
-    for k in range(args.pairs):
-        key = f"pair={k:04d}"
-
-        def thunk(k=k):
-            q = quivers[k % len(quivers)]
-            m = random_representation(q, args.max_dim, seed=args.seed + 1000 + 2 * k)
-            n = random_representation(q, args.max_dim, seed=args.seed + 1001 + 2 * k)
-            h = hom_dim(m, n)
-            e = dim_ext1(m, n)
-            form = euler_form(q, list(m.dims), list(n.dims))
-            return h - e == form, {"hom": h, "ext": e, "euler_form": form}
-
-        cases.append((key, thunk))
-    return cases
-
-
-def _opposite_fpd(m):
-    """Dimension of M (x) - viewed as a functor on the opposite category:
-    sup over maximal brick sets of the spectral radius of the reversed
-    adjacency [dim Hom(M (x) X_j, X_i)]_ij.  Reversing every hom is the
-    same as dualizing, so this must agree with the plain dimension of
-    M* (x) - over the opposite quiver."""
-    objs = all_indecomposables(orientation_of(m.quiver), m.quiver)
-    tensored = [tensor_vertexwise(m, x.rep) for x in objs]
-    full = [[hom_dim(t, x.rep) for t in tensored] for x in objs]
-    best = engine.best_brick_set(objs, full)[0]
-    exact = as_integer(best)
-    return exact if exact is not None else best
-
-
-def _suite_duality(args):
-    cases = []
-    for k in range(args.triples):
-        key = f"triple={k:04d}"
-
-        def thunk(k=k):
-            q = random_acyclic_quiver(6, args.seed + 500 + k)
-            m = random_representation(q, args.max_dim, seed=args.seed + 3 * k)
-            n = random_representation(q, args.max_dim, seed=args.seed + 3 * k + 1)
-            x = random_representation(q, args.max_dim, seed=args.seed + 3 * k + 2)
-            lhs = hom_dim(tensor_vertexwise(m, n), x)
-            rhs = hom_dim(dual(x), tensor_vertexwise(dual(m), dual(n)))
-            return lhs == rhs, {"hom": lhs, "dual_hom": rhs}
-
-        cases.append((key, thunk))
-    for n in range(2, args.n + 1):
-        for w in all_orientations(n):
-            q = w.to_quiver()
-            for v in all_intervals(n):
-                key = f"interval n={n} w={w.dirs} v={v[0]},{v[1]}"
-
-                def thunk(w=w, q=q, v=v):
-                    m = interval_rep(w, v, q)
-                    a = _opposite_fpd(m)
-                    b = engine.fpd_exact(dual(m)).value
-                    return a == b, {"opposite_fpd": a, "dual_fpd": b}
-
-                cases.append((key, thunk))
-    return cases
-
-
-def _suite_canonical_tensor(args):
-    cases = []
-    for n in range(2, args.n + 1):
-        for w in all_orientations(n):
-            q = w.to_quiver()
-            spec = wba.canonical_wba(q)
-            for k in range(args.pairs):
-                key = f"n={n} w={w.dirs} pair={k:03d}"
-
-                def thunk(q=q, spec=spec, k=k):
-                    m = random_representation(q, args.max_dim, seed=args.seed + 2 * k)
-                    x = random_representation(
-                        q, args.max_dim, seed=args.seed + 2 * k + 1
-                    )
-                    t1 = wba.tensor_wba(spec, m, x)
-                    t2 = tensor_vertexwise(m, x)
-                    return t1 == t2, {"dims": list(t1.dims)}
-
-                cases.append((key, thunk))
-    return cases
-
-
-def _expected_axiom_failures(name):
-    """Structures whose displayed coproduct is genuinely not coassociative
-    on the arrows; the checker is expected to say exactly that."""
-    if re.match(r"^kronecker[0-9]+-[bd]$", name):
-        return ["coassociativity"]
-    return []
-
-
-def _suite_wba_axioms(args):
-    specs = list(wba.catalog_k2())
-    for w in range(1, args.w_max + 1):
-        specs.extend(wba.catalog_kronecker(w))
-    cases = []
-    for spec in specs:
-        key = f"axioms {spec.name}"
-
-        def thunk(spec=spec):
-            report = wba.check_axioms(spec)
-            got = [f["axiom"] for f in report.failures]
-            want = _expected_axiom_failures(spec.name)
-            return got == want, {
-                "failures": report.failures,
-                "expected": want,
-                "bialgebra": report.bialgebra,
-            }
-
-        cases.append((key, thunk))
-    passing = [s for s in specs if wba.check_axioms(s).ok]
-    for k in range(args.corruptions):
-        spec = passing[k % len(passing)]
-        key = f"corruption={k:03d} {spec.name}"
-
-        def thunk(spec=spec, k=k):
-            bad = wba.perturb_spec(spec, args.seed + k)
-            report = wba.check_axioms(bad)
-            still_valid = wba.deformation_preserves_axioms(
-                spec, bad.perturbation_info
-            )
-            return report.ok == still_valid, {
-                "perturbation": bad.perturbation,
-                "failures": [f["axiom"] for f in report.failures],
-                "provably_still_valid": still_valid,
-            }
-
-        cases.append((key, thunk))
-    return cases
-
-
-def _suite_kronecker_divergence(args):
-    q = wba.kronecker_quiver(2)
-    m = simple(q, 1)
-    report = engine.fpd_lower_bound(m, family=band_family(q), budget=args.size)
-    sequence = report.extra["family_sequence"]
-    cases = []
-    for entry in sequence:
-        key = f"size={entry['size']:02d}"
-        ok = abs(entry["radius"] - entry["size"]) <= 1e-9
-        cases.append((key, lambda ok=ok, e=entry: (ok, {"radius": e["radius"]})))
-    adj = report.extra.get("adjacency") or []
-    all_ones = bool(adj) and all(x == 1 for row in adj for x in row)
-    cases.append(
-        ("adjacency all-ones", lambda ok=all_ones: (ok, {"size": len(adj)}))
-    )
-    cases.append(
-        (
-            "divergent flag",
-            lambda ok=report.divergent: (ok, {"value": report.value}),
-        )
-    )
-    return cases
-
-
-def _suite_gamma(args):
-    cases = []
-    for n in range(1, args.n_max + 1):
-        key = f"n={n:02d}"
-
-        def thunk(n=n):
-            rho = spectral_radius(gamma_matrix(n))
-            want = gamma_radius_closed(n)
-            ok = abs(rho - want) <= args.tol and rho >= n ** 0.5 - 1e-12
-            return ok, {"radius": rho, "closed_form": want}
-
-        cases.append((key, thunk))
-    return cases
-
-
-def _suite_fpv(args):
-    combos = []
-    for n in range(2, args.n + 1):
-        for w in all_orientations(n):
-            combos.append(w)
-    cases = []
-    for k in range(args.count):
-        w = combos[k % len(combos)]
-        key = f"rep={k:03d} w={w.dirs}"
-
-        def thunk(w=w, k=k):
-            q = w.to_quiver()
-            m = random_representation(q, args.max_dim, seed=args.seed + k)
-            closed = engine.fpv_closed_form(m)
-            emp = engine.fpv_empirical(m, n_max=args.n_max)
-            return closed == emp["value"], {
-                "closed_form": closed,
-                "empirical": emp["value"],
-            }
-
-        cases.append((key, thunk))
-    return cases
-
-
-_SUITES = {
-    "closed-form": _suite_closed_form,
-    "euler": _suite_euler,
-    "duality": _suite_duality,
-    "canonical-tensor": _suite_canonical_tensor,
-    "wba-axioms": _suite_wba_axioms,
-    "kronecker-divergence": _suite_kronecker_divergence,
-    "gamma": _suite_gamma,
-    "fpv": _suite_fpv,
-}
-
-
 def _cmd_verify(args):
-    cases = _SUITES[args.suite](args)
-    if not cases:
-        sizes = ", ".join(
+    sizes = {
+        k: v for k, v in vars(args).items()
+        if k not in ("command", "suite", "func", "out")
+    }
+    results = verify.run(args.suite, **sizes)
+    if not results:
+        given = ", ".join(
             f"--{k.replace('_', '-')} {v}"
-            for k, v in sorted(vars(args).items())
+            for k, v in sorted(sizes.items())
             if type(v) is int and k != "seed"
         )
-        raise UsageError(f"verify {args.suite}: no case to check at {sizes}")
-    results = _run_cases(cases)
+        raise UsageError(f"verify {args.suite}: no case to check at {given}")
     failures = [r for r in results if not r[1]]
     data = {
         "suite": args.suite,
@@ -713,8 +453,8 @@ def build_parser():
     _add_structure_opt(p)
     p.add_argument("--mode", choices=("exact", "lower"), default="exact")
     p.add_argument("--candidates", help="JSON list of candidate representations")
-    p.add_argument("--cap", type=int, default=10 ** 6)
-    p.add_argument("--budget", type=int, default=12)
+    p.add_argument("--cap", type=_int_at_least(1), default=10 ** 6)
+    p.add_argument("--budget", type=_int_at_least(1), default=12)
     p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--band-family", action="store_true",
                    help="lower mode: grow band modules on the two-arrow quiver")
@@ -736,7 +476,7 @@ def build_parser():
     pe = bsub.add_parser("enumerate", help="maximal brick sets of interval modules")
     _add_quiver_opt(pe, required=True)
     pe.add_argument("--shifts", default="0", help="comma-joined shifts, e.g. 0,1")
-    pe.add_argument("--cap", type=int, default=10 ** 6)
+    pe.add_argument("--cap", type=_int_at_least(1), default=10 ** 6)
     pe.add_argument("--out")
     pe.set_defaults(func=_cmd_bricks)
 

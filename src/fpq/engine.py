@@ -33,7 +33,7 @@ from .errors import (
     StructureMismatchError,
 )
 from .quiver import hom_dim, simple, tensor_vertexwise
-from .spectral import DEFAULT_TOL, as_integer, spectral_radius
+from .spectral import DEFAULT_TOL, integer_radius, spectral_radius
 from .typea import all_indecomposables, orientation_of
 
 _RADIUS_CACHE = {}
@@ -163,7 +163,7 @@ def fpd_exact(m, shift=0, structure=None, indecomposables=None, cap=10 ** 6,
     drawn from a complete candidate list of indecomposables.  For linear
     chains the list of interval representations is generated; other quivers
     must supply one (IncompleteList otherwise).  The value is returned as
-    an int when the radius round-trips to an integer within 1e-6.
+    an int when integer_radius proves the witness radius integral.
     """
     structure = structure or vertexwise()
     base = {
@@ -177,13 +177,13 @@ def fpd_exact(m, shift=0, structure=None, indecomposables=None, cap=10 ** 6,
     objs = _candidate_objects(m, indecomposables)
     full = adjacency(objs, m, shift, structure)
     best, best_clique, cliques = best_brick_set(objs, full, tol, cap)
-    rounded = as_integer(best)
-    value = rounded if rounded is not None else best
     witness = None
     adj = None
     if best_clique is not None:
         witness = [objs[i].describe() for i in best_clique]
         adj = [[full[i][j] for j in best_clique] for i in best_clique]
+    rounded = integer_radius(adj or [], best)
+    value = rounded if rounded is not None else best
     return FpdReport(
         value, "exact", shift, structure.name,
         witness=witness, adjacency=adj, integral=rounded is not None,
@@ -215,12 +215,16 @@ def fpd_lower_bound(m, shift=0, structure=None, family=None, budget=12,
     structure = structure or vertexwise()
     floor = 0.0
     floor_witness = None
+    best_adj = []
     for v in range(1, m.quiver.n + 1):
         s = DerivedObject(simple(m.quiver, v), 0, label=f"S({v})")
-        r = _cached_radius(adjacency([s], m, shift, structure), tol)
+        a = adjacency([s], m, shift, structure)
+        r = _cached_radius(a, tol)
         if r > floor:
             floor = r
             floor_witness = s.describe()
+            best_adj = a
+    best = floor
     sequence = []
     values = []
     last = None
@@ -234,6 +238,8 @@ def fpd_lower_bound(m, shift=0, structure=None, family=None, budget=12,
             verified = brick_set(members)
             a = adjacency(verified.members, m, shift, structure)
             r = spectral_radius(a, tol=tol)
+            if r > best:
+                best, best_adj = r, a
             values.append(r)
             sequence.append({"size": size, "radius": r})
             last = (verified, a)
@@ -242,8 +248,7 @@ def fpd_lower_bound(m, shift=0, structure=None, family=None, budget=12,
         hub = _hub_index(last[1])
         if hub is not None and values[-1] > values[-2] + 1e-9:
             divergent = True
-    best = max([floor] + values)
-    rounded = as_integer(best)
+    rounded = integer_radius(best_adj, best)
     extra = {
         "quiver": m.quiver.to_dict(),
         "object_dims": list(m.dims),

@@ -11,13 +11,16 @@ nontrivial irreducible block B is handled by power iteration on B + I
 
 for positive x, run until the enclosure is tighter than the requested
 relative tolerance.  Exceeding the iteration cap raises NoConvergence with
-the last bracket instead of returning a guess.
+the last bracket instead of returning a guess.  integer_radius turns a
+float radius into an int only when exact arithmetic over Q proves it.
 """
 
 import math
 import numbers
+from fractions import Fraction
 
 from .errors import InputError, NoConvergenceError
+from .exact import invert, nullspace
 
 DEFAULT_TOL = 1e-10
 MAX_ITER = 10 ** 5
@@ -158,12 +161,49 @@ def spectral_radius(a, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     return best
 
 
-def as_integer(value, tol=1e-6):
-    """Round-verify: the nearest integer if within tol, else None."""
-    r = round(value)
-    if abs(value - r) < tol:
-        return int(r)
-    return None
+def _compare_block(block, k):
+    """-1, 0 or 1 as rho(block) is below, equal to or above the integer k,
+    decided over Q for an irreducible block of size at least 2.
+
+    When kI - B is nonsingular, it is an M-matrix (inverse >= 0
+    entrywise) exactly when k > rho(B).  Otherwise k is an eigenvalue:
+    rho(B) is the only one with a nonnegative eigenvector, that vector is
+    strictly positive and spans its eigenspace, and every other real
+    eigenvalue is below rho(B)."""
+    shifted = [
+        [(k if i == j else 0) - Fraction(x) for j, x in enumerate(row)]
+        for i, row in enumerate(block)
+    ]
+    inverse = invert(shifted)
+    if inverse is not None:
+        return -1 if all(x >= 0 for row in inverse for x in row) else 1
+    kernel = nullspace(shifted, len(block))
+    v = kernel[0]
+    one_signed = all(x > 0 for x in v) or all(x < 0 for x in v)
+    return 0 if len(kernel) == 1 and one_signed else 1
+
+
+def integer_radius(a, radius):
+    """The spectral radius of a as an int when it provably equals k =
+    round(radius), radius being a float estimate of it; None otherwise.
+
+    Each strongly connected block is compared with k exactly: a 1x1 block
+    by its entry, a larger one by _compare_block.  rho(a) = k when no
+    block exceeds k and one reaches it (or a is empty and k = 0)."""
+    k = round(radius)
+    n = len(a)
+    succ = [[j for j in range(n) if a[i][j]] for i in range(n)]
+    reached = n == 0 and k == 0
+    for comp in strongly_connected_components(succ, n):
+        if len(comp) == 1:
+            x = a[comp[0]][comp[0]]
+            sign = (x > k) - (x < k)
+        else:
+            sign = _compare_block([[a[i][j] for j in comp] for i in comp], k)
+        if sign > 0:
+            return None
+        reached = reached or sign == 0
+    return k if reached else None
 
 
 def gamma_matrix(n):

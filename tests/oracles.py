@@ -2,17 +2,20 @@
 
 Everything here deliberately avoids the library's own algorithms:
 spectral radii come from numpy's eigenvalue solver, hom dimensions from a
-commuting-square system written out here and ranked by sympy, and
+commuting-square system written out here and ranked by sympy, Ext^1 from
+the Auslander-Reiten formula with tau built by reflection functors, and
 dimensions from enumerating every subset of the interval candidates rather
 than maximal sets only.
 """
 
+import graphlib
 import itertools
 
 import numpy as np
 import sympy
 
-from fpq.quiver import dim_ext1, hom_dim, tensor_vertexwise
+from fpq.quiver import Quiver, Representation, dim_ext1, hom_dim, \
+    tensor_vertexwise
 from fpq.typea import all_intervals, interval_rep
 
 
@@ -50,6 +53,50 @@ def sympy_hom_dim(m, n):
     if not unknown or not equations:
         return len(unknown)
     return len(unknown) - sympy.Matrix(equations).rank()
+
+
+def coxeter_plus(m):
+    """tau M as the Coxeter functor C+ (Bernstein, Gelfand and Ponomarev,
+    Russian Math. Surveys 28, 1973): sink reflections S+_k taken with every
+    arrow's target before its source, so each k is a sink in its turn.
+    S+_k replaces M_k by the kernel of the sum map (+)_{a: i -> k} M_i -> M_k,
+    and each reversed arrow k -> i acts by the projection onto its own
+    summand, so parallel arrows stay apart.  Every arrow is reversed twice,
+    so the result lives over the quiver of M again."""
+    q = m.quiver
+    arrows = [(a.id, a.source, a.target) for a in q.arrows]
+    dims = list(m.dims)
+    maps = [
+        sympy.Matrix(len(mat), dims[a.source - 1], [x for row in mat for x in row])
+        for a, mat in zip(q.arrows, m.maps)
+    ]
+    order = graphlib.TopologicalSorter({v: set() for v in range(1, q.n + 1)})
+    for a in q.arrows:
+        order.add(a.source, a.target)
+    for k in order.static_order():
+        into = [i for i, (_, _, t) in enumerate(arrows) if t == k]
+        total = sympy.Matrix(dims[k - 1], 0, [])
+        for i in into:
+            total = total.row_join(maps[i])
+        kernel = total.nullspace()
+        basis = sympy.Matrix.hstack(sympy.zeros(total.cols, 0), *kernel)
+        row = 0
+        for i in into:
+            aid, source, _ = arrows[i]
+            maps[i] = basis[row:row + dims[source - 1], :]
+            arrows[i] = (aid, k, source)
+            row += dims[source - 1]
+        dims[k - 1] = len(kernel)
+    return Representation(Quiver(q.n, arrows), dims, [
+        [[str(x) for x in row] for row in mat.tolist()] for mat in maps
+    ])
+
+
+def ar_ext1(m, n):
+    """dim Ext^1(m, n) = dim Hom(n, tau m), the Auslander-Reiten formula
+    over a hereditary algebra, with tau m = C+ m and the hom dimension
+    from sympy_hom_dim."""
+    return sympy_hom_dim(n, coxeter_plus(m))
 
 
 def twisted_hom(x, m_tensor_y, shift):

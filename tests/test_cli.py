@@ -5,14 +5,17 @@ JSON written to stdout, so the full parse -> compute -> serialize path is
 exercised exactly as a shell user would see it.
 """
 
+import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
 
 import pytest
 
-from fpq.cli import run
+from fpq import verify
+from fpq.cli import build_parser, run
 
 
 def run_cli(argv):
@@ -165,6 +168,10 @@ def test_spectral_integer_and_float_formats(tmp_path):
     # Floats are serialized with at most 12 significant digits.
     assert data["value"] == float(f"{data['value']:.12g}")
 
+    # radius 10^6 + 5e-7: within 1e-6 of an integer, but irrational
+    near = write_json(tmp_path / "near.json", [[2000000, 1], [1, 0]])
+    assert run_json(["spectral", "--matrix", near])["integral"] is False
+
 
 @pytest.mark.parametrize(
     "text",
@@ -226,6 +233,11 @@ def test_malformed_files_are_bad_input(tmp_path, quiver, rep):
         ["verify", "euler", "--pairs", "2", "--quivers", "0"],
         ["verify", "wba-axioms", "--w-max", "-2"],
         ["verify", "duality", "--n", "-3", "--triples", "1"],
+        ["fpd", "--quiver", "typeA:><", "--object", "interval:1,2", "--mode",
+         "lower", "--band-family", "--budget", "0"],
+        ["fpd", "--quiver", "typeA:<>", "--object", "interval:2,2", "--cap", "0"],
+        ["fpd", "--quiver", "typeA:<>", "--object", "interval:2,2", "--cap", "-1"],
+        ["bricks", "enumerate", "--quiver", "typeA:>", "--cap", "-3"],
     ],
     ids=["fpv-n-max-0", "bricks-shifts-x", "verify-fpv-n-1", "verify-euler-max-dim",
          "fpd-tol-inf", "fpd-tol-minus-inf", "spectral-tol-nan",
@@ -234,7 +246,8 @@ def test_malformed_files_are_bad_input(tmp_path, quiver, rep):
          "verify-canonical-tensor-pairs-0", "verify-fpv-count-0",
          "verify-wba-axioms-corruptions-minus-1", "verify-kronecker-size-0",
          "verify-kronecker-size-2", "verify-euler-quivers-0",
-         "verify-wba-axioms-w-max-minus-2", "verify-duality-n-minus-3"],
+         "verify-wba-axioms-w-max-minus-2", "verify-duality-n-minus-3",
+         "fpd-budget-0", "fpd-cap-0", "fpd-cap-minus-1", "bricks-cap-minus-3"],
 )
 def test_bad_option_values_are_usage_errors(argv):
     code, out, err = run_cli(argv)
@@ -259,6 +272,22 @@ def test_verify_suites_pass_at_small_sizes(argv):
     data = run_json(["verify"] + argv)
     assert data["failures"] == 0
     assert data["passes"] == len(data["cases"]) > 0
+
+
+def _subcommands(parser):
+    action = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+def test_verify_subcommands_are_the_suite_registry():
+    suites = _subcommands(_subcommands(build_parser())["verify"])
+    assert set(suites) == set(verify.SUITES)
+    for name, parser in suites.items():
+        options = {a.dest for a in parser._actions} - {"help", "out"}
+        params = set(inspect.signature(verify.SUITES[name]).parameters)
+        assert options == params, name
 
 
 def test_wba_check_single_structure():

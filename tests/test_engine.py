@@ -20,23 +20,11 @@ from fpq.typea import (
     all_indecomposables,
     all_intervals,
     all_orientations,
-    closed_form_fpd,
     interval_rep,
 )
 from oracles import brute_force_fpd, numpy_radius
 
 KRON = Quiver(2, [("r1", 1, 2), ("r2", 1, 2)])
-
-
-def test_interval_dimensions_match_closed_form_exhaustively():
-    for n in (2, 3):
-        for w in all_orientations(n):
-            q = w.to_quiver()
-            for v in all_intervals(n):
-                m = interval_rep(w, v, q)
-                for shift in (-1, 0, 1, 2):
-                    got = engine.fpd_exact(m, shift=shift).value
-                    assert got == closed_form_fpd(w, v, shift), (w.dirs, v, shift)
 
 
 def test_interval_dimensions_match_brute_force():
@@ -131,20 +119,6 @@ def test_lower_bound_floor_is_max_vertex_dimension():
         report = engine.fpd_lower_bound(m)
         assert report.value == max(m.dims)
         assert float(report.value) <= float(engine.fpd_exact(m).value) + 1e-9
-
-
-def test_kronecker_band_family_diverges():
-    m = simple(KRON, 1)
-    report = engine.fpd_lower_bound(m, family=band_family(KRON), budget=6)
-    sizes = [e["size"] for e in report.extra["family_sequence"]]
-    radii = [e["radius"] for e in report.extra["family_sequence"]]
-    assert sizes == [1, 2, 3, 4, 5, 6]
-    for s, r in zip(sizes, radii):
-        assert r == pytest.approx(s, abs=1e-9)
-    assert report.divergent is True
-    assert report.value == 6
-    a = report.extra["adjacency"]
-    assert all(x == 1 for row in a for x in row)
 
 
 def test_short_band_runs_are_not_flagged_divergent():

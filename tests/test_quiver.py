@@ -32,7 +32,8 @@ from fpq.quiver import (
     tensor_vertexwise,
     zero_rep,
 )
-from oracles import sympy_hom_dim
+from fpq.typea import OrientationWord, all_intervals, interval_rep
+from oracles import ar_ext1, sympy_hom_dim
 
 A2 = Quiver(2, [("a", 1, 2)])
 S1 = simple(A2, 1)
@@ -172,6 +173,23 @@ def test_hom_dim_matches_sympy_oracle_on_random_pairs():
         n = random_representation(q, 3, seed=801 + 2 * seed)
         for x, y in [(m, n), (n, m), (m, m), (m, direct_sum(m, n))]:
             assert hom_dim(x, y) == sympy_hom_dim(x, y)
+
+
+def test_ext1_matches_auslander_reiten_oracle():
+    """dim_ext1 (hom minus the Euler form) against Hom(N, tau M) with tau
+    built by reflection functors: an independent route to Ext^1."""
+    pairs = []
+    for seed in range(32):
+        q = random_acyclic_quiver(5, 1200 + seed)
+        pairs.append((random_representation(q, 2, seed=1300 + 2 * seed),
+                      random_representation(q, 2, seed=1301 + 2 * seed)))
+    w = OrientationWord("><>")
+    q = w.to_quiver()
+    intervals = [interval_rep(w, v, q) for v in all_intervals(w.n)]
+    pairs.extend((m, n) for m in intervals for n in intervals)
+    assert len(pairs) == 132
+    for m, n in pairs:
+        assert dim_ext1(m, n) == ar_ext1(m, n), (m.quiver, m.dims, n.dims)
 
 
 def test_hom_dim_matches_sympy_oracle_on_tensors():

@@ -7,9 +7,9 @@ import pytest
 
 from fpq.errors import InputError
 from fpq.spectral import (
-    as_integer,
     gamma_matrix,
     gamma_radius_closed,
+    integer_radius,
     spectral_radius,
     strongly_connected_components,
 )
@@ -47,7 +47,10 @@ def test_random_matrices_match_numpy():
     for _ in range(40):
         n = rng.randint(1, 6)
         a = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
-        assert spectral_radius(a) == pytest.approx(numpy_radius(a), abs=1e-8)
+        rho, want = spectral_radius(a), numpy_radius(a)
+        assert rho == pytest.approx(want, abs=1e-8)
+        near = abs(want - round(want)) <= 1e-9
+        assert (integer_radius(a, rho) is not None) == near
 
 
 def test_block_structure_takes_the_max():
@@ -71,7 +74,24 @@ def test_gamma_closed_form():
         assert want >= math.sqrt(n) - 1e-12
 
 
-def test_as_integer_round_verify():
-    assert as_integer(2.0000000001) == 2
-    assert as_integer(2.5) is None
-    assert as_integer(0.0) == 0
+def test_integer_radius_is_proven_exactly():
+    # kI - B nonsingular with a negative entry in its inverse: rho > k
+    a = [[2000000, 1], [1, 0]]  # rho = 10^6 + 5e-7
+    assert integer_radius(a, spectral_radius(a)) is None
+    assert integer_radius([[1, 1], [1, 1]], 1.0) is None
+    # singular, kernel spanned by the positive vector (1, 1)
+    assert integer_radius([[1, 1], [1, 1]], 2.0) == 2
+    # singular with a two-dimensional kernel: 0 is not the radius 3
+    assert integer_radius([[1] * 3] * 3, 0.0) is None
+    # nonsingular with (kI - B)^-1 >= 0: every block is below k
+    assert integer_radius([[0, 1], [1, 0]], 1.6) is None
+    # permuted triangular: 1x1 blocks give their entries
+    assert integer_radius([[0, 0, 5], [4, 3, 0], [0, 0, 2]], 3.0) == 3
+    assert integer_radius([[0, 5], [0, 0]], 0.0) == 0
+    assert integer_radius([], 0.0) == 0
+    integral = [
+        n for n in range(1, 51)
+        if integer_radius(gamma_matrix(n), gamma_radius_closed(n)) is not None
+    ]
+    assert integral == [n for n in range(1, 51) if math.isqrt(4 * n - 3) ** 2
+                        == 4 * n - 3]
