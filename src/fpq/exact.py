@@ -1,17 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Matrices are sequences of rows, each row a sequence of ``Fraction``; all
-functions accept lists or tuples and return lists (callers freeze to tuples
-when they need hashability).  A matrix with zero rows or zero columns is
-legal and is represented literally (``[]`` or ``[[], [], ...]``), so shapes
-must be tracked by the caller when a dimension vanishes.
+Dense matrices are sequences of rows, each row a sequence of ``Fraction``;
+all functions accept lists or tuples and return lists (callers freeze to
+tuples when they need hashability).  A matrix with zero rows or zero
+columns is legal and is represented literally (``[]`` or ``[[], [], ...]``),
+so shapes must be tracked by the caller when a dimension vanishes.
 
-Elimination uses the first nonzero entry in column order as the pivot
+A sparse row is a dict {column: Fraction} of its nonzero entries.  The one
+elimination loop, ``eliminate``, works on sparse rows, so its cost follows
+the nonzeros; ``rref``, ``nullspace``, ``solve`` and ``invert`` are dense
+wrappers over it.  The pivot is the first nonzero entry in column order
 (no magnitude pivoting): over Q the arithmetic is exact, and fixing the
-pivot rule makes every derived basis deterministic.  ``rref`` and
-everything built on it (``nullspace``, ``solve``, ``invert``) work on
-Fractions; ``rank``, which needs no basis, clears denominators and
-eliminates fraction-free over the integers instead, which is still exact.
+pivot rule makes every derived basis deterministic.  Pivots lie in the
+first ``ncols`` columns; later columns only ride along in the row
+operations, and only ``sparse_solve`` reads them.  ``rank``, which needs no
+basis, eliminates fraction-free over the integers instead, still exactly.
 """
 
 import math
@@ -121,43 +124,69 @@ def block_diag(a, b, sa=None, sb=None):
     return out
 
 
+def eliminate(rows, ncols):
+    """Gauss-Jordan elimination of sparse rows, in place, over the first
+    ncols columns; returns the pivot columns.  Each pivot row is the first
+    remaining row with a nonzero in its column; afterwards rows[:len(pivots)]
+    are in reduced echelon form and the rest are zero in those columns."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        for pr in range(r, len(rows)):
+            if c in rows[pr]:
+                break
+        else:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        if p != 1:
+            rows[r] = prow = {j: x / p for j, x in prow.items()}
+        for i, row in enumerate(rows):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for j, x in prow.items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def sparse_mul(a, b):
+    """Product a @ b of matrices given as sparse rows (see eliminate)."""
+    out = []
+    for arow in a:
+        acc = {}
+        for k, x in arow.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: x for j, x in acc.items() if x})
+    return out
+
+
 def rref(m, ncols=None):
-    """Reduced row echelon form.
+    """Reduced row echelon form of the first ncols columns (default: all).
 
     Returns (R, pivots) where pivots lists the pivot column indices in
     order.  The input is not modified.
     """
-    a = [list(row) for row in m]
-    nrows = len(a)
-    if ncols is None:
-        ncols = len(a[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        p = a[r][c]
-        if p != 1:
-            a[r] = [x / p for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                arow = a[r]
-                irow = a[i]
-                for j in range(c, ncols):
-                    if arow[j] != 0:
-                        irow[j] -= f * arow[j]
-        pivots.append(c)
-        r += 1
-    return a, pivots
+    width = len(m[0]) if m else 0
+    rows = _sparse(m)
+    pivots = eliminate(rows, width if ncols is None else ncols)
+    return _dense(rows, width), pivots
+
+
+def _sparse(m):
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+def _dense(rows, width):
+    return [[row.get(j, ZERO) for j in range(width)] for row in rows]
 
 
 def rank(m, ncols=None):
@@ -220,41 +249,34 @@ def nullspace(m, ncols):
     return basis
 
 
-def solve(a, b, ncols_a=None, ncols_b=None):
-    """Solve a @ x = b exactly for each column of b.
-
-    Returns x (ncols_a x ncols_b) or None when inconsistent.  Unconstrained
-    coordinates are set to 0 (deterministic).
-    """
-    nrows = len(a)
-    if ncols_a is None:
-        ncols_a = len(a[0]) if nrows else 0
-    if ncols_b is None:
-        ncols_b = len(b[0]) if len(b) else 0
-    aug = [list(a[i]) + list(b[i]) for i in range(nrows)]
-    r, pivots = rref(aug, ncols_a + ncols_b)
-    for i, pc in enumerate(pivots):
-        if pc >= ncols_a:
-            return None  # pivot in the augmented block: inconsistent
+def sparse_solve(a, b, ncols):
+    """X with a @ X = b for sparse rows a (over ncols unknowns) and b, or
+    None when inconsistent.  Unconstrained coordinates are set to 0."""
+    aug = [{**x, **{ncols + j: y for j, y in r.items()}} for x, r in zip(a, b)]
+    pivots = eliminate(aug, ncols)
+    if any(aug[len(pivots):]):
+        return None  # a zero row of a against a nonzero right-hand side
     # RREF rows read x_pc + (free-column terms) = rhs; with free
     # coordinates fixed to 0 the pivot coordinate equals the rhs.
-    x = zeros(ncols_a, ncols_b)
-    for i, pc in enumerate(pivots):
-        for j in range(ncols_b):
-            x[pc][j] = r[i][ncols_a + j]
+    x = [{} for _ in range(ncols)]
+    for row, pc in zip(aug, pivots):
+        x[pc] = {j - ncols: y for j, y in row.items() if j >= ncols}
     return x
+
+
+def solve(a, b, ncols_a=None, ncols_b=None):
+    """sparse_solve on dense matrices: x (ncols_a x ncols_b) or None."""
+    if ncols_a is None:
+        ncols_a = len(a[0]) if a else 0
+    if ncols_b is None:
+        ncols_b = len(b[0]) if b else 0
+    x = sparse_solve(_sparse(a), _sparse(b), ncols_a)
+    return None if x is None else _dense(x, ncols_b)
 
 
 def invert(m):
     """Exact inverse of a square matrix, or None if singular."""
-    n = len(m)
-    if n == 0:
-        return []
-    aug = [list(m[i]) + list(identity(n)[i]) for i in range(n)]
-    r, pivots = rref(aug, 2 * n)
-    if pivots[:n] != list(range(n)) or len(pivots) < n:
-        return None
-    return [row[n:] for row in r[:n]]
+    return solve(m, identity(len(m)), len(m), len(m))
 
 
 def freeze(m):

@@ -17,10 +17,9 @@ float radius into an int only when exact arithmetic over Q proves it.
 
 import math
 import numbers
-from fractions import Fraction
 
 from .errors import InputError, NoConvergenceError
-from .exact import invert, nullspace
+from .exact import mat_from, nullspace, rank
 
 DEFAULT_TOL = 1e-10
 MAX_ITER = 10 ** 5
@@ -161,23 +160,40 @@ def spectral_radius(a, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     return best
 
 
+def _leading_minors_positive(a):
+    """Whether every leading principal minor of the square int matrix a is
+    positive, by fraction-free (Bareiss) elimination without row exchange:
+    the k-th pivot is the k-th leading minor, so each division is exact."""
+    a = [list(row) for row in a]
+    prev = 1
+    for k, pivot in enumerate(a):
+        if pivot[k] <= 0:
+            return False
+        for row in a[k + 1:]:
+            row[k + 1:] = [(pivot[k] * x - row[k] * y) // prev
+                           for x, y in zip(row[k + 1:], pivot[k + 1:])]
+        prev = pivot[k]
+    return True
+
+
 def _compare_block(block, k):
     """-1, 0 or 1 as rho(block) is below, equal to or above the integer k,
-    decided over Q for an irreducible block of size at least 2.
+    decided exactly for an irreducible block of size at least 2.
 
-    When kI - B is nonsingular, it is an M-matrix (inverse >= 0
-    entrywise) exactly when k > rho(B).  Otherwise k is an eigenvalue:
-    rho(B) is the only one with a nonnegative eigenvector, that vector is
-    strictly positive and spans its eigenspace, and every other real
-    eigenvalue is below rho(B)."""
+    The Z-matrix kI - B is a nonsingular M-matrix, that is k > rho(B),
+    exactly when its leading principal minors are all positive (Berman &
+    Plemmons 1979, 6.2.3).  Otherwise k < rho(B) unless kI - B is
+    singular; then k is an eigenvalue, and it is rho(B) exactly when its
+    kernel is one line spanned by a strictly one-signed vector."""
     shifted = [
-        [(k if i == j else 0) - Fraction(x) for j, x in enumerate(row)]
+        [(k if i == j else 0) - int(x) for j, x in enumerate(row)]
         for i, row in enumerate(block)
     ]
-    inverse = invert(shifted)
-    if inverse is not None:
-        return -1 if all(x >= 0 for row in inverse for x in row) else 1
-    kernel = nullspace(shifted, len(block))
+    if _leading_minors_positive(shifted):
+        return -1
+    if rank(shifted) == len(block):
+        return 1
+    kernel = nullspace(mat_from(shifted), len(block))
     v = kernel[0]
     one_signed = all(x > 0 for x in v) or all(x < 0 for x in v)
     return 0 if len(kernel) == 1 and one_signed else 1

@@ -604,11 +604,10 @@ def _grouplike_table(quiver):
     return delta, counit
 
 
-def _path_blocks(alg, rep):
-    """Each basis path's action on rep as (row offset of its target
-    vertex, column offset of its source vertex, block): the block is the
-    product of the path's arrow maps, or [] when the path runs through a
-    zero space."""
+def _path_entries(alg, rep):
+    """Each basis path's action on rep as the list of its nonzero entries
+    (row, column, value), indexed in rep's total space: the path's block
+    is the product of its arrow maps, placed at (target, source)."""
     offs = [0]
     for d in rep.dims:
         offs.append(offs[-1] + d)
@@ -618,7 +617,12 @@ def _path_blocks(alg, rep):
         for aid in ids:
             arrow = rep.map_for(aid)
             block = exact.mat_mul(arrow, block) if arrow and block else []
-        out.append((offs[t - 1], offs[s - 1], block))
+        out.append([
+            (r, k, x)
+            for r, row in enumerate(block, offs[t - 1])
+            for k, x in enumerate(row, offs[s - 1])
+            if x
+        ])
     return out
 
 
@@ -629,9 +633,11 @@ def tensor_wba(spec, m, n):
     two-fold tensor square, cuts it down to the image of the idempotent
     D(1)-action, restricts the D(generator) actions to that image, and
     reads off a representation: vertex v's space is the image of e_v, and
-    each arrow's map is its action in that vertex basis.  Raises
-    NotAQuiverAction when a restricted action leaves the image, an e_v
-    does not act idempotently, or an arrow acts outside its (target,
+    each arrow's map is its action in that vertex basis.  Every matrix is
+    kept as sparse rows (exact.eliminate) until the arrow blocks are read
+    off, so the work follows the nonzero entries, not (dim M * dim N)^2.
+    Raises NotAQuiverAction when a restricted action leaves the image, an
+    e_v does not act idempotently, or an arrow acts outside its (target,
     source) block (which happens for structures that are not weak
     bialgebras), and StructureMismatch when D(1) does not even act
     idempotently."""
@@ -641,45 +647,39 @@ def tensor_wba(spec, m, n):
     if dm == 0 or dn == 0:
         return zero_rep(spec.quiver)
     alg = spec.algebra
-    blocks_m = _path_blocks(alg, m)
-    blocks_n = _path_blocks(alg, n)
+    entries_m = _path_entries(alg, m)
+    entries_n = _path_entries(alg, n)
     size = dm * dn
 
     def act(element):
         """The element's action on M (x) N, M's index varying slowest:
         each term c * u (x) v adds c * x * y for every nonzero entry x of
-        u's block and y of v's block."""
-        out = exact.zeros(size, size)
+        u's action and y of v's action."""
+        out = [{} for _ in range(size)]
         for (i, j), c in element.items():
-            row_m, col_m, block_m = blocks_m[i]
-            row_n, col_n, block_n = blocks_n[j]
-            for r, mrow in enumerate(block_m, row_m):
-                for k, x in enumerate(mrow, col_m):
-                    if x == 0:
-                        continue
-                    cx = c * x
-                    base = k * dn + col_n
-                    for r2, nrow in enumerate(block_n, r * dn + row_n):
-                        orow = out[r2]
-                        for l, y in enumerate(nrow, base):
-                            if y != 0:
-                                orow[l] += cx * y
-        return out
+            for r, k, x in entries_m[i]:
+                cx = c * x
+                for r2, l, y in entries_n[j]:
+                    row = out[r * dn + r2]
+                    col = k * dn + l
+                    row[col] = row.get(col, 0) + cx * y
+        return [{j: x for j, x in row.items() if x} for row in out]
 
     projector = act(spec.delta_unit)
-    if exact.mat_mul(projector, projector) != projector:
+    if exact.sparse_mul(projector, projector) != projector:
         raise StructureMismatchError(
             "the coproduct of 1 does not act idempotently on the tensor square"
         )
-    _, pivots = exact.rref(projector)
+    pivots = exact.eliminate([dict(row) for row in projector], size)
     rank = len(pivots)
     if rank == 0:
         return zero_rep(spec.quiver)
-    basis = [[projector[r][p] for p in pivots] for r in range(size)]
+    basis = [{t: row[p] for t, p in enumerate(pivots) if p in row}
+             for row in projector]
     actions = {}
     for key in alg.generator_keys():
-        image = exact.mat_mul(act(spec.delta_gen[key]), basis)
-        coords = exact.solve(basis, image, rank, rank)
+        image = exact.sparse_mul(act(spec.delta_gen[key]), basis)
+        coords = exact.sparse_solve(basis, image, rank)
         if coords is None:
             raise NotAQuiverActionError(
                 f"D({key}) does not preserve the image of the D(1) action"
@@ -693,32 +693,35 @@ def tensor_wba(spec, m, n):
     dims, cols = [], []
     for v in range(1, q.n + 1):
         e = actions[f"e{v}"]
-        if exact.mat_mul(e, e) != e:
+        if exact.sparse_mul(e, e) != e:
             raise NotAQuiverActionError(f"action of e{v} is not idempotent")
-        _, vpivots = exact.rref(e)
+        vpivots = exact.eliminate([dict(row) for row in e], rank)
         dims.append(len(vpivots))
-        cols.extend([row[p] for row in e] for p in vpivots)
-    vbasis = [[col[r] for col in cols] for r in range(rank)]
-    inverse = exact.invert(vbasis)
+        cols.extend((e, p) for p in vpivots)
+    vbasis = [
+        {t: e[r][p] for t, (e, p) in enumerate(cols) if p in e[r]}
+        for r in range(rank)
+    ]
+    inverse = exact.sparse_solve(vbasis, [{r: ONE} for r in range(rank)], rank)
     offs = [0]
     for d in dims:
         offs.append(offs[-1] + d)
     maps = {}
     for a in q.arrows:
-        full = exact.mat_mul(inverse, exact.mat_mul(actions[a.id], vbasis))
+        full = exact.sparse_mul(inverse, exact.sparse_mul(actions[a.id], vbasis))
         t0, t1 = offs[a.target - 1], offs[a.target]
         s0, s1 = offs[a.source - 1], offs[a.source]
         if any(
-            x != 0
+            not (t0 <= r < t1 and s0 <= c < s1)
             for r, row in enumerate(full)
-            for c, x in enumerate(row)
-            if not (t0 <= r < t1 and s0 <= c < s1)
+            for c in row
         ):
             raise NotAQuiverActionError(
                 f"action of arrow {a.id} is not supported on the"
                 f" ({a.target}, {a.source}) block"
             )
-        maps[a.id] = [row[s0:s1] for row in full[t0:t1]]
+        maps[a.id] = [[full[r].get(c, 0) for c in range(s0, s1)]
+                      for r in range(t0, t1)]
     return Representation(q, dims, maps)
 
 

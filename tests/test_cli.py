@@ -14,8 +14,9 @@ import math
 
 import pytest
 
-from fpq import verify
+from fpq import engine, verify, wba
 from fpq.cli import build_parser, run
+from fpq.errors import InputError
 
 
 def run_cli(argv):
@@ -272,6 +273,29 @@ def test_verify_suites_pass_at_small_sizes(argv):
     data = run_json(["verify"] + argv)
     assert data["failures"] == 0
     assert data["passes"] == len(data["cases"]) > 0
+
+
+@pytest.mark.parametrize(
+    "name,target,sizes",
+    [
+        ("wba-axioms", "check_axioms", {"w_max": 1, "corruptions": 3, "seed": 0}),
+        ("kronecker-divergence", "fpd_lower_bound", {"size": 3}),
+    ],
+    ids=["wba-axioms", "kronecker-divergence"],
+)
+def test_verify_errors_fail_cases_instead_of_the_run(monkeypatch, name, target, sizes):
+    """The suites that share work between cases do it inside the thunks, so
+    an FpqError there fails the cases that need it and verify.run still
+    returns every case."""
+    def boom(*_args, **_kwargs):
+        raise InputError("injected failure")
+
+    monkeypatch.setattr(wba if target == "check_axioms" else engine, target, boom)
+    results = verify.run(name, **sizes)
+    assert results
+    for key, ok, detail in results:
+        assert not ok, key
+        assert detail == {"error": {"type": "bad_input", "message": "injected failure"}}
 
 
 def _subcommands(parser):

@@ -1,9 +1,10 @@
-"""Exact rational linear algebra against numpy and hand values."""
+"""Exact rational linear algebra against numpy, sympy and hand values."""
 
 import random
 from fractions import Fraction
 
 import numpy as np
+import sympy
 
 from fpq import exact
 
@@ -106,3 +107,100 @@ def test_block_diag():
     b = exact.mat_from([[2, 3]])
     d = exact.block_diag(a, b)
     assert d == [[1, 0, 0], [0, 2, 3]]
+
+
+def _kernel_inputs(seed, count):
+    """Seeded rational matrices up to 7 x 7: sparse and dense ones, some
+    with a zero row or a zero column, plus a few degenerate shapes."""
+    rng = random.Random(seed)
+    out = [[[Fraction(0)] * 3 for _ in range(2)], [[Fraction(5)]], [[Fraction(0)]]]
+    for k in range(count):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        density = rng.choice([0.15, 0.4, 1.0])
+        m = [
+            [
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                if rng.random() < density else Fraction(0)
+                for _ in range(cols)
+            ]
+            for _ in range(rows)
+        ]
+        if k % 3 == 1:
+            m[rng.randrange(rows)] = [Fraction(0)] * cols
+        elif k % 3 == 2:
+            c = rng.randrange(cols)
+            for row in m:
+                row[c] = Fraction(0)
+        out.append(m)
+    return out
+
+
+def _sym(m, cols):
+    entries = [sympy.Rational(x.numerator, x.denominator) for row in m for x in row]
+    return sympy.Matrix(len(m), cols, entries)
+
+
+def _frac_rows(mat):
+    return [[Fraction(int(x.p), int(x.q)) for x in mat.row(i)] for i in range(mat.rows)]
+
+
+def test_rref_and_nullspace_match_sympy_for_every_ncols():
+    for m in _kernel_inputs(1, 80):
+        width = len(m[0])
+        for ncols in range(width + 1):
+            left = [row[:ncols] for row in m]
+            r, pivots = exact.rref(m, ncols)
+            want, want_pivots = _sym(left, ncols).rref()
+            assert pivots == list(want_pivots), (m, ncols)
+            assert [row[:ncols] for row in r] == _frac_rows(want), (m, ncols)
+            assert all(len(row) == width for row in r)
+            got = exact.nullspace(left, ncols)
+            assert got == [[Fraction(int(x.p), int(x.q)) for x in v]
+                           for v in _sym(left, ncols).nullspace()], (m, ncols)
+
+
+def test_solve_and_invert_match_sympy():
+    inputs = _kernel_inputs(2, 120)
+    rng = random.Random(3)
+    consistent = 0
+    for m in inputs:
+        rows, cols = len(m), len(m[0])
+        if rng.random() < 0.5:  # a right-hand side in the column space
+            x = [[Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(cols)]
+            b = exact.mat_mul(m, x)
+        else:
+            b = [[Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(rows)]
+        a_sym, b_sym = _sym(m, cols), _sym(b, 2)
+        try:
+            sol, params = a_sym.gauss_jordan_solve(b_sym)
+        except ValueError:
+            assert exact.solve(m, b) is None, m
+            continue
+        consistent += 1
+        want = sol.subs({p: 0 for p in params})
+        assert exact.solve(m, b) == _frac_rows(want), m
+        if rows == cols:
+            inverse = exact.invert(m)
+            if a_sym.det() == 0:
+                assert inverse is None, m
+            else:
+                assert inverse == _frac_rows(a_sym.inv()), m
+    assert consistent > 40
+    assert exact.solve([], [], 0, 2) == []
+    assert exact.invert([]) == []
+
+
+def test_sparse_mul_matches_numpy():
+    inputs = _kernel_inputs(4, 60)
+    rng = random.Random(5)
+    for a in inputs:
+        b = rng.choice([m for m in inputs if len(m) == len(a[0])] or [None])
+        if b is None:
+            continue
+        width = len(b[0])
+        got = exact.sparse_mul(*(
+            [{j: x for j, x in enumerate(row) if x} for row in m] for m in (a, b)
+        ))
+        assert all(0 not in row.values() for row in got)
+        want = np.array(a, dtype=object) @ np.array(b, dtype=object)
+        assert [[row.get(j, 0) for j in range(width)] for row in got] == want.tolist()

@@ -89,6 +89,9 @@ def test_integer_radius_is_proven_exactly():
     assert integer_radius([[0, 0, 5], [4, 3, 0], [0, 0, 2]], 3.0) == 3
     assert integer_radius([[0, 5], [0, 0]], 0.0) == 0
     assert integer_radius([], 0.0) == 0
+    # a block above k vetoes one that reaches it: rho(Gamma_4) = 2.30 > 2
+    hub = [row + [0, 0] for row in gamma_matrix(4)]
+    assert integer_radius(hub + [[0] * 4 + [1, 1]] * 2, 2.3) is None
     integral = [
         n for n in range(1, 51)
         if integer_radius(gamma_matrix(n), gamma_radius_closed(n)) is not None

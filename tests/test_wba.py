@@ -21,7 +21,7 @@ from fpq.quiver import (
     simple,
     tensor_vertexwise,
 )
-from fpq.typea import OrientationWord
+from fpq.typea import OrientationWord, all_orientations
 
 K2 = Quiver(2, [])
 KRON1 = wba.kronecker_quiver(1)
@@ -181,6 +181,47 @@ def test_tensor_vertex_dims_are_traces_of_the_unit_coproduct():
                         trace += c * m.dims[si - 1] * x.dims[sj - 1]
                 dims.append(trace)
             assert list(wba.tensor_wba(spec, m, x).dims) == dims, (spec.name, k)
+
+
+def test_tensor_of_corrupted_structures_raises_only_named_errors():
+    """On every catalog structure and the canonical one on A2..A4, each
+    with one coefficient perturbed, tensor_wba either raises one of its
+    two named errors or returns a representation whose vertex v has
+    dimension tr D(e_v)D(1), the rank of the idempotent e_v acting on the
+    image of D(1).  Only trivial-path terms have a trace, and e_i (x) e_j
+    times e_k (x) e_l vanishes unless i = k and j = l.  Without the
+    corruption D(e_v)D(1) = D(e_v), as in the test above; with it, the
+    plain trace of D(e_v) can even be negative."""
+    specs = wba.catalog_k2() + [
+        spec for w in (1, 2, 3) for spec in wba.catalog_kronecker(w)
+    ]
+    specs += [
+        wba.canonical_wba(w.to_quiver()) for n in (2, 3, 4) for w in all_orientations(n)
+    ]
+    returned = 0
+    for spec in specs:
+        for seed in range(10):
+            bad = wba.perturb_spec(spec, seed)
+            q, alg = bad.quiver, bad.algebra
+            for k in range(3):
+                m = random_representation(q, 2, seed=100 * seed + 2 * k)
+                x = random_representation(q, 2, seed=100 * seed + 2 * k + 1)
+                try:
+                    t = wba.tensor_wba(bad, m, x)
+                except (NotAQuiverActionError, StructureMismatchError):
+                    continue
+                dims = []
+                for v in range(1, q.n + 1):
+                    trace = 0
+                    for (i, j), c in bad.delta_gen[f"e{v}"].items():
+                        (si, _, ids_i), (sj, _, ids_j) = alg.paths[i], alg.paths[j]
+                        if not ids_i and not ids_j:
+                            unit = bad.delta_unit.get((i, j), 0)
+                            trace += c * unit * m.dims[si - 1] * x.dims[sj - 1]
+                    dims.append(trace)
+                assert list(t.dims) == dims, (spec.name, bad.perturbation, k)
+                returned += 1
+    assert returned > 500
 
 
 def test_discreteness_reports():
