@@ -12,10 +12,9 @@ from .bricks import (
     band_kronecker,
     band_two_paths,
     brick_set,
-    certify_brick_set,
     compatibility_graph,
     derived_hom_dim,
-    is_brick,
+    hom_matrix,
     maximal_brick_sets,
 )
 from .engine import (

@@ -8,15 +8,19 @@ so every object is a shifted representation; a DerivedObject is a pair
                       Ext^1(M, N) if b = a + 1,
                       0            otherwise,
 
-which is what derived_hom_dim computes.  A brick has a one-dimensional
+which is what derived_hom_dim computes; hom_matrix(xs, ys) is the one place
+these dimensions are assembled into a matrix.  A brick has a one-dimensional
 endomorphism space; a brick set is a finite set of bricks with vanishing
-hom spaces in both directions between distinct members.
+hom spaces in both directions between distinct members, so a list is a
+brick set exactly when its hom matrix with itself is the identity.  On a
+candidate list the brick test is that matrix's diagonal and the
+compatibility graph (edge = hom vanishes both ways) is its zeros.
 
 maximal_brick_sets runs a Bron-Kerbosch search with pivoting over the
-compatibility graph (edge = hom vanishes both ways).  Enumeration order is
-deterministic: members of each set ascend by candidate index and the sets
-are reported sorted lexicographically.  The search counts expansions and
-raises CapExceeded (carrying the partial result) instead of truncating.
+compatibility graph.  Enumeration order is deterministic: members of each
+set ascend by candidate index and the sets are reported sorted
+lexicographically.  The search counts expansions and raises CapExceeded
+(carrying the partial result) instead of truncating.
 """
 
 from fractions import Fraction
@@ -63,9 +67,11 @@ def derived_hom_dim(x, y):
     return 0
 
 
-def is_brick(x):
-    """End(x) = k.  (The zero object is not a brick.)"""
-    return hom_dim(x.rep, x.rep) == 1
+def hom_matrix(xs, ys):
+    """[i][j] = derived_hom_dim(xs[i], ys[j]).  With ys = xs it is the
+    identity exactly for a brick set; with ys the images of xs under a
+    functor it is that functor's adjacency matrix on xs."""
+    return [[derived_hom_dim(x, y) for y in ys] for x in xs]
 
 
 class BrickSet:
@@ -87,41 +93,24 @@ class BrickSet:
         }
 
 
-def certify_brick_set(objs):
-    """(ok, certificate) where certificate[i][j] = derived hom dim."""
-    cert = [[derived_hom_dim(x, y) for y in objs] for x in objs]
-    ok = all(
-        cert[i][j] == (1 if i == j else 0)
-        for i in range(len(objs))
-        for j in range(len(objs))
-    )
-    return ok, cert
-
-
 def brick_set(objs):
     """Build a BrickSet, raising on anything that is not one."""
     if len(set(o.key() for o in objs)) != len(objs):
         raise InputError("brick set members must be pairwise distinct")
-    ok, cert = certify_brick_set(objs)
-    if not ok:
+    cert = hom_matrix(objs, objs)
+    if any(x != (i == j) for i, row in enumerate(cert) for j, x in enumerate(row)):
         raise InputError(f"not a brick set; hom certificate {cert}")
     return BrickSet(objs, cert)
 
 
-def compatibility_graph(candidates):
-    """Adjacency sets: i ~ j iff hom vanishes both ways between distinct
-    candidates (candidates must each be bricks; checked by callers)."""
-    n = len(candidates)
-    adj = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (
-                derived_hom_dim(candidates[i], candidates[j]) == 0
-                and derived_hom_dim(candidates[j], candidates[i]) == 0
-            ):
-                adj[i].add(j)
-                adj[j].add(i)
-    return adj
+def compatibility_graph(hom):
+    """Adjacency sets read off a square hom matrix: i ~ j iff hom vanishes
+    both ways between distinct candidates i and j."""
+    n = len(hom)
+    return [
+        {j for j in range(n) if j != i and hom[i][j] == 0 == hom[j][i]}
+        for i in range(n)
+    ]
 
 
 def maximal_brick_sets(candidates, cap=10 ** 6):
@@ -131,8 +120,9 @@ def maximal_brick_sets(candidates, cap=10 ** 6):
     candidates must be pairwise distinct bricks (InputError otherwise).
     The Bron-Kerbosch recursion counts its expansions against cap and
     raises CapExceeded carrying the sets found so far."""
-    for k, c in enumerate(candidates):
-        if not is_brick(c):
+    hom = hom_matrix(candidates, candidates)
+    for k, row in enumerate(hom):
+        if row[k] != 1:
             raise InputError(f"candidate {k} is not a brick (hom certificate fails)")
     keys = set()
     for k, c in enumerate(candidates):
@@ -142,7 +132,7 @@ def maximal_brick_sets(candidates, cap=10 ** 6):
     n = len(candidates)
     if n == 0:
         return []
-    adj = compatibility_graph(candidates)
+    adj = compatibility_graph(hom)
     out = []
     budget = [cap]
 

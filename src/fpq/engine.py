@@ -24,7 +24,7 @@ bound, flagging divergence when the radii keep climbing through a hub
 pattern in the adjacency.
 """
 
-from .bricks import DerivedObject, brick_set, derived_hom_dim, maximal_brick_sets
+from .bricks import DerivedObject, brick_set, hom_matrix, maximal_brick_sets
 from .errors import (
     DimensionGuardError,
     IncompleteListError,
@@ -58,14 +58,14 @@ def vertexwise():
     return TensorStructure("vertexwise", tensor_vertexwise, vertexwise=True)
 
 
-def from_weak_bialgebra(spec, name=None):
+def from_weak_bialgebra(spec):
     """Tensor structure induced by a coproduct on the path algebra."""
     from . import wba
 
     def tensor(m, n):
         return wba.tensor_wba(spec, m, n)
 
-    return TensorStructure(name or f"wba:{spec.name}", tensor)
+    return TensorStructure(f"wba:{spec.name}", tensor)
 
 
 class FpdReport:
@@ -108,7 +108,7 @@ def adjacency(members, m, shift, structure):
     tensored = [
         DerivedObject(structure.tensor(m, x.rep), x.shift + shift) for x in members
     ]
-    return [[derived_hom_dim(x, t) for t in tensored] for x in members]
+    return hom_matrix(members, tensored)
 
 
 def _candidate_objects(m, indecomposables):
@@ -139,20 +139,22 @@ def best_brick_set(objs, full, tol=DEFAULT_TOL, cap=10 ** 6):
     """Maximize the spectral radius of full (a matrix indexed by objs)
     restricted to each maximal brick set drawn from objs.
 
-    Returns (radius, clique, cliques): the largest radius, the first
-    maximal set reaching it (None when there are none), and every maximal
-    set.  A later set wins only by more than the tolerance, so ties keep
-    the earliest set."""
+    Returns (value, clique, sub, cliques): the largest radius, as an int
+    when integer_radius proves it integral; the first maximal set reaching
+    it and full restricted to that set (both None when there are none); and
+    every maximal set.  A later set wins only by more than the tolerance,
+    so ties keep the earliest set."""
     cliques = maximal_brick_sets(objs, cap=cap)
     best = 0.0
-    best_clique = None
+    best_clique = best_sub = None
     for clique in cliques:
         sub = [[full[i][j] for j in clique] for i in clique]
         r = _cached_radius(sub, tol)
         if best_clique is None or r > best + max(tol, 1e-12) * max(1.0, best):
-            best = r
-            best_clique = clique
-    return best, best_clique, cliques
+            best, best_clique, best_sub = r, clique, sub
+    rounded = integer_radius(best_sub or [], best)
+    value = best if rounded is None else rounded
+    return value, best_clique, best_sub, cliques
 
 
 def fpd_exact(m, shift=0, structure=None, indecomposables=None, cap=10 ** 6,
@@ -176,17 +178,11 @@ def fpd_exact(m, shift=0, structure=None, indecomposables=None, cap=10 ** 6,
                          adjacency=None, integral=True, candidates=0, **base)
     objs = _candidate_objects(m, indecomposables)
     full = adjacency(objs, m, shift, structure)
-    best, best_clique, cliques = best_brick_set(objs, full, tol, cap)
-    witness = None
-    adj = None
-    if best_clique is not None:
-        witness = [objs[i].describe() for i in best_clique]
-        adj = [[full[i][j] for j in best_clique] for i in best_clique]
-    rounded = integer_radius(adj or [], best)
-    value = rounded if rounded is not None else best
+    value, clique, adj, cliques = best_brick_set(objs, full, tol, cap)
+    witness = None if clique is None else [objs[i].describe() for i in clique]
     return FpdReport(
         value, "exact", shift, structure.name,
-        witness=witness, adjacency=adj, integral=rounded is not None,
+        witness=witness, adjacency=adj, integral=isinstance(value, int),
         candidates=len(objs), brick_sets=len(cliques), **base,
     )
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .bricks import DerivedObject
 from .errors import InputError, NotTypeAError
-from .quiver import Quiver, Representation, hom_dim
+from .quiver import Quiver, Representation
 
 RIGHT = ">"
 LEFT = "<"

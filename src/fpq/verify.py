@@ -10,7 +10,7 @@ import functools
 import re
 
 from . import engine, wba
-from .bricks import band_family
+from .bricks import DerivedObject, band_family, hom_matrix
 from .errors import FpqError
 from .quiver import (
     dim_ext1,
@@ -22,12 +22,7 @@ from .quiver import (
     simple,
     tensor_vertexwise,
 )
-from .spectral import (
-    gamma_matrix,
-    gamma_radius_closed,
-    integer_radius,
-    spectral_radius,
-)
+from .spectral import gamma_matrix, gamma_radius_closed, spectral_radius
 from .typea import (
     all_indecomposables,
     all_intervals,
@@ -83,12 +78,9 @@ def opposite_fpd(m):
     same as dualizing, so this must agree with the plain dimension of
     M* (x) - over the opposite quiver."""
     objs = all_indecomposables(orientation_of(m.quiver), m.quiver)
-    tensored = [tensor_vertexwise(m, x.rep) for x in objs]
-    full = [[hom_dim(t, x.rep) for t in tensored] for x in objs]
-    best, clique, _ = engine.best_brick_set(objs, full)
-    sub = [[full[i][j] for j in clique] for i in clique]
-    exact = integer_radius(sub, best)
-    return exact if exact is not None else best
+    tensored = [DerivedObject(tensor_vertexwise(m, x.rep)) for x in objs]
+    full = list(zip(*hom_matrix(tensored, objs)))
+    return engine.best_brick_set(objs, full)[0]
 
 
 def duality(*, triples, n, max_dim, seed):

@@ -4,8 +4,8 @@ Everything here deliberately avoids the library's own algorithms:
 spectral radii come from numpy's eigenvalue solver, hom dimensions from a
 commuting-square system written out here and ranked by sympy, Ext^1 from
 the Auslander-Reiten formula with tau built by reflection functors, and
-dimensions from enumerating every subset of the interval candidates rather
-than maximal sets only.
+dimensions and maximal brick sets from enumerating every subset of the
+candidates rather than searching cliques.
 """
 
 import graphlib
@@ -128,3 +128,26 @@ def brute_force_fpd(m, word, shift=0):
             a = [[twisted_hom(objs[i], tensored[j], shift) for j in sub] for i in sub]
             best = max(best, numpy_radius(a))
     return best
+
+
+def brute_force_brick_sets(objs):
+    """Every inclusion-maximal brick set drawn from objs, a list of
+    (representation, shift) pairs, as sorted index tuples in lexicographic
+    order.  Tries every subset of the bricks among objs, keeps those whose
+    members are pairwise hom-orthogonal (derived homs from hom_dim and
+    dim_ext1 through twisted_hom), then drops each set that one more brick
+    extends.
+
+    Exponential in len(objs); use on small lists only.
+    """
+    hom = [[twisted_hom(m, n, b - a) for n, b in objs] for m, a in objs]
+    bricks = [i for i in range(len(objs)) if hom[i][i] == 1]
+    found = set()
+    for size in range(1, len(bricks) + 1):
+        for sub in itertools.combinations(bricks, size):
+            if all(hom[i][j] == 0 for i in sub for j in sub if i != j):
+                found.add(sub)
+    return sorted(
+        s for s in found
+        if not any(tuple(sorted(s + (k,))) in found for k in bricks if k not in s)
+    )

@@ -12,17 +12,25 @@ import fpq
 TEST_ONLY = {"direct_sum", "is_isomorphic"}
 
 
-def _loaded_names():
+def _modules():
+    """(file name, syntax tree) of every module but __init__."""
+    for path in sorted(Path(fpq.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":
+            yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _loads(tree):
     names = set()
-    for path in Path(fpq.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
     return names
+
+
+def _loaded_names():
+    return set().union(*(_loads(tree) for _, tree in _modules()))
 
 
 def test_every_export_has_a_caller_in_the_package():
@@ -33,3 +41,19 @@ def test_every_export_has_a_caller_in_the_package():
     assert TEST_ONLY <= public
     unused = public - TEST_ONLY - _loaded_names()
     assert not unused, sorted(unused)
+
+
+def test_every_import_is_used_in_its_module():
+    unused = []
+    for name, tree in _modules():
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loaded:
+                        unused.append(f"{name}: {bound}")
+    assert not unused, unused

@@ -9,14 +9,14 @@ from fpq.bricks import (
     band_kronecker,
     band_two_paths,
     brick_set,
-    certify_brick_set,
     derived_hom_dim,
-    is_brick,
+    hom_matrix,
     maximal_brick_sets,
 )
 from fpq.errors import BadPathsError, CapExceededError, InputError, WrongQuiverError
-from fpq.quiver import Quiver, Representation, direct_sum, simple
-from fpq.typea import OrientationWord, all_intervals, interval_rep
+from fpq.quiver import Quiver, direct_sum, simple, zero_rep
+from fpq.typea import OrientationWord, all_intervals, all_orientations, interval_rep
+from oracles import brute_force_brick_sets
 
 A2 = OrientationWord(">").to_quiver()
 KRON = Quiver(2, [("r1", 1, 2), ("r2", 1, 2)])
@@ -32,11 +32,14 @@ def intervals(word):
 
 
 def test_bricks_and_non_bricks():
+    """The brick test is the diagonal of the hom matrix: End = k."""
     s1 = simple(A2, 1)
-    assert is_brick(DerivedObject(s1, 0))
-    assert not is_brick(DerivedObject(direct_sum(s1, s1), 0))
-    from fpq.quiver import zero_rep
-    assert not is_brick(DerivedObject(zero_rep(A2), 0))
+    objs = [DerivedObject(r, 0) for r in (s1, direct_sum(s1, s1), zero_rep(A2))]
+    hom = hom_matrix(objs, objs)
+    assert [hom[k][k] for k in range(3)] == [1, 4, 0]
+    for k in (1, 2):
+        with pytest.raises(InputError, match="candidate 1 is not a brick"):
+            maximal_brick_sets([objs[0], objs[k]])
 
 
 def test_derived_hom_between_shifts():
@@ -53,13 +56,11 @@ def test_derived_hom_between_shifts():
 
 def test_certificate_is_identity_for_brick_sets():
     objs = intervals(">")
-    ok, cert = certify_brick_set([objs[0], objs[2]])  # M[1,1], M[2,2]
-    assert ok and cert == [[1, 0], [0, 1]]
-    ok, cert = certify_brick_set([objs[0], objs[1]])  # Hom(M[1,2], M[1,1]) = k
-    assert not ok
-    bs = brick_set([objs[0], objs[2]])
+    bs = brick_set([objs[0], objs[2]])  # M[1,1], M[2,2]
     assert isinstance(bs, BrickSet) and len(bs) == 2
-    with pytest.raises(InputError):
+    assert bs.certificate == [[1, 0], [0, 1]]
+    # Hom(M[1,2], M[1,1]) = k
+    with pytest.raises(InputError, match=r"hom certificate \[\[1, 0\], \[1, 1\]\]"):
         brick_set([objs[0], objs[1]])
     with pytest.raises(InputError):
         brick_set([objs[0], objs[0]])
@@ -69,6 +70,20 @@ def test_maximal_brick_sets_on_the_two_vertex_line():
     objs = intervals(">")  # M[1,1], M[1,2], M[2,2]
     sets = maximal_brick_sets(objs)
     assert sets == [(0, 2), (1,)]
+
+
+def test_maximal_brick_sets_match_brute_force():
+    """Every interval list of A2 at shifts 0-2, A3 at 0-1 and A4 at 0."""
+    lists = 0
+    for n, shifts in ((2, (0, 1, 2)), (3, (0, 1)), (4, (0,))):
+        for w in all_orientations(n):
+            q = w.to_quiver()
+            reps = [interval_rep(w, v, q) for v in all_intervals(n)]
+            pairs = [(r, s) for s in shifts for r in reps]
+            got = maximal_brick_sets([DerivedObject(r, s) for r, s in pairs])
+            assert got == brute_force_brick_sets(pairs), (w.dirs, shifts)
+            lists += 1
+    assert lists == 14
 
 
 def test_maximal_brick_sets_rejects_bad_candidates():

@@ -1,7 +1,6 @@
 """Coproducts on path algebras: axiom checks, module tensors, catalogs."""
 
 import json
-import re
 
 import pytest
 
@@ -128,6 +127,24 @@ def test_tensor_rejects_structures_that_do_not_act():
     k2_s1 = simple(K2, 1)
     with pytest.raises(NotAQuiverActionError, match="e1 is not idempotent"):
         wba.tensor_wba(doubled, k2_s1, k2_s1)
+    # D(a1) also carries a1.a2 (x) a1.a2, so a1 acts from vertex 1 into
+    # vertex 3: on the first row just past its (2, 1) block
+    q = OrientationWord(">>").to_quiver()
+    overreach = wba.CoproductSpec(
+        q,
+        {
+            "e1": [("e1", "e1", 1)], "e2": [("e2", "e2", 1)],
+            "e3": [("e3", "e3", 1)], "a2": [("a2", "a2", 1)],
+            "a1": [("a1", "a1", 1), ("a1.a2", "a1.a2", 1)],
+        },
+        {key: 1 for key in ("e1", "e2", "e3", "a1", "a2")},
+    )
+    ident = identity_rep(q)
+    with pytest.raises(
+        NotAQuiverActionError,
+        match=r"action of arrow a1 is not supported on the \(2, 1\) block",
+    ):
+        wba.tensor_wba(overreach, ident, ident)
 
 
 def test_primitive_arrows_act_by_the_leibniz_rule():
