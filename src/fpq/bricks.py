@@ -20,7 +20,8 @@ maximal_brick_sets runs a Bron-Kerbosch search with pivoting over the
 compatibility graph.  Enumeration order is deterministic: members of each
 set ascend by candidate index and the sets are reported sorted
 lexicographically.  The search counts expansions and raises CapExceeded
-(carrying the partial result) instead of truncating.
+(carrying the partial result) instead of truncating.  Each candidate list
+is enumerated once per cap: the sets are memoized by the candidates' keys.
 """
 
 from fractions import Fraction
@@ -113,22 +114,30 @@ def compatibility_graph(hom):
     ]
 
 
+_BRICK_SETS = {}
+
+
 def maximal_brick_sets(candidates, cap=10 ** 6):
     """All maximal brick sets drawn from the candidate list, as sorted
     index tuples, sorted lexicographically.
 
     candidates must be pairwise distinct bricks (InputError otherwise).
     The Bron-Kerbosch recursion counts its expansions against cap and
-    raises CapExceeded carrying the sets found so far."""
+    raises CapExceeded carrying the sets found so far.  Results are
+    memoized by the candidates' keys and cap; errors are not."""
+    keys = tuple(c.key() for c in candidates)
+    got = _BRICK_SETS.get((keys, cap))
+    if got is not None:
+        return list(got)
     hom = hom_matrix(candidates, candidates)
     for k, row in enumerate(hom):
         if row[k] != 1:
             raise InputError(f"candidate {k} is not a brick (hom certificate fails)")
-    keys = set()
-    for k, c in enumerate(candidates):
-        if c.key() in keys:
+    seen = set()
+    for k, key in enumerate(keys):
+        if key in seen:
             raise InputError(f"candidate {k} duplicates an earlier candidate")
-        keys.add(c.key())
+        seen.add(key)
     n = len(candidates)
     if n == 0:
         return []
@@ -154,7 +163,8 @@ def maximal_brick_sets(candidates, cap=10 ** 6):
             x = x | {v}
 
     expand(set(), set(range(n)), set())
-    return sorted(out)
+    _BRICK_SETS[keys, cap] = got = tuple(sorted(out))
+    return list(got)
 
 
 def band_kronecker(quiver, c):

@@ -144,11 +144,14 @@ def _config(args):
 def _emit(data, args):
     text = json.dumps(_normalize(data), sort_keys=True, indent=2) + "\n"
     out = getattr(args, "out", None)
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 def _cmd_hom(args):
@@ -591,14 +594,14 @@ def run(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        data, code = args.func(args)
+        try:
+            data, code = args.func(args)
+        except FpqError as exc:
+            data, code = {"error": exc.payload()}, 1
+        _emit(data, args)
     except UsageError as exc:
         sys.stderr.write(f"fpq: {exc}\n")
         return 2
-    except FpqError as exc:
-        _emit({"error": exc.payload()}, args)
-        return 1
-    _emit(data, args)
     return code
 
 

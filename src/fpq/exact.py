@@ -14,7 +14,9 @@ wrappers over it.  The pivot is the first nonzero entry in column order
 pivot rule makes every derived basis deterministic.  Pivots lie in the
 first ``ncols`` columns; later columns only ride along in the row
 operations, and only ``sparse_solve`` reads them.  ``rank``, which needs no
-basis, eliminates fraction-free over the integers instead, still exactly.
+basis, also takes sparse rows but eliminates fraction-free over the
+integers: each row is cleared of denominators and reduced against the
+pivot rows found so far, still exactly.
 """
 
 import math
@@ -25,10 +27,11 @@ ONE = Fraction(1)
 
 
 def frac(x):
-    """Coerce ints, strings like '3/4' or '-2', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4' or '-2', and Fractions to Fraction;
+    a bool is not a number here."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
@@ -189,46 +192,43 @@ def _dense(rows, width):
     return [[row.get(j, ZERO) for j in range(width)] for row in rows]
 
 
-def rank(m, ncols=None):
-    """Rank of the first ncols columns of m, by fraction-free (Bareiss)
-    elimination over the integers (Math. Comp. 22, 1968).
+def rank(rows, ncols):
+    """Rank of the first ncols columns of sparse rows (see eliminate),
+    by fraction-free elimination over the integers.
 
-    Each row is first cleared of denominators, which keeps the rank and
-    puts every step in Python ints: after k pivots each remaining entry is
-    a (k+1)-minor of the scaled matrix, so dividing by the previous pivot
-    is exact.  Elimination only goes forward, and each step drops the
-    column it has cleared, so no basis is built.
-    """
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
-    rows = []
-    for row in m:
-        row = row[:ncols]
-        scale = math.lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (scale // x.denominator) for x in row]
-        if any(ints):
-            rows.append(ints)
-    prev = 1
-    r = 0
-    for _ in range(ncols):
-        if not rows:
-            break
-        k = next((i for i, row in enumerate(rows) if row[0]), None)
-        if k is None:
-            rows = [row[1:] for row in rows]
-            continue
-        pivot = rows.pop(k)
-        p = pivot[0]
-        tail = pivot[1:]
-        for i, row in enumerate(rows):
-            f = row[0]
-            if f:
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
-            else:
-                rows[i] = [p * x // prev for x in row[1:]]
-        prev = p
-        r += 1
-    return r
+    Each row is cleared of denominators, which keeps the rank and puts
+    every step in Python ints, and is then reduced against the pivot rows
+    kept so far, keyed by leading column: row <- a*row - b*pivot, where a
+    and b are the pivot's and the row's leading entries divided by their
+    gcd, after which the row's content is divided out.  A pivot row is kept
+    as its leading entry and the rest, so the cancelled entry is never
+    formed.  A row left nonzero becomes the pivot of its leading column;
+    no basis is built."""
+    pivots = {}
+    for row in rows:
+        row = {j: x for j, x in row.items() if j < ncols and x}
+        scale = math.lcm(*(x.denominator for x in row.values()))
+        row = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+        while row:
+            g = math.gcd(*row.values())
+            if g > 1:
+                row = {j: x // g for j, x in row.items()}
+            lead = min(row)
+            r = row.pop(lead)
+            if lead not in pivots:
+                pivots[lead] = (r, row)
+                break
+            p, tail = pivots[lead]
+            g = math.gcd(p, r)
+            a, b = p // g, r // g
+            row = {j: a * x for j, x in row.items()}
+            for j, y in tail.items():
+                x = row.get(j, 0) - b * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+    return len(pivots)
 
 
 def nullspace(m, ncols):

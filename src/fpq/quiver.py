@@ -270,11 +270,13 @@ def euler_form(q, x, y):
 
 
 def _hom_system(m, n):
-    """Rows of the linear system in the unknowns vec(f_v), row-major.
+    """Sparse rows {unknown: coefficient} of the linear system in the
+    unknowns vec(f_v), row-major.
 
     Unknown layout: f_1 then f_2 ... ; f_v has shape (n.dims[v], m.dims[v])
     flattened row-major.  One equation per arrow a: s->t and per entry of
-    f_t . M_a - N_a . f_s (shape n.dims[t] x m.dims[s])."""
+    f_t . M_a - N_a . f_s (shape n.dims[t] x m.dims[s]); zero equations are
+    dropped.  The two terms never share an unknown, since s != t."""
     offsets = []
     total = 0
     for v in range(m.quiver.n):
@@ -288,19 +290,16 @@ def _hom_system(m, n):
         dt_n, ds_m = n.dims[t], m.dims[s]
         dt_m, ds_n = m.dims[t], n.dims[s]
         for p in range(dt_n):
+            # (f_t . M_a)[p][q] = sum_r f_t[p][r] * M_a[r][q]
+            base_t = offsets[t] + p * dt_m
             for qq in range(ds_m):
-                row = [exact.ZERO] * total
-                # (f_t . M_a)[p][q] = sum_r f_t[p][r] * M_a[r][q]
-                for r in range(dt_m):
-                    c = ma[r][qq]
-                    if c != 0:
-                        row[offsets[t] + p * dt_m + r] += c
+                row = {base_t + r: ma[r][qq] for r in range(dt_m) if ma[r][qq]}
                 # (N_a . f_s)[p][q] = sum_r N_a[p][r] * f_s[r][q]
                 for r in range(ds_n):
                     c = na[p][r]
-                    if c != 0:
-                        row[offsets[s] + r * ds_m + qq] -= c
-                if any(x != 0 for x in row):
+                    if c:
+                        row[offsets[s] + r * ds_m + qq] = -c
+                if row:
                     rows.append(row)
     return rows, offsets, total
 
@@ -328,7 +327,8 @@ def hom_space(m, n):
     if m.quiver != n.quiver:
         raise WrongQuiverError("representations live over different quivers")
     rows, offsets, total = _hom_system(m, n)
-    kernel = exact.nullspace(rows, total)
+    dense = [[row.get(j, exact.ZERO) for j in range(total)] for row in rows]
+    kernel = exact.nullspace(dense, total)
     basis = []
     for vec in kernel:
         mats = []

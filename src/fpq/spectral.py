@@ -31,7 +31,7 @@ def _check_square(a):
         if len(row) != n:
             raise InputError("matrix must be square")
         for x in row:
-            if not isinstance(x, numbers.Real):
+            if not isinstance(x, numbers.Real) or isinstance(x, bool):
                 raise InputError("matrix entries must be numbers")
             try:
                 finite = math.isfinite(x)
@@ -191,9 +191,10 @@ def _compare_block(block, k):
     ]
     if _leading_minors_positive(shifted):
         return -1
-    if rank(shifted) == len(block):
+    n = len(block)
+    if rank([{j: x for j, x in enumerate(row) if x} for row in shifted], n) == n:
         return 1
-    kernel = nullspace(mat_from(shifted), len(block))
+    kernel = nullspace(mat_from(shifted), n)
     v = kernel[0]
     one_signed = all(x > 0 for x in v) or all(x < 0 for x in v)
     return 0 if len(kernel) == 1 and one_signed else 1

@@ -135,15 +135,23 @@ def all_intervals(n):
     return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
 
 
+_INDECOMPOSABLES = {}
+
+
 def all_indecomposables(w, quiver=None):
     """The complete list of indecomposables of the A_n line: every interval
-    module as a shift-0 DerivedObject labeled M[i,j], ordered by (i, j)."""
+    module as a shift-0 DerivedObject labeled M[i,j], ordered by (i, j).
+    Built once per orientation and quiver; each call returns a new list."""
     if quiver is None:
         quiver = w.to_quiver()
-    return [
-        DerivedObject(interval_rep(w, (i, j), quiver), 0, label=f"M[{i},{j}]")
-        for i, j in all_intervals(w.n)
-    ]
+    key = (w.dirs, quiver)
+    got = _INDECOMPOSABLES.get(key)
+    if got is None:
+        _INDECOMPOSABLES[key] = got = tuple(
+            DerivedObject(interval_rep(w, (i, j), quiver), 0, label=f"M[{i},{j}]")
+            for i, j in all_intervals(w.n)
+        )
+    return list(got)
 
 
 def closed_form_fpd(w, v, shift):

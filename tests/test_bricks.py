@@ -1,5 +1,8 @@
 """Bricks, brick sets, maximal-set enumeration, and band families."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from fpq.bricks import (
@@ -93,6 +96,39 @@ def test_maximal_brick_sets_rejects_bad_candidates():
     bad = DerivedObject(direct_sum(objs[0].rep, objs[0].rep), 0)
     with pytest.raises(InputError):
         maximal_brick_sets(objs + [bad])
+
+
+def test_memoized_brick_sets_are_fresh_lists_and_keep_every_check():
+    objs = intervals("<>")[::-1]  # an order no other caller uses
+    want = brute_force_brick_sets([(x.rep, 0) for x in objs])
+    for _ in range(3):  # a first call that fills the memo, then hits
+        got = maximal_brick_sets(objs)
+        assert got == want
+        got.append((0, 1, 2))
+        got[0] = ()
+    with pytest.raises(CapExceededError):  # the default-cap result is not reused
+        maximal_brick_sets(objs, cap=1)
+    assert maximal_brick_sets(objs) == want
+    bad = objs + [DerivedObject(direct_sum(objs[0].rep, objs[0].rep), 0)]
+    for _ in range(2):  # a failed check is not remembered as a success
+        with pytest.raises(InputError, match="is not a brick"):
+            maximal_brick_sets(bad)
+        with pytest.raises(InputError, match="duplicates"):
+            maximal_brick_sets(objs + [objs[1]])
+
+
+def test_memoized_brick_sets_agree_across_threads():
+    objs = intervals("<><")[::-1]  # an order no other caller uses
+    want = brute_force_brick_sets([(x.rep, 0) for x in objs])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(lambda _: maximal_brick_sets(objs), range(32),
+                                timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 32
 
 
 def test_enumeration_cap_carries_partial_results():

@@ -182,6 +182,7 @@ def test_spectral_integer_and_float_formats(tmp_path):
         "[[NaN, 1], [1, 0]]",
         # finite entries whose radius (2e308) overflows the power iteration
         "[[1e308, 1e308], [1e308, 1e308]]",
+        "[[true, 1], [1, 0]]",  # a JSON boolean is not a number
     ],
 )
 def test_spectral_rejects_non_numeric_and_non_finite_entries(tmp_path, text):
@@ -200,8 +201,10 @@ def test_spectral_rejects_non_numeric_and_non_finite_entries(tmp_path, text):
         ({"vertices": "x", "arrows": []}, SIMPLE_1),
         (KRONECKER, {"dims": [1.5, 1], "maps": {}}),
         (KRONECKER, {"dims": ["x", 1], "maps": {}}),
+        (KRONECKER, {"dims": [1, 1], "maps": {"r1": [[True]]}}),
     ],
-    ids=["rep-is-a-list", "vertices-not-int", "dims-float", "dims-string"],
+    ids=["rep-is-a-list", "vertices-not-int", "dims-float", "dims-string",
+         "map-entry-bool"],
 )
 def test_malformed_files_are_bad_input(tmp_path, quiver, rep):
     q = write_json(tmp_path / "q.json", quiver)
@@ -209,6 +212,16 @@ def test_malformed_files_are_bad_input(tmp_path, quiver, rep):
     code, out, err = run_cli(["hom", "--quiver", q, "--left", m, "--right", m])
     assert code == 1, err
     assert json.loads(out)["error"]["type"] == "bad_input"
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_out_is_a_usage_error(tmp_path, where):
+    path = str(tmp_path / "missing" / "x.json" if where == "missing-directory"
+               else tmp_path)
+    code, out, err = run_cli(["verify", "gamma", "--n-max", "2", "--out", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"fpq: cannot write {path}: ")
 
 
 @pytest.mark.parametrize(

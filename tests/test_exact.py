@@ -26,10 +26,15 @@ def test_rref_hand_example():
     assert r[2] == [0, 0, 0]
 
 
+def sparse(m):
+    """Sparse rows {column: entry} of a dense matrix, as rank takes them."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
 def test_rank_matches_numpy():
     for seed in range(25):
         m = rand_matrix(4, 5, seed)
-        got = exact.rank(m)
+        got = exact.rank(sparse(m), 5)
         want = np.linalg.matrix_rank(np.array(m, dtype=float))
         assert got == want
     half = Fraction(1, 2)
@@ -56,20 +61,62 @@ def test_rank_matches_numpy():
         more.append((m, 5))
     for rows, ncols in more:
         m = exact.mat_from(rows)
-        assert exact.rank(m, ncols) == len(exact.rref(m, ncols)[1]), rows
-    assert exact.rank(exact.mat_from([[1, 2, 3], [2, 4, 7]]), 2) == 1
+        assert exact.rank(sparse(m), ncols) == len(exact.rref(m, ncols)[1]), rows
+    assert exact.rank(sparse(exact.mat_from([[1, 2, 3], [2, 4, 7]])), 2) == 1
 
 
 def test_nullspace_is_kernel_basis():
     for seed in range(20):
         m = rand_matrix(3, 5, seed)
         basis = exact.nullspace(m, 5)
-        assert len(basis) == 5 - exact.rank(m)
+        assert len(basis) == 5 - exact.rank(sparse(m), 5)
         for v in basis:
             image = exact.mat_mul(m, [[x] for x in v])
             assert all(y == 0 for row in image for y in row)
         if basis:
-            assert exact.rank([list(v) for v in basis]) == len(basis)
+            assert exact.rank(sparse(basis), 5) == len(basis)
+
+
+def test_rank_ignores_entries_at_or_past_ncols():
+    assert exact.rank([{2: Fraction(1)}, {3: Fraction(5), 7: Fraction(-1)}], 2) == 0
+    assert exact.rank([{2: Fraction(1)}, {3: Fraction(5), 7: Fraction(-1)}], 3) == 1
+    rows = [{0: Fraction(1), 4: Fraction(2)}, {0: Fraction(2), 5: Fraction(1)}]
+    assert exact.rank(rows, 4) == 1  # equal on the first 4 columns
+    assert exact.rank(rows, 6) == 2
+    assert rows == [{0: 1, 4: 2}, {0: 2, 5: 1}]  # the input is not modified
+
+
+def test_rank_with_a_large_common_factor():
+    big = 10 ** 40 + 7
+    rows = [
+        {0: Fraction(big), 1: Fraction(2 * big)},
+        {0: Fraction(3 * big), 1: Fraction(6 * big), 2: Fraction(big)},
+        {2: Fraction(5 * big, 3)},
+        {0: Fraction(1, big), 1: Fraction(2, big)},
+    ]
+    assert exact.rank(rows, 3) == 2
+    assert exact.rank(rows, 2) == 1
+    assert exact.rank([{0: Fraction(big), 1: Fraction(big + 1)},
+                       {0: Fraction(big - 1), 1: Fraction(big)}], 2) == 2
+
+
+def test_rank_matches_sympy_on_sparse_rational_systems():
+    rng = random.Random(31)
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 30), rng.randint(1, 20)
+        rows = []
+        for _ in range(nrows):
+            cols = rng.sample(range(ncols + 2), rng.randint(0, min(4, ncols + 2)))
+            rows.append({j: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                     rng.choice([1, 1, 2, 3, 5]))
+                         for j in cols})
+        if nrows > 2 and rng.random() < 0.5:  # a dependent row
+            a, b = rng.sample(range(nrows), 2)
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+            rows.append({j: rows[a].get(j, 0) + c * rows[b].get(j, 0)
+                         for j in set(rows[a]) | set(rows[b])})
+        dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+        assert exact.rank(rows, ncols) == sympy.Matrix(dense).rank(), rows
 
 
 def test_solve_roundtrip_and_inconsistent():

@@ -39,6 +39,12 @@ def test_enumeration_counts():
     objs = all_indecomposables(OrientationWord("><>"))
     assert [x.label for x in objs] == [f"M[{i},{j}]" for i, j in all_intervals(4)]
     assert all(x.shift == 0 for x in objs)
+    w = OrientationWord("<<><>>><")  # a line no other caller builds
+    for _ in range(3):  # a first call that fills the memo, then hits
+        objs = all_indecomposables(w)
+        assert [x.label for x in objs] == [f"M[{i},{j}]" for i, j in all_intervals(9)]
+        objs.pop()
+        objs[0] = None
 
 
 def test_classification_table():
