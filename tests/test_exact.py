@@ -81,7 +81,7 @@ def test_rank_ignores_entries_at_or_past_ncols():
     assert exact.rank([{2: Fraction(1)}, {3: Fraction(5), 7: Fraction(-1)}], 2) == 0
     assert exact.rank([{2: Fraction(1)}, {3: Fraction(5), 7: Fraction(-1)}], 3) == 1
     rows = [{0: Fraction(1), 4: Fraction(2)}, {0: Fraction(2), 5: Fraction(1)}]
-    assert exact.rank(rows, 4) == 1  # equal on the first 4 columns
+    assert exact.rank(rows, 4) == 1  # proportional on the first 4 columns
     assert exact.rank(rows, 6) == 2
     assert rows == [{0: 1, 4: 2}, {0: 2, 5: 1}]  # the input is not modified
 
