@@ -6,17 +6,18 @@ tuples when they need hashability).  A matrix with zero rows or zero
 columns is legal and is represented literally (``[]`` or ``[[], [], ...]``),
 so shapes must be tracked by the caller when a dimension vanishes.
 
-A sparse row is a dict {column: Fraction} of its nonzero entries.  The one
-elimination loop, ``eliminate``, works on sparse rows, so its cost follows
-the nonzeros; ``rref``, ``nullspace``, ``solve`` and ``invert`` are dense
-wrappers over it.  The pivot is the first nonzero entry in column order
-(no magnitude pivoting): over Q the arithmetic is exact, and fixing the
-pivot rule makes every derived basis deterministic.  Pivots lie in the
-first ``ncols`` columns; later columns only ride along in the row
-operations, and only ``sparse_solve`` reads them.  ``rank``, which needs no
-basis, also takes sparse rows but eliminates fraction-free over the
-integers: each row is cleared of denominators and reduced against the
-pivot rows found so far, still exactly.
+A sparse row is a dict {column: value} of its nonzero entries, ints or
+Fractions.  The one elimination loop, ``eliminate``, works on sparse rows,
+so its cost follows the nonzeros, and scales a pivot row by the Fraction
+1/p, so int entries never meet float division; ``rref``, ``nullspace``,
+``solve`` and ``invert`` are dense wrappers over it.  The pivot is the
+first nonzero entry in column order (no magnitude pivoting): over Q the
+arithmetic is exact, and fixing the pivot rule makes every derived basis
+deterministic.  Pivots lie in the first ``ncols`` columns; later columns
+only ride along in the row operations, and only ``solve`` reads them.
+``rank``, which needs no basis, also takes sparse rows but eliminates
+fraction-free over the integers: each row is cleared of denominators and
+reduced against the pivot rows found so far, still exactly.
 """
 
 import math
@@ -144,7 +145,8 @@ def eliminate(rows, ncols):
         prow = rows[r]
         p = prow[c]
         if p != 1:
-            rows[r] = prow = {j: x / p for j, x in prow.items()}
+            q = ONE / p
+            rows[r] = prow = {j: x * q for j, x in prow.items()}
         for i, row in enumerate(rows):
             f = row.get(c)
             if f is None or i == r:
@@ -249,29 +251,23 @@ def nullspace(m, ncols):
     return basis
 
 
-def sparse_solve(a, b, ncols):
-    """X with a @ X = b for sparse rows a (over ncols unknowns) and b, or
-    None when inconsistent.  Unconstrained coordinates are set to 0."""
-    aug = [{**x, **{ncols + j: y for j, y in r.items()}} for x, r in zip(a, b)]
-    pivots = eliminate(aug, ncols)
-    if any(aug[len(pivots):]):
-        return None  # a zero row of a against a nonzero right-hand side
-    # RREF rows read x_pc + (free-column terms) = rhs; with free
-    # coordinates fixed to 0 the pivot coordinate equals the rhs.
-    x = [{} for _ in range(ncols)]
-    for row, pc in zip(aug, pivots):
-        x[pc] = {j - ncols: y for j, y in row.items() if j >= ncols}
-    return x
-
-
 def solve(a, b, ncols_a=None, ncols_b=None):
-    """sparse_solve on dense matrices: x (ncols_a x ncols_b) or None."""
+    """x (ncols_a x ncols_b) with a @ x = b, or None when inconsistent.
+    Unconstrained coordinates are set to 0."""
     if ncols_a is None:
         ncols_a = len(a[0]) if a else 0
     if ncols_b is None:
         ncols_b = len(b[0]) if b else 0
-    x = sparse_solve(_sparse(a), _sparse(b), ncols_a)
-    return None if x is None else _dense(x, ncols_b)
+    aug = _sparse([(*x, *r) for x, r in zip(a, b)])
+    pivots = eliminate(aug, ncols_a)
+    if any(aug[len(pivots):]):
+        return None  # a zero row of a against a nonzero right-hand side
+    # RREF rows read x_pc + (free-column terms) = rhs; with free
+    # coordinates fixed to 0 the pivot coordinate equals the rhs.
+    x = zeros(ncols_a, ncols_b)
+    for row, pc in zip(aug, pivots):
+        x[pc] = [row.get(ncols_a + j, ZERO) for j in range(ncols_b)]
+    return x
 
 
 def invert(m):

@@ -27,7 +27,8 @@ A coproduct makes the tensor product M (x) N of two representations into a
 module again: the unit's coproduct acts on the componentwise tensor product
 as an idempotent, its image carries the diagonal action through D, and
 tensor_wba converts that module back into a representation (vertex spaces
-are the images of the idempotent actions e_i).  For the canonical grouplike
+are the images of the idempotent actions e_i, each change of basis read
+off one elimination as a rank factorization).  For the canonical grouplike
 coproduct (every path p gets D(p) = p (x) p, eps(p) = 1) this reproduces the
 componentwise tensor product matrix-for-matrix.
 
@@ -618,7 +619,7 @@ def _path_entries(alg, rep):
             arrow = rep.map_for(aid)
             block = exact.mat_mul(arrow, block) if arrow and block else []
         out.append([
-            (r, k, x)
+            (r, k, x.numerator if x.denominator == 1 else x)
             for r, row in enumerate(block, offs[t - 1])
             for k, x in enumerate(row, offs[s - 1])
             if x
@@ -633,9 +634,11 @@ def tensor_wba(spec, m, n):
     two-fold tensor square, cuts it down to the image of the idempotent
     D(1)-action, restricts the D(generator) actions to that image, and
     reads off a representation: vertex v's space is the image of e_v, and
-    each arrow's map is its action in that vertex basis.  Every matrix is
-    kept as sparse rows (exact.eliminate) until the arrow blocks are read
-    off, so the work follows the nonzero entries, not (dim M * dim N)^2.
+    each arrow's map is its action in that vertex basis.  One elimination
+    of an idempotent E gives E = B C with C B = I (B its pivot columns, C
+    its RREF rows), so C is the change of basis and no system is solved.
+    Matrices stay sparse rows, integral entries ints, until the arrow blocks
+    are read off, so the work follows the nonzeros, not (dim M * dim N)^2.
     Raises NotAQuiverAction when a restricted action leaves the image, an
     e_v does not act idempotently, or an arrow acts outside its (target,
     source) block (which happens for structures that are not weak
@@ -657,6 +660,7 @@ def tensor_wba(spec, m, n):
         u's action and y of v's action."""
         out = [{} for _ in range(size)]
         for (i, j), c in element.items():
+            c = c.numerator if c.denominator == 1 else c
             for r, k, x in entries_m[i]:
                 cx = c * x
                 for r2, l, y in entries_n[j]:
@@ -670,42 +674,42 @@ def tensor_wba(spec, m, n):
         raise StructureMismatchError(
             "the coproduct of 1 does not act idempotently on the tensor square"
         )
-    pivots = exact.eliminate([dict(row) for row in projector], size)
+    coordinates = [dict(row) for row in projector]
+    pivots = exact.eliminate(coordinates, size)
     rank = len(pivots)
-    if rank == 0:
-        return zero_rep(spec.quiver)
+    del coordinates[rank:]
     basis = [{t: row[p] for t, p in enumerate(pivots) if p in row}
              for row in projector]
+    # coordinates @ basis = I, so x = coordinates @ image if basis @ x = image
     actions = {}
     for key in alg.generator_keys():
         image = exact.sparse_mul(act(spec.delta_gen[key]), basis)
-        coords = exact.sparse_solve(basis, image, rank)
-        if coords is None:
+        coords = exact.sparse_mul(coordinates, image)
+        if exact.sparse_mul(basis, coords) != image:
             raise NotAQuiverActionError(
                 f"D({key}) does not preserve the image of the D(1) action"
             )
         actions[key] = coords
     # The e_v coordinates sum to the identity (D(1) is the sum of the D(e_v)
     # and the basis lies in its image), and idempotents over Q that sum to
-    # the identity are orthogonal, so once each is idempotent their pivot
-    # columns form a basis adapted to the vertex decomposition.
+    # the identity are orthogonal: with e_v = B_v C_v as above, C_u B_v = 0
+    # for u != v, so once each e_v is idempotent, [B_1 ... B_n] is a basis
+    # adapted to the vertex decomposition, and [C_1; ...; C_n] its inverse.
     q = spec.quiver
-    dims, cols = [], []
+    offs, cols, inverse = [0], [], []
     for v in range(1, q.n + 1):
         e = actions[f"e{v}"]
         if exact.sparse_mul(e, e) != e:
             raise NotAQuiverActionError(f"action of e{v} is not idempotent")
-        vpivots = exact.eliminate([dict(row) for row in e], rank)
-        dims.append(len(vpivots))
+        rows = [dict(row) for row in e]
+        vpivots = exact.eliminate(rows, rank)
+        offs.append(offs[-1] + len(vpivots))
         cols.extend((e, p) for p in vpivots)
+        inverse.extend(rows[:len(vpivots)])
     vbasis = [
         {t: e[r][p] for t, (e, p) in enumerate(cols) if p in e[r]}
         for r in range(rank)
     ]
-    inverse = exact.sparse_solve(vbasis, [{r: ONE} for r in range(rank)], rank)
-    offs = [0]
-    for d in dims:
-        offs.append(offs[-1] + d)
     maps = {}
     for a in q.arrows:
         full = exact.sparse_mul(inverse, exact.sparse_mul(actions[a.id], vbasis))
@@ -722,7 +726,7 @@ def tensor_wba(spec, m, n):
             )
         maps[a.id] = [[full[r].get(c, 0) for c in range(s0, s1)]
                       for r in range(t0, t1)]
-    return Representation(q, dims, maps)
+    return Representation(q, [b - a for a, b in zip(offs, offs[1:])], maps)
 
 
 def is_discrete(spec):

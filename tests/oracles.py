@@ -3,13 +3,15 @@
 Everything here deliberately avoids the library's own algorithms:
 spectral radii come from numpy's eigenvalue solver, hom dimensions from a
 commuting-square system written out here and ranked by sympy, Ext^1 from
-the Auslander-Reiten formula with tau built by reflection functors, and
+the Auslander-Reiten formula with tau built by reflection functors,
 dimensions and maximal brick sets from enumerating every subset of the
-candidates rather than searching cliques.
+candidates rather than searching cliques, and the twisted tensor of a
+coproduct from sympy's Kronecker products, column spaces and solves.
 """
 
 import graphlib
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import sympy
@@ -97,6 +99,89 @@ def ar_ext1(m, n):
     over a hereditary algebra, with tau m = C+ m and the hom dimension
     from sympy_hom_dim."""
     return sympy_hom_dim(n, coxeter_plus(m))
+
+
+def sympy_tensor_wba(spec, m, n):
+    """The tensor of m and n twisted through spec's coproduct, computed in
+    sympy: the action of each coproduct on the Kronecker product space (m's
+    index slowest), the image of the D(1) action as its column space, each
+    generator's coordinates on that image by a linear solve, the vertex
+    basis as the column spaces of the e_v coordinates in vertex order, and
+    each arrow's map through that basis's inverse.  Returns (dims, {arrow
+    id: matrix of Fractions}) or raises ValueError naming the first check
+    that fails, in tensor_wba's order: "unit" (D(1) is not idempotent),
+    "image" (a generator leaves the image), "idempotent" (some e_v) or
+    "block" (an arrow leaves its (target, source) block)."""
+    q = spec.quiver
+
+    def paths(rep):
+        offs = [sum(rep.dims[:v]) for v in range(q.n + 1)]
+        out = []
+        for s, t, ids in spec.algebra.paths:
+            block = sympy.eye(rep.dims[s - 1])
+            for aid in ids:
+                a = next(a for a in q.arrows if a.id == aid)
+                block = sympy.Matrix(
+                    rep.dims[a.target - 1], rep.dims[a.source - 1],
+                    [sympy.Rational(x.numerator, x.denominator)
+                     for row in rep.map_for(aid) for x in row],
+                ) * block
+            full = sympy.zeros(offs[-1], offs[-1])
+            full[offs[t - 1]:offs[t], offs[s - 1]:offs[s]] = block
+            out.append(full)
+        return out
+
+    if m.total_dim() == 0 or n.total_dim() == 0:
+        return [0] * q.n, {a.id: [] for a in q.arrows}
+    pm, pn = paths(m), paths(n)
+    size = m.total_dim() * n.total_dim()
+
+    def act(element):
+        out = sympy.zeros(size, size)
+        for (i, j), c in element.items():
+            out += sympy.Rational(c.numerator, c.denominator) * sympy.kronecker_product(pm[i], pn[j])
+        return out
+
+    unit = act(spec.delta_unit)
+    if unit * unit != unit:
+        raise ValueError("unit")
+    image = unit.columnspace()
+    if not image:
+        return [0] * q.n, {a.id: [] for a in q.arrows}
+    basis = sympy.Matrix.hstack(*image)
+    coords = {}
+    for key in spec.algebra.generator_keys():
+        try:
+            coords[key], free = basis.gauss_jordan_solve(act(spec.delta_gen[key]) * basis)
+        except ValueError:
+            raise ValueError("image") from None
+        assert free.rows == 0  # basis has independent columns
+    dims, columns = [], []
+    for v in range(1, q.n + 1):
+        e = coords[f"e{v}"]
+        if e * e != e:
+            raise ValueError("idempotent")
+        space = e.columnspace()
+        dims.append(len(space))
+        columns += space
+    vertex_basis = sympy.Matrix.hstack(*columns)
+    inverse = vertex_basis.inv()
+    offs = [sum(dims[:v]) for v in range(q.n + 1)]
+    maps = {}
+    for a in q.arrows:
+        full = inverse * coords[a.id] * vertex_basis
+        t0, t1 = offs[a.target - 1], offs[a.target]
+        s0, s1 = offs[a.source - 1], offs[a.source]
+        if any(
+            full[r, c] != 0
+            for r in range(full.rows)
+            for c in range(full.cols)
+            if not (t0 <= r < t1 and s0 <= c < s1)
+        ):
+            raise ValueError("block")
+        maps[a.id] = [[Fraction(int(full[r, c].p), int(full[r, c].q))
+                       for c in range(s0, s1)] for r in range(t0, t1)]
+    return dims, maps
 
 
 def twisted_hom(x, m_tensor_y, shift):

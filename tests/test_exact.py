@@ -119,6 +119,22 @@ def test_rank_matches_sympy_on_sparse_rational_systems():
         assert exact.rank(rows, ncols) == sympy.Matrix(dense).rank(), rows
 
 
+def test_eliminate_keeps_integer_rows_exact():
+    """Int entries are divided by their pivot exactly: the scaled rows hold
+    ints and Fractions only, never a float from int / int."""
+    rows = [{0: 2, 1: 1}]
+    assert exact.eliminate(rows, 2) == [0]
+    assert rows == [{0: 1, 1: Fraction(1, 2)}]
+    rows = [{0: 3, 1: 1, 2: 2}, {0: 1, 1: 1}]
+    assert exact.eliminate(rows, 2) == [0, 1]
+    assert rows == [{0: 1, 2: 1}, {1: 1, 2: -1}]
+    for rows in ([{0: 2, 1: 1}], [{0: 3, 1: 1, 2: 2}, {0: 1, 1: 1}]):
+        exact.eliminate(rows, 2)
+        for row in rows:
+            for x in row.values():
+                assert type(x) in (int, Fraction), rows
+
+
 def test_solve_roundtrip_and_inconsistent():
     a = exact.mat_from([[1, 2], [3, 4], [5, 6]])
     x = exact.mat_from([[1], [Fraction(1, 2)]])

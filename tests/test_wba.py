@@ -1,6 +1,8 @@
 """Coproducts on path algebras: axiom checks, module tensors, catalogs."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,13 +23,39 @@ from fpq.quiver import (
     tensor_vertexwise,
 )
 from fpq.typea import OrientationWord, all_orientations
+from oracles import sympy_tensor_wba
 
 K2 = Quiver(2, [])
 KRON1 = wba.kronecker_quiver(1)
+A2 = OrientationWord(">").to_quiver()
 
 
 def by_name(entries):
     return {s.name: s for s in entries}
+
+
+def doubled_unit():
+    """D(1) = e1(x)e1 + e2(x)e2 is idempotent, but D(e1) = 2 e1(x)e1 is not."""
+    return wba.CoproductSpec(
+        K2,
+        {"e1": [("e1", "e1", 2)], "e2": [("e1", "e1", -1), ("e2", "e2", 1)]},
+        {"e1": 1, "e2": 1},
+        name="doubled-unit",
+    )
+
+
+def leaky_arrow():
+    """D(1) = e1(x)e1 + e2(x)e2 has image M1(x)N1 + M2(x)N2, but the
+    extra term a1(x)e1 of D(a1) sends M1(x)N1 into M2(x)N1."""
+    return wba.CoproductSpec(
+        A2,
+        {
+            "e1": [("e1", "e1", 1)], "e2": [("e2", "e2", 1)],
+            "a1": [("a1", "a1", 1), ("a1", "e1", 1)],
+        },
+        {"e1": 1, "e2": 1, "a1": 1},
+        name="leaky-arrow",
+    )
 
 
 def test_path_algebra_basis_order():
@@ -118,15 +146,24 @@ def test_tensor_rejects_structures_that_do_not_act():
         wba.tensor_wba(wba.perturb_spec(spec, 4), s2, s2)
     with pytest.raises(StructureMismatchError, match="does not act idempotently"):
         wba.tensor_wba(wba.perturb_spec(spec, 6), s1, s1)
-    # D(1) = e1(x)e1 + e2(x)e2 is idempotent, but D(e1) = 2 e1(x)e1 is not
-    doubled = wba.CoproductSpec(
-        K2,
-        {"e1": [("e1", "e1", 2)], "e2": [("e1", "e1", -1), ("e2", "e2", 1)]},
-        {"e1": 1, "e2": 1},
-    )
     k2_s1 = simple(K2, 1)
     with pytest.raises(NotAQuiverActionError, match="e1 is not idempotent"):
-        wba.tensor_wba(doubled, k2_s1, k2_s1)
+        wba.tensor_wba(doubled_unit(), k2_s1, k2_s1)
+    ident = identity_rep(A2)
+    with pytest.raises(
+        NotAQuiverActionError,
+        match=r"^D\(a1\) does not preserve the image of the D\(1\) action$",
+    ):
+        wba.tensor_wba(leaky_arrow(), ident, ident)
+    # adding e1(x)r1 to D(e2) moves D(1) itself, and D(e1) leaves its image
+    corrupt = wba.perturb_spec(by_name(wba.catalog_kronecker(1))["kronecker1-e"], 2)
+    assert corrupt.perturbation == "delta[e2] += 1 * e1(x)r1"
+    ident = identity_rep(KRON1)
+    with pytest.raises(
+        NotAQuiverActionError,
+        match=r"^D\(e1\) does not preserve the image of the D\(1\) action$",
+    ):
+        wba.tensor_wba(corrupt, ident, ident)
     # D(a1) also carries a1.a2 (x) a1.a2, so a1 acts from vertex 1 into
     # vertex 3: on the first row just past its (2, 1) block
     q = OrientationWord(">>").to_quiver()
@@ -239,6 +276,98 @@ def test_tensor_of_corrupted_structures_raises_only_named_errors():
                 assert list(t.dims) == dims, (spec.name, bad.perturbation, k)
                 returned += 1
     assert returned > 500
+
+
+def _rational_rep(q, rng, total):
+    """Vertex dimensions summing to at most total; every map entry is p/q
+    with |p| <= 3 and 1 <= q <= 3."""
+    dims = None
+    while dims is None or sum(dims) > total:
+        dims = [rng.randint(0, 2) for _ in range(q.n)]
+    maps = [
+        [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+          for _ in range(dims[a.source - 1])]
+         for _ in range(dims[a.target - 1])]
+        for a in q.arrows
+    ]
+    return Representation(q, dims, maps)
+
+
+def _failed_check(error):
+    """The oracle's name for the check a tensor_wba error reports."""
+    if isinstance(error, StructureMismatchError):
+        return "unit"
+    for kind, text in (
+        ("image", "does not preserve the image of the D(1) action"),
+        ("idempotent", "is not idempotent"),
+        ("block", "is not supported on the"),
+    ):
+        if text in str(error):
+            return kind
+    raise AssertionError(f"unexpected error {error!r}")
+
+
+def test_tensor_matches_the_sympy_reference_on_rational_entries():
+    """tensor_wba against oracles.sympy_tensor_wba on seeded pairs whose
+    map entries are p/q with q <= 3, over every catalog structure, the
+    canonical structure on every orientation of A2..A4 and three one-
+    coefficient corruptions of each, plus the two hand-built structures
+    that fail the image and idempotency checks: either both fail at the
+    same check, or both return the same dimensions and the same maps."""
+    base = wba.catalog_k2() + [
+        spec for w in (1, 2, 3) for spec in wba.catalog_kronecker(w)
+    ]
+    base += [
+        wba.canonical_wba(w.to_quiver()) for n in (2, 3, 4) for w in all_orientations(n)
+    ]
+    specs = [(spec, 3) for spec in base]
+    specs += [(wba.perturb_spec(spec, seed), 1) for spec in base for seed in (2, 3, 5)]
+    specs += [(doubled_unit(), 3), (leaky_arrow(), 3)]
+    rng = random.Random(13)
+    returned, failed, fractional = 0, {}, 0
+    for spec, pairs in specs:
+        q = spec.quiver
+        for _ in range(pairs):
+            m, x = _rational_rep(q, rng, 4), _rational_rep(q, rng, 4)
+            fractional += sum(
+                v.denominator > 1 for r in (m, x) for mat in r.maps for row in mat for v in row
+            )
+            try:
+                want = sympy_tensor_wba(spec, m, x)
+            except ValueError as e:
+                with pytest.raises((NotAQuiverActionError, StructureMismatchError)) as got:
+                    wba.tensor_wba(spec, m, x)
+                assert _failed_check(got.value) == str(e), (spec.name, m, x)
+                failed[str(e)] = failed.get(str(e), 0) + 1
+                continue
+            t = wba.tensor_wba(spec, m, x)
+            maps = {a.id: [list(row) for row in t.map_for(a.id)] for a in q.arrows}
+            assert (list(t.dims), maps) == want, (spec.name, m, x)
+            returned += 1
+    assert fractional > 150
+    assert returned > 150
+    assert set(failed) == {"unit", "image", "idempotent", "block"}, failed
+
+
+def test_tensor_entries_are_fractions_on_integer_inputs():
+    """Integral entries run as ints inside tensor_wba; what it returns
+    holds Fractions only, also where an elimination divides by a pivot
+    other than 1: with 2 r2(x)e2 added to D(e1) of kronecker2-e, integer
+    factors give a map entry -1/2."""
+    kron2 = by_name(wba.catalog_kronecker(2))
+    corrupt = wba.perturb_spec(kron2["kronecker2-e"], 5)
+    assert corrupt.perturbation == "delta[e1] += 2 * r2(x)e2"
+    cases = [(corrupt, 500, 501)]
+    for spec in list(kron2.values()) + [wba.canonical_wba(OrientationWord("><").to_quiver())]:
+        cases += [(spec, seed, 50 + seed) for seed in range(4)]
+    entries = []
+    for spec, i, j in cases:
+        m = random_representation(spec.quiver, 2, seed=i)
+        x = random_representation(spec.quiver, 2, seed=j)
+        t = wba.tensor_wba(spec, m, x)
+        entries += [v for mat in t.maps for row in mat for v in row]
+    assert all(type(v) is Fraction for v in entries)
+    assert Fraction(-1, 2) in entries
 
 
 def test_discreteness_reports():
