@@ -15,6 +15,7 @@ first nonzero entry in column order (no magnitude pivoting): over Q the
 arithmetic is exact, and fixing the pivot rule makes every derived basis
 deterministic.  Pivots lie in the first ``ncols`` columns; later columns
 only ride along in the row operations, and only ``solve`` reads them.
+``sparse_mul`` is the one product; an empty row costs it nothing.
 ``rank``, which needs no basis, also takes sparse rows but eliminates
 fraction-free over the integers: each row is cleared of denominators and
 reduced against the pivot rows found so far, still exactly.
@@ -59,27 +60,6 @@ def shape(m):
 def mat_from(rows):
     """Copy a nested sequence into a list-of-lists of Fractions."""
     return [[frac(x) for x in row] for row in rows]
-
-
-def mat_mul(a, b):
-    """Product a @ b; inner dimensions must agree (0 is fine)."""
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    if ca != rb:
-        raise ValueError(f"matrix product shape mismatch: {ca} vs {rb}")
-    out = zeros(ra, cb)
-    for i in range(ra):
-        arow = a[i]
-        orow = out[i]
-        for k in range(ca):
-            aik = arow[k]
-            if aik == 0:
-                continue
-            brow = b[k]
-            for j in range(cb):
-                if brow[j] != 0:
-                    orow[j] += aik * brow[j]
-    return out
 
 
 def transpose(m, rows=None, cols=None):
@@ -170,7 +150,7 @@ def sparse_mul(a, b):
         for k, x in arow.items():
             for j, y in b[k].items():
                 acc[j] = acc.get(j, 0) + x * y
-        out.append({j: x for j, x in acc.items() if x})
+        out.append({j: x for j, x in acc.items() if x} if acc else acc)
     return out
 
 

@@ -180,6 +180,14 @@ class Representation:
         self.maps = tuple(frozen)
         self._id = None
 
+    @classmethod
+    def _trusted(cls, quiver, dims, maps):
+        """No checks: dims a tuple of ints, maps a tuple of frozen Fraction
+        matrices in arrow order, of the right shapes by construction."""
+        rep = cls.__new__(cls)
+        rep.quiver, rep.dims, rep.maps, rep._id = quiver, dims, maps, None
+        return rep
+
     def map_for(self, arrow_id):
         return self.maps[self.quiver.arrow_index(arrow_id)]
 

@@ -28,9 +28,11 @@ module again: the unit's coproduct acts on the componentwise tensor product
 as an idempotent, its image carries the diagonal action through D, and
 tensor_wba converts that module back into a representation (vertex spaces
 are the images of the idempotent actions e_i, each change of basis read
-off one elimination as a rank factorization).  For the canonical grouplike
-coproduct (every path p gets D(p) = p (x) p, eps(p) = 1) this reproduces the
-componentwise tensor product matrix-for-matrix.
+off one elimination as a rank factorization, each coproduct applied
+straight to that image's basis, each path action built once from its
+prefix's, and the result trusted, not re-validated).  For the canonical
+grouplike coproduct (every path p gets D(p) = p (x) p, eps(p) = 1) this
+reproduces the componentwise tensor product matrix-for-matrix.
 
 catalog_k2 and catalog_kronecker return the five standard coproduct
 patterns on the two-vertex quiver without and with arrows.  All five are
@@ -605,26 +607,58 @@ def _grouplike_table(quiver):
     return delta, counit
 
 
+def _int_or_frac(x):
+    return x.numerator if x.denominator == 1 else x
+
+
 def _path_entries(alg, rep):
     """Each basis path's action on rep as the list of its nonzero entries
-    (row, column, value), indexed in rep's total space: the path's block
-    is the product of its arrow maps, placed at (target, source)."""
+    (row, column, value), indexed in rep's total space, integral values as
+    ints.  Its block, at (target, source), is the identity or its last
+    arrow's rows times its prefix's block, built earlier in alg.paths."""
     offs = [0]
     for d in rep.dims:
         offs.append(offs[-1] + d)
-    out = []
+    arrows = {
+        a.id: [{k: _int_or_frac(x) for k, x in enumerate(row) if x}
+               for row in rep.map_for(a.id)]
+        for a in rep.quiver.arrows
+    }
+    blocks, out = [], []
     for s, t, ids in alg.paths:
-        block = exact.identity(rep.dims[s - 1])
-        for aid in ids:
-            arrow = rep.map_for(aid)
-            block = exact.mat_mul(arrow, block) if arrow and block else []
+        if ids:
+            mid = alg.paths[alg.arrow_path[ids[-1]]][0]
+            prefix = blocks[alg.index[(s, mid, ids[:-1])]]
+            block = exact.sparse_mul(arrows[ids[-1]], prefix)
+        else:
+            block = [{k: 1} for k in range(rep.dims[s - 1])]
+        blocks.append(block)
         out.append([
-            (r, k, x.numerator if x.denominator == 1 else x)
+            (r, k + offs[s - 1], _int_or_frac(x))
             for r, row in enumerate(block, offs[t - 1])
-            for k, x in enumerate(row, offs[s - 1])
-            if x
+            for k, x in row.items()
         ])
     return out
+
+
+def _act(entries_m, entries_n, dn, element, rows):
+    """act(element) @ rows, act(element) being the element's action on
+    M (x) N, M's index slowest: each term c * u (x) v takes column k*dn + l
+    to row r*dn + r2 times c * u[r][k] * v[r2][l].  Columns whose row in
+    rows is empty are skipped; the action itself is never formed."""
+    out = [{} for _ in rows]
+    for (i, j), c in element.items():
+        c = _int_or_frac(c)
+        for r, k, x in entries_m[i]:
+            cx, base, target = c * x, k * dn, r * dn
+            for r2, l, y in entries_n[j]:
+                row = rows[base + l]
+                if row:
+                    acc = out[target + r2]
+                    cxy = cx * y
+                    for t, z in row.items():
+                        acc[t] = acc.get(t, 0) + cxy * z
+    return [{t: z for t, z in acc.items() if z} if acc else acc for acc in out]
 
 
 def tensor_wba(spec, m, n):
@@ -638,7 +672,9 @@ def tensor_wba(spec, m, n):
     of an idempotent E gives E = B C with C B = I (B its pivot columns, C
     its RREF rows), so C is the change of basis and no system is solved.
     Matrices stay sparse rows, integral entries ints, until the arrow blocks
-    are read off, so the work follows the nonzeros, not (dim M * dim N)^2.
+    are read off, so the work follows the nonzeros, not (dim M * dim N)^2;
+    no coproduct's action on the whole square is formed (see _act).  The
+    blocks are frozen Fractions as built, passed on without re-validation.
     Raises NotAQuiverAction when a restricted action leaves the image, an
     e_v does not act idempotently, or an arrow acts outside its (target,
     source) block (which happens for structures that are not weak
@@ -650,26 +686,9 @@ def tensor_wba(spec, m, n):
     if dm == 0 or dn == 0:
         return zero_rep(spec.quiver)
     alg = spec.algebra
-    entries_m = _path_entries(alg, m)
-    entries_n = _path_entries(alg, n)
+    em, en = _path_entries(alg, m), _path_entries(alg, n)
     size = dm * dn
-
-    def act(element):
-        """The element's action on M (x) N, M's index varying slowest:
-        each term c * u (x) v adds c * x * y for every nonzero entry x of
-        u's action and y of v's action."""
-        out = [{} for _ in range(size)]
-        for (i, j), c in element.items():
-            c = c.numerator if c.denominator == 1 else c
-            for r, k, x in entries_m[i]:
-                cx = c * x
-                for r2, l, y in entries_n[j]:
-                    row = out[r * dn + r2]
-                    col = k * dn + l
-                    row[col] = row.get(col, 0) + cx * y
-        return [{j: x for j, x in row.items() if x} for row in out]
-
-    projector = act(spec.delta_unit)
+    projector = _act(em, en, dn, spec.delta_unit, [{k: 1} for k in range(size)])
     if exact.sparse_mul(projector, projector) != projector:
         raise StructureMismatchError(
             "the coproduct of 1 does not act idempotently on the tensor square"
@@ -683,7 +702,7 @@ def tensor_wba(spec, m, n):
     # coordinates @ basis = I, so x = coordinates @ image if basis @ x = image
     actions = {}
     for key in alg.generator_keys():
-        image = exact.sparse_mul(act(spec.delta_gen[key]), basis)
+        image = _act(em, en, dn, spec.delta_gen[key], basis)
         coords = exact.sparse_mul(coordinates, image)
         if exact.sparse_mul(basis, coords) != image:
             raise NotAQuiverActionError(
@@ -710,7 +729,7 @@ def tensor_wba(spec, m, n):
         {t: e[r][p] for t, (e, p) in enumerate(cols) if p in e[r]}
         for r in range(rank)
     ]
-    maps = {}
+    maps = []
     for a in q.arrows:
         full = exact.sparse_mul(inverse, exact.sparse_mul(actions[a.id], vbasis))
         t0, t1 = offs[a.target - 1], offs[a.target]
@@ -724,9 +743,12 @@ def tensor_wba(spec, m, n):
                 f"action of arrow {a.id} is not supported on the"
                 f" ({a.target}, {a.source}) block"
             )
-        maps[a.id] = [[full[r].get(c, 0) for c in range(s0, s1)]
-                      for r in range(t0, t1)]
-    return Representation(q, [b - a for a, b in zip(offs, offs[1:])], maps)
+        maps.append(exact.freeze([
+            [frac(row[c]) if c in row else exact.ZERO for c in range(s0, s1)]
+            for row in full[t0:t1]
+        ]))
+    dims = tuple(b - a for a, b in zip(offs, offs[1:]))
+    return Representation._trusted(q, dims, tuple(maps))
 
 
 def is_discrete(spec):

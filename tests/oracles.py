@@ -21,6 +21,18 @@ from fpq.quiver import Quiver, Representation, dim_ext1, hom_dim, \
 from fpq.typea import all_intervals, interval_rep
 
 
+def mat_mul(a, b):
+    """Dense product a @ b of matrices given as lists of rows, each entry
+    a plain sum of products; inner dimensions must agree (0 is fine)."""
+    inner, width = len(b), len(b[0]) if b else 0
+    if any(len(row) != inner for row in a):
+        raise ValueError(f"matrix product shape mismatch: {len(a[0])} vs {inner}")
+    return [
+        [sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(width)]
+        for row in a
+    ]
+
+
 def numpy_radius(a):
     """Spectral radius via numpy's eigenvalue solver."""
     if not a or not a[0]:

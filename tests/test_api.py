@@ -57,3 +57,23 @@ def test_every_import_is_used_in_its_module():
                     if bound not in loaded:
                         unused.append(f"{name}: {bound}")
     assert not unused, unused
+
+
+def test_the_trusted_constructor_has_one_caller():
+    """Representation._trusted skips every check, so only tensor_wba,
+    whose output has the right shapes and types by construction, may
+    reach it; every other builder goes through Representation(...)."""
+    sites = []
+    for name, tree in _modules():
+        owner = {}  # node -> innermost enclosing function (the walk is breadth-first)
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        calls = {
+            node.func for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
+        for node in ast.walk(tree):
+            if getattr(node, "attr", getattr(node, "id", None)) == "_trusted":
+                sites.append((name, owner.get(node), node in calls))
+    assert sites == [("wba.py", "tensor_wba", True)]

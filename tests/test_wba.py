@@ -23,7 +23,7 @@ from fpq.quiver import (
     tensor_vertexwise,
 )
 from fpq.typea import OrientationWord, all_orientations
-from oracles import sympy_tensor_wba
+from oracles import mat_mul, sympy_tensor_wba
 
 K2 = Quiver(2, [])
 KRON1 = wba.kronecker_quiver(1)
@@ -368,6 +368,104 @@ def test_tensor_entries_are_fractions_on_integer_inputs():
         entries += [v for mat in t.maps for row in mat for v in row]
     assert all(type(v) is Fraction for v in entries)
     assert Fraction(-1, 2) in entries
+
+
+def test_trusted_output_is_what_the_checked_constructor_builds():
+    """tensor_wba returns without re-validating its maps.  On seeded
+    pairs with integer and with p/q entries, the checked constructor
+    rebuilds an equal representation from its dims and maps, every dim is
+    an int and every entry, zeros included, a Fraction."""
+    kron2 = by_name(wba.catalog_kronecker(2))
+    specs = list(kron2.values()) + [
+        wba.canonical_wba(OrientationWord(w).to_quiver()) for w in ("><", ">>>")
+    ]
+    specs.append(wba.perturb_spec(kron2["kronecker2-e"], 5))
+    rng = random.Random(29)
+    entries = []
+    for spec in specs:
+        q = spec.quiver
+        for k in range(4):
+            pairs = [
+                (random_representation(q, 2, seed=10 * k), random_representation(q, 2, seed=10 * k + 1)),
+                (_rational_rep(q, rng, 4), _rational_rep(q, rng, 4)),
+            ]
+            for m, x in pairs:
+                t = wba.tensor_wba(spec, m, x)
+                assert Representation(q, t.dims, t.maps) == t, (spec.name, k)
+                assert type(t.dims) is tuple and all(type(d) is int for d in t.dims)
+                assert type(t.maps) is tuple and len(t.maps) == len(q.arrows)
+                assert all(
+                    type(mat) is tuple and all(type(row) is tuple for row in mat)
+                    for mat in t.maps
+                )
+                entries += [v for mat in t.maps for row in mat for v in row]
+    assert all(type(v) is Fraction for v in entries)
+    assert 0 in entries
+    assert any(v.denominator > 1 for v in entries)
+
+
+def test_terms_that_cancel_on_the_tensor_square_leave_no_stored_zero():
+    """D(r1) = e1(x)r1 + r1(x)e1 - r2(x)e1 on the 2-arrow Kronecker quiver:
+    where M's two arrows act alike, the last two terms cancel entry by
+    entry, and tensor_wba must still match the sympy reference instead of
+    keeping the cancelled entries as stored zeros."""
+    q = wba.kronecker_quiver(2)
+    spec = wba.CoproductSpec(
+        q,
+        {
+            "e1": [("e1", "e1", 1)],
+            "e2": [("e2", "e2", 1), ("e1", "e2", 1), ("e2", "e1", 1)],
+            "r1": [("e1", "r1", 1), ("r1", "e1", 1), ("r2", "e1", -1)],
+            "r2": [("e1", "r2", 1), ("r2", "e1", 1)],
+        },
+        {"e1": 1, "e2": 0, "r1": 0, "r2": 0},
+    )
+    rng = random.Random(37)
+    for _ in range(6):
+        m1, m2 = rng.randint(1, 2), rng.randint(1, 2)
+        r = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m1)]
+             for _ in range(m2)]
+        m, x = Representation(q, [m1, m2], [r, r]), _rational_rep(q, rng, 4)
+        t = wba.tensor_wba(spec, m, x)
+        maps = {a.id: [list(row) for row in t.map_for(a.id)] for a in q.arrows}
+        assert (list(t.dims), maps) == sympy_tensor_wba(spec, m, x)
+
+
+def test_path_actions_are_products_of_arrow_maps():
+    """Each path's action is built from its prefix's; on every path of
+    A4 '>>>' (lengths up to 3) and of the 3-arrow Kronecker quiver, with
+    p/q entries, it must equal the dense product of its arrow maps placed
+    at its (target, source) block, integral values held as ints."""
+    rng = random.Random(31)
+    for q, lengths in (
+        (OrientationWord(">>>").to_quiver(), {0, 1, 2, 3}),
+        (wba.kronecker_quiver(3), {0, 1}),
+    ):
+        alg = wba.PathAlgebra(q)
+        assert {len(ids) for _, _, ids in alg.paths} == lengths
+        for _ in range(6):
+            dims = [rng.randint(1, 3) for _ in range(q.n)]
+            maps = [
+                [[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+                  for _ in range(dims[a.source - 1])]
+                 for _ in range(dims[a.target - 1])]
+                for a in q.arrows
+            ]
+            rep = Representation(q, dims, maps)
+            offs = [sum(dims[:v]) for v in range(q.n + 1)]
+            got = wba._path_entries(alg, rep)
+            assert len(got) == len(alg)
+            for (s, t, ids), entries in zip(alg.paths, got):
+                block = exact.identity(dims[s - 1])
+                for aid in ids:
+                    block = mat_mul(rep.map_for(aid), block)
+                want = {
+                    (r + offs[t - 1], c + offs[s - 1]): x
+                    for r, row in enumerate(block) for c, x in enumerate(row) if x
+                }
+                assert {(r, c): x for r, c, x in entries} == want, (s, t, ids)
+                assert len(entries) == len(want)
+                assert all(type(x) is int for _, _, x in entries if x.denominator == 1)
 
 
 def test_discreteness_reports():
