@@ -386,7 +386,8 @@ def test_trusted_output_is_what_the_checked_constructor_builds():
         q = spec.quiver
         for k in range(4):
             pairs = [
-                (random_representation(q, 2, seed=10 * k), random_representation(q, 2, seed=10 * k + 1)),
+                (random_representation(q, 2, seed=10 * k),
+                 random_representation(q, 2, seed=10 * k + 1)),
                 (_rational_rep(q, rng, 4), _rational_rep(q, rng, 4)),
             ]
             for m, x in pairs:
