@@ -50,13 +50,10 @@ from .quiver import (
     Quiver,
     Representation,
     dim_ext1,
-    direct_sum,
     dual,
     euler_form,
     hom_dim,
-    hom_space,
     identity_rep,
-    is_isomorphic,
     opposite,
     random_acyclic_quiver,
     random_representation,

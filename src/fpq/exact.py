@@ -9,8 +9,8 @@ so shapes must be tracked by the caller when a dimension vanishes.
 A sparse row is a dict {column: value} of its nonzero entries, ints or
 Fractions.  The one elimination loop, ``eliminate``, works on sparse rows,
 so its cost follows the nonzeros, and scales a pivot row by the Fraction
-1/p, so int entries never meet float division; ``rref``, ``nullspace``,
-``solve`` and ``invert`` are dense wrappers over it.  The pivot is the
+1/p, so int entries never meet float division; ``rref``, ``nullspace``
+and ``solve`` are dense wrappers over it.  The pivot is the
 first nonzero entry in column order (no magnitude pivoting): over Q the
 arithmetic is exact, and fixing the pivot rule makes every derived basis
 deterministic.  Pivots lie in the first ``ncols`` columns; later columns
@@ -44,41 +44,22 @@ def zeros(rows, cols):
     return [[ZERO] * cols for _ in range(rows)]
 
 
-def identity(n):
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = ONE
-    return m
-
-
-def shape(m):
-    """(rows, cols) of a matrix; a 0-row matrix reports 0 columns."""
-    r = len(m)
-    return (r, len(m[0]) if r else 0)
-
-
 def mat_from(rows):
     """Copy a nested sequence into a list-of-lists of Fractions."""
     return [[frac(x) for x in row] for row in rows]
 
 
-def transpose(m, rows=None, cols=None):
-    """Transpose; pass rows/cols explicitly when a dimension may be zero."""
-    if rows is None:
-        rows, cols = shape(m)
-    elif cols is None:
-        cols = len(m[0]) if rows else 0
+def transpose(m, rows, cols):
+    """Transpose of the rows x cols matrix m."""
     return [[m[i][j] for i in range(rows)] for j in range(cols)]
 
 
-def kron(a, b, sa=None, sb=None):
-    """Kronecker product with the left factor indexing slowest:
-    (a (x) b)[i*p + k, j*q + l] = a[i][j] * b[k][l].
-
-    Shapes sa=(ra,ca), sb=(rb,cb) must be passed when a dimension is zero.
-    """
-    ra, ca = sa if sa is not None else shape(a)
-    rb, cb = sb if sb is not None else shape(b)
+def kron(a, b, sa, sb):
+    """Kronecker product of a, of shape sa = (ra, ca), and b, of shape
+    sb = (rb, cb), with the left factor indexing slowest:
+    (a (x) b)[i*rb + k, j*cb + l] = a[i][j] * b[k][l]."""
+    ra, ca = sa
+    rb, cb = sb
     out = zeros(ra * rb, ca * cb)
     for i in range(ra):
         for j in range(ca):
@@ -92,19 +73,6 @@ def kron(a, b, sa=None, sb=None):
                 for l in range(cb):
                     if brow[l] != 0:
                         orow[base + l] = aij * brow[l]
-    return out
-
-
-def block_diag(a, b, sa=None, sb=None):
-    ra, ca = sa if sa is not None else shape(a)
-    rb, cb = sb if sb is not None else shape(b)
-    out = zeros(ra + rb, ca + cb)
-    for i in range(ra):
-        for j in range(ca):
-            out[i][j] = a[i][j]
-    for i in range(rb):
-        for j in range(cb):
-            out[ra + i][ca + j] = b[i][j]
     return out
 
 
@@ -248,11 +216,6 @@ def solve(a, b, ncols_a=None, ncols_b=None):
     for row, pc in zip(aug, pivots):
         x[pc] = [row.get(ncols_a + j, ZERO) for j in range(ncols_b)]
     return x
-
-
-def invert(m):
-    """Exact inverse of a square matrix, or None if singular."""
-    return solve(m, identity(len(m)), len(m), len(m))
 
 
 def freeze(m):

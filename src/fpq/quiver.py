@@ -9,8 +9,8 @@ Conventions
   stored in the quiver's arrow order.
 * All entries are Fractions; everything here is exact.
 
-The hom-space computation sets up the commuting-square system
-f_t . M_a = N_a . f_s over the per-vertex unknowns f_v and solves it by
+The hom-dimension computation sets up the commuting-square system
+f_t . M_a = N_a . f_s over the per-vertex unknowns f_v and ranks it by
 exact elimination.  Hom dimensions are memoized per pair of
 representations, which the higher layers lean on heavily.
 
@@ -232,11 +232,16 @@ class Representation:
             quiver = Quiver.from_dict(data["quiver"])
         try:
             dims = data["dims"]
+            maps = data.get("maps", {})
+            if not isinstance(maps, dict):
+                raise InputError(
+                    "malformed representation object: maps must be an object"
+                )
             maps = {
                 aid: [[exact.frac(x) for x in row] for row in m]
-                for aid, m in data.get("maps", {}).items()
+                for aid, m in maps.items()
             }
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"malformed representation object: {exc}") from exc
         if not isinstance(dims, list) or not all(_is_int(d) for d in dims):
             raise InputError(
@@ -278,8 +283,8 @@ def euler_form(q, x, y):
 
 
 def _hom_system(m, n):
-    """Sparse rows {unknown: coefficient} of the linear system in the
-    unknowns vec(f_v), row-major.
+    """(sparse rows {unknown: coefficient}, number of unknowns) of the
+    linear system in the unknowns vec(f_v), row-major.
 
     Unknown layout: f_1 then f_2 ... ; f_v has shape (n.dims[v], m.dims[v])
     flattened row-major.  One equation per arrow a: s->t and per entry of
@@ -309,7 +314,7 @@ def _hom_system(m, n):
                         row[offsets[s] + r * ds_m + qq] = -c
                 if row:
                     rows.append(row)
-    return rows, offsets, total
+    return rows, total
 
 
 _HOM_DIM_CACHE = {}
@@ -323,32 +328,10 @@ def hom_dim(m, n):
     got = _HOM_DIM_CACHE.get(key)
     if got is not None:
         return got
-    rows, _offsets, total = _hom_system(m, n)
+    rows, total = _hom_system(m, n)
     d = total - exact.rank(rows, total)
     _HOM_DIM_CACHE[key] = d
     return d
-
-
-def hom_space(m, n):
-    """(dim, basis) of Hom(m, n); each basis element is a tuple of
-    per-vertex matrices (n.dims[v] x m.dims[v])."""
-    if m.quiver != n.quiver:
-        raise WrongQuiverError("representations live over different quivers")
-    rows, offsets, total = _hom_system(m, n)
-    dense = [[row.get(j, exact.ZERO) for j in range(total)] for row in rows]
-    kernel = exact.nullspace(dense, total)
-    basis = []
-    for vec in kernel:
-        mats = []
-        for v in range(m.quiver.n):
-            r, c = n.dims[v], m.dims[v]
-            off = offsets[v]
-            mats.append(
-                tuple(tuple(vec[off + i * c + j] for j in range(c)) for i in range(r))
-            )
-        basis.append(tuple(mats))
-    _HOM_DIM_CACHE[(m.key(), n.key())] = len(basis)
-    return len(basis), basis
 
 
 def dim_ext1(m, n):
@@ -401,25 +384,6 @@ def dual(m):
     return Representation(opposite(q), m.dims, maps)
 
 
-def direct_sum(m, n):
-    if m.quiver != n.quiver:
-        raise WrongQuiverError("representations live over different quivers")
-    q = m.quiver
-    dims = [dm + dn for dm, dn in zip(m.dims, n.dims)]
-    maps = []
-    for idx, a in enumerate(q.arrows):
-        s, t = a.source - 1, a.target - 1
-        maps.append(
-            exact.block_diag(
-                m.maps[idx],
-                n.maps[idx],
-                sa=(m.dims[t], m.dims[s]),
-                sb=(n.dims[t], n.dims[s]),
-            )
-        )
-    return Representation(q, dims, maps)
-
-
 def random_representation(q, max_dim, seed):
     """Seeded random representation: dims uniform in 0..max_dim, entries
     uniform small integers in -2..2."""
@@ -446,56 +410,3 @@ def random_acyclic_quiver(n_max, seed):
         t = rng.randint(s + 1, n)
         arrows.append((f"a{k}", s, t))
     return Quiver(n, arrows)
-
-
-def _all_invertible(mats, dims):
-    for mat, d in zip(mats, dims):
-        if d == 0:
-            continue
-        if exact.invert(mat) is None:
-            return False
-    return True
-
-
-def is_isomorphic(m, n, seed=0, attempts=32):
-    """True / False / None (undecided).
-
-    An isomorphism forces equal dimension vectors and dim End m =
-    dim Hom(m, n) = dim Hom(n, m) = dim End n, so any mismatch proves False.
-    Otherwise an invertible element of Hom(m, n) is an isomorphism: basis
-    elements are tried first, then seeded random combinations.  None means
-    the four hom dimensions agree and nothing invertible was found
-    (overwhelmingly unlikely when an isomorphism exists)."""
-    if m.quiver != n.quiver:
-        raise WrongQuiverError("representations live over different quivers")
-    if m.dims != n.dims:
-        return False
-    if m.total_dim() == 0:
-        return True
-    e = hom_dim(m, m)
-    if any(hom_dim(a, b) != e for a, b in ((m, n), (n, m), (n, n))):
-        return False
-    d, basis = hom_space(m, n)
-    for elem in basis:
-        if _all_invertible(elem, m.dims):
-            return True
-    rng = random.Random(seed)
-    nverts = m.quiver.n
-    for _ in range(attempts):
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
-        combo = []
-        for v in range(nverts):
-            rows, cols = n.dims[v], m.dims[v]
-            mat = exact.zeros(rows, cols)
-            for c, elem in zip(coeffs, basis):
-                if c == 0:
-                    continue
-                ev = elem[v]
-                for i in range(rows):
-                    for j in range(cols):
-                        if ev[i][j] != 0:
-                            mat[i][j] += c * ev[i][j]
-            combo.append(mat)
-        if _all_invertible(combo, m.dims):
-            return True
-    return None

@@ -53,11 +53,6 @@ class OrientationWord:
         """Direction of the arrow between vertices s and s+1 (1 <= s < n)."""
         return self.dirs[s - 1]
 
-    def reversed(self):
-        """The orientation of the opposite quiver (every arrow flipped)."""
-        flip = {RIGHT: LEFT, LEFT: RIGHT}
-        return OrientationWord("".join(flip[c] for c in self.dirs))
-
     def to_quiver(self):
         arrows = []
         for s in range(1, self.n):

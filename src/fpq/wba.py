@@ -111,14 +111,6 @@ class PathAlgebra:
             a.id for a in self.quiver.arrows
         ]
 
-    def generator_index(self, key):
-        m = _TRIVIAL_KEY.match(key)
-        if m and int(m.group(1)) in self.trivial:
-            return self.trivial[int(m.group(1))]
-        if key in self.arrow_path:
-            return self.arrow_path[key]
-        raise InputError(f"unknown generator key {key!r}")
-
     def parse_path_key(self, key):
         """Basis index of a path key: 'e3', an arrow id, or 'a1.a2'
         (dot-joined arrow ids in traversal order)."""
@@ -336,14 +328,37 @@ class CoproductSpec:
 
     @classmethod
     def from_dict(cls, data, quiver=None):
-        q = quiver if quiver is not None else Quiver.from_dict(data["quiver"])
+        if not isinstance(data, dict):
+            raise InputError("a coproduct spec must be a JSON object")
+        if quiver is None:
+            if "quiver" not in data:
+                raise InputError("coproduct spec needs an embedded quiver")
+            quiver = Quiver.from_dict(data["quiver"])
+        delta, counit = data.get("delta"), data.get("counit")
+        if not isinstance(delta, dict) or not isinstance(counit, dict):
+            raise InputError("coproduct spec needs 'delta' and 'counit' objects")
+        try:
+            delta = {
+                key: [(left, right, frac(c)) for left, right, c in terms]
+                for key, terms in delta.items()
+            }
+            counit = {key: frac(c) for key, c in counit.items()}
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"malformed coproduct spec: {exc}") from exc
+        if not all(
+            isinstance(k, str)
+            for terms in delta.values()
+            for term in terms
+            for k in term[:2]
+        ):
+            raise InputError("malformed coproduct spec: path keys must be strings")
         unit = None
         if data.get("unit") is not None:
-            unit = Representation.from_dict(data["unit"], quiver=q)
+            unit = Representation.from_dict(data["unit"], quiver=quiver)
         return cls(
-            q,
-            data["delta"],
-            data["counit"],
+            quiver,
+            delta,
+            counit,
             name=data.get("name", "custom"),
             unit=unit,
         )

@@ -2,7 +2,11 @@
 
 Everything here deliberately avoids the library's own algorithms:
 spectral radii come from numpy's eigenvalue solver, hom dimensions from a
-commuting-square system written out here and ranked by sympy, Ext^1 from
+commuting-square system written out here and ranked by sympy, hom bases
+from sympy's nullspace of that system, isomorphism from those hom
+dimensions (a mismatch proves "no") and from sympy determinants of basis
+elements and seeded random combinations (a nonzero one at every vertex
+proves "yes"), direct sums from plain block matrices, Ext^1 from
 the Auslander-Reiten formula with tau built by reflection functors,
 dimensions and maximal brick sets from enumerating every subset of the
 candidates rather than searching cliques, and the twisted tensor of a
@@ -11,11 +15,13 @@ coproduct from sympy's Kronecker products, column spaces and solves.
 
 import graphlib
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 import sympy
 
+from fpq.errors import WrongQuiverError
 from fpq.quiver import Quiver, Representation, dim_ext1, hom_dim, \
     tensor_vertexwise
 from fpq.typea import all_intervals, interval_rep
@@ -40,10 +46,11 @@ def numpy_radius(a):
     return float(max(abs(np.linalg.eigvals(np.array(a, dtype=float)))))
 
 
-def sympy_hom_dim(m, n):
-    """dim Hom(m, n) as the nullity of the equations f_t . M_a = N_a . f_s
-    over the entries of the per-vertex maps f_v: n.dims[v] x m.dims[v],
-    ranked by sympy over the rationals."""
+def _hom_equations(m, n):
+    """(unknowns, equations) of f_t . M_a = N_a . f_s over the entries of
+    the per-vertex maps f_v: n.dims[v] x m.dims[v].  unknowns maps (v, i,
+    j) to the column of f_v[i][j]; each equation is a row of sympy
+    rationals over those columns."""
     unknown = {}
     for v in range(m.quiver.n):
         for i in range(n.dims[v]):
@@ -64,9 +71,89 @@ def sympy_hom_dim(m, n):
                         na[i][k].numerator, na[i][k].denominator
                     )
                 equations.append(row)
+    return unknown, equations
+
+
+def sympy_hom_dim(m, n):
+    """dim Hom(m, n) as the nullity of the commuting-square equations,
+    ranked by sympy over the rationals."""
+    unknown, equations = _hom_equations(m, n)
     if not unknown or not equations:
         return len(unknown)
     return len(unknown) - sympy.Matrix(equations).rank()
+
+
+def hom_basis(m, n):
+    """A basis of Hom(m, n): sympy's nullspace of the commuting-square
+    equations, each element a list of per-vertex sympy matrices f_v of
+    shape n.dims[v] x m.dims[v]."""
+    unknown, equations = _hom_equations(m, n)
+    system = sympy.Matrix(equations or [[0] * len(unknown)])
+    return [
+        [
+            sympy.Matrix(n.dims[v], m.dims[v], [
+                vec[unknown[v, i, j]]
+                for i in range(n.dims[v]) for j in range(m.dims[v])
+            ])
+            for v in range(m.quiver.n)
+        ]
+        for vec in system.nullspace()
+    ]
+
+
+def is_isomorphic(m, n, seed=0, attempts=32):
+    """True / False / None (undecided).
+
+    An isomorphism forces equal dimension vectors and dim End m =
+    dim Hom(m, n) = dim Hom(n, m) = dim End n, so any mismatch proves False.
+    Otherwise an element of Hom(m, n) whose every vertex map has a nonzero
+    determinant is an isomorphism: the basis elements are tried first, then
+    seeded random integer combinations of them.  None means the four hom
+    dimensions agree and nothing invertible was found (overwhelmingly
+    unlikely when an isomorphism exists)."""
+    if m.quiver != n.quiver:
+        raise WrongQuiverError("representations live over different quivers")
+    if m.dims != n.dims:
+        return False
+    if m.total_dim() == 0:
+        return True
+    basis = hom_basis(m, n)
+    dims = {len(basis)} | {sympy_hom_dim(a, b) for a, b in ((m, m), (n, m), (n, n))}
+    if len(dims) > 1:
+        return False
+    if any(_invertible(f) for f in basis):
+        return True
+    rng = random.Random(seed)
+    for _ in range(attempts):
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        combo = [
+            sum((c * f[v] for c, f in zip(coeffs, basis)),
+                sympy.zeros(n.dims[v], m.dims[v]))
+            for v in range(m.quiver.n)
+        ]
+        if _invertible(combo):
+            return True
+    return None
+
+
+def _invertible(f):
+    """Whether every vertex map of f has a nonzero determinant."""
+    return all(f_v.det() != 0 for f_v in f)
+
+
+def direct_sum(m, n):
+    """m (+) n: dimensions add per vertex, and each arrow acts by the
+    block-diagonal matrix of its two maps."""
+    if m.quiver != n.quiver:
+        raise WrongQuiverError("representations live over different quivers")
+    maps = []
+    for a, ma, na in zip(m.quiver.arrows, m.maps, n.maps):
+        left, right = m.dims[a.source - 1], n.dims[a.source - 1]
+        maps.append([list(row) + [0] * right for row in ma]
+                    + [[0] * left + list(row) for row in na])
+    return Representation(
+        m.quiver, [a + b for a, b in zip(m.dims, n.dims)], maps
+    )
 
 
 def coxeter_plus(m):

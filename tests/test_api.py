@@ -6,11 +6,6 @@ from pathlib import Path
 
 import fpq
 
-# Public names the package keeps without a caller of its own: direct_sum
-# builds decomposable test inputs, and is_isomorphic is the reference that
-# tests compare tensor_wba against.
-TEST_ONLY = {"direct_sum", "is_isomorphic"}
-
 
 def _modules():
     """(file name, syntax tree) of every module but __init__."""
@@ -38,9 +33,32 @@ def test_every_export_has_a_caller_in_the_package():
         name for name in fpq.__all__
         if not inspect.ismodule(getattr(fpq, name))
     }
-    assert TEST_ONLY <= public
-    unused = public - TEST_ONLY - _loaded_names()
+    unused = public - _loaded_names()
     assert not unused, sorted(unused)
+
+
+def test_every_method_has_a_caller_in_the_package():
+    """Every method but the dunders is loaded as an attribute somewhere in
+    the package, and every private module function is loaded by name or as
+    an attribute."""
+    attributes = {
+        node.attr for _, tree in _modules() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    loaded, unused = _loaded_names(), []
+    for name, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                unused += [
+                    f"{name}: {node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("__")
+                    and item.name not in attributes
+                ]
+            elif isinstance(node, ast.FunctionDef):
+                if node.name.startswith("_") and node.name not in loaded:
+                    unused.append(f"{name}: {node.name}")
+    assert not unused, unused
 
 
 def test_every_import_is_used_in_its_module():

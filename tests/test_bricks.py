@@ -17,9 +17,9 @@ from fpq.bricks import (
     maximal_brick_sets,
 )
 from fpq.errors import BadPathsError, CapExceededError, InputError, WrongQuiverError
-from fpq.quiver import Quiver, direct_sum, simple, zero_rep
+from fpq.quiver import Quiver, simple, zero_rep
 from fpq.typea import OrientationWord, all_intervals, all_orientations, interval_rep
-from oracles import brute_force_brick_sets
+from oracles import brute_force_brick_sets, direct_sum
 
 A2 = OrientationWord(">").to_quiver()
 KRON = Quiver(2, [("r1", 1, 2), ("r2", 1, 2)])

@@ -202,14 +202,48 @@ def test_spectral_rejects_non_numeric_and_non_finite_entries(tmp_path, text):
         (KRONECKER, {"dims": [1.5, 1], "maps": {}}),
         (KRONECKER, {"dims": ["x", 1], "maps": {}}),
         (KRONECKER, {"dims": [1, 1], "maps": {"r1": [[True]]}}),
+        (KRONECKER, {"dims": [1, 1], "maps": [[[1]], [[1]]]}),
+        (KRONECKER, {"dims": [1, 1], "maps": {"r1": [["1/0"]]}}),
     ],
     ids=["rep-is-a-list", "vertices-not-int", "dims-float", "dims-string",
-         "map-entry-bool"],
+         "map-entry-bool", "maps-is-a-list", "map-entry-zero-denominator"],
 )
 def test_malformed_files_are_bad_input(tmp_path, quiver, rep):
     q = write_json(tmp_path / "q.json", quiver)
     m = write_json(tmp_path / "m.json", rep)
     code, out, err = run_cli(["hom", "--quiver", q, "--left", m, "--right", m])
+    assert code == 1, err
+    assert json.loads(out)["error"]["type"] == "bad_input"
+
+
+def _spec_with(value, *path):
+    """kronecker1-a's spec as JSON data with the entry at path set to value."""
+    spec = wba.catalog_kronecker(1)[0].to_dict()
+    target = spec
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return spec
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {},
+        [],
+        _spec_with(["e1", "e1"], "delta", "e1", 0),
+        _spec_with(1.5, "delta", "e1", 0, 2),
+        _spec_with("x", "counit", "e1"),
+        _spec_with("1/0", "counit", "e1"),
+        _spec_with(5, "delta", "e1", 0, 0),
+    ],
+    ids=["empty-object", "a-list", "term-with-two-entries",
+         "float-coefficient", "counit-not-a-number",
+         "counit-zero-denominator", "integer-path-key"],
+)
+def test_malformed_specs_are_bad_input(tmp_path, spec):
+    path = write_json(tmp_path / "spec.json", spec)
+    code, out, err = run_cli(["wba", "check", "--spec", path])
     assert code == 1, err
     assert json.loads(out)["error"]["type"] == "bad_input"
 

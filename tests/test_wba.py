@@ -17,17 +17,20 @@ from fpq.quiver import (
     Quiver,
     Representation,
     identity_rep,
-    is_isomorphic,
     random_representation,
     simple,
     tensor_vertexwise,
 )
 from fpq.typea import OrientationWord, all_orientations
-from oracles import mat_mul, sympy_tensor_wba
+from oracles import is_isomorphic, mat_mul, sympy_tensor_wba
 
 K2 = Quiver(2, [])
 KRON1 = wba.kronecker_quiver(1)
 A2 = OrientationWord(">").to_quiver()
+
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def by_name(entries):
@@ -199,10 +202,10 @@ def test_primitive_arrows_act_by_the_leibniz_rule():
             (m1, m2), (n1, n2) = m.dims, x.dims
             maps = {
                 a.id: exact.kron(
-                    exact.identity(m1), x.map_for(a.id), (m1, m1), (n2, n1)
+                    identity(m1), x.map_for(a.id), (m1, m1), (n2, n1)
                 )
                 + exact.kron(
-                    m.map_for(a.id), exact.identity(n1), (m2, m1), (n1, n1)
+                    m.map_for(a.id), identity(n1), (m2, m1), (n1, n1)
                 )
                 + exact.zeros(m2 * n2, m1 * n1)
                 for a in q.arrows
@@ -457,7 +460,7 @@ def test_path_actions_are_products_of_arrow_maps():
             got = wba._path_entries(alg, rep)
             assert len(got) == len(alg)
             for (s, t, ids), entries in zip(alg.paths, got):
-                block = exact.identity(dims[s - 1])
+                block = identity(dims[s - 1])
                 for aid in ids:
                     block = mat_mul(rep.map_for(aid), block)
                 want = {
