@@ -9,12 +9,12 @@ so shapes must be tracked by the caller when a dimension vanishes.
 A sparse row is a dict {column: value} of its nonzero entries, ints or
 Fractions.  The one elimination loop, ``eliminate``, works on sparse rows,
 so its cost follows the nonzeros, and scales a pivot row by the Fraction
-1/p, so int entries never meet float division; ``rref``, ``nullspace``
-and ``solve`` are dense wrappers over it.  The pivot is the
-first nonzero entry in column order (no magnitude pivoting): over Q the
+1/p, so int entries never meet float division.  The pivot is the first
+nonzero entry in column order (no magnitude pivoting): over Q the
 arithmetic is exact, and fixing the pivot rule makes every derived basis
 deterministic.  Pivots lie in the first ``ncols`` columns; later columns
-only ride along in the row operations, and only ``solve`` reads them.
+only ride along in the row operations, so a right-hand side kept there is
+read off the reduced rows.
 ``sparse_mul`` is the one product; an empty row costs it nothing.
 ``rank``, which needs no basis, also takes sparse rows but eliminates
 fraction-free over the integers: each row is cleared of denominators and
@@ -122,26 +122,6 @@ def sparse_mul(a, b):
     return out
 
 
-def rref(m, ncols=None):
-    """Reduced row echelon form of the first ncols columns (default: all).
-
-    Returns (R, pivots) where pivots lists the pivot column indices in
-    order.  The input is not modified.
-    """
-    width = len(m[0]) if m else 0
-    rows = _sparse(m)
-    pivots = eliminate(rows, width if ncols is None else ncols)
-    return _dense(rows, width), pivots
-
-
-def _sparse(m):
-    return [{j: x for j, x in enumerate(row) if x} for row in m]
-
-
-def _dense(rows, width):
-    return [[row.get(j, ZERO) for j in range(width)] for row in rows]
-
-
 def rank(rows, ncols):
     """Rank of the first ncols columns of sparse rows (see eliminate),
     by fraction-free elimination over the integers.
@@ -179,43 +159,6 @@ def rank(rows, ncols):
                 else:
                     del row[j]
     return len(pivots)
-
-
-def nullspace(m, ncols):
-    """Basis of the right kernel of m (rows are equations over ncols
-    unknowns).  Returns a list of length-ncols vectors; one per free
-    column, in ascending column order, with a 1 in the free slot."""
-    r, pivots = rref(m, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for i, pc in enumerate(pivots):
-            # row i reads: x_pc + sum over later columns = 0
-            v[pc] = -r[i][fc]
-        basis.append(v)
-    return basis
-
-
-def solve(a, b, ncols_a=None, ncols_b=None):
-    """x (ncols_a x ncols_b) with a @ x = b, or None when inconsistent.
-    Unconstrained coordinates are set to 0."""
-    if ncols_a is None:
-        ncols_a = len(a[0]) if a else 0
-    if ncols_b is None:
-        ncols_b = len(b[0]) if b else 0
-    aug = _sparse([(*x, *r) for x, r in zip(a, b)])
-    pivots = eliminate(aug, ncols_a)
-    if any(aug[len(pivots):]):
-        return None  # a zero row of a against a nonzero right-hand side
-    # RREF rows read x_pc + (free-column terms) = rhs; with free
-    # coordinates fixed to 0 the pivot coordinate equals the rhs.
-    x = zeros(ncols_a, ncols_b)
-    for row, pc in zip(aug, pivots):
-        x[pc] = [row.get(ncols_a + j, ZERO) for j in range(ncols_b)]
-    return x
 
 
 def freeze(m):

@@ -47,6 +47,14 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# Limits on JSON input, which from_dict checks before allocating anything:
+# far above what a hom or tensor computation finishes on, far below what
+# exhausts memory.  MAX_MAP_ENTRIES bounds the sum of dims[t] * dims[s].
+MAX_VERTICES = 10 ** 4
+MAX_ARROWS = 10 ** 5
+MAX_DIM = 10 ** 4
+MAX_MAP_ENTRIES = 10 ** 6
+
 _IDS = itertools.count()
 _QUIVER_IDS = {}
 _REP_IDS = {}
@@ -115,6 +123,9 @@ class Quiver:
             raise InputError(
                 "malformed quiver object: vertex count and arrow ends must be integers"
             )
+        if n > MAX_VERTICES or len(arrows) > MAX_ARROWS:
+            raise InputError(f"quiver too large: at most {MAX_VERTICES} vertices"
+                             f" and {MAX_ARROWS} arrows")
         return cls(n, arrows)
 
 
@@ -247,6 +258,11 @@ class Representation:
             raise InputError(
                 "malformed representation object: dims must be a list of integers"
             )
+        if any(d > MAX_DIM for d in dims) or len(dims) == quiver.n and sum(
+            dims[a.target - 1] * dims[a.source - 1] for a in quiver.arrows
+        ) > MAX_MAP_ENTRIES:
+            raise InputError(f"representation too large: each dimension at most"
+                             f" {MAX_DIM}, at most {MAX_MAP_ENTRIES} map entries")
         unknown = set(maps) - {a.id for a in quiver.arrows}
         if unknown:
             raise InputError(f"maps refer to unknown arrows: {sorted(unknown)}")

@@ -12,14 +12,15 @@ nontrivial irreducible block B is handled by power iteration on B + I
 for positive x, run until the enclosure is tighter than the requested
 relative tolerance.  Exceeding the iteration cap raises NoConvergence with
 the last bracket instead of returning a guess.  integer_radius turns a
-float radius into an int only when exact arithmetic over Q proves it.
+float radius into an int k only when exact integer arithmetic proves it:
+the signs of the leading principal minors of kI - B, from one
+fraction-free elimination per block, place rho(B) below, at or above k.
 """
 
 import math
 import numbers
 
 from .errors import InputError, NoConvergenceError
-from .exact import mat_from, nullspace, rank
 
 DEFAULT_TOL = 1e-10
 MAX_ITER = 10 ** 5
@@ -160,44 +161,52 @@ def spectral_radius(a, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     return best
 
 
-def _leading_minors_positive(a):
-    """Whether every leading principal minor of the square int matrix a is
-    positive, by fraction-free (Bareiss) elimination without row exchange:
-    the k-th pivot is the k-th leading minor, so each division is exact."""
+def _first_nonpositive_minor(a):
+    """(k, D) for the first leading principal minor D = D_k (1-based k) of
+    the square int matrix a that is not positive, or None when all are,
+    by fraction-free (Bareiss) elimination without row exchange: the k-th
+    pivot is D_k, so each division is exact."""
     a = [list(row) for row in a]
     prev = 1
     for k, pivot in enumerate(a):
         if pivot[k] <= 0:
-            return False
+            return k + 1, pivot[k]
         for row in a[k + 1:]:
             row[k + 1:] = [(pivot[k] * x - row[k] * y) // prev
                            for x, y in zip(row[k + 1:], pivot[k + 1:])]
         prev = pivot[k]
-    return True
+    return None
 
 
 def _compare_block(block, k):
     """-1, 0 or 1 as rho(block) is below, equal to or above the integer k,
-    decided exactly for an irreducible block of size at least 2.
+    decided exactly for an irreducible block B of size n >= 2 from the
+    leading principal minors D_1..D_n of kI - B alone.
 
-    The Z-matrix kI - B is a nonsingular M-matrix, that is k > rho(B),
-    exactly when its leading principal minors are all positive (Berman &
-    Plemmons 1979, 6.2.3).  Otherwise k < rho(B) unless kI - B is
-    singular; then k is an eigenvalue, and it is rho(B) exactly when its
-    kernel is one line spanned by a strictly one-signed vector."""
+    * All D_j > 0: the Z-matrix kI - B is a nonsingular M-matrix, that is
+      k > rho(B) (Berman & Plemmons 1979, 6.2.3).
+    * D_1..D_{n-1} > 0 and D_n = 0: rho(B) = k.  Let B' be the leading
+      (n-1)-block, b and c^T the rest of B's last column and row; kI - B'
+      is a nonsingular M-matrix, so k > rho(B').  For t > rho(B'),
+
+          det(tI - B) = det(tI - B') (t - b_nn - c^T (tI - B')^-1 b),
+
+      where (tI - B')^-1 = sum_m B'^m / t^(m+1) is nonnegative and
+      non-increasing in t, so the second factor strictly increases and
+      det(tI - B) has exactly one root above rho(B').  That root is
+      rho(B), since rho(B) > rho(B') for irreducible B, and k is one.
+    * Anything else: rho(B) > k.  Not all D_j > 0 gives k <= rho(B), and
+      rho(B) = k forces the case above, because every proper principal
+      submatrix of an irreducible B has radius below rho(B) (Perron-
+      Frobenius), so D_1..D_{n-1} > 0, and D_n = det(kI - B) = 0."""
     shifted = [
         [(k if i == j else 0) - int(x) for j, x in enumerate(row)]
         for i, row in enumerate(block)
     ]
-    if _leading_minors_positive(shifted):
+    first = _first_nonpositive_minor(shifted)
+    if first is None:
         return -1
-    n = len(block)
-    if rank([{j: x for j, x in enumerate(row) if x} for row in shifted], n) == n:
-        return 1
-    kernel = nullspace(mat_from(shifted), n)
-    v = kernel[0]
-    one_signed = all(x > 0 for x in v) or all(x < 0 for x in v)
-    return 0 if len(kernel) == 1 and one_signed else 1
+    return 0 if first == (len(block), 0) else 1
 
 
 def integer_radius(a, radius):

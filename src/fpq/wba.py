@@ -242,45 +242,34 @@ class CoproductSpec:
     def eps(self, k):
         return self._eps[k]
 
-    def _generator_eps(self, k):
-        s, t, ids = self.algebra.paths[k]
-        if not ids:
-            return self.eps_gen[f"e{s}"]
-        if len(ids) == 1:
-            return self.eps_gen[ids[0]]
-        return None
-
     def _extend_counit(self):
+        """Generator values, then long-path values solving the counit law:
+        one sparse row per path, side and kept path, its right-hand side in
+        column len(long).  Free values are 0; an inconsistent law leaves
+        every long path at 0."""
         alg = self.algebra
         long = [k for k, p in enumerate(alg.paths) if len(p[2]) >= 2]
         col = {k: c for c, k in enumerate(long)}
-        eps = [self._generator_eps(k) for k in range(len(alg))]
+        eps = [exact.ZERO if len(ids) >= 2 else self.eps_gen[ids[0] if ids else f"e{s}"]
+               for s, _, ids in alg.paths]
         if not long:
             return eps
-        rows, rhs = [], []
+        rhs = len(long)
+        rows = []
         for p in range(len(alg)):
             for side in (0, 1):
-                agg = {}
+                law = {p: {rhs: ONE}}  # kept path -> its row
                 for (u, v), c in self._delta[p].items():
                     kept, evaluated = (u, v) if side == 0 else (v, u)
-                    agg.setdefault(kept, []).append((evaluated, c))
-                seen = set(agg)
-                seen.add(p)
-                for kept in seen:
-                    row = [Fraction(0)] * len(long)
-                    rhs_val = ONE if kept == p else Fraction(0)
-                    for evaluated, c in agg.get(kept, []):
-                        if evaluated in col:
-                            row[col[evaluated]] += c
-                        else:
-                            rhs_val -= c * eps[evaluated]
-                    rows.append(row)
-                    rhs.append([rhs_val])
-        sol = exact.solve(rows, rhs, len(long), 1)
-        if sol is None:
-            sol = [[Fraction(0)] for _ in long]
-        for k, c in zip(long, range(len(long))):
-            eps[k] = sol[c][0]
+                    row = law.setdefault(kept, {})
+                    j, x = ((col[evaluated], c) if evaluated in col
+                            else (rhs, -c * eps[evaluated]))
+                    row[j] = row.get(j, 0) + x
+                rows += ({j: x for j, x in row.items() if x} for row in law.values())
+        pivots = exact.eliminate(rows, rhs)
+        if not any(rows[len(pivots):]):  # else some row reads 0 = nonzero
+            for row, c in zip(rows, pivots):
+                eps[long[c]] = row.get(rhs, exact.ZERO)
         return eps
 
     def _counit_witness(self, side):

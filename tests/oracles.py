@@ -1,8 +1,10 @@
 """Independent oracles the tests check the library against.
 
 Everything here deliberately avoids the library's own algorithms:
-spectral radii come from numpy's eigenvalue solver, hom dimensions from a
-commuting-square system written out here and ranked by sympy, hom bases
+spectral radii come from numpy's eigenvalue solver, and their place
+relative to an integer from sympy's count of real characteristic roots,
+hom dimensions from a commuting-square system written out here and
+ranked by sympy, hom bases
 from sympy's nullspace of that system, isomorphism from those hom
 dimensions (a mismatch proves "no") and from sympy determinants of basis
 elements and seeded random combinations (a nonzero one at every vertex
@@ -44,6 +46,19 @@ def numpy_radius(a):
     if not a or not a[0]:
         return 0.0
     return float(max(abs(np.linalg.eigvals(np.array(a, dtype=float)))))
+
+
+def radius_sign(a, k):
+    """-1, 0 or 1 as the spectral radius of the nonempty nonnegative matrix
+    a is below, at or above the integer k.  By Perron-Frobenius the radius
+    is the largest real eigenvalue, so sympy counts the distinct real roots
+    of the characteristic polynomial on [k, oo) and checks whether k is one:
+    none means below, k alone means at, anything else means above."""
+    poly = sympy.Matrix(a).charpoly()
+    count = poly.count_roots(k)
+    if count == 0:
+        return -1
+    return 0 if count == 1 and poly.eval(k) == 0 else 1
 
 
 def _hom_equations(m, n):

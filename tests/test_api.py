@@ -39,8 +39,9 @@ def test_every_export_has_a_caller_in_the_package():
 
 def test_every_method_has_a_caller_in_the_package():
     """Every method but the dunders is loaded as an attribute somewhere in
-    the package, and every private module function is loaded by name or as
-    an attribute."""
+    the package, and every module function, public or private, is loaded
+    by name or as an attribute: a function only the tests call does not
+    belong in the library."""
     attributes = {
         node.attr for _, tree in _modules() for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
@@ -56,7 +57,7 @@ def test_every_method_has_a_caller_in_the_package():
                     and item.name not in attributes
                 ]
             elif isinstance(node, ast.FunctionDef):
-                if node.name.startswith("_") and node.name not in loaded:
+                if node.name not in loaded:
                     unused.append(f"{name}: {node.name}")
     assert not unused, unused
 

@@ -11,9 +11,14 @@ import inspect
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fpq
 from fpq import engine, verify, wba
 from fpq.cli import build_parser, run
 from fpq.errors import InputError
@@ -214,6 +219,40 @@ def test_malformed_files_are_bad_input(tmp_path, quiver, rep):
     code, out, err = run_cli(["hom", "--quiver", q, "--left", m, "--right", m])
     assert code == 1, err
     assert json.loads(out)["error"]["type"] == "bad_input"
+
+
+_CAPPED_RUN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from fpq.cli import run
+sys.exit(run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "quiver, rep",
+    [
+        ({"vertices": 10 ** 12, "arrows": []}, None),
+        (None, {"quiver": KRONECKER, "dims": [10 ** 8, 10 ** 8]}),
+    ],
+    ids=["vertex-count", "dims-with-maps-omitted"],
+)
+def test_oversized_inputs_are_bad_input_under_a_memory_cap(tmp_path, quiver, rep):
+    """Sizes that would exhaust memory are rejected before anything is
+    allocated.  The child process caps its own address space at 1 GiB, so
+    a regression ends in its MemoryError rather than in the host's."""
+    if quiver is not None:
+        argv = ["hom", "--quiver", write_json(tmp_path / "q.json", quiver),
+                "--left", "interval:1,1", "--right", "interval:1,1"]
+    else:
+        m = write_json(tmp_path / "m.json", rep)
+        argv = ["hom", "--left", m, "--right", m]
+    env = dict(os.environ, PYTHONPATH=str(Path(fpq.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_RUN, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "bad_input"
+    assert "Traceback" not in proc.stderr
 
 
 def _spec_with(value, *path):

@@ -8,7 +8,7 @@ import sympy
 
 from fpq import exact
 from fpq.quiver import Quiver, Representation
-from oracles import direct_sum, mat_mul
+from oracles import direct_sum
 
 
 def rand_matrix(rows, cols, seed, span=3):
@@ -19,18 +19,24 @@ def rand_matrix(rows, cols, seed, span=3):
     ]
 
 
-def test_rref_hand_example():
-    m = exact.mat_from([[0, 2, 4], [1, 1, 1], [2, 4, 6]])
-    r, pivots = exact.rref(m)
-    assert pivots == [0, 1]
-    assert r[0] == [1, 0, Fraction(-1)]
-    assert r[1] == [0, 1, 2]
-    assert r[2] == [0, 0, 0]
-
-
 def sparse(m):
-    """Sparse rows {column: entry} of a dense matrix, as rank takes them."""
+    """Sparse rows {column: entry} of a dense matrix, as rank and
+    eliminate take them."""
     return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+def test_rref_hand_example():
+    """eliminate leaves the reduced echelon form of the first ncols columns;
+    a fourth column rides along, so a right-hand side there is read off the
+    pivot rows (x = (2, 1, 0) here), and a nonzero left in a zero row
+    marks an inconsistent system."""
+    rows = sparse(exact.mat_from([[0, 2, 4], [1, 1, 1], [2, 4, 6]]))
+    assert exact.eliminate(rows, 3) == [0, 1]
+    assert rows == [{0: 1, 2: -1}, {1: 1, 2: 2}, {}]
+    for last, rest in ((8, {}), (9, {3: 1})):
+        rows = sparse(exact.mat_from([[0, 2, 4, 2], [1, 1, 1, 3], [2, 4, 6, last]]))
+        assert exact.eliminate(rows, 3) == [0, 1]
+        assert rows == [{0: 1, 2: -1, 3: 2}, {1: 1, 2: 2, 3: 1}, rest]
 
 
 def test_rank_matches_numpy():
@@ -63,20 +69,9 @@ def test_rank_matches_numpy():
         more.append((m, 5))
     for rows, ncols in more:
         m = exact.mat_from(rows)
-        assert exact.rank(sparse(m), ncols) == len(exact.rref(m, ncols)[1]), rows
+        want = _sym([row[:ncols] for row in m], ncols).rank()
+        assert exact.rank(sparse(m), ncols) == want, rows
     assert exact.rank(sparse(exact.mat_from([[1, 2, 3], [2, 4, 7]])), 2) == 1
-
-
-def test_nullspace_is_kernel_basis():
-    for seed in range(20):
-        m = rand_matrix(3, 5, seed)
-        basis = exact.nullspace(m, 5)
-        assert len(basis) == 5 - exact.rank(sparse(m), 5)
-        for v in basis:
-            image = mat_mul(m, [[x] for x in v])
-            assert all(y == 0 for row in image for y in row)
-        if basis:
-            assert exact.rank(sparse(basis), 5) == len(basis)
 
 
 def test_rank_ignores_entries_at_or_past_ncols():
@@ -135,15 +130,6 @@ def test_eliminate_keeps_integer_rows_exact():
         for row in rows:
             for x in row.values():
                 assert type(x) in (int, Fraction), rows
-
-
-def test_solve_roundtrip_and_inconsistent():
-    a = exact.mat_from([[1, 2], [3, 4], [5, 6]])
-    x = exact.mat_from([[1], [Fraction(1, 2)]])
-    b = mat_mul(a, x)
-    got = exact.solve(a, b)
-    assert mat_mul(a, got) == b
-    assert exact.solve(a, [[1], [0], [0]]) is None
 
 
 def test_kron_agrees_with_numpy():
@@ -205,43 +191,23 @@ def _frac_rows(mat):
     return [[Fraction(int(x.p), int(x.q)) for x in mat.row(i)] for i in range(mat.rows)]
 
 
-def test_rref_and_nullspace_match_sympy_for_every_ncols():
+def test_rref_matches_sympy_for_every_ncols():
+    """For every ncols, eliminate's pivots and reduced rows match sympy's
+    rref of the first ncols columns, and the later columns ride along in
+    the same invertible row operations: the rows keep the row space of the
+    whole matrix."""
     for m in _kernel_inputs(1, 80):
         width = len(m[0])
         for ncols in range(width + 1):
-            left = [row[:ncols] for row in m]
-            r, pivots = exact.rref(m, ncols)
-            want, want_pivots = _sym(left, ncols).rref()
+            rows = sparse(m)
+            pivots = exact.eliminate(rows, ncols)
+            got = [[row.get(j, Fraction(0)) for j in range(width)] for row in rows]
+            want, want_pivots = _sym([row[:ncols] for row in m], ncols).rref()
             assert pivots == list(want_pivots), (m, ncols)
-            assert [row[:ncols] for row in r] == _frac_rows(want), (m, ncols)
-            assert all(len(row) == width for row in r)
-            got = exact.nullspace(left, ncols)
-            assert got == [[Fraction(int(x.p), int(x.q)) for x in v]
-                           for v in _sym(left, ncols).nullspace()], (m, ncols)
-
-
-def test_solve_matches_sympy():
-    inputs = _kernel_inputs(2, 120)
-    rng = random.Random(3)
-    consistent = 0
-    for m in inputs:
-        rows, cols = len(m), len(m[0])
-        if rng.random() < 0.5:  # a right-hand side in the column space
-            x = [[Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(cols)]
-            b = mat_mul(m, x)
-        else:
-            b = [[Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(rows)]
-        a_sym, b_sym = _sym(m, cols), _sym(b, 2)
-        try:
-            sol, params = a_sym.gauss_jordan_solve(b_sym)
-        except ValueError:
-            assert exact.solve(m, b) is None, m
-            continue
-        consistent += 1
-        want = sol.subs({p: 0 for p in params})
-        assert exact.solve(m, b) == _frac_rows(want), m
-    assert consistent > 40
-    assert exact.solve([], [], 0, 2) == []
+            assert [row[:ncols] for row in got] == _frac_rows(want), (m, ncols)
+            assert all(j < width for row in rows for j in row)
+            full = _sym(m, width).rank()
+            assert _sym(got, width).rank() == full == _sym(got + m, width).rank()
 
 
 def test_sparse_mul_matches_numpy():

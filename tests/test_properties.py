@@ -100,12 +100,15 @@ def test_rref_is_idempotent(seed, rows, cols):
     import random
 
     rng = random.Random(seed)
-    a = [[Fraction(rng.randint(-4, 4)) for _ in range(cols)]
-         for _ in range(rows)]
-    once, piv_once = exact.rref(a)
-    twice, piv_twice = exact.rref(once)
-    assert once == twice
-    assert piv_once == piv_twice
+    ncols = rng.randint(0, cols)  # later columns ride along
+    reduced = [
+        {j: x for j in range(cols) if (x := Fraction(rng.randint(-4, 4)))}
+        for _ in range(rows)
+    ]
+    pivots = exact.eliminate(reduced, ncols)
+    again = [dict(row) for row in reduced]
+    assert exact.eliminate(again, ncols) == pivots
+    assert again == reduced
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,5 +1,6 @@
 """Quivers, representations, hom/ext spaces, and the Euler form."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,10 @@ from fpq.errors import (
     WrongQuiverError,
 )
 from fpq.quiver import (
+    MAX_ARROWS,
+    MAX_DIM,
+    MAX_MAP_ENTRIES,
+    MAX_VERTICES,
     Quiver,
     Representation,
     dim_ext1,
@@ -56,6 +61,20 @@ def test_representation_shape_checks():
         Representation(A2, [1, 1], {"a": [[1], [2]]})
     with pytest.raises(InputError):
         Representation.from_dict({"dims": [1, 1], "maps": {"zz": [[1]]}}, A2)
+
+
+def test_from_dict_rejects_sizes_past_the_input_limits():
+    arrow = {"id": "a", "from": 1, "to": 2}
+    assert Quiver.from_dict({"vertices": MAX_VERTICES}).n == MAX_VERTICES
+    for data in ({"vertices": MAX_VERTICES + 1},
+                 {"vertices": 2, "arrows": [arrow] * (MAX_ARROWS + 1)}):
+        with pytest.raises(InputError, match="quiver too large"):
+            Quiver.from_dict(data)
+    side = math.isqrt(MAX_MAP_ENTRIES) + 1  # each dim allowed, the map not
+    for dims in ([MAX_DIM + 1, 0], [side, side]):
+        with pytest.raises(InputError, match="representation too large"):
+            Representation.from_dict({"dims": dims}, A2)
+    assert Representation.from_dict({"dims": [MAX_DIM, 0]}, A2).dims == (MAX_DIM, 0)
 
 
 def test_hom_dimensions_on_the_two_vertex_line():

@@ -1,5 +1,6 @@
 """Spectral radii of nonnegative integer matrices against numpy."""
 
+import itertools
 import math
 import random
 
@@ -13,7 +14,7 @@ from fpq.spectral import (
     spectral_radius,
     strongly_connected_components,
 )
-from oracles import numpy_radius
+from oracles import numpy_radius, radius_sign
 
 
 def test_input_validation():
@@ -53,6 +54,41 @@ def test_random_matrices_match_numpy():
         assert (integer_radius(a, rho) is not None) == near
 
 
+def _seeded_nonnegative(seed, count):
+    """Seeded nonnegative integer matrices up to 6 x 6: dense and sparse
+    ones (often reducible), and ones with equal row sums, whose radius is
+    that sum, so integer radii are common."""
+    rng = random.Random(seed)
+    out = []
+    for t in range(count):
+        n = rng.randint(1, 6)
+        if t % 3 == 2:
+            s = rng.randint(1, 4)
+            a = [[0] * n for _ in range(n)]
+            for row in a:
+                for _ in range(s):
+                    row[rng.randrange(n)] += 1
+        else:
+            p = 0.3 if t % 3 else 0.8
+            a = [[rng.randint(1, 3) if rng.random() < p else 0 for _ in range(n)]
+                 for _ in range(n)]
+        out.append(a)
+    return out
+
+
+def test_integer_radius_matches_an_exact_oracle_at_every_k():
+    """integer_radius(a, k) is k exactly when sympy's real-root count puts
+    the radius at k, for every k in 0..ceil(rho) + 1."""
+    reached = 0
+    for a in _seeded_nonnegative(9, 150):
+        top = math.ceil(numpy_radius(a) - 1e-9) + 1
+        for k in range(top + 1):
+            at = radius_sign(a, k) == 0
+            assert integer_radius(a, float(k)) == (k if at else None), (a, k)
+            reached += at
+    assert reached > 60
+
+
 def test_block_structure_takes_the_max():
     a = [
         [0, 2, 0, 0],
@@ -75,16 +111,23 @@ def test_gamma_closed_form():
 
 
 def test_integer_radius_is_proven_exactly():
-    # kI - B nonsingular with a negative entry in its inverse: rho > k
+    # a leading minor of kI - B before D_n is not positive, or D_n < 0: rho > k
     a = [[2000000, 1], [1, 0]]  # rho = 10^6 + 5e-7
     assert integer_radius(a, spectral_radius(a)) is None
     assert integer_radius([[1, 1], [1, 1]], 1.0) is None
-    # singular, kernel spanned by the positive vector (1, 1)
+    # D_1 > 0 and det(kI - B) = 0: rho = k
     assert integer_radius([[1, 1], [1, 1]], 2.0) == 2
-    # singular with a two-dimensional kernel: 0 is not the radius 3
+    # D_1 = 0: 0 is an eigenvalue but not the radius 3
     assert integer_radius([[1] * 3] * 3, 0.0) is None
-    # nonsingular with (kI - B)^-1 >= 0: every block is below k
+    # every leading minor positive: every block is below k
     assert integer_radius([[0, 1], [1, 0]], 1.6) is None
+    # integer eigenvalues below rho are not the radius
+    pairs = list(itertools.combinations(range(5), 2))  # adjacent when disjoint
+    petersen = [[int(not set(u) & set(v)) for v in pairs] for u in pairs]
+    assert integer_radius(petersen, 1.0) is None  # eigenvalues 3, 1, -2
+    assert integer_radius(petersen, 3.0) == 3
+    k33 = [[int((i < 3) != (j < 3)) for j in range(6)] for i in range(6)]
+    assert integer_radius(k33, 0.0) is None  # eigenvalues 3, 0, -3
     # permuted triangular: 1x1 blocks give their entries
     assert integer_radius([[0, 0, 5], [4, 3, 0], [0, 0, 2]], 3.0) == 3
     assert integer_radius([[0, 5], [0, 0]], 0.0) == 0

@@ -112,6 +112,13 @@ def test_canonical_structure_is_grouplike_with_unit_counit():
         assert spec.delta(k) == {(k, k): 1}
         assert spec.eps(k) == 1  # forced on long paths by the counit law
     assert not spec.is_bialgebra()
+    assert spec.counit_consistent
+    # counit[a1] += 1/2 leaves the counit law no solution: long paths get 0
+    bad = wba.perturb_spec(spec, 0)
+    assert bad.perturbation == "counit[a1] += 1/2"
+    assert not bad.counit_consistent
+    assert bad.eps(alg.parse_path_key("a1.a2")) == 0
+    assert not wba.check_axioms(bad).describe()["counit_extension_consistent"]
 
 
 def test_tensor_matches_componentwise_for_the_canonical_structure():
