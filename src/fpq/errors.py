@@ -113,7 +113,8 @@ class WrongQuiverError(FpqError):
 
 
 class DimensionGuardError(FpqError):
-    """An iterated tensor power exceeded the total-dimension guard."""
+    """A tensor product exceeded a size guard: an iterated tensor power's
+    total dimension, or one product's map-entry count."""
 
     code = "dimension_guard"
 

@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Dense matrices are sequences of rows, each row a sequence of ``Fraction``;
-all functions accept lists or tuples and return lists (callers freeze to
-tuples when they need hashability).  A matrix with zero rows or zero
-columns is legal and is represented literally (``[]`` or ``[[], [], ...]``),
-so shapes must be tracked by the caller when a dimension vanishes.
+all functions accept lists or tuples.  ``mat_from`` and ``kron``, which
+build representation maps, return frozen (hashable) tuple rows.  A matrix
+with zero rows or zero columns is legal and is represented literally
+(``[]`` or ``[[], [], ...]``, frozen ``()`` or ``((), (), ...)``), so
+shapes must be tracked by the caller when a dimension vanishes.
 
 A sparse row is a dict {column: value} of its nonzero entries, ints or
 Fractions.  The one elimination loop, ``eliminate``, works on sparse rows,
@@ -45,35 +46,29 @@ def zeros(rows, cols):
 
 
 def mat_from(rows):
-    """Copy a nested sequence into a list-of-lists of Fractions."""
-    return [[frac(x) for x in row] for row in rows]
-
-
-def transpose(m, rows, cols):
-    """Transpose of the rows x cols matrix m."""
-    return [[m[i][j] for i in range(rows)] for j in range(cols)]
+    """Copy a nested sequence into frozen rows of Fractions."""
+    return tuple(tuple([frac(x) for x in row]) for row in rows)
 
 
 def kron(a, b, sa, sb):
     """Kronecker product of a, of shape sa = (ra, ca), and b, of shape
     sb = (rb, cb), with the left factor indexing slowest:
-    (a (x) b)[i*rb + k, j*cb + l] = a[i][j] * b[k][l]."""
-    ra, ca = sa
-    rb, cb = sb
-    out = zeros(ra * rb, ca * cb)
+    (a (x) b)[i*rb + k, j*cb + l] = a[i][j] * b[k][l].  Frozen rows; an
+    empty factor gives () or ((),) * rows, the shapes zeros gives."""
+    (ra, ca), (rb, cb) = sa, sb
+    if not ca * cb:
+        return ((),) * (ra * rb)
+    zero_block = (ZERO,) * cb
+    out = []
     for i in range(ra):
-        for j in range(ca):
-            aij = a[i][j]
-            if aij == 0:
-                continue
-            for k in range(rb):
-                brow = b[k]
-                orow = out[i * rb + k]
-                base = j * cb
-                for l in range(cb):
-                    if brow[l] != 0:
-                        orow[base + l] = aij * brow[l]
-    return out
+        arow = a[i]
+        for k in range(rb):
+            brow = b[k]
+            row = []
+            for x in arow:
+                row.extend([x * y if y else ZERO for y in brow] if x else zero_block)
+            out.append(tuple(row))
+    return tuple(out)
 
 
 def eliminate(rows, ncols):

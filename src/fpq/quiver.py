@@ -22,7 +22,9 @@ all compare ids, so a cache hit hashes two ints instead of every matrix
 entry.  Interning is lazy (the first hash, comparison or cache lookup), so
 a representation that is only built and read never enters the table.  Ids
 come from a counter, never from a table's size, so two contents can never
-share one.
+share one.  Representation(...) checks every map where it enters; the
+builders whose output is well formed by construction from checked
+representations return through Representation._trusted.
 """
 
 import graphlib
@@ -35,6 +37,7 @@ from . import exact
 from .errors import (
     BadArrowError,
     CyclicQuiverError,
+    DimensionGuardError,
     DuplicateLabelError,
     InputError,
     ShapeError,
@@ -81,7 +84,7 @@ class Quiver:
         self.n = int(n)
         self.arrows = tuple(Arrow(str(a[0]), int(a[1]), int(a[2])) for a in arrows)
         self._index = {a.id: k for k, a in enumerate(self.arrows)}
-        self._id = None
+        self._id = self._opposite = None
         validate_quiver(self)
 
     def arrow_index(self, arrow_id):
@@ -179,22 +182,22 @@ class Representation:
         frozen = []
         for a, m in zip(quiver.arrows, seq):
             rows, cols = self.dims[a.target - 1], self.dims[a.source - 1]
-            if m is None:
-                m = exact.zeros(rows, cols)
-            m = exact.mat_from(m)
+            m = exact.mat_from(exact.zeros(rows, cols) if m is None else m)
             if len(m) != rows or (rows and any(len(r) != cols for r in m)):
                 raise ShapeError(
                     f"map for arrow {a.id} must be {rows}x{cols} "
                     f"(target dim x source dim)"
                 )
-            frozen.append(exact.freeze(m))
+            frozen.append(m)
         self.maps = tuple(frozen)
         self._id = None
 
     @classmethod
     def _trusted(cls, quiver, dims, maps):
         """No checks: dims a tuple of ints, maps a tuple of frozen Fraction
-        matrices in arrow order, of the right shapes by construction."""
+        matrices in arrow order, of the right shapes by construction.  Only
+        tensor_vertexwise, dual and wba.tensor_wba, which build from checked
+        representations, call it; a second check would repeat the first."""
         rep = cls.__new__(cls)
         rep.quiver, rep.dims, rep.maps, rep._id = quiver, dims, maps, None
         return rep
@@ -334,70 +337,79 @@ def _hom_system(m, n):
 
 
 _HOM_DIM_CACHE = {}
+_EXT1_CACHE = {}
 
 
 def hom_dim(m, n):
-    """dim Hom(m, n), exactly."""
-    if m.quiver != n.quiver:
-        raise WrongQuiverError("representations live over different quivers")
+    """dim Hom(m, n), exactly.  A cache hit is one dict read: the quivers
+    are compared only on a miss, the one place an entry is written, and a
+    representation's id includes its quiver's id."""
     key = (m.key(), n.key())
     got = _HOM_DIM_CACHE.get(key)
-    if got is not None:
-        return got
-    rows, total = _hom_system(m, n)
-    d = total - exact.rank(rows, total)
-    _HOM_DIM_CACHE[key] = d
-    return d
+    if got is None:
+        if m.quiver != n.quiver:
+            raise WrongQuiverError("representations live over different quivers")
+        rows, total = _hom_system(m, n)
+        got = _HOM_DIM_CACHE[key] = total - exact.rank(rows, total)
+    return got
 
 
 def dim_ext1(m, n):
-    """dim Ext^1(m, n) = dim Hom(m, n) - <dim m, dim n> (hereditary).
-
+    """dim Ext^1(m, n) = dim Hom(m, n) - <dim m, dim n> (hereditary),
+    memoized beside hom_dim, so the Euler form is taken once per pair.
     Derived from hom_dim, so hom - ext = <dim m, dim n> holds by
     construction; checking that identity only shows Ext^1 >= 0."""
-    val = hom_dim(m, n) - euler_form(m.quiver, m.dims, n.dims)
-    if val < 0:
-        raise ShapeError(
-            f"negative ext dimension {val}; hom/euler bookkeeping is broken"
-        )
+    key = (m.key(), n.key())
+    val = _EXT1_CACHE.get(key)
+    if val is None:
+        val = hom_dim(m, n) - euler_form(m.quiver, m.dims, n.dims)
+        if val < 0:
+            raise ShapeError(
+                f"negative ext dimension {val}; hom/euler bookkeeping is broken"
+            )
+        _EXT1_CACHE[key] = val
     return val
 
 
 def tensor_vertexwise(m, n):
     """Vertex-wise tensor product: dims multiply per vertex and each arrow
-    acts by the Kronecker product (left factor slowest)."""
+    acts by the Kronecker product (left factor slowest).  Raises
+    DimensionGuardError, before allocating, when the product would have
+    more than MAX_MAP_ENTRIES map entries."""
     if m.quiver != n.quiver:
         raise WrongQuiverError("representations live over different quivers")
     q = m.quiver
-    dims = [dm * dn for dm, dn in zip(m.dims, n.dims)]
-    maps = []
-    for idx, a in enumerate(q.arrows):
-        s, t = a.source - 1, a.target - 1
-        maps.append(
-            exact.kron(
-                m.maps[idx],
-                n.maps[idx],
-                sa=(m.dims[t], m.dims[s]),
-                sb=(n.dims[t], n.dims[s]),
-            )
+    dims = tuple(dm * dn for dm, dn in zip(m.dims, n.dims))
+    if sum(dims[a.target - 1] * dims[a.source - 1] for a in q.arrows) \
+            > MAX_MAP_ENTRIES:
+        raise DimensionGuardError(
+            f"tensor product would have more than {MAX_MAP_ENTRIES} map entries"
         )
-    return Representation(q, dims, maps)
+    maps = tuple(
+        exact.kron(ma, na, (m.dims[a.target - 1], m.dims[a.source - 1]),
+                   (n.dims[a.target - 1], n.dims[a.source - 1]))
+        for a, ma, na in zip(q.arrows, m.maps, n.maps)
+    )
+    return Representation._trusted(q, dims, maps)
 
 
 def opposite(q):
-    """Quiver with every arrow reversed (same ids, same order)."""
-    return Quiver(q.n, [(a.id, a.target, a.source) for a in q.arrows])
+    """Quiver with every arrow reversed (same ids, same order), built once
+    per instance; the opposite of the opposite is q itself."""
+    if q._opposite is None:
+        q._opposite = Quiver(q.n, [(a.id, a.target, a.source) for a in q.arrows])
+        q._opposite._opposite = q
+    return q._opposite
 
 
 def dual(m):
     """The dual representation over the opposite quiver: vertex spaces are
     dualized and each reversed arrow acts by the transpose."""
-    q = m.quiver
-    maps = {}
-    for idx, a in enumerate(q.arrows):
-        s, t = a.source - 1, a.target - 1
-        maps[a.id] = exact.transpose(m.maps[idx], rows=m.dims[t], cols=m.dims[s])
-    return Representation(opposite(q), m.dims, maps)
+    maps = tuple(
+        tuple(zip(*mat)) if mat else ((),) * m.dims[a.source - 1]
+        for a, mat in zip(m.quiver.arrows, m.maps)
+    )
+    return Representation._trusted(opposite(m.quiver), m.dims, maps)
 
 
 def random_representation(q, max_dim, seed):

@@ -24,10 +24,15 @@ from .errors import InputError, NoConvergenceError
 
 DEFAULT_TOL = 1e-10
 MAX_ITER = 10 ** 5
+# Largest matrix side accepted, checked before any row is read; far above
+# any brick-set adjacency.
+MAX_MATRIX_SIZE = 10 ** 3
 
 
 def _check_square(a):
     n = len(a)
+    if n > MAX_MATRIX_SIZE:
+        raise InputError(f"matrix too large: at most {MAX_MATRIX_SIZE} rows")
     for row in a:
         if len(row) != n:
             raise InputError("matrix must be square")

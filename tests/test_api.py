@@ -78,10 +78,11 @@ def test_every_import_is_used_in_its_module():
     assert not unused, unused
 
 
-def test_the_trusted_constructor_has_one_caller():
+def test_the_trusted_constructor_has_three_callers():
     """Representation._trusted skips every check, so only tensor_wba,
-    whose output has the right shapes and types by construction, may
-    reach it; every other builder goes through Representation(...)."""
+    tensor_vertexwise and dual, whose output has the right shapes and types
+    by construction from checked representations, may reach it; every
+    other builder goes through Representation(...)."""
     sites = []
     for name, tree in _modules():
         owner = {}  # node -> innermost enclosing function (the walk is breadth-first)
@@ -95,4 +96,8 @@ def test_the_trusted_constructor_has_one_caller():
         for node in ast.walk(tree):
             if getattr(node, "attr", getattr(node, "id", None)) == "_trusted":
                 sites.append((name, owner.get(node), node in calls))
-    assert sites == [("wba.py", "tensor_wba", True)]
+    assert sorted(sites) == [
+        ("quiver.py", "dual", True),
+        ("quiver.py", "tensor_vertexwise", True),
+        ("wba.py", "tensor_wba", True),
+    ]

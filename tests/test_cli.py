@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import fpq
-from fpq import engine, verify, wba
+from fpq import engine, spectral, verify, wba
 from fpq.cli import build_parser, run
 from fpq.errors import InputError
 
@@ -252,6 +252,34 @@ def test_oversized_inputs_are_bad_input_under_a_memory_cap(tmp_path, quiver, rep
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout)["error"]["type"] == "bad_input"
+    assert "Traceback" not in proc.stderr
+
+
+def test_spectral_matrix_over_the_size_limit_is_bad_input(tmp_path):
+    """Rows past spectral.MAX_MATRIX_SIZE are refused before any row is
+    read, so even rows of the wrong length give the size error."""
+    side = spectral.MAX_MATRIX_SIZE + 1
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps([[]] * side))
+    code, out, _ = run_cli(["spectral", "--matrix", str(matrix)])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "bad_input" and "too large" in error["message"]
+
+
+def test_oversized_tensor_is_a_dimension_guard_under_a_memory_cap(tmp_path):
+    """Two A_2 representations within the input limits whose vertexwise
+    tensor would have 10^12 map entries: refused before kron allocates,
+    under the same 1 GiB address-space cap."""
+    m = write_json(tmp_path / "m.json", {"quiver": {
+        "vertices": 2, "arrows": [{"id": "a", "from": 1, "to": 2}]},
+        "dims": [1000, 1000]})
+    env = dict(os.environ, PYTHONPATH=str(Path(fpq.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_RUN, "tensor", "--left", m, "--right", m],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "dimension_guard"
     assert "Traceback" not in proc.stderr
 
 

@@ -143,7 +143,7 @@ def test_kron_agrees_with_numpy():
 def test_kron_empty_factor_gives_empty_product():
     b = exact.mat_from([[1, 2]])
     got = exact.kron([], b, sa=(0, 2), sb=(1, 2))
-    assert got == []
+    assert got == ()
 
 
 def test_block_diag():

@@ -10,6 +10,7 @@ from fpq import quiver as quiver_module
 from fpq.errors import (
     BadArrowError,
     CyclicQuiverError,
+    DimensionGuardError,
     DuplicateLabelError,
     InputError,
     ShapeError,
@@ -144,6 +145,70 @@ def test_dual_reverses_homs():
     for x, y in [(S1, S2), (M12, S1), (S2, M12), (M12, M12)]:
         assert hom_dim(x, y) == hom_dim(dual(y), dual(x))
         assert dual(dual(x)) == x
+
+
+def _rational_pairs(seed, count):
+    """Seeded pairs over random acyclic quivers: dims in 0..2, so many
+    vertices are zero-dimensional, and every entry p/q with |p| <= 3 and
+    1 <= q <= 3."""
+    rng = random.Random(seed)
+    for k in range(count):
+        q = random_acyclic_quiver(4, seed=seed + k)
+
+        def rep():
+            dims = [rng.randint(0, 2) for _ in range(q.n)]
+            return Representation(q, dims, [
+                [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                  for _ in range(dims[a.source - 1])]
+                 for _ in range(dims[a.target - 1])]
+                for a in q.arrows
+            ])
+
+        yield rep(), rep()
+
+
+def _well_formed(t):
+    """Int dims in a tuple, one tuple of tuple rows per arrow, every entry
+    (zeros included) a Fraction."""
+    assert type(t.dims) is tuple and all(type(d) is int for d in t.dims)
+    assert type(t.maps) is tuple and len(t.maps) == len(t.quiver.arrows)
+    for mat in t.maps:
+        assert type(mat) is tuple and all(type(row) is tuple for row in mat)
+        assert all(type(v) is Fraction for row in mat for v in row)
+
+
+def test_trusted_builders_give_what_the_checked_constructor_builds():
+    """tensor_vertexwise and dual return without re-validating their maps;
+    the checked constructor rebuilds an equal representation from their
+    dims and maps, on pairs with zero-dimensional vertices and p/q
+    entries."""
+    zero_vertex = False
+    for m, n in _rational_pairs(41, 30):
+        zero_vertex |= 0 in m.dims + n.dims
+        for t in (tensor_vertexwise(m, n), dual(m)):
+            assert Representation(t.quiver, t.dims, t.maps) == t
+            _well_formed(t)
+        assert dual(dual(m)) == m
+    assert zero_vertex
+
+
+def test_dual_builds_the_opposite_quiver_once():
+    q = random_acyclic_quiver(4, seed=5)
+    m = random_representation(q, 2, seed=6)
+    assert dual(m).quiver is dual(m).quiver is opposite(q)
+    assert opposite(opposite(q)) is q
+    assert dual(dual(m)).quiver is q
+
+
+def test_tensor_over_the_map_entry_limit_raises_before_allocating():
+    """On A_2 the product's map has dims[2] * dims[1] entries: exactly
+    MAX_MAP_ENTRIES is built, one more row is refused."""
+    assert MAX_MAP_ENTRIES == 1000 * 1000
+    wide = Representation(A2, [1000, 1], {})
+    tall = Representation(A2, [1, 1000], {})
+    assert tensor_vertexwise(wide, tall).dims == (1000, 1000)
+    with pytest.raises(DimensionGuardError):
+        tensor_vertexwise(Representation(A2, [1001, 1], {}), tall)
 
 
 def test_direct_sum_adds_hom_dims():

@@ -208,13 +208,11 @@ def test_primitive_arrows_act_by_the_leibniz_rule():
             x = random_representation(q, 2, seed=301 + 2 * k)
             (m1, m2), (n1, n2) = m.dims, x.dims
             maps = {
-                a.id: exact.kron(
-                    identity(m1), x.map_for(a.id), (m1, m1), (n2, n1)
-                )
-                + exact.kron(
-                    m.map_for(a.id), identity(n1), (m2, m1), (n1, n1)
-                )
-                + exact.zeros(m2 * n2, m1 * n1)
+                a.id: [
+                    *exact.kron(identity(m1), x.map_for(a.id), (m1, m1), (n2, n1)),
+                    *exact.kron(m.map_for(a.id), identity(n1), (m2, m1), (n1, n1)),
+                    *exact.zeros(m2 * n2, m1 * n1),
+                ]
                 for a in q.arrows
             }
             expected = Representation(
