@@ -1,6 +1,7 @@
 """Committed answer digests: the sha256 of each command's stdout bytes and
 its exit code, recomputed in-process through ``fpq.cli.run`` and compared
-with ``tests/digests.json``.
+with ``tests/digests.json``.  Commands run from the repository root, so
+file arguments are paths relative to it.
 
 A change that alters an output on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_digests.py --write`` and names each
@@ -20,6 +21,11 @@ import pytest
 from fpq.cli import run
 
 DIGESTS = Path(__file__).with_name("digests.json")
+ROOT = Path(__file__).resolve().parent.parent
+# Two representations of the 2-arrow Kronecker quiver whose entries are
+# given as "4/2", "-1/2" and "3".
+LEFT = "tests/fixtures/kronecker2_left.json"
+RIGHT = "tests/fixtures/kronecker2_right.json"
 
 COMMANDS = [
     ["verify", "duality", "--n", "4", "--triples", "50", "--seed", "0"],
@@ -29,13 +35,22 @@ COMMANDS = [
     ["fpd", "--quiver", "typeA:><><>", "--object", "interval:2,4", "--shift", "0"],
     ["fpd", "--quiver", "typeA:><><>", "--object", "interval:2,4", "--shift", "1"],
     ["bricks", "enumerate", "--quiver", "typeA:><>", "--shifts=-1,0,1,2"],
+    ["verify", "euler"],
+    ["verify", "gamma"],
+    ["verify", "kronecker-divergence"],
+    ["verify", "wba-axioms"],
+    ["wba", "check", "--catalog", "kronecker:2"],
+    ["wba", "catalog", "--name", "kronecker:2"],
+    ["tensor", "--left", LEFT, "--right", RIGHT],
+    ["wba", "tensor", "--structure", "kronecker2-a", "--left", LEFT, "--right", RIGHT],
 ]
 
 
 def digest(argv):
     """{"exit": code, "stdout_sha256": hex} for one in-process CLI run."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.chdir(ROOT), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
     sha = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     return {"exit": code, "stdout_sha256": sha}
