@@ -78,20 +78,35 @@ from .typea import (
     interval_rep,
     orientation_of,
 )
-from .wba import (
-    AxiomReport,
-    CoproductSpec,
-    PathAlgebra,
-    canonical_wba,
-    catalog_k2,
-    catalog_kronecker,
-    check_axioms,
-    is_discrete,
-    kronecker_quiver,
-    perturb_spec,
-    tensor_wba,
+
+# The weak-bialgebra names resolve on first use (PEP 562), so importing fpq
+# or fpq.cli does not load fpq.wba; only the commands that use it do.
+_WBA_NAMES = (
+    "AxiomReport",
+    "CoproductSpec",
+    "PathAlgebra",
+    "canonical_wba",
+    "catalog_k2",
+    "catalog_kronecker",
+    "check_axioms",
+    "is_discrete",
+    "kronecker_quiver",
+    "perturb_spec",
+    "tensor_wba",
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    if name == "wba" or name in _WBA_NAMES:
+        from importlib import import_module
+
+        wba = import_module(".wba", __name__)
+        return wba if name == "wba" else getattr(wba, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted(
+    {name for name in dir() if not name.startswith("_")}.union(["wba"], _WBA_NAMES)
+)
 
 __version__ = "0.1.0"

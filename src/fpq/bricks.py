@@ -24,8 +24,6 @@ lexicographically.  The search counts expansions and raises CapExceeded
 is enumerated once per cap: the sets are memoized by the candidates' keys.
 """
 
-from fractions import Fraction
-
 from .errors import BadPathsError, CapExceededError, InputError, WrongQuiverError
 from .quiver import Representation, dim_ext1, hom_dim
 
@@ -78,11 +76,15 @@ def hom_matrix(xs, ys):
 class BrickSet:
     """A verified brick set with its hom-dimension certificate matrix
     (entry [i][j] = derived hom dimension from member i to member j;
-    the identity matrix for a genuine brick set)."""
+    the identity matrix for a genuine brick set).  Raises InputError when
+    the certificate is not the identity."""
 
     def __init__(self, members, certificate):
         self.members = list(members)
         self.certificate = [list(row) for row in certificate]
+        if any(x != (i == j) for i, row in enumerate(self.certificate)
+               for j, x in enumerate(row)):
+            raise InputError(f"not a brick set; hom certificate {self.certificate}")
 
     def __len__(self):
         return len(self.members)
@@ -98,10 +100,7 @@ def brick_set(objs):
     """Build a BrickSet, raising on anything that is not one."""
     if len(set(o.key() for o in objs)) != len(objs):
         raise InputError("brick set members must be pairwise distinct")
-    cert = hom_matrix(objs, objs)
-    if any(x != (i == j) for i, row in enumerate(cert) for j, x in enumerate(row)):
-        raise InputError(f"not a brick set; hom certificate {cert}")
-    return BrickSet(objs, cert)
+    return BrickSet(objs, hom_matrix(objs, objs))
 
 
 def compatibility_graph(hom):
@@ -177,7 +176,6 @@ def band_kronecker(quiver, c):
     if any((a.source, a.target) != (1, 2) for a in quiver.arrows):
         raise WrongQuiverError("band_kronecker needs both arrows 1 -> 2")
     a1, a2 = quiver.arrows
-    c = Fraction(c)
     return Representation(quiver, [1, 1], {a1.id: [[1]], a2.id: [[c]]})
 
 
@@ -217,12 +215,11 @@ def band_two_paths(quiver, path1, path2, c):
         raise BadPathsError("paths must not share arrows")
     support = set(v1) | set(v2)
     dims = [1 if v in support else 0 for v in range(1, quiver.n + 1)]
-    c = Fraction(c)
     maps = {}
     for aid in path1:
-        maps[aid] = [[Fraction(1)]]
+        maps[aid] = [[1]]
     for k, aid in enumerate(path2):
-        maps[aid] = [[c if k == 0 else Fraction(1)]]
+        maps[aid] = [[c if k == 0 else 1]]
     return Representation(quiver, dims, maps)
 
 

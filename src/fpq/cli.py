@@ -22,8 +22,14 @@ import re
 import sys
 from fractions import Fraction
 
-from . import engine, verify, wba
-from .bricks import DerivedObject, band_family, brick_set, maximal_brick_sets
+from . import engine, verify
+from .bricks import (
+    BrickSet,
+    DerivedObject,
+    band_family,
+    hom_matrix,
+    maximal_brick_sets,
+)
 from .errors import FpqError, InputError, WrongQuiverError
 from .quiver import Quiver, Representation, dim_ext1, hom_dim
 from .spectral import integer_radius, spectral_radius
@@ -83,6 +89,8 @@ def _load_object(desc, quiver):
 
 
 def _catalog(name):
+    from . import wba
+
     m = _CATALOG_NAME.match(name)
     if not m:
         raise UsageError(f"catalog name must be k2 or kronecker:w, got {name!r}")
@@ -94,6 +102,8 @@ def _catalog(name):
 def _load_spec(desc, quiver=None):
     """A CoproductSpec from 'canonical', a catalog entry name (k2-a,
     kronecker2-e, ...), or a JSON file."""
+    from . import wba
+
     if desc == "canonical":
         if quiver is None:
             raise UsageError("structure 'canonical' needs --quiver")
@@ -120,7 +130,12 @@ def _load_structure(desc, quiver):
     return engine.from_weak_bialgebra(spec)
 
 
+_LEAVES = (int, str, bool, type(None))
+
+
 def _normalize(obj):
+    if type(obj) in _LEAVES:
+        return obj
     if isinstance(obj, Fraction):
         return int(obj) if obj.denominator == 1 else str(obj)
     if isinstance(obj, float):
@@ -265,9 +280,11 @@ def _cmd_bricks(args):
         for shift in shifts
         for x in intervals
     ]
+    hom = hom_matrix(objs, objs)
     entries = []
     for clique in maximal_brick_sets(objs, cap=args.cap):
-        entry = brick_set([objs[k] for k in clique]).describe()
+        certificate = [[hom[i][j] for j in clique] for i in clique]
+        entry = BrickSet([objs[k] for k in clique], certificate).describe()
         entry["size"] = len(clique)
         entries.append(entry)
     return {
@@ -307,6 +324,8 @@ def _spec_from_args(args):
 
 
 def _cmd_wba_check(args):
+    from . import wba
+
     if args.catalog:
         reports = [
             dict(wba.check_axioms(s).describe()) for s in _catalog(args.catalog)
@@ -319,6 +338,8 @@ def _cmd_wba_check(args):
 
 
 def _cmd_wba_catalog(args):
+    from . import wba
+
     structures = []
     for spec in _catalog(args.name):
         entry = spec.to_dict()
@@ -328,6 +349,8 @@ def _cmd_wba_catalog(args):
 
 
 def _cmd_wba_tensor(args):
+    from . import wba
+
     spec = _spec_from_args(args)
     q = spec.quiver
     left = _load_object(args.left, q)
@@ -341,6 +364,8 @@ def _cmd_wba_tensor(args):
 
 
 def _cmd_wba_discrete(args):
+    from . import wba
+
     spec = _spec_from_args(args)
     data = wba.is_discrete(spec)
     data["config"] = _config(args)

@@ -1,8 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices are sequences of rows, each row a sequence of ``Fraction``;
-all functions accept lists or tuples.  ``mat_from`` and ``kron``, which
-build representation maps, return frozen (hashable) tuple rows.  A matrix
+An entry is canonical: an int when it is integral, a Fraction (whose
+denominator is then > 1) otherwise.  ``frac`` is the one coercion; every
+builder and parser calls it, so an integral entry runs as an int however
+it was given, and equal matrices hold equal, equally typed entries.
+Dense matrices are sequences of rows of canonical entries; all functions
+accept lists or tuples.  ``mat_from`` and ``kron``, which build
+representation maps, return frozen (hashable) tuple rows.  A matrix
 with zero rows or zero columns is legal and is represented literally
 (``[]`` or ``[[], [], ...]``, frozen ``()`` or ``((), (), ...)``), so
 shapes must be tracked by the caller when a dimension vanishes.
@@ -25,28 +29,31 @@ reduced against the pivot rows found so far, still exactly.
 import math
 from fractions import Fraction
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 def frac(x):
-    """Coerce ints, strings like '3/4' or '-2', and Fractions to Fraction;
-    a bool is not a number here."""
-    if isinstance(x, Fraction):
+    """The canonical entry of an int, a string like '3/4', '4/2' or '-2',
+    or a Fraction: an int when the value is integral, else a Fraction.  A
+    bool is not a number here."""
+    if type(x) is int:
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        n, d = x.as_integer_ratio()  # one call; .numerator, .denominator are two
+        return n if d == 1 else x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
 def zeros(rows, cols):
-    return [[ZERO] * cols for _ in range(rows)]
+    return [[0] * cols for _ in range(rows)]
 
 
 def mat_from(rows):
-    """Copy a nested sequence into frozen rows of Fractions."""
+    """Copy a nested sequence into frozen rows of canonical entries."""
     return tuple(tuple([frac(x) for x in row]) for row in rows)
 
 
@@ -54,19 +61,26 @@ def kron(a, b, sa, sb):
     """Kronecker product of a, of shape sa = (ra, ca), and b, of shape
     sb = (rb, cb), with the left factor indexing slowest:
     (a (x) b)[i*rb + k, j*cb + l] = a[i][j] * b[k][l].  Frozen rows; an
-    empty factor gives () or ((),) * rows, the shapes zeros gives."""
+    empty factor gives () or ((),) * rows, the shapes zeros gives.  The
+    product of two ints is an int; a product with a Fraction factor can
+    be integral, so when either factor holds a Fraction each product goes
+    through frac."""
     (ra, ca), (rb, cb) = sa, sb
     if not ca * cb:
         return ((),) * (ra * rb)
-    zero_block = (ZERO,) * cb
+    ints = all(type(x) is int for m in (a, b) for row in m for x in row)
+    zero_block = (0,) * cb
     out = []
-    for i in range(ra):
-        arow = a[i]
-        for k in range(rb):
-            brow = b[k]
+    for arow in a:
+        for brow in b:
             row = []
             for x in arow:
-                row.extend([x * y if y else ZERO for y in brow] if x else zero_block)
+                if not x:
+                    row.extend(zero_block)
+                elif ints:
+                    row.extend([x * y if y else 0 for y in brow])
+                else:
+                    row.extend([frac(x * y) if y else 0 for y in brow])
             out.append(tuple(row))
     return tuple(out)
 
@@ -121,19 +135,20 @@ def rank(rows, ncols):
     """Rank of the first ncols columns of sparse rows (see eliminate),
     by fraction-free elimination over the integers.
 
-    Each row is cleared of denominators, which keeps the rank and puts
-    every step in Python ints, and is then reduced against the pivot rows
-    kept so far, keyed by leading column: row <- a*row - b*pivot, where a
-    and b are the pivot's and the row's leading entries divided by their
-    gcd, after which the row's content is divided out.  A pivot row is kept
-    as its leading entry and the rest, so the cancelled entry is never
-    formed.  A row left nonzero becomes the pivot of its leading column;
-    no basis is built."""
+    A row holding a Fraction is cleared of denominators, which keeps the
+    rank and puts every step in Python ints; each row is then reduced
+    against the pivot rows kept so far, keyed by leading column:
+    row <- a*row - b*pivot, where a and b are the pivot's and the row's
+    leading entries divided by their gcd, after which the row's content
+    is divided out.  A pivot row is kept as its leading entry and the
+    rest, so the cancelled entry is never formed.  A row left nonzero
+    becomes the pivot of its leading column; no basis is built."""
     pivots = {}
     for row in rows:
         row = {j: x for j, x in row.items() if j < ncols and x}
-        scale = math.lcm(*(x.denominator for x in row.values()))
-        row = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+        if not all(type(x) is int for x in row.values()):
+            scale = math.lcm(*(x.denominator for x in row.values()))
+            row = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
         while row:
             g = math.gcd(*row.values())
             if g > 1:

@@ -7,7 +7,8 @@ Conventions
 * A representation assigns dims[v] to each vertex and to each arrow
   a: s -> t a matrix of shape (dims[t], dims[s]) acting on column vectors,
   stored in the quiver's arrow order.
-* All entries are Fractions; everything here is exact.
+* Entries are canonical (see exact.frac): an int when integral, else a
+  Fraction; everything here is exact.
 
 The hom-dimension computation sets up the commuting-square system
 f_t . M_a = N_a . f_s over the per-vertex unknowns f_v and ranks it by
@@ -30,7 +31,6 @@ representations return through Representation._trusted.
 import graphlib
 import itertools
 import random
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import exact
@@ -194,10 +194,11 @@ class Representation:
 
     @classmethod
     def _trusted(cls, quiver, dims, maps):
-        """No checks: dims a tuple of ints, maps a tuple of frozen Fraction
-        matrices in arrow order, of the right shapes by construction.  Only
-        tensor_vertexwise, dual and wba.tensor_wba, which build from checked
-        representations, call it; a second check would repeat the first."""
+        """No checks: dims a tuple of ints, maps a tuple of frozen matrices
+        of canonical entries (see exact.frac) in arrow order, of the right
+        shapes by construction.  Only tensor_vertexwise, dual and
+        wba.tensor_wba, which build from checked representations, call it;
+        a second check would repeat the first."""
         rep = cls.__new__(cls)
         rep.quiver, rep.dims, rep.maps, rep._id = quiver, dims, maps, None
         return rep
@@ -287,7 +288,7 @@ def simple(q, v):
 def identity_rep(q):
     """k at every vertex with every arrow acting as the identity (the unit
     for the vertex-wise tensor product)."""
-    one = [[Fraction(1)]]
+    one = [[1]]
     return Representation(q, [1] * q.n, {a.id: one for a in q.arrows})
 
 
@@ -421,7 +422,7 @@ def random_representation(q, max_dim, seed):
     for a in q.arrows:
         rows, cols = dims[a.target - 1], dims[a.source - 1]
         maps.append(
-            [[Fraction(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(rows)]
+            [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
         )
     return Representation(q, dims, maps)
 

@@ -23,7 +23,6 @@ sink > source > flow (the two branches give equal values below).
 """
 
 import enum
-from fractions import Fraction
 
 from .bricks import DerivedObject
 from .errors import InputError, NotTypeAError
@@ -118,7 +117,7 @@ def interval_rep(w, v, quiver=None):
     if quiver is None:
         quiver = w.to_quiver()
     dims = [1 if i <= s <= j else 0 for s in range(1, w.n + 1)]
-    one = [[Fraction(1)]]
+    one = [[1]]
     maps = {}
     for s in range(1, w.n):
         if i <= s < j:

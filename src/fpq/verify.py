@@ -9,7 +9,7 @@ same cases.  Sizes have no defaults here: the command line defines them.
 import functools
 import re
 
-from . import engine, wba
+from . import engine
 from .bricks import DerivedObject, band_family, hom_matrix
 from .errors import FpqError
 from .quiver import (
@@ -115,6 +115,8 @@ def duality(*, triples, n, max_dim, seed):
 
 
 def canonical_tensor(*, n, pairs, max_dim, seed):
+    from . import wba
+
     cases = []
     for size in range(2, n + 1):
         for w in all_orientations(size):
@@ -143,6 +145,8 @@ def _expected_axiom_failures(name):
 
 
 def wba_axioms(*, w_max, corruptions, seed):
+    from . import wba
+
     specs = list(wba.catalog_k2())
     for w in range(1, w_max + 1):
         specs.extend(wba.catalog_kronecker(w))
@@ -184,6 +188,8 @@ def wba_axioms(*, w_max, corruptions, seed):
 
 
 def kronecker_divergence(*, size):
+    from . import wba
+
     q = wba.kronecker_quiver(2)
     report = functools.cache(lambda: engine.fpd_lower_bound(
         simple(q, 1), family=band_family(q), budget=size))

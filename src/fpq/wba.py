@@ -67,8 +67,6 @@ from .quiver import (
 
 _TRIVIAL_KEY = re.compile(r"^e([0-9]+)$")
 
-ONE = Fraction(1)
-
 
 class PathAlgebra:
     """Path basis of the path algebra of an acyclic quiver.
@@ -250,7 +248,7 @@ class CoproductSpec:
         alg = self.algebra
         long = [k for k, p in enumerate(alg.paths) if len(p[2]) >= 2]
         col = {k: c for c, k in enumerate(long)}
-        eps = [exact.ZERO if len(ids) >= 2 else self.eps_gen[ids[0] if ids else f"e{s}"]
+        eps = [0 if len(ids) >= 2 else self.eps_gen[ids[0] if ids else f"e{s}"]
                for s, _, ids in alg.paths]
         if not long:
             return eps
@@ -258,7 +256,7 @@ class CoproductSpec:
         rows = []
         for p in range(len(alg)):
             for side in (0, 1):
-                law = {p: {rhs: ONE}}  # kept path -> its row
+                law = {p: {rhs: 1}}  # kept path -> its row
                 for (u, v), c in self._delta[p].items():
                     kept, evaluated = (u, v) if side == 0 else (v, u)
                     row = law.setdefault(kept, {})
@@ -269,7 +267,7 @@ class CoproductSpec:
         pivots = exact.eliminate(rows, rhs)
         if not any(rows[len(pivots):]):  # else some row reads 0 = nonzero
             for row, c in zip(rows, pivots):
-                eps[long[c]] = row.get(rhs, exact.ZERO)
+                eps[long[c]] = row.get(rhs, 0)
         return eps
 
     def _counit_witness(self, side):
@@ -281,7 +279,7 @@ class CoproductSpec:
                 kept = v if side == 0 else u
                 evaluated = u if side == 0 else v
                 _add_term(out, kept, c * self._eps[evaluated])
-            if out != {p: ONE}:
+            if out != {p: 1}:
                 return p
         return None
 
@@ -293,7 +291,7 @@ class CoproductSpec:
         expected = {}
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                expected[(self.algebra.trivial[i], self.algebra.trivial[j])] = ONE
+                expected[(self.algebra.trivial[i], self.algebra.trivial[j])] = 1
         return self.delta_unit == expected
 
     def to_dict(self):
@@ -424,7 +422,7 @@ def _counit_product_witness(spec):
     n = len(alg)
 
     def eps_of(k):
-        return spec.eps(k) if k is not None else Fraction(0)
+        return spec.eps(k) if k is not None else 0
 
     for x in range(n):
         for y in range(n):
@@ -437,7 +435,7 @@ def _counit_product_witness(spec):
                         c * eps_of(alg.compose(x, u)) * eps_of(alg.compose(v, z))
                         for (u, v), c in dy.items()
                     ),
-                    Fraction(0),
+                    0,
                 )
                 if first != lhs:
                     return (alg.path_key(x), alg.path_key(y), alg.path_key(z))
@@ -446,7 +444,7 @@ def _counit_product_witness(spec):
                         c * eps_of(alg.compose(x, v)) * eps_of(alg.compose(u, z))
                         for (u, v), c in dy.items()
                     ),
-                    Fraction(0),
+                    0,
                 )
                 if second != lhs:
                     return (alg.path_key(x), alg.path_key(y), alg.path_key(z))
@@ -611,21 +609,17 @@ def _grouplike_table(quiver):
     return delta, counit
 
 
-def _int_or_frac(x):
-    return x.numerator if x.denominator == 1 else x
-
-
 def _path_entries(alg, rep):
     """Each basis path's action on rep as the list of its nonzero entries
-    (row, column, value), indexed in rep's total space, integral values as
-    ints.  Its block, at (target, source), is the identity or its last
-    arrow's rows times its prefix's block, built earlier in alg.paths."""
+    (row, column, value), indexed in rep's total space, canonical (a
+    product of Fractions can be integral).  Its block, at (target, source),
+    is the identity or its last arrow's rows times its prefix's block,
+    built earlier in alg.paths."""
     offs = [0]
     for d in rep.dims:
         offs.append(offs[-1] + d)
     arrows = {
-        a.id: [{k: _int_or_frac(x) for k, x in enumerate(row) if x}
-               for row in rep.map_for(a.id)]
+        a.id: [{k: x for k, x in enumerate(row) if x} for row in rep.map_for(a.id)]
         for a in rep.quiver.arrows
     }
     blocks, out = [], []
@@ -638,7 +632,7 @@ def _path_entries(alg, rep):
             block = [{k: 1} for k in range(rep.dims[s - 1])]
         blocks.append(block)
         out.append([
-            (r, k + offs[s - 1], _int_or_frac(x))
+            (r, k + offs[s - 1], frac(x))
             for r, row in enumerate(block, offs[t - 1])
             for k, x in row.items()
         ])
@@ -652,7 +646,6 @@ def _act(entries_m, entries_n, dn, element, rows):
     rows is empty are skipped; the action itself is never formed."""
     out = [{} for _ in rows]
     for (i, j), c in element.items():
-        c = _int_or_frac(c)
         for r, k, x in entries_m[i]:
             cx, base, target = c * x, k * dn, r * dn
             for r2, l, y in entries_n[j]:
@@ -675,10 +668,11 @@ def tensor_wba(spec, m, n):
     each arrow's map is its action in that vertex basis.  One elimination
     of an idempotent E gives E = B C with C B = I (B its pivot columns, C
     its RREF rows), so C is the change of basis and no system is solved.
-    Matrices stay sparse rows, integral entries ints, until the arrow blocks
-    are read off, so the work follows the nonzeros, not (dim M * dim N)^2;
-    no coproduct's action on the whole square is formed (see _act).  The
-    blocks are frozen Fractions as built, passed on without re-validation.
+    Matrices stay sparse rows until the arrow blocks are read off, so the
+    work follows the nonzeros, not (dim M * dim N)^2; no coproduct's action
+    on the whole square is formed (see _act).  The blocks are read off
+    through exact.frac, so they hold canonical entries, and are passed on
+    without re-validation.
     Raises NotAQuiverAction when a restricted action leaves the image, an
     e_v does not act idempotently, or an arrow acts outside its (target,
     source) block (which happens for structures that are not weak
@@ -748,7 +742,7 @@ def tensor_wba(spec, m, n):
                 f" ({a.target}, {a.source}) block"
             )
         maps.append(exact.freeze([
-            [frac(row[c]) if c in row else exact.ZERO for c in range(s0, s1)]
+            [frac(row[c]) if c in row else 0 for c in range(s0, s1)]
             for row in full[t0:t1]
         ]))
     dims = tuple(b - a for a, b in zip(offs, offs[1:]))
@@ -860,7 +854,7 @@ def deformation_preserves_axioms(spec, info):
         k = alg.arrow_path[aid]
         expected = None
         for e, idx in alg.trivial.items():
-            if spec.delta_gen[aid] == {(idx, k): ONE, (k, idx): ONE}:
+            if spec.delta_gen[aid] == {(idx, k): 1, (k, idx): 1}:
                 expected = idx
                 break
         if expected is None or (base is not None and expected != base):
@@ -869,6 +863,6 @@ def deformation_preserves_axioms(spec, info):
         if spec.eps_gen[aid] != 0:
             return False
     e_key = alg.path_key(base)
-    if spec.delta_gen[e_key] != {(base, base): ONE}:
+    if spec.delta_gen[e_key] != {(base, base): 1}:
         return False
     return (u == g and v == g) or (u != g and v != g)

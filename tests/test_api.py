@@ -2,9 +2,35 @@
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fpq
+
+# fpq.__all__ as it was while fpq/__init__ imported fpq.wba eagerly.
+EXPORTS = {
+    "Arrow", "AxiomReport", "BadArrowError", "BadPathsError", "BrickSet",
+    "CapExceededError", "CoproductSpec", "CyclicQuiverError", "DerivedObject",
+    "DimensionGuardError", "DuplicateLabelError", "FpdReport", "FpqError",
+    "IncompleteListError", "InputError", "IntervalKind", "NoConvergenceError",
+    "NotAQuiverActionError", "NotTypeAError", "OrientationWord", "PathAlgebra",
+    "Quiver", "Representation", "ShapeError", "StructureMismatchError",
+    "TensorStructure", "WrongQuiverError", "adjacency", "all_indecomposables",
+    "all_intervals", "all_orientations", "band_family", "band_kronecker",
+    "band_two_paths", "brick_set", "bricks", "canonical_wba", "catalog_k2",
+    "catalog_kronecker", "check_axioms", "classify", "closed_form_fpd",
+    "compatibility_graph", "derived_hom_dim", "dim_ext1", "dual", "engine",
+    "errors", "euler_form", "exact", "fpd_exact", "fpd_lower_bound",
+    "fpv_closed_form", "fpv_empirical", "from_weak_bialgebra", "gamma_matrix",
+    "gamma_radius_closed", "hom_dim", "hom_matrix", "identity_rep",
+    "integer_radius", "interval_rep", "is_discrete", "kronecker_quiver",
+    "maximal_brick_sets", "opposite", "orientation_of", "perturb_spec",
+    "quiver", "random_acyclic_quiver", "random_representation", "simple",
+    "spectral", "spectral_radius", "tensor_vertexwise", "tensor_wba", "typea",
+    "vertexwise", "wba", "zero_rep",
+}
 
 
 def _modules():
@@ -101,3 +127,16 @@ def test_the_trusted_constructor_has_three_callers():
         ("quiver.py", "tensor_vertexwise", True),
         ("wba.py", "tensor_wba", True),
     ]
+
+
+def test_importing_the_cli_leaves_wba_unloaded():
+    """A fresh `import fpq.cli` does not load fpq.wba; the package still
+    exports the same names, the weak-bialgebra ones resolved on first use."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fpq.__file__).parents[1]))
+    code = "import sys, fpq.cli; print(sorted(m for m in sys.modules if m.startswith('fpq')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "fpq.cli" in proc.stdout and "fpq.wba" not in proc.stdout
+    assert fpq.tensor_wba is fpq.wba.tensor_wba
+    assert set(fpq.__all__) == EXPORTS

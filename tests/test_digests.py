@@ -13,6 +13,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -48,10 +49,13 @@ COMMANDS = [
 
 def digest(argv):
     """{"exit": code, "stdout_sha256": hex} for one in-process CLI run."""
-    out = io.StringIO()
-    with contextlib.chdir(ROOT), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = run(argv)
+    out, cwd = io.StringIO(), os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+    finally:
+        os.chdir(cwd)
     sha = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     return {"exit": code, "stdout_sha256": sha}
 

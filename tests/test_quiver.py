@@ -1,5 +1,6 @@
 """Quivers, representations, hom/ext spaces, and the Euler form."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -167,14 +168,19 @@ def _rational_pairs(seed, count):
         yield rep(), rep()
 
 
+def _canonical(v):
+    """An int (not a bool), or a Fraction that is not integral."""
+    return type(v) is int or type(v) is Fraction and v.denominator > 1
+
+
 def _well_formed(t):
     """Int dims in a tuple, one tuple of tuple rows per arrow, every entry
-    (zeros included) a Fraction."""
+    (zeros included) canonical."""
     assert type(t.dims) is tuple and all(type(d) is int for d in t.dims)
     assert type(t.maps) is tuple and len(t.maps) == len(t.quiver.arrows)
     for mat in t.maps:
         assert type(mat) is tuple and all(type(row) is tuple for row in mat)
-        assert all(type(v) is Fraction for row in mat for v in row)
+        assert all(_canonical(v) for row in mat for v in row)
 
 
 def test_trusted_builders_give_what_the_checked_constructor_builds():
@@ -230,6 +236,28 @@ def test_representation_roundtrip():
     m = random_representation(A2, 3, seed=9)
     back = Representation.from_dict(m.to_dict())
     assert back == m and back.quiver == A2
+
+
+def test_an_integral_entry_is_an_int_however_it_is_given():
+    """Fraction(4, 2), 2 and the JSON string "4/2" are one entry, the int
+    2, and give one representation; "1/2" stays a Fraction; a JSON true
+    is still not a number."""
+    def from_json(text):
+        return Representation.from_dict(json.loads(text), quiver=A2)
+
+    built = [
+        Representation(A2, [1, 1], {"a": [[Fraction(4, 2)]]}),
+        Representation(A2, [1, 1], {"a": [[2]]}),
+        from_json('{"dims": [1, 1], "maps": {"a": [["4/2"]]}}'),
+    ]
+    for m in built:
+        assert m.maps == (((2,),),) and type(m.maps[0][0][0]) is int
+    assert len({m.key() for m in built}) == 1
+    half = from_json('{"dims": [1, 1], "maps": {"a": [["1/2"]]}}').maps[0][0][0]
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    with pytest.raises(InputError) as info:
+        from_json('{"dims": [1, 1], "maps": {"a": [[true]]}}')
+    assert info.value.code == "bad_input"
 
 
 def fractional_representation(q, max_dim, seed):

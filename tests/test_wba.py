@@ -357,11 +357,16 @@ def test_tensor_matches_the_sympy_reference_on_rational_entries():
     assert set(failed) == {"unit", "image", "idempotent", "block"}, failed
 
 
-def test_tensor_entries_are_fractions_on_integer_inputs():
-    """Integral entries run as ints inside tensor_wba; what it returns
-    holds Fractions only, also where an elimination divides by a pivot
-    other than 1: with 2 r2(x)e2 added to D(e1) of kronecker2-e, integer
-    factors give a map entry -1/2."""
+def _canonical(v):
+    """An int (not a bool), or a Fraction that is not integral."""
+    return type(v) is int or type(v) is Fraction and v.denominator > 1
+
+
+def test_tensor_entries_are_canonical_on_integer_inputs():
+    """What tensor_wba returns holds canonical entries, ints where integral,
+    also where an elimination divides by a pivot other than 1: with
+    2 r2(x)e2 added to D(e1) of kronecker2-e, integer factors give a map
+    entry -1/2."""
     kron2 = by_name(wba.catalog_kronecker(2))
     corrupt = wba.perturb_spec(kron2["kronecker2-e"], 5)
     assert corrupt.perturbation == "delta[e1] += 2 * r2(x)e2"
@@ -374,7 +379,7 @@ def test_tensor_entries_are_fractions_on_integer_inputs():
         x = random_representation(spec.quiver, 2, seed=j)
         t = wba.tensor_wba(spec, m, x)
         entries += [v for mat in t.maps for row in mat for v in row]
-    assert all(type(v) is Fraction for v in entries)
+    assert all(_canonical(v) for v in entries)
     assert Fraction(-1, 2) in entries
 
 
@@ -382,7 +387,7 @@ def test_trusted_output_is_what_the_checked_constructor_builds():
     """tensor_wba returns without re-validating its maps.  On seeded
     pairs with integer and with p/q entries, the checked constructor
     rebuilds an equal representation from its dims and maps, every dim is
-    an int and every entry, zeros included, a Fraction."""
+    an int and every entry, zeros included, canonical."""
     kron2 = by_name(wba.catalog_kronecker(2))
     specs = list(kron2.values()) + [
         wba.canonical_wba(OrientationWord(w).to_quiver()) for w in ("><", ">>>")
@@ -408,7 +413,7 @@ def test_trusted_output_is_what_the_checked_constructor_builds():
                     for mat in t.maps
                 )
                 entries += [v for mat in t.maps for row in mat for v in row]
-    assert all(type(v) is Fraction for v in entries)
+    assert all(_canonical(v) for v in entries)
     assert 0 in entries
     assert any(v.denominator > 1 for v in entries)
 
