@@ -13,6 +13,7 @@ the Auslander-Reiten formula with tau built by reflection functors,
 dimensions and maximal brick sets from enumerating every subset of the
 candidates rather than searching cliques, and the twisted tensor of a
 coproduct from sympy's Kronecker products, column spaces and solves.
+``is_canonical`` states the library's entry format without calling it.
 """
 
 import graphlib
@@ -27,6 +28,12 @@ from fpq.errors import WrongQuiverError
 from fpq.quiver import Quiver, Representation, dim_ext1, hom_dim, \
     tensor_vertexwise
 from fpq.typea import all_intervals, interval_rep
+
+
+def is_canonical(v):
+    """Whether v is a canonical entry: an int (not a bool), or a Fraction
+    that is not integral."""
+    return type(v) is int or type(v) is Fraction and v.denominator > 1
 
 
 def mat_mul(a, b):

@@ -133,7 +133,8 @@ def test_importing_the_cli_leaves_wba_unloaded():
     """A fresh `import fpq.cli` does not load fpq.wba; the package still
     exports the same names, the weak-bialgebra ones resolved on first use."""
     env = dict(os.environ, PYTHONPATH=str(Path(fpq.__file__).parents[1]))
-    code = "import sys, fpq.cli; print(sorted(m for m in sys.modules if m.startswith('fpq')))"
+    code = ("import sys, fpq.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('fpq')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

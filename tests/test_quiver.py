@@ -37,7 +37,14 @@ from fpq.quiver import (
     zero_rep,
 )
 from fpq.typea import OrientationWord, all_intervals, interval_rep
-from oracles import ar_ext1, direct_sum, hom_basis, is_isomorphic, sympy_hom_dim
+from oracles import (
+    ar_ext1,
+    direct_sum,
+    hom_basis,
+    is_canonical,
+    is_isomorphic,
+    sympy_hom_dim,
+)
 
 A2 = Quiver(2, [("a", 1, 2)])
 S1 = simple(A2, 1)
@@ -168,11 +175,6 @@ def _rational_pairs(seed, count):
         yield rep(), rep()
 
 
-def _canonical(v):
-    """An int (not a bool), or a Fraction that is not integral."""
-    return type(v) is int or type(v) is Fraction and v.denominator > 1
-
-
 def _well_formed(t):
     """Int dims in a tuple, one tuple of tuple rows per arrow, every entry
     (zeros included) canonical."""
@@ -180,7 +182,7 @@ def _well_formed(t):
     assert type(t.maps) is tuple and len(t.maps) == len(t.quiver.arrows)
     for mat in t.maps:
         assert type(mat) is tuple and all(type(row) is tuple for row in mat)
-        assert all(_canonical(v) for row in mat for v in row)
+        assert all(is_canonical(v) for row in mat for v in row)
 
 
 def test_trusted_builders_give_what_the_checked_constructor_builds():

@@ -22,7 +22,7 @@ from fpq.quiver import (
     tensor_vertexwise,
 )
 from fpq.typea import OrientationWord, all_orientations
-from oracles import is_isomorphic, mat_mul, sympy_tensor_wba
+from oracles import is_canonical, is_isomorphic, mat_mul, sympy_tensor_wba
 
 K2 = Quiver(2, [])
 KRON1 = wba.kronecker_quiver(1)
@@ -357,11 +357,6 @@ def test_tensor_matches_the_sympy_reference_on_rational_entries():
     assert set(failed) == {"unit", "image", "idempotent", "block"}, failed
 
 
-def _canonical(v):
-    """An int (not a bool), or a Fraction that is not integral."""
-    return type(v) is int or type(v) is Fraction and v.denominator > 1
-
-
 def test_tensor_entries_are_canonical_on_integer_inputs():
     """What tensor_wba returns holds canonical entries, ints where integral,
     also where an elimination divides by a pivot other than 1: with
@@ -379,7 +374,7 @@ def test_tensor_entries_are_canonical_on_integer_inputs():
         x = random_representation(spec.quiver, 2, seed=j)
         t = wba.tensor_wba(spec, m, x)
         entries += [v for mat in t.maps for row in mat for v in row]
-    assert all(_canonical(v) for v in entries)
+    assert all(is_canonical(v) for v in entries)
     assert Fraction(-1, 2) in entries
 
 
@@ -413,7 +408,7 @@ def test_trusted_output_is_what_the_checked_constructor_builds():
                     for mat in t.maps
                 )
                 entries += [v for mat in t.maps for row in mat for v in row]
-    assert all(_canonical(v) for v in entries)
+    assert all(is_canonical(v) for v in entries)
     assert 0 in entries
     assert any(v.denominator > 1 for v in entries)
 
