@@ -1,7 +1,8 @@
 """Committed answer digests: the sha256 of each command's stdout bytes and
 its exit code, recomputed in-process through ``fpq.cli.run`` and compared
 with ``tests/digests.json``.  Commands run from the repository root, so
-file arguments are paths relative to it.
+file arguments are paths relative to it.  One more entry, ``FPD_SET``,
+digests the 840 library outputs of ``fpd_outputs``.
 
 A change that alters an output on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_digests.py --write`` and names each
@@ -19,7 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from fpq.cli import run
+from fpq import engine, verify, wba
+from fpq.cli import _normalize, run
+from fpq.quiver import random_representation
+from fpq.typea import all_intervals, all_orientations, interval_rep
 
 DIGESTS = Path(__file__).with_name("digests.json")
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +51,39 @@ COMMANDS = [
 ]
 
 
+FPD_SET = "fpd-840: A2-A5 intervals at shifts 0, 1; opposite A2-A4; canonical A2-A3"
+
+
+def fpd_outputs():
+    """fpd_exact(...).describe() on every A2-A5 interval at shifts 0 and 1,
+    verify.opposite_fpd on every A2-A4 interval, and fpd_exact under the
+    canonical coproduct on 5 seeded random representations (dims 0..2) per
+    A2-A3 orientation: 700 + 110 + 30 outputs."""
+    out = []
+    for n in range(2, 6):
+        for w in all_orientations(n):
+            q = w.to_quiver()
+            for v in all_intervals(n):
+                m = interval_rep(w, v, q)
+                out += [engine.fpd_exact(m, shift=s).describe() for s in (0, 1)]
+                if n <= 4:
+                    out.append(verify.opposite_fpd(m))
+    for n in (2, 3):
+        for w in all_orientations(n):
+            q = w.to_quiver()
+            canonical = engine.from_weak_bialgebra(wba.canonical_wba(q))
+            for seed in range(5):
+                m = random_representation(q, 2, seed)
+                out.append(engine.fpd_exact(m, structure=canonical).describe())
+    return out
+
+
+def fpd_digest():
+    outputs = fpd_outputs()
+    text = json.dumps(_normalize(outputs), sort_keys=True)
+    return {"outputs": len(outputs), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
 def digest(argv):
     """{"exit": code, "stdout_sha256": hex} for one in-process CLI run."""
     out, cwd = io.StringIO(), os.getcwd()
@@ -66,12 +103,19 @@ def test_answers_match_the_committed_digests(argv):
     assert digest(argv) == committed[" ".join(argv)]
 
 
+def test_the_fpd_outputs_match_the_committed_digest():
+    assert fpd_digest() == json.loads(DIGESTS.read_text())[FPD_SET]
+
+
 def test_every_committed_digest_has_a_command():
-    assert set(json.loads(DIGESTS.read_text())) == {" ".join(a) for a in COMMANDS}
+    assert set(json.loads(DIGESTS.read_text())) == (
+        {" ".join(a) for a in COMMANDS} | {FPD_SET}
+    )
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_digests.py --write")
     table = {" ".join(argv): digest(argv) for argv in COMMANDS}
+    table[FPD_SET] = fpd_digest()
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
