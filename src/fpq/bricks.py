@@ -20,12 +20,13 @@ maximal_brick_sets runs a Bron-Kerbosch search with pivoting over the
 compatibility graph.  Enumeration order is deterministic: members of each
 set ascend by candidate index and the sets are reported sorted
 lexicographically.  The search counts expansions and raises CapExceeded
-(carrying the partial result) instead of truncating.  Each candidate list
-is enumerated once per cap: the sets are memoized by the candidates' keys.
+(carrying the partial result) instead of truncating.  A CandidateIndex,
+memoized per candidate list, holds what every computation over the list
+reads, so each list is checked and enumerated once.
 """
 
 from .errors import BadPathsError, CapExceededError, InputError, WrongQuiverError
-from .quiver import Representation, dim_ext1, hom_dim
+from .quiver import _EXT1_CACHE, _HOM_DIM_CACHE, Representation, dim_ext1, hom_dim
 
 
 class DerivedObject:
@@ -66,11 +67,24 @@ def derived_hom_dim(x, y):
     return 0
 
 
+# Where hom_dim and dim_ext1 memoize derived_hom_dim by id pair.
+_MEMO_BY_SHIFT, _NO_MEMO = {0: _HOM_DIM_CACHE, 1: _EXT1_CACHE}, {}
+
+
 def hom_matrix(xs, ys):
     """[i][j] = derived_hom_dim(xs[i], ys[j]).  With ys = xs it is the
     identity exactly for a brick set; with ys the images of xs under a
-    functor it is that functor's adjacency matrix on xs."""
-    return [[derived_hom_dim(x, y) for y in ys] for x in xs]
+    functor it is that functor's adjacency matrix on xs.  Entries are
+    read from the memo by id pair; derived_hom_dim computes the rest."""
+    cols = [(y.rep.key(), y.shift) for y in ys]
+    out = []
+    for x in xs:
+        a, s = x.rep.key(), x.shift
+        row = [_MEMO_BY_SHIFT.get(t - s, _NO_MEMO).get((a, b)) for b, t in cols]
+        if None in row:
+            row = [derived_hom_dim(x, y) if v is None else v for v, y in zip(row, ys)]
+        out.append(row)
+    return out
 
 
 class BrickSet:
@@ -113,57 +127,103 @@ def compatibility_graph(hom):
     ]
 
 
-_BRICK_SETS = {}
+# Caps on the index memo and on each index's tensored lists: a full memo
+# is emptied, and what it held is rebuilt, the same, on its next use.
+MAX_INDEXES = 64
+MAX_TENSORED = 32
+_INDEXES = {}
+
+
+class CandidateIndex:
+    """A checked candidate list (pairwise distinct bricks, InputError
+    otherwise) with its ids, hom matrix, maximal sets and, per object and
+    tensor, the tensored list.  The compatibility graph is read off the hom
+    matrix when the sets are searched, which is once for any cap that
+    suffices, and is not kept."""
+
+    def __init__(self, candidates):
+        self.objs = tuple(candidates)
+        self.ids = tuple(c.key() for c in self.objs)
+        self.hom = hom_matrix(self.objs, self.objs)
+        for k, row in enumerate(self.hom):
+            if row[k] != 1:
+                raise InputError(f"candidate {k} is not a brick (hom certificate fails)")
+        for k, key in enumerate(self.ids):
+            if key in self.ids[:k]:
+                raise InputError(f"candidate {k} duplicates an earlier candidate")
+        self._found = None  # (maximal sets, expansions taken)
+        self._tensored = {}
+
+    def maximal_sets(self, cap):
+        """maximal_brick_sets as a tuple, enumerated once: only a cap below
+        the expansions that took searches again (and raises)."""
+        found = self._found
+        if found is not None and cap >= found[1]:
+            return found[0]
+        adj, out, budget = compatibility_graph(self.hom), [], [cap]
+
+        def expand(r, p, x):
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise CapExceededError(
+                    f"clique enumeration exceeded {cap} expansions",
+                    partial=[tuple(sorted(c)) for c in out],
+                    cap=cap,
+                )
+            if not p and not x:
+                out.append(tuple(sorted(r)))
+                return
+            pivot = max(p | x, key=lambda u: len(adj[u] & p))
+            for v in sorted(p - adj[pivot]):
+                expand(r | {v}, p & adj[v], x & adj[v])
+                p = p - {v}
+                x = x | {v}
+
+        if adj:
+            expand(set(), set(range(len(adj))), set())
+        self._found = found = tuple(sorted(out)), cap - budget[0]
+        return found[0]
+
+    def tensored(self, m, tensor, shift):
+        """[DerivedObject(tensor(m, X), shift of X + shift) for X in the
+        candidates], the products built once per m and tensor.  A product
+        equal to a candidate or an earlier product is kept as that object."""
+        key = (m.key(), tensor)
+        reps = self._tensored.get(key)
+        if reps is None:
+            if len(self._tensored) >= MAX_TENSORED:
+                self._tensored.clear()
+            seen = {x.rep.key(): x.rep for x in self.objs}
+            reps = [tensor(m, x.rep) for x in self.objs]
+            reps = self._tensored[key] = [seen.setdefault(t.key(), t) for t in reps]
+        return [DerivedObject(t, x.shift + shift) for t, x in zip(reps, self.objs)]
+
+
+def candidate_index(key, build):
+    """The CandidateIndex memoized under key, which determines the list
+    build() makes on a miss: the candidates' ids (index_of) or less."""
+    index = _INDEXES.get(key)
+    if index is None:
+        index = CandidateIndex(build())
+        if len(_INDEXES) >= MAX_INDEXES:
+            _INDEXES.clear()
+        _INDEXES[key] = index
+    return index
+
+
+def index_of(candidates):
+    return candidate_index(tuple([c.key() for c in candidates]), lambda: candidates)
 
 
 def maximal_brick_sets(candidates, cap=10 ** 6):
     """All maximal brick sets drawn from the candidate list, as sorted
-    index tuples, sorted lexicographically.
+    index tuples, sorted lexicographically; a new list on every call.
 
     candidates must be pairwise distinct bricks (InputError otherwise).
     The Bron-Kerbosch recursion counts its expansions against cap and
-    raises CapExceeded carrying the sets found so far.  Results are
-    memoized by the candidates' keys and cap; errors are not."""
-    keys = tuple(c.key() for c in candidates)
-    got = _BRICK_SETS.get((keys, cap))
-    if got is not None:
-        return list(got)
-    hom = hom_matrix(candidates, candidates)
-    for k, row in enumerate(hom):
-        if row[k] != 1:
-            raise InputError(f"candidate {k} is not a brick (hom certificate fails)")
-    seen = set()
-    for k, key in enumerate(keys):
-        if key in seen:
-            raise InputError(f"candidate {k} duplicates an earlier candidate")
-        seen.add(key)
-    n = len(candidates)
-    if n == 0:
-        return []
-    adj = compatibility_graph(hom)
-    out = []
-    budget = [cap]
-
-    def expand(r, p, x):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise CapExceededError(
-                f"clique enumeration exceeded {cap} expansions",
-                partial=[tuple(sorted(c)) for c in out],
-                cap=cap,
-            )
-        if not p and not x:
-            out.append(tuple(sorted(r)))
-            return
-        pivot = max(p | x, key=lambda u: len(adj[u] & p))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
-
-    expand(set(), set(range(n)), set())
-    _BRICK_SETS[keys, cap] = got = tuple(sorted(out))
-    return list(got)
+    raises CapExceeded carrying the sets found so far.  Errors are not
+    remembered."""
+    return list(index_of(candidates).maximal_sets(cap))
 
 
 def band_kronecker(quiver, c):

@@ -27,7 +27,7 @@ from .bricks import (
     BrickSet,
     DerivedObject,
     band_family,
-    hom_matrix,
+    index_of,
     maximal_brick_sets,
 )
 from .errors import FpqError, InputError, WrongQuiverError
@@ -110,11 +110,8 @@ def _load_spec(desc, quiver=None):
         return wba.canonical_wba(quiver)
     m = _CATALOG_ENTRY.match(desc)
     if m:
-        family = (
-            wba.catalog_k2() if m.group(1) == "k2"
-            else wba.catalog_kronecker(int(m.group(2)))
-        )
-        return family["abcde".index(m.group(3))]
+        name = "k2" if m.group(1) == "k2" else f"kronecker:{m.group(2)}"
+        return _catalog(name)["abcde".index(m.group(3))]
     return wba.CoproductSpec.from_dict(_read_json(desc))
 
 
@@ -280,7 +277,7 @@ def _cmd_bricks(args):
         for shift in shifts
         for x in intervals
     ]
-    hom = hom_matrix(objs, objs)
+    hom = index_of(objs).hom
     entries = []
     for clique in maximal_brick_sets(objs, cap=args.cap):
         certificate = [[hom[i][j] for j in clique] for i in clique]
@@ -445,6 +442,33 @@ def _add_structure_opt(p):
     )
 
 
+# fpq verify suites: (name, help, [(option, type, default)]).
+_VERIFY_SUITES = [
+    ("closed-form", "interval dimensions vs the closed form",
+     [("--n", _int_at_least(2), 4)]),
+    ("euler", "hom - ext vs the Euler form",
+     [("--pairs", _int_at_least(0), 200), ("--quivers", _int_at_least(1), 10),
+      ("--max-dim", _int_at_least(0), 4), ("--seed", int, 7)]),
+    ("duality", "hom duality and dual-interval dimensions",
+     [("--triples", _int_at_least(0), 100), ("--n", _int_at_least(1), 5),
+      ("--max-dim", _int_at_least(0), 3), ("--seed", int, 11)]),
+    ("canonical-tensor", "canonical coproduct vs componentwise tensor",
+     [("--n", _int_at_least(2), 4), ("--pairs", _int_at_least(0), 50),
+      ("--max-dim", _int_at_least(0), 3), ("--seed", int, 3)]),
+    ("wba-axioms", "catalog axiom reports and corruptions",
+     [("--w-max", _int_at_least(0), 3), ("--corruptions", _int_at_least(0), 100),
+      ("--seed", int, 23)]),
+    ("kronecker-divergence", "band-module lower bounds grow without bound",
+     [("--size", _int_at_least(3), 12)]),
+    ("gamma", "hub-matrix radii vs the closed form",
+     [("--n-max", _int_at_least(1), 50), ("--tol", _tolerance, 1e-9)]),
+    ("fpv", "empirical curvature vs the closed form",
+     [("--n", _int_at_least(2), 4), ("--count", _int_at_least(0), 50),
+      ("--max-dim", _int_at_least(0), 3), ("--n-max", _int_at_least(1), 10),
+      ("--seed", int, 17)]),
+]
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fpq",
@@ -549,65 +573,12 @@ def build_parser():
     p = sub.add_parser("verify", help="run a property suite; nonzero exit on failure")
     vsub = p.add_subparsers(dest="suite", required=True)
 
-    pv = vsub.add_parser("closed-form", help="interval dimensions vs the closed form")
-    pv.add_argument("--n", type=_int_at_least(2), default=4)
-    pv.add_argument("--out")
-    pv.set_defaults(func=_cmd_verify)
-
-    pv = vsub.add_parser("euler", help="hom - ext vs the Euler form")
-    pv.add_argument("--pairs", type=_int_at_least(0), default=200)
-    pv.add_argument("--quivers", type=_int_at_least(1), default=10)
-    pv.add_argument("--max-dim", type=_int_at_least(0), default=4)
-    pv.add_argument("--seed", type=int, default=7)
-    pv.add_argument("--out")
-    pv.set_defaults(func=_cmd_verify)
-
-    pv = vsub.add_parser("duality", help="hom duality and dual-interval dimensions")
-    pv.add_argument("--triples", type=_int_at_least(0), default=100)
-    pv.add_argument("--n", type=_int_at_least(1), default=5)
-    pv.add_argument("--max-dim", type=_int_at_least(0), default=3)
-    pv.add_argument("--seed", type=int, default=11)
-    pv.add_argument("--out")
-    pv.set_defaults(func=_cmd_verify)
-
-    pv = vsub.add_parser(
-        "canonical-tensor", help="canonical coproduct vs componentwise tensor"
-    )
-    pv.add_argument("--n", type=_int_at_least(2), default=4)
-    pv.add_argument("--pairs", type=_int_at_least(0), default=50)
-    pv.add_argument("--max-dim", type=_int_at_least(0), default=3)
-    pv.add_argument("--seed", type=int, default=3)
-    pv.add_argument("--out")
-    pv.set_defaults(func=_cmd_verify)
-
-    pv = vsub.add_parser("wba-axioms", help="catalog axiom reports and corruptions")
-    pv.add_argument("--w-max", type=_int_at_least(0), default=3)
-    pv.add_argument("--corruptions", type=_int_at_least(0), default=100)
-    pv.add_argument("--seed", type=int, default=23)
-    pv.add_argument("--out")
-    pv.set_defaults(func=_cmd_verify)
-
-    pv = vsub.add_parser(
-        "kronecker-divergence", help="band-module lower bounds grow without bound"
-    )
-    pv.add_argument("--size", type=_int_at_least(3), default=12)
-    pv.add_argument("--out")
-    pv.set_defaults(func=_cmd_verify)
-
-    pv = vsub.add_parser("gamma", help="hub-matrix radii vs the closed form")
-    pv.add_argument("--n-max", type=_int_at_least(1), default=50)
-    pv.add_argument("--tol", type=_tolerance, default=1e-9)
-    pv.add_argument("--out")
-    pv.set_defaults(func=_cmd_verify)
-
-    pv = vsub.add_parser("fpv", help="empirical curvature vs the closed form")
-    pv.add_argument("--n", type=_int_at_least(2), default=4)
-    pv.add_argument("--count", type=_int_at_least(0), default=50)
-    pv.add_argument("--max-dim", type=_int_at_least(0), default=3)
-    pv.add_argument("--n-max", type=_int_at_least(1), default=10)
-    pv.add_argument("--seed", type=int, default=17)
-    pv.add_argument("--out")
-    pv.set_defaults(func=_cmd_verify)
+    for suite, help_text, options in _VERIFY_SUITES:
+        pv = vsub.add_parser(suite, help=help_text)
+        for flag, kind, default in options:
+            pv.add_argument(flag, type=kind, default=default)
+        pv.add_argument("--out")
+        pv.set_defaults(func=_cmd_verify)
 
     return parser
 

@@ -24,7 +24,7 @@ bound, flagging divergence when the radii keep climbing through a hub
 pattern in the adjacency.
 """
 
-from .bricks import DerivedObject, brick_set, hom_matrix, maximal_brick_sets
+from .bricks import DerivedObject, brick_set, hom_matrix, index_of
 from .errors import (
     DimensionGuardError,
     IncompleteListError,
@@ -34,9 +34,12 @@ from .errors import (
 )
 from .quiver import hom_dim, simple, tensor_vertexwise
 from .spectral import DEFAULT_TOL, integer_radius, spectral_radius
-from .typea import all_indecomposables, orientation_of
+from .typea import interval_index, orientation_of
 
+# (radius, integer_radius's proof) by (flat entries, size, tol); emptied
+# when it holds MAX_RADII entries, each rebuilt the same when next asked for.
 _RADIUS_CACHE = {}
+MAX_RADII = 2 ** 14
 
 DIMENSION_GUARD = 10 ** 6
 
@@ -96,11 +99,18 @@ class FpdReport:
         return f"FpdReport({self.value}, mode={self.mode}{flag})"
 
 
-def _cached_radius(matrix, tol):
-    key = (tuple(tuple(row) for row in matrix), tol)
-    if key not in _RADIUS_CACHE:
-        _RADIUS_CACHE[key] = spectral_radius(matrix, tol=tol)
-    return _RADIUS_CACHE[key]
+def _proved_radius(flat, size, tol):
+    """(radius, integer_radius's proof) of the size x size matrix whose
+    row-major entries are flat, so each distinct matrix is proved once."""
+    key = (flat, size, tol)
+    got = _RADIUS_CACHE.get(key)
+    if got is None:
+        a = [list(flat[k * size:(k + 1) * size]) for k in range(size)]
+        r = spectral_radius(a, tol=tol)
+        if len(_RADIUS_CACHE) >= MAX_RADII:
+            _RADIUS_CACHE.clear()
+        got = _RADIUS_CACHE[key] = (r, integer_radius(a, r))
+    return got
 
 
 def adjacency(members, m, shift, structure):
@@ -111,20 +121,17 @@ def adjacency(members, m, shift, structure):
     return hom_matrix(members, tensored)
 
 
-def _candidate_objects(m, indecomposables):
+def _candidate_index(m, indecomposables):
     if indecomposables is not None:
-        objs = []
-        for k, c in enumerate(indecomposables):
-            if isinstance(c, DerivedObject):
-                if c.shift != 0:
-                    raise InputError(
-                        f"candidate {k} sits at shift {c.shift}; supply module"
-                        " candidates (mixed-shift sets reduce to these)"
-                    )
-                objs.append(c)
-            else:
-                objs.append(DerivedObject(c, 0))
-        return objs
+        objs = [c if isinstance(c, DerivedObject) else DerivedObject(c, 0)
+                for c in indecomposables]
+        for k, c in enumerate(objs):
+            if c.shift != 0:
+                raise InputError(
+                    f"candidate {k} sits at shift {c.shift}; supply module"
+                    " candidates (mixed-shift sets reduce to these)"
+                )
+        return index_of(objs)
     try:
         word = orientation_of(m.quiver)
     except NotTypeAError as exc:
@@ -132,29 +139,29 @@ def _candidate_objects(m, indecomposables):
             "no candidate list given and the quiver is not a linear chain;"
             " pass a complete list of indecomposable representations"
         ) from exc
-    return all_indecomposables(word, m.quiver)
+    return interval_index(word, m.quiver)
 
 
-def best_brick_set(objs, full, tol=DEFAULT_TOL, cap=10 ** 6):
-    """Maximize the spectral radius of full (a matrix indexed by objs)
-    restricted to each maximal brick set drawn from objs.
+def best_brick_set(index, full, tol=DEFAULT_TOL, cap=10 ** 6):
+    """Maximize the spectral radius of full (a matrix indexed by the
+    candidates of a CandidateIndex) restricted to each maximal brick set.
 
     Returns (value, clique, sub, cliques): the largest radius, as an int
     when integer_radius proves it integral; the first maximal set reaching
     it and full restricted to that set (both None when there are none); and
     every maximal set.  A later set wins only by more than the tolerance,
     so ties keep the earliest set."""
-    cliques = maximal_brick_sets(objs, cap=cap)
-    best = 0.0
-    best_clique = best_sub = None
+    cliques = index.maximal_sets(cap)
+    best, proof, best_clique = 0.0, 0, None  # no set: radius 0, proved
     for clique in cliques:
-        sub = [[full[i][j] for j in clique] for i in clique]
-        r = _cached_radius(sub, tol)
+        flat = tuple([full[i][j] for i in clique for j in clique])
+        r, p = _proved_radius(flat, len(clique), tol)
         if best_clique is None or r > best + max(tol, 1e-12) * max(1.0, best):
-            best, best_clique, best_sub = r, clique, sub
-    rounded = integer_radius(best_sub or [], best)
-    value = best if rounded is None else rounded
-    return value, best_clique, best_sub, cliques
+            best, proof, best_clique = r, p, clique
+    sub = None if best_clique is None else [
+        [full[i][j] for j in best_clique] for i in best_clique
+    ]
+    return best if proof is None else proof, best_clique, sub, cliques
 
 
 def fpd_exact(m, shift=0, structure=None, indecomposables=None, cap=10 ** 6,
@@ -176,14 +183,14 @@ def fpd_exact(m, shift=0, structure=None, indecomposables=None, cap=10 ** 6,
     if shift not in (0, 1):
         return FpdReport(0, "exact", shift, structure.name, witness=None,
                          adjacency=None, integral=True, candidates=0, **base)
-    objs = _candidate_objects(m, indecomposables)
-    full = adjacency(objs, m, shift, structure)
-    value, clique, adj, cliques = best_brick_set(objs, full, tol, cap)
-    witness = None if clique is None else [objs[i].describe() for i in clique]
+    index = _candidate_index(m, indecomposables)
+    full = hom_matrix(index.objs, index.tensored(m, structure._tensor, shift))
+    value, clique, adj, cliques = best_brick_set(index, full, tol, cap)
+    witness = None if clique is None else [index.objs[i].describe() for i in clique]
     return FpdReport(
         value, "exact", shift, structure.name,
         witness=witness, adjacency=adj, integral=isinstance(value, int),
-        candidates=len(objs), brick_sets=len(cliques), **base,
+        candidates=len(index.objs), brick_sets=len(cliques), **base,
     )
 
 
@@ -209,18 +216,14 @@ def fpd_lower_bound(m, shift=0, structure=None, family=None, budget=12,
     radius still grew strictly in the last step.
     """
     structure = structure or vertexwise()
-    floor = 0.0
-    floor_witness = None
-    best_adj = []
+    best, proof, floor_witness = 0.0, 0, None  # no simple: radius 0, proved
     for v in range(1, m.quiver.n + 1):
         s = DerivedObject(simple(m.quiver, v), 0, label=f"S({v})")
         a = adjacency([s], m, shift, structure)
-        r = _cached_radius(a, tol)
-        if r > floor:
-            floor = r
-            floor_witness = s.describe()
-            best_adj = a
-    best = floor
+        r, p = _proved_radius((a[0][0],), 1, tol)
+        if r > best:
+            best, proof, floor_witness = r, p, s.describe()
+    floor = best
     sequence = []
     values = []
     last = None
@@ -233,9 +236,9 @@ def fpd_lower_bound(m, shift=0, structure=None, family=None, budget=12,
                 )
             verified = brick_set(members)
             a = adjacency(verified.members, m, shift, structure)
-            r = spectral_radius(a, tol=tol)
+            r, p = _proved_radius(tuple([x for row in a for x in row]), size, tol)
             if r > best:
-                best, best_adj = r, a
+                best, proof = r, p
             values.append(r)
             sequence.append({"size": size, "radius": r})
             last = (verified, a)
@@ -244,7 +247,6 @@ def fpd_lower_bound(m, shift=0, structure=None, family=None, budget=12,
         hub = _hub_index(last[1])
         if hub is not None and values[-1] > values[-2] + 1e-9:
             divergent = True
-    rounded = integer_radius(best_adj, best)
     extra = {
         "quiver": m.quiver.to_dict(),
         "object_dims": list(m.dims),
@@ -252,13 +254,13 @@ def fpd_lower_bound(m, shift=0, structure=None, family=None, budget=12,
         "floor": floor,
         "floor_witness": floor_witness,
         "family_sequence": sequence,
-        "integral": rounded is not None,
+        "integral": proof is not None,
     }
     if last is not None:
         extra["witness"] = last[0].describe()
         extra["adjacency"] = last[1]
     return FpdReport(
-        rounded if rounded is not None else best,
+        best if proof is None else proof,
         "lower_bound", shift, structure.name, divergent=divergent, **extra,
     )
 

@@ -148,6 +148,8 @@ def validate_quiver(q):
         if a.id in seen:
             raise DuplicateLabelError(f"duplicate arrow id {a.id!r}")
         seen.add(a.id)
+    if all(a.source < a.target for a in q.arrows):
+        return True  # every arrow runs up the vertex order: no cycle
     ts = graphlib.TopologicalSorter({v: set() for v in range(1, q.n + 1)})
     for a in q.arrows:
         ts.add(a.target, a.source)
@@ -380,36 +382,39 @@ def tensor_vertexwise(m, n):
     if m.quiver != n.quiver:
         raise WrongQuiverError("representations live over different quivers")
     q = m.quiver
-    dims = tuple(dm * dn for dm, dn in zip(m.dims, n.dims))
+    dims = tuple([dm * dn for dm, dn in zip(m.dims, n.dims)])
     if sum(dims[a.target - 1] * dims[a.source - 1] for a in q.arrows) \
             > MAX_MAP_ENTRIES:
         raise DimensionGuardError(
             f"tensor product would have more than {MAX_MAP_ENTRIES} map entries"
         )
-    maps = tuple(
+    maps = tuple([
         exact.kron(ma, na, (m.dims[a.target - 1], m.dims[a.source - 1]),
                    (n.dims[a.target - 1], n.dims[a.source - 1]))
         for a, ma, na in zip(q.arrows, m.maps, n.maps)
-    )
+    ])
     return Representation._trusted(q, dims, maps)
 
 
 def opposite(q):
     """Quiver with every arrow reversed (same ids, same order), built once
-    per instance; the opposite of the opposite is q itself."""
+    per instance; the opposite of the opposite is q itself.  Reversing
+    keeps q's checked arrows valid, so it is built without validate_quiver."""
     if q._opposite is None:
-        q._opposite = Quiver(q.n, [(a.id, a.target, a.source) for a in q.arrows])
-        q._opposite._opposite = q
+        op = Quiver.__new__(Quiver)
+        op.n, op._index, op._id, op._opposite = q.n, q._index, None, q
+        op.arrows = tuple(Arrow(a.id, a.target, a.source) for a in q.arrows)
+        q._opposite = op
     return q._opposite
 
 
 def dual(m):
     """The dual representation over the opposite quiver: vertex spaces are
     dualized and each reversed arrow acts by the transpose."""
-    maps = tuple(
+    maps = tuple([
         tuple(zip(*mat)) if mat else ((),) * m.dims[a.source - 1]
         for a, mat in zip(m.quiver.arrows, m.maps)
-    )
+    ])
     return Representation._trusted(opposite(m.quiver), m.dims, maps)
 
 

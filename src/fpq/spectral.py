@@ -150,20 +150,16 @@ def spectral_radius(a, tol=DEFAULT_TOL, max_iter=MAX_ITER):
 
     Exact (as a float) for permuted-triangular matrices; otherwise correct
     to the requested relative tolerance."""
-    n = _check_square(a)
-    if n == 0:
-        return 0.0
+    _check_square(a)
+    return max((_block_radius(b, tol, max_iter)[0] for b in _blocks(a)), default=0.0)
+
+
+def _blocks(a):
+    """The diagonal blocks of a on its strongly connected components."""
+    n = len(a)
     succ = [[j for j in range(n) if a[i][j]] for i in range(n)]
-    best = 0.0
-    for comp in strongly_connected_components(succ, n):
-        if len(comp) == 1:
-            v = comp[0]
-            best = max(best, float(a[v][v]))
-            continue
-        block = [[a[i][j] for j in comp] for i in comp]
-        val, _, _ = _block_radius(block, tol, max_iter)
-        best = max(best, val)
-    return best
+    return [[[a[i][j] for j in comp] for i in comp]
+            for comp in strongly_connected_components(succ, n)]
 
 
 def _first_nonpositive_minor(a):
@@ -185,8 +181,9 @@ def _first_nonpositive_minor(a):
 
 def _compare_block(block, k):
     """-1, 0 or 1 as rho(block) is below, equal to or above the integer k,
-    decided exactly for an irreducible block B of size n >= 2 from the
-    leading principal minors D_1..D_n of kI - B alone.
+    decided exactly for a 1x1 block (D_1 = k - b_11) or an irreducible
+    block B of size n >= 2 from the leading principal minors D_1..D_n of
+    kI - B alone.
 
     * All D_j > 0: the Z-matrix kI - B is a nonsingular M-matrix, that is
       k > rho(B) (Berman & Plemmons 1979, 6.2.3).
@@ -218,19 +215,13 @@ def integer_radius(a, radius):
     """The spectral radius of a as an int when it provably equals k =
     round(radius), radius being a float estimate of it; None otherwise.
 
-    Each strongly connected block is compared with k exactly: a 1x1 block
-    by its entry, a larger one by _compare_block.  rho(a) = k when no
-    block exceeds k and one reaches it (or a is empty and k = 0)."""
+    Each strongly connected block is compared with k exactly by
+    _compare_block.  rho(a) = k when no block exceeds k and one reaches it
+    (or a is empty and k = 0)."""
     k = round(radius)
-    n = len(a)
-    succ = [[j for j in range(n) if a[i][j]] for i in range(n)]
-    reached = n == 0 and k == 0
-    for comp in strongly_connected_components(succ, n):
-        if len(comp) == 1:
-            x = a[comp[0]][comp[0]]
-            sign = (x > k) - (x < k)
-        else:
-            sign = _compare_block([[a[i][j] for j in comp] for i in comp], k)
+    reached = not a and k == 0
+    for block in _blocks(a):
+        sign = _compare_block(block, k)
         if sign > 0:
             return None
         reached = reached or sign == 0

@@ -24,7 +24,7 @@ sink > source > flow (the two branches give equal values below).
 
 import enum
 
-from .bricks import DerivedObject
+from .bricks import DerivedObject, candidate_index
 from .errors import InputError, NotTypeAError
 from .quiver import Quiver, Representation
 
@@ -129,23 +129,22 @@ def all_intervals(n):
     return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
 
 
-_INDECOMPOSABLES = {}
+def interval_index(w, quiver=None):
+    """The CandidateIndex of all_indecomposables(w, quiver), memoized by
+    the orientation and the quiver, which determine the list."""
+    if quiver is None:
+        quiver = w.to_quiver()
+    return candidate_index((w.dirs, quiver), lambda: [
+        DerivedObject(interval_rep(w, (i, j), quiver), 0, label=f"M[{i},{j}]")
+        for i, j in all_intervals(w.n)
+    ])
 
 
 def all_indecomposables(w, quiver=None):
     """The complete list of indecomposables of the A_n line: every interval
     module as a shift-0 DerivedObject labeled M[i,j], ordered by (i, j).
     Built once per orientation and quiver; each call returns a new list."""
-    if quiver is None:
-        quiver = w.to_quiver()
-    key = (w.dirs, quiver)
-    got = _INDECOMPOSABLES.get(key)
-    if got is None:
-        _INDECOMPOSABLES[key] = got = tuple(
-            DerivedObject(interval_rep(w, (i, j), quiver), 0, label=f"M[{i},{j}]")
-            for i, j in all_intervals(w.n)
-        )
-    return list(got)
+    return list(interval_index(w, quiver).objs)
 
 
 def closed_form_fpd(w, v, shift):

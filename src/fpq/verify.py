@@ -10,7 +10,7 @@ import functools
 import re
 
 from . import engine
-from .bricks import DerivedObject, band_family, hom_matrix
+from .bricks import band_family, hom_matrix
 from .errors import FpqError
 from .quiver import (
     dim_ext1,
@@ -24,10 +24,10 @@ from .quiver import (
 )
 from .spectral import gamma_matrix, gamma_radius_closed, spectral_radius
 from .typea import (
-    all_indecomposables,
     all_intervals,
     all_orientations,
     closed_form_fpd,
+    interval_index,
     interval_rep,
     orientation_of,
 )
@@ -77,10 +77,10 @@ def opposite_fpd(m):
     adjacency [dim Hom(M (x) X_j, X_i)]_ij.  Reversing every hom is the
     same as dualizing, so this must agree with the plain dimension of
     M* (x) - over the opposite quiver."""
-    objs = all_indecomposables(orientation_of(m.quiver), m.quiver)
-    tensored = [DerivedObject(tensor_vertexwise(m, x.rep)) for x in objs]
-    full = list(zip(*hom_matrix(tensored, objs)))
-    return engine.best_brick_set(objs, full)[0]
+    index = interval_index(orientation_of(m.quiver), m.quiver)
+    tensored = index.tensored(m, tensor_vertexwise, 0)
+    full = list(zip(*hom_matrix(tensored, index.objs)))
+    return engine.best_brick_set(index, full)[0]
 
 
 def duality(*, triples, n, max_dim, seed):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fpq import engine, wba
+from fpq import bricks, engine, wba
 from fpq.bricks import DerivedObject, band_family, maximal_brick_sets
 from fpq.errors import (
     DimensionGuardError,
@@ -14,15 +14,18 @@ from fpq.quiver import (
     Quiver,
     random_representation,
     simple,
+    tensor_vertexwise,
 )
+from fpq.spectral import integer_radius
 from fpq.typea import (
     OrientationWord,
     all_indecomposables,
     all_intervals,
     all_orientations,
+    closed_form_fpd,
     interval_rep,
 )
-from oracles import brute_force_fpd, numpy_radius
+from oracles import brute_force_brick_sets, brute_force_fpd, numpy_radius, twisted_hom
 
 KRON = Quiver(2, [("r1", 1, 2), ("r2", 1, 2)])
 
@@ -168,3 +171,110 @@ def test_coproduct_structure_reproduces_componentwise_dimension():
     structure = engine.from_weak_bialgebra(wba.canonical_wba(q))
     m = interval_rep(w, (1, 2), q)
     assert engine.fpd_exact(m, structure=structure).value == engine.fpd_exact(m).value
+
+
+def test_ties_keep_the_earliest_maximal_set():
+    """The witness and adjacency are those of the first maximal set, in
+    enumeration order, whose radius is the largest; a brute-force scan over
+    the oracle's maximal sets finds the same set, and ties do occur."""
+    ties = 0
+    for n in (2, 3, 4):
+        for w in all_orientations(n):
+            q = w.to_quiver()
+            objs = all_indecomposables(w, q)
+            sets = brute_force_brick_sets([(x.rep, 0) for x in objs])
+            for v in all_intervals(n):
+                m = interval_rep(w, v, q)
+                tensored = [tensor_vertexwise(m, x.rep) for x in objs]
+                for shift in (0, 1):
+                    subs = [[[twisted_hom(objs[i].rep, tensored[j], shift)
+                              for j in s] for i in s] for s in sets]
+                    radii = [numpy_radius(a) for a in subs]
+                    top = [k for k, r in enumerate(radii) if r > max(radii) - 1e-9]
+                    ties += len(top) > 1
+                    report = engine.fpd_exact(m, shift=shift).extra
+                    assert report["witness"] == [objs[i].describe() for i in sets[top[0]]]
+                    assert report["adjacency"] == subs[top[0]]
+    assert ties > 50
+
+
+def test_a_cached_proof_gives_the_same_value_and_integral(monkeypatch):
+    """fpd_exact on three Kronecker bands and fpd_lower_bound on the band
+    family up to size 3 reach the same all-ones witness matrix; whichever
+    runs second reads its integer proof from the radius cache and reports
+    what it reports on an empty cache."""
+    m = simple(KRON, 1)
+    bands = band_family(KRON)(3)
+
+    def exact():
+        report = engine.fpd_exact(m, indecomposables=bands)
+        return report.extra["adjacency"], report.value, report.extra["integral"]
+
+    def lower():
+        report = engine.fpd_lower_bound(m, family=band_family(KRON), budget=3)
+        return report.extra["adjacency"], report.value, report.extra["integral"]
+
+    monkeypatch.setattr(engine, "_RADIUS_CACHE", {})
+    want_exact = exact()
+    engine._RADIUS_CACHE.clear()
+    want_lower = lower()
+    assert want_exact == want_lower == ([[1] * 3] * 3, 3, True)
+    for first, second, want in ((exact, lower, want_lower), (lower, exact, want_exact)):
+        engine._RADIUS_CACHE.clear()
+        first()
+        proved = []
+
+        def counting(a, r):
+            proved.append(a)
+            return integer_radius(a, r)
+
+        monkeypatch.setattr(engine, "integer_radius", counting)
+        got = second()
+        monkeypatch.setattr(engine, "integer_radius", integer_radius)
+        assert got == want and isinstance(got[1], int)
+        assert want[0] not in proved  # the witness's proof came from the cache
+
+
+def test_capped_caches_stay_under_their_caps_and_rebuild_the_same(monkeypatch):
+    """An A6 sweep under small caps keeps the index memo, each index's
+    tensored lists and the radius cache at or under their caps, every value
+    matches the closed form, and an evicted index is rebuilt to the same
+    report."""
+    monkeypatch.setattr(bricks, "_INDEXES", {})
+    monkeypatch.setattr(bricks, "MAX_INDEXES", 4)
+    monkeypatch.setattr(bricks, "MAX_TENSORED", 3)
+    monkeypatch.setattr(engine, "_RADIUS_CACHE", {})
+    monkeypatch.setattr(engine, "MAX_RADII", 50)
+    first = None
+    for w in all_orientations(6):
+        q = w.to_quiver()
+        for v in all_intervals(6):
+            m = interval_rep(w, v, q)
+            for shift in (0, 1):
+                report = engine.fpd_exact(m, shift=shift)
+                assert report.value == closed_form_fpd(w, v, shift)
+                first = first or (m, shift, report.describe())
+                assert len(bricks._INDEXES) <= 4
+                assert len(engine._RADIUS_CACHE) <= 50
+                assert all(len(i._tensored) <= 3 for i in bricks._INDEXES.values())
+    m, shift, want = first
+    assert ("<<<<<", m.quiver) not in bricks._INDEXES
+    assert engine.fpd_exact(m, shift=shift).describe() == want
+
+
+def test_one_tensored_list_serves_both_shifts():
+    """fpd_exact tensors M with each candidate once per structure, however
+    many shifts ask; the answers are the vertexwise ones."""
+    calls = []
+
+    def counted(m, x):
+        calls.append(x)
+        return tensor_vertexwise(m, x)
+
+    structure = engine.TensorStructure("counted", counted)
+    w = OrientationWord("><>")
+    m = random_representation(w.to_quiver(), 2, seed=4)
+    for shift in (0, 1, 0, 1):
+        got = engine.fpd_exact(m, shift=shift, structure=structure)
+        assert got.value == engine.fpd_exact(m, shift=shift).value
+    assert len(calls) == len(all_indecomposables(w))

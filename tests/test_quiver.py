@@ -208,6 +208,47 @@ def test_dual_builds_the_opposite_quiver_once():
     assert dual(dual(m)).quiver is q
 
 
+def test_the_opposite_quiver_is_the_checked_reversed_quiver(monkeypatch):
+    """opposite builds without validate_quiver what the checked
+    constructor builds from the reversed arrows, down to the interned id."""
+    for seed in range(8):
+        q = random_acyclic_quiver(5, seed=seed)
+        reversed_arrows = [(a.id, a.target, a.source) for a in q.arrows]
+        want = Quiver(q.n, reversed_arrows)
+        monkeypatch.setattr(quiver_module, "validate_quiver", None)
+        op = opposite(q)
+        monkeypatch.undo()
+        assert op == want and op._ident() == want._ident()
+        assert op.arrows == want.arrows and op.to_dict() == want.to_dict()
+        assert [op.arrow_index(a.id) for a in op.arrows] == list(range(len(op.arrows)))
+        assert opposite(op) is q and opposite(opposite(q)) is q
+
+
+def test_a_cycle_is_still_listed_in_the_error(monkeypatch):
+    """Arrows that all run up the vertex order skip the topological sort;
+    any other quiver is sorted, and a cycle is reported as before."""
+    monkeypatch.setattr(quiver_module.graphlib, "TopologicalSorter", None)
+    assert random_acyclic_quiver(6, seed=3).n >= 2
+    assert OrientationWord(">>>").to_quiver().n == 4
+    monkeypatch.undo()
+    cases = [
+        ([("a", 1, 2), ("b", 2, 1)], "quiver has a directed cycle: [1, 2, 1]"),
+        ([("a", 1, 2), ("b", 2, 3), ("c", 3, 1)],
+         "quiver has a directed cycle: [1, 2, 3, 1]"),
+        ([("x", 3, 1), ("y", 1, 2), ("z", 2, 3), ("w", 1, 3)],
+         "quiver has a directed cycle: [1, 2, 3, 1]"),
+    ]
+    for arrows, message in cases:
+        with pytest.raises(CyclicQuiverError) as err:
+            Quiver(3, arrows)
+        assert str(err.value) == message
+    assert Quiver(3, [("a", 3, 1), ("b", 3, 2), ("c", 2, 1)]).n == 3
+    with pytest.raises(BadArrowError):
+        Quiver(2, [("a", 1, 2), ("b", 2, 3)])
+    with pytest.raises(DuplicateLabelError):
+        Quiver(3, [("a", 1, 2), ("a", 2, 3)])
+
+
 def test_tensor_over_the_map_entry_limit_raises_before_allocating():
     """On A_2 the product's map has dims[2] * dims[1] entries: exactly
     MAX_MAP_ENTRIES is built, one more row is refused."""
