@@ -200,8 +200,9 @@ class CandidateIndex:
 
 
 def candidate_index(key, build):
-    """The CandidateIndex memoized under key, which determines the list
-    build() makes on a miss: the candidates' ids (index_of) or less."""
+    """The CandidateIndex memoized under key, made from the list build()
+    returns on a miss; key determines that list: the candidates' ids
+    (index_of) or what a generated list is generated from."""
     index = _INDEXES.get(key)
     if index is None:
         index = CandidateIndex(build())
@@ -212,6 +213,7 @@ def candidate_index(key, build):
 
 
 def index_of(candidates):
+    """The memoized CandidateIndex of a list of DerivedObjects."""
     return candidate_index(tuple([c.key() for c in candidates]), lambda: candidates)
 
 

@@ -129,6 +129,21 @@ def test_the_trusted_constructor_has_three_callers():
     ]
 
 
+def test_only_the_trusted_builders_skip_the_constructor():
+    """cls.__new__ builds an object without its checked __init__; only
+    Representation._trusted and quiver.opposite, which reverses the arrows
+    of a checked quiver, may call it."""
+    sites = []
+    for name, tree in _modules():
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                sites += [
+                    (name, func.name) for node in ast.walk(func)
+                    if isinstance(node, ast.Attribute) and node.attr == "__new__"
+                ]
+    assert sorted(sites) == [("quiver.py", "_trusted"), ("quiver.py", "opposite")]
+
+
 def test_importing_the_cli_leaves_wba_unloaded():
     """A fresh `import fpq.cli` does not load fpq.wba; the package still
     exports the same names, the weak-bialgebra ones resolved on first use."""
