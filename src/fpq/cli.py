@@ -469,122 +469,159 @@ _VERIFY_SUITES = [
 ]
 
 
-def build_parser():
+_COMMANDS = ("hom", "ext", "tensor", "fpd", "fpv", "bricks", "spectral", "wba",
+             "verify")
+_WBA_COMMANDS = ("check", "catalog", "tensor", "discrete")
+
+
+def build_parser(argv=None):
+    """The fpq parser.  Given argv, a level whose next argument names one
+    of its subcommands builds that one alone, the only one parse_args then
+    reads (building them all is about 6 ms of a command); the top level
+    keeps every name in the usage line its errors print."""
+
+    def wanted(names, *path):
+        k = len(path)
+        if argv is not None and tuple(argv[:k + 1]) in {path + (n,) for n in names}:
+            return [argv[k]]
+        return list(names)
+
+    commands = wanted(_COMMANDS)
     parser = argparse.ArgumentParser(
         prog="fpq",
         description="Frobenius-Perron dimensions of quiver representations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    every = "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=every if len(commands) == 1 else None)
 
-    p = sub.add_parser("hom", help="dim Hom between two representations")
-    _add_quiver_opt(p)
-    p.add_argument("--left", required=True, help="rep JSON file or interval:i,j")
-    p.add_argument("--right", required=True, help="rep JSON file or interval:i,j")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_hom)
+    if "hom" in commands:
+        p = sub.add_parser("hom", help="dim Hom between two representations")
+        _add_quiver_opt(p)
+        p.add_argument("--left", required=True, help="rep JSON file or interval:i,j")
+        p.add_argument("--right", required=True, help="rep JSON file or interval:i,j")
+        p.add_argument("--out")
+        p.set_defaults(func=_cmd_hom)
 
-    p = sub.add_parser("ext", help="dim Ext^1 between two representations")
-    _add_quiver_opt(p)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_ext)
+    if "ext" in commands:
+        p = sub.add_parser("ext", help="dim Ext^1 between two representations")
+        _add_quiver_opt(p)
+        p.add_argument("--left", required=True)
+        p.add_argument("--right", required=True)
+        p.add_argument("--out")
+        p.set_defaults(func=_cmd_ext)
 
-    p = sub.add_parser("tensor", help="tensor product of two representations")
-    _add_quiver_opt(p)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    _add_structure_opt(p)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_tensor)
+    if "tensor" in commands:
+        p = sub.add_parser("tensor", help="tensor product of two representations")
+        _add_quiver_opt(p)
+        p.add_argument("--left", required=True)
+        p.add_argument("--right", required=True)
+        _add_structure_opt(p)
+        p.add_argument("--out")
+        p.set_defaults(func=_cmd_tensor)
 
-    p = sub.add_parser("fpd", help="Frobenius-Perron dimension of M (x) -")
-    _add_quiver_opt(p, required=True)
-    p.add_argument("--object", required=True)
-    p.add_argument("--shift", type=int, default=0)
-    _add_structure_opt(p)
-    p.add_argument("--mode", choices=("exact", "lower"), default="exact")
-    p.add_argument("--candidates", help="JSON list of candidate representations")
-    p.add_argument("--cap", type=_int_at_least(1), default=10 ** 6)
-    p.add_argument("--budget", type=_int_at_least(1), default=12)
-    p.add_argument("--tol", type=_tolerance, default=1e-10)
-    p.add_argument("--band-family", action="store_true",
-                   help="lower mode: grow band modules on the two-arrow quiver")
-    p.add_argument("--band-path1", help="comma-joined arrow ids of the first path")
-    p.add_argument("--band-path2", help="comma-joined arrow ids of the second path")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_fpd)
+    if "fpd" in commands:
+        p = sub.add_parser("fpd", help="Frobenius-Perron dimension of M (x) -")
+        _add_quiver_opt(p, required=True)
+        p.add_argument("--object", required=True)
+        p.add_argument("--shift", type=int, default=0)
+        _add_structure_opt(p)
+        p.add_argument("--mode", choices=("exact", "lower"), default="exact")
+        p.add_argument("--candidates", help="JSON list of candidate representations")
+        p.add_argument("--cap", type=_int_at_least(1), default=10 ** 6)
+        p.add_argument("--budget", type=_int_at_least(1), default=12)
+        p.add_argument("--tol", type=_tolerance, default=1e-10)
+        p.add_argument("--band-family", action="store_true",
+                       help="lower mode: grow band modules on the two-arrow quiver")
+        p.add_argument("--band-path1", help="comma-joined arrow ids of the first path")
+        p.add_argument("--band-path2", help="comma-joined arrow ids of the second path")
+        p.add_argument("--out")
+        p.set_defaults(func=_cmd_fpd)
 
-    p = sub.add_parser("fpv", help="Frobenius-Perron curvature of M (x) -")
-    _add_quiver_opt(p, required=True)
-    p.add_argument("--object", required=True)
-    _add_structure_opt(p)
-    p.add_argument("--n-max", type=_int_at_least(1), default=10)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_fpv)
+    if "fpv" in commands:
+        p = sub.add_parser("fpv", help="Frobenius-Perron curvature of M (x) -")
+        _add_quiver_opt(p, required=True)
+        p.add_argument("--object", required=True)
+        _add_structure_opt(p)
+        p.add_argument("--n-max", type=_int_at_least(1), default=10)
+        p.add_argument("--out")
+        p.set_defaults(func=_cmd_fpv)
 
-    p = sub.add_parser("bricks", help="brick-set reports")
-    bsub = p.add_subparsers(dest="bricks_command", required=True)
-    pe = bsub.add_parser("enumerate", help="maximal brick sets of interval modules")
-    _add_quiver_opt(pe, required=True)
-    pe.add_argument("--shifts", default="0", help="comma-joined shifts, e.g. 0,1")
-    pe.add_argument("--cap", type=_int_at_least(1), default=10 ** 6)
-    pe.add_argument("--out")
-    pe.set_defaults(func=_cmd_bricks)
+    if "bricks" in commands:
+        p = sub.add_parser("bricks", help="brick-set reports")
+        bsub = p.add_subparsers(dest="bricks_command", required=True)
+        pe = bsub.add_parser("enumerate", help="maximal brick sets of interval modules")
+        _add_quiver_opt(pe, required=True)
+        pe.add_argument("--shifts", default="0", help="comma-joined shifts, e.g. 0,1")
+        pe.add_argument("--cap", type=_int_at_least(1), default=10 ** 6)
+        pe.add_argument("--out")
+        pe.set_defaults(func=_cmd_bricks)
 
-    p = sub.add_parser("spectral", help="spectral radius of a nonnegative matrix")
-    p.add_argument("--matrix", required=True, help="JSON array of arrays")
-    p.add_argument("--tol", type=_tolerance, default=1e-10)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_spectral)
+    if "spectral" in commands:
+        p = sub.add_parser("spectral", help="spectral radius of a nonnegative matrix")
+        p.add_argument("--matrix", required=True, help="JSON array of arrays")
+        p.add_argument("--tol", type=_tolerance, default=1e-10)
+        p.add_argument("--out")
+        p.set_defaults(func=_cmd_spectral)
 
-    p = sub.add_parser("wba", help="weak bialgebra structures on path algebras")
-    wsub = p.add_subparsers(dest="wba_command", required=True)
+    if "wba" in commands:
+        p = sub.add_parser("wba", help="weak bialgebra structures on path algebras")
+        wsub = p.add_subparsers(dest="wba_command", required=True)
+        wba_commands = wanted(_WBA_COMMANDS, "wba")
 
-    pc = wsub.add_parser("check", help="run the axiom checker")
-    pc.add_argument("--spec", help="coproduct spec JSON file")
-    pc.add_argument("--structure", help="catalog entry name or 'canonical'")
-    pc.add_argument("--catalog", help="check a whole catalog: k2 or kronecker:w")
-    _add_quiver_opt(pc)
-    pc.add_argument("--out")
-    pc.set_defaults(func=_cmd_wba_check)
+        if "check" in wba_commands:
+            pc = wsub.add_parser("check", help="run the axiom checker")
+            pc.add_argument("--spec", help="coproduct spec JSON file")
+            pc.add_argument("--structure", help="catalog entry name or 'canonical'")
+            pc.add_argument("--catalog", help="check a whole catalog: k2 or kronecker:w")
+            _add_quiver_opt(pc)
+            pc.add_argument("--out")
+            pc.set_defaults(func=_cmd_wba_check)
 
-    pg = wsub.add_parser("catalog", help="emit a catalog with axiom reports")
-    pg.add_argument("--name", required=True, help="k2 or kronecker:w")
-    pg.add_argument("--out")
-    pg.set_defaults(func=_cmd_wba_catalog)
+        if "catalog" in wba_commands:
+            pg = wsub.add_parser("catalog", help="emit a catalog with axiom reports")
+            pg.add_argument("--name", required=True, help="k2 or kronecker:w")
+            pg.add_argument("--out")
+            pg.set_defaults(func=_cmd_wba_catalog)
 
-    pt = wsub.add_parser("tensor", help="tensor two representations through a coproduct")
-    pt.add_argument("--spec")
-    pt.add_argument("--structure")
-    _add_quiver_opt(pt)
-    pt.add_argument("--left", required=True)
-    pt.add_argument("--right", required=True)
-    pt.add_argument("--out")
-    pt.set_defaults(func=_cmd_wba_tensor)
+        if "tensor" in wba_commands:
+            pt = wsub.add_parser(
+                "tensor", help="tensor two representations through a coproduct"
+            )
+            pt.add_argument("--spec")
+            pt.add_argument("--structure")
+            _add_quiver_opt(pt)
+            pt.add_argument("--left", required=True)
+            pt.add_argument("--right", required=True)
+            pt.add_argument("--out")
+            pt.set_defaults(func=_cmd_wba_tensor)
 
-    pd = wsub.add_parser("discrete", help="test the simple-pair tensor rule")
-    pd.add_argument("--spec")
-    pd.add_argument("--structure")
-    _add_quiver_opt(pd)
-    pd.add_argument("--out")
-    pd.set_defaults(func=_cmd_wba_discrete)
+        if "discrete" in wba_commands:
+            pd = wsub.add_parser("discrete", help="test the simple-pair tensor rule")
+            pd.add_argument("--spec")
+            pd.add_argument("--structure")
+            _add_quiver_opt(pd)
+            pd.add_argument("--out")
+            pd.set_defaults(func=_cmd_wba_discrete)
 
-    p = sub.add_parser("verify", help="run a property suite; nonzero exit on failure")
-    vsub = p.add_subparsers(dest="suite", required=True)
-
-    for suite, help_text, options in _VERIFY_SUITES:
-        pv = vsub.add_parser(suite, help=help_text)
-        for flag, kind, default in options:
-            pv.add_argument(flag, type=kind, default=default)
-        pv.add_argument("--out")
-        pv.set_defaults(func=_cmd_verify)
+    if "verify" in commands:
+        p = sub.add_parser("verify", help="run a property suite; nonzero exit on failure")
+        vsub = p.add_subparsers(dest="suite", required=True)
+        suites = wanted([name for name, _, _ in _VERIFY_SUITES], "verify")
+        for suite, help_text, options in _VERIFY_SUITES:
+            if suite in suites:
+                pv = vsub.add_parser(suite, help=help_text)
+                for flag, kind, default in options:
+                    pv.add_argument(flag, type=kind, default=default)
+                pv.add_argument("--out")
+                pv.set_defaults(func=_cmd_verify)
 
     return parser
 
 
 def run(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -311,12 +311,15 @@ def _hom_system(m, n):
     Unknown layout: f_1 then f_2 ... ; f_v has shape (n.dims[v], m.dims[v])
     flattened row-major.  One equation per arrow a: s->t and per entry of
     f_t . M_a - N_a . f_s (shape n.dims[t] x m.dims[s]); zero equations are
-    dropped.  The two terms never share an unknown, since s != t."""
+    dropped, and none is built when there are no unknowns.  The two terms
+    never share an unknown, since s != t."""
     offsets = []
     total = 0
     for v in range(m.quiver.n):
         offsets.append(total)
         total += n.dims[v] * m.dims[v]
+    if not total:
+        return [], 0
     rows = []
     for idx, a in enumerate(m.quiver.arrows):
         s, t = a.source - 1, a.target - 1

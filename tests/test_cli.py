@@ -428,6 +428,48 @@ def test_verify_subcommands_are_the_suite_registry():
         assert options == params, name
 
 
+def _parse(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            got = exc.code
+    return got, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "duality", "--n", "3", "--seed", "2"],
+    ["verify", "duality", "--bogus"],
+    ["verify", "duality", "--n", "-1"],
+    ["verify", "duality", "-h"],
+    ["verify", "dual"],
+    ["verify", "-h", "duality"],
+    ["wba", "tensor", "--left", "a", "--right", "b", "extra"],
+    ["wba", "catalog"],
+    ["fpd", "--mode", "bad"],
+    ["fpd", "--quiver", "typeA:><", "--object", "interval:1,2", "--shift", "1"],
+    ["bricks", "enumerate", "--bogus"],
+    ["hom", "--left"],
+    ["--bogus", "hom"],
+    ["bogus"],
+    [],
+], ids=" ".join)
+def test_a_parser_built_for_argv_parses_it_as_the_full_parser_does(argv):
+    """build_parser(argv) builds only the subcommands argv names, yet gives
+    the same namespace, help and error output as the full parser."""
+    assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
+
+
+def test_a_parser_built_for_argv_holds_only_the_named_subcommands():
+    parser = build_parser(["verify", "duality", "--n", "3"])
+    assert list(_subcommands(parser)) == ["verify"]
+    assert list(_subcommands(_subcommands(parser)["verify"])) == ["duality"]
+    assert len(_subcommands(build_parser(["verify", "-h"]))) == 1
+    assert len(_subcommands(_subcommands(build_parser(["verify", "-h"]))["verify"])) == 8
+    assert len(_subcommands(build_parser(["-h", "verify"]))) == 9
+
+
 def test_wba_check_single_structure():
     data = run_json(["wba", "check", "--structure", "k2-a"])
     assert data["ok"] is True
