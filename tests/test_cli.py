@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import fpq
-from fpq import engine, spectral, verify, wba
+from fpq import cli, engine, spectral, verify, wba
 from fpq.cli import build_parser, run
 from fpq.errors import InputError
 
@@ -462,6 +462,9 @@ def test_a_parser_built_for_argv_parses_it_as_the_full_parser_does(argv):
 
 
 def test_a_parser_built_for_argv_holds_only_the_named_subcommands():
+    full = build_parser()
+    assert tuple(_subcommands(full)) == cli._COMMANDS
+    assert tuple(_subcommands(_subcommands(full)["wba"])) == cli._WBA_COMMANDS
     parser = build_parser(["verify", "duality", "--n", "3"])
     assert list(_subcommands(parser)) == ["verify"]
     assert list(_subcommands(_subcommands(parser)["verify"])) == ["duality"]
