@@ -477,8 +477,8 @@ _WBA_COMMANDS = ("check", "catalog", "tensor", "discrete")
 def build_parser(argv=None):
     """The fpq parser.  Given argv, a level whose next argument names one
     of its subcommands builds that one alone, the only one parse_args then
-    reads (building them all is about 6 ms of a command); the top level
-    keeps every name in the usage line its errors print."""
+    reads (building them all costs a command more than parsing does); the
+    top level keeps every name in the usage line its errors print."""
 
     def wanted(names, *path):
         k = len(path)
