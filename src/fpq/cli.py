@@ -155,7 +155,7 @@ def _config(args):
 
 def _emit(data, args):
     text = json.dumps(_normalize(data), sort_keys=True, indent=2) + "\n"
-    out = getattr(args, "out", None)
+    out = args.out
     if not out:
         sys.stdout.write(text)
         return
@@ -166,18 +166,12 @@ def _emit(data, args):
         raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
-def _cmd_hom(args):
+def _cmd_dim(args):
     q = _load_quiver(args.quiver) if args.quiver else None
     left = _load_object(args.left, q)
     right = _load_object(args.right, q or left.quiver)
-    return {"dim": hom_dim(left, right), "config": _config(args)}, 0
-
-
-def _cmd_ext(args):
-    q = _load_quiver(args.quiver) if args.quiver else None
-    left = _load_object(args.left, q)
-    right = _load_object(args.right, q or left.quiver)
-    return {"dim": dim_ext1(left, right), "config": _config(args)}, 0
+    dim = hom_dim if args.command == "hom" else dim_ext1
+    return {"dim": dim(left, right), "config": _config(args)}, 0
 
 
 def _cmd_tensor(args):
@@ -266,7 +260,7 @@ def _cmd_bricks(args):
     q = _load_quiver(args.quiver)
     word = orientation_of(q)
     try:
-        shifts = [int(s) for s in args.shifts.split(",")] if args.shifts else [0]
+        shifts = [int(s) for s in args.shifts.split(",")]
     except ValueError:
         raise UsageError(
             f"--shifts must be comma-joined integers, got {args.shifts!r}"
@@ -308,13 +302,10 @@ def _cmd_spectral(args):
 
 
 def _spec_from_args(args):
-    q = _load_quiver(args.quiver) if getattr(args, "quiver", None) else None
-    if getattr(args, "spec", None):
-        spec = _load_spec(args.spec, q)
-    elif getattr(args, "structure", None):
-        spec = _load_spec(args.structure, q)
-    else:
+    q = _load_quiver(args.quiver) if args.quiver else None
+    if not (args.spec or args.structure):
         raise UsageError("give --spec FILE or --structure NAME")
+    spec = _load_spec(args.spec or args.structure, q)
     if q is not None and spec.quiver != q:
         raise WrongQuiverError("structure and --quiver disagree")
     return spec
@@ -324,9 +315,7 @@ def _cmd_wba_check(args):
     from . import wba
 
     if args.catalog:
-        reports = [
-            dict(wba.check_axioms(s).describe()) for s in _catalog(args.catalog)
-        ]
+        reports = [wba.check_axioms(s).describe() for s in _catalog(args.catalog)]
         return {"reports": reports, "config": _config(args)}, 0
     spec = _spec_from_args(args)
     data = wba.check_axioms(spec).describe()
@@ -425,197 +414,120 @@ def _tolerance(text):
     return value
 
 
-def _add_quiver_opt(p, required=False):
-    p.add_argument(
-        "--quiver",
-        required=required,
-        help="quiver JSON file, or typeA:<word> with a word over '><'",
+def _size_type(minimum, default):
+    """The argparse type of a verify size (flag, minimum, default)."""
+    if minimum is None:
+        return int
+    return _tolerance if isinstance(default, float) else _int_at_least(minimum)
+
+
+_QUIVER = ("--quiver", dict(
+    help="quiver JSON file, or typeA:<word> with a word over '><'"))
+_NEEDS_QUIVER = ("--quiver", dict(_QUIVER[1], required=True))
+_PAIR = [("--left", dict(required=True)), ("--right", dict(required=True))]
+_STRUCTURE = ("--structure", dict(
+    default="vertexwise", help="vertexwise (default), canonical, a catalog entry"
+    " like kronecker2-a, or wba:<entry-or-spec.json>"))
+_CAP = ("--cap", dict(type=_int_at_least(1), default=10 ** 6))
+_TOL = ("--tol", dict(type=_tolerance, default=1e-10))
+_SPEC = [("--spec", {}), ("--structure", {}), _QUIVER]
+
+# A leaf is (help, options, handler), each option a (flag, add_argument
+# keywords) pair; every leaf also takes --out, last.  A group is (help,
+# dest, subtree); _config records each dest in the report.
+_COMMANDS = {
+    "hom": ("dim Hom between two representations", [
+        _QUIVER,
+        ("--left", dict(required=True, help="rep JSON file or interval:i,j")),
+        ("--right", dict(required=True, help="rep JSON file or interval:i,j")),
+    ], _cmd_dim),
+    "ext": ("dim Ext^1 between two representations", [_QUIVER, *_PAIR], _cmd_dim),
+    "tensor": ("tensor product of two representations",
+               [_QUIVER, *_PAIR, _STRUCTURE], _cmd_tensor),
+    "fpd": ("Frobenius-Perron dimension of M (x) -", [
+        _NEEDS_QUIVER,
+        ("--object", dict(required=True)),
+        ("--shift", dict(type=int, default=0)),
+        _STRUCTURE,
+        ("--mode", dict(choices=("exact", "lower"), default="exact")),
+        ("--candidates", dict(help="JSON list of candidate representations")),
+        _CAP,
+        ("--budget", dict(type=_int_at_least(1), default=12)),
+        _TOL,
+        ("--band-family", dict(
+            action="store_true",
+            help="lower mode: grow band modules on the two-arrow quiver")),
+        ("--band-path1", dict(help="comma-joined arrow ids of the first path")),
+        ("--band-path2", dict(help="comma-joined arrow ids of the second path")),
+    ], _cmd_fpd),
+    "fpv": ("Frobenius-Perron curvature of M (x) -", [
+        _NEEDS_QUIVER,
+        ("--object", dict(required=True)),
+        _STRUCTURE,
+        ("--n-max", dict(type=_int_at_least(1), default=10)),
+    ], _cmd_fpv),
+    "bricks": ("brick-set reports", "bricks_command", {
+        "enumerate": ("maximal brick sets of interval modules", [
+            _NEEDS_QUIVER,
+            ("--shifts", dict(default="0", help="comma-joined shifts, e.g. 0,1")),
+            _CAP,
+        ], _cmd_bricks),
+    }),
+    "spectral": ("spectral radius of a nonnegative matrix", [
+        ("--matrix", dict(required=True, help="JSON array of arrays")),
+        _TOL,
+    ], _cmd_spectral),
+    "wba": ("weak bialgebra structures on path algebras", "wba_command", {
+        "check": ("run the axiom checker", [
+            ("--spec", dict(help="coproduct spec JSON file")),
+            ("--structure", dict(help="catalog entry name or 'canonical'")),
+            ("--catalog", dict(help="check a whole catalog: k2 or kronecker:w")),
+            _QUIVER,
+        ], _cmd_wba_check),
+        "catalog": ("emit a catalog with axiom reports", [
+            ("--name", dict(required=True, help="k2 or kronecker:w")),
+        ], _cmd_wba_catalog),
+        "tensor": ("tensor two representations through a coproduct",
+                   [*_SPEC, *_PAIR], _cmd_wba_tensor),
+        "discrete": ("test the simple-pair tensor rule", _SPEC, _cmd_wba_discrete),
+    }),
+    "verify": ("run a property suite; nonzero exit on failure", "suite", {
+        name: (help_text, [
+            (flag, dict(type=_size_type(minimum, default), default=default))
+            for flag, minimum, default in sizes
+        ], _cmd_verify)
+        for name, (_, help_text, sizes) in verify.SUITES.items()
+    }),
+}
+
+
+def _add_commands(parent, dest, tree, argv):
+    """Add tree's commands to parent under dest.  When argv[0] names one,
+    that one alone is built, the only one parse_args then reads (building
+    them all costs a command more than parsing does), and the metavar
+    keeps every name in the usage line its errors print."""
+    named = argv[:1] if argv and argv[0] in tree else None
+    sub = parent.add_subparsers(
+        dest=dest, required=True, metavar="{" + ",".join(tree) + "}" if named else None
     )
-
-
-def _add_structure_opt(p):
-    p.add_argument(
-        "--structure",
-        default="vertexwise",
-        help="vertexwise (default), canonical, a catalog entry like"
-        " kronecker2-a, or wba:<entry-or-spec.json>",
-    )
-
-
-# fpq verify suites: (name, help, [(option, type, default)]).
-_VERIFY_SUITES = [
-    ("closed-form", "interval dimensions vs the closed form",
-     [("--n", _int_at_least(2), 4)]),
-    ("euler", "hom - ext vs the Euler form",
-     [("--pairs", _int_at_least(0), 200), ("--quivers", _int_at_least(1), 10),
-      ("--max-dim", _int_at_least(0), 4), ("--seed", int, 7)]),
-    ("duality", "hom duality and dual-interval dimensions",
-     [("--triples", _int_at_least(0), 100), ("--n", _int_at_least(1), 5),
-      ("--max-dim", _int_at_least(0), 3), ("--seed", int, 11)]),
-    ("canonical-tensor", "canonical coproduct vs componentwise tensor",
-     [("--n", _int_at_least(2), 4), ("--pairs", _int_at_least(0), 50),
-      ("--max-dim", _int_at_least(0), 3), ("--seed", int, 3)]),
-    ("wba-axioms", "catalog axiom reports and corruptions",
-     [("--w-max", _int_at_least(0), 3), ("--corruptions", _int_at_least(0), 100),
-      ("--seed", int, 23)]),
-    ("kronecker-divergence", "band-module lower bounds grow without bound",
-     [("--size", _int_at_least(3), 12)]),
-    ("gamma", "hub-matrix radii vs the closed form",
-     [("--n-max", _int_at_least(1), 50), ("--tol", _tolerance, 1e-9)]),
-    ("fpv", "empirical curvature vs the closed form",
-     [("--n", _int_at_least(2), 4), ("--count", _int_at_least(0), 50),
-      ("--max-dim", _int_at_least(0), 3), ("--n-max", _int_at_least(1), 10),
-      ("--seed", int, 17)]),
-]
-
-
-_COMMANDS = ("hom", "ext", "tensor", "fpd", "fpv", "bricks", "spectral", "wba",
-             "verify")
-_WBA_COMMANDS = ("check", "catalog", "tensor", "discrete")
+    for name in named or tree:
+        help_text, middle, last = tree[name]
+        p = sub.add_parser(name, help=help_text)
+        if isinstance(last, dict):  # a group: middle is its dest
+            _add_commands(p, middle, last, argv[1:] if named else None)
+            continue
+        for flag, keywords in [*middle, ("--out", {})]:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=last)
 
 
 def build_parser(argv=None):
-    """The fpq parser.  Given argv, a level whose next argument names one
-    of its subcommands builds that one alone, the only one parse_args then
-    reads (building them all costs a command more than parsing does); the
-    top level keeps every name in the usage line its errors print."""
-
-    def wanted(names, *path):
-        k = len(path)
-        if argv is not None and tuple(argv[:k + 1]) in {path + (n,) for n in names}:
-            return [argv[k]]
-        return list(names)
-
-    commands = wanted(_COMMANDS)
+    """The fpq parser; given argv, only the subcommands it names are built."""
     parser = argparse.ArgumentParser(
         prog="fpq",
         description="Frobenius-Perron dimensions of quiver representations.",
     )
-    every = "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=every if len(commands) == 1 else None)
-
-    if "hom" in commands:
-        p = sub.add_parser("hom", help="dim Hom between two representations")
-        _add_quiver_opt(p)
-        p.add_argument("--left", required=True, help="rep JSON file or interval:i,j")
-        p.add_argument("--right", required=True, help="rep JSON file or interval:i,j")
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_hom)
-
-    if "ext" in commands:
-        p = sub.add_parser("ext", help="dim Ext^1 between two representations")
-        _add_quiver_opt(p)
-        p.add_argument("--left", required=True)
-        p.add_argument("--right", required=True)
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_ext)
-
-    if "tensor" in commands:
-        p = sub.add_parser("tensor", help="tensor product of two representations")
-        _add_quiver_opt(p)
-        p.add_argument("--left", required=True)
-        p.add_argument("--right", required=True)
-        _add_structure_opt(p)
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_tensor)
-
-    if "fpd" in commands:
-        p = sub.add_parser("fpd", help="Frobenius-Perron dimension of M (x) -")
-        _add_quiver_opt(p, required=True)
-        p.add_argument("--object", required=True)
-        p.add_argument("--shift", type=int, default=0)
-        _add_structure_opt(p)
-        p.add_argument("--mode", choices=("exact", "lower"), default="exact")
-        p.add_argument("--candidates", help="JSON list of candidate representations")
-        p.add_argument("--cap", type=_int_at_least(1), default=10 ** 6)
-        p.add_argument("--budget", type=_int_at_least(1), default=12)
-        p.add_argument("--tol", type=_tolerance, default=1e-10)
-        p.add_argument("--band-family", action="store_true",
-                       help="lower mode: grow band modules on the two-arrow quiver")
-        p.add_argument("--band-path1", help="comma-joined arrow ids of the first path")
-        p.add_argument("--band-path2", help="comma-joined arrow ids of the second path")
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_fpd)
-
-    if "fpv" in commands:
-        p = sub.add_parser("fpv", help="Frobenius-Perron curvature of M (x) -")
-        _add_quiver_opt(p, required=True)
-        p.add_argument("--object", required=True)
-        _add_structure_opt(p)
-        p.add_argument("--n-max", type=_int_at_least(1), default=10)
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_fpv)
-
-    if "bricks" in commands:
-        p = sub.add_parser("bricks", help="brick-set reports")
-        bsub = p.add_subparsers(dest="bricks_command", required=True)
-        pe = bsub.add_parser("enumerate", help="maximal brick sets of interval modules")
-        _add_quiver_opt(pe, required=True)
-        pe.add_argument("--shifts", default="0", help="comma-joined shifts, e.g. 0,1")
-        pe.add_argument("--cap", type=_int_at_least(1), default=10 ** 6)
-        pe.add_argument("--out")
-        pe.set_defaults(func=_cmd_bricks)
-
-    if "spectral" in commands:
-        p = sub.add_parser("spectral", help="spectral radius of a nonnegative matrix")
-        p.add_argument("--matrix", required=True, help="JSON array of arrays")
-        p.add_argument("--tol", type=_tolerance, default=1e-10)
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_spectral)
-
-    if "wba" in commands:
-        p = sub.add_parser("wba", help="weak bialgebra structures on path algebras")
-        wsub = p.add_subparsers(dest="wba_command", required=True)
-        wba_commands = wanted(_WBA_COMMANDS, "wba")
-
-        if "check" in wba_commands:
-            pc = wsub.add_parser("check", help="run the axiom checker")
-            pc.add_argument("--spec", help="coproduct spec JSON file")
-            pc.add_argument("--structure", help="catalog entry name or 'canonical'")
-            pc.add_argument("--catalog", help="check a whole catalog: k2 or kronecker:w")
-            _add_quiver_opt(pc)
-            pc.add_argument("--out")
-            pc.set_defaults(func=_cmd_wba_check)
-
-        if "catalog" in wba_commands:
-            pg = wsub.add_parser("catalog", help="emit a catalog with axiom reports")
-            pg.add_argument("--name", required=True, help="k2 or kronecker:w")
-            pg.add_argument("--out")
-            pg.set_defaults(func=_cmd_wba_catalog)
-
-        if "tensor" in wba_commands:
-            pt = wsub.add_parser(
-                "tensor", help="tensor two representations through a coproduct"
-            )
-            pt.add_argument("--spec")
-            pt.add_argument("--structure")
-            _add_quiver_opt(pt)
-            pt.add_argument("--left", required=True)
-            pt.add_argument("--right", required=True)
-            pt.add_argument("--out")
-            pt.set_defaults(func=_cmd_wba_tensor)
-
-        if "discrete" in wba_commands:
-            pd = wsub.add_parser("discrete", help="test the simple-pair tensor rule")
-            pd.add_argument("--spec")
-            pd.add_argument("--structure")
-            _add_quiver_opt(pd)
-            pd.add_argument("--out")
-            pd.set_defaults(func=_cmd_wba_discrete)
-
-    if "verify" in commands:
-        p = sub.add_parser("verify", help="run a property suite; nonzero exit on failure")
-        vsub = p.add_subparsers(dest="suite", required=True)
-        suites = wanted([name for name, _, _ in _VERIFY_SUITES], "verify")
-        for suite, help_text, options in _VERIFY_SUITES:
-            if suite in suites:
-                pv = vsub.add_parser(suite, help=help_text)
-                for flag, kind, default in options:
-                    pv.add_argument(flag, type=kind, default=default)
-                pv.add_argument("--out")
-                pv.set_defaults(func=_cmd_verify)
-
+    _add_commands(parser, "command", _COMMANDS, argv)
     return parser
 
 

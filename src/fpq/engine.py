@@ -49,11 +49,8 @@ class TensorStructure:
 
     def __init__(self, name, tensor, vertexwise=False):
         self.name = name
-        self._tensor = tensor
+        self.tensor = tensor
         self.is_vertexwise = vertexwise
-
-    def tensor(self, m, n):
-        return self._tensor(m, n)
 
 
 def vertexwise():
@@ -184,7 +181,7 @@ def fpd_exact(m, shift=0, structure=None, indecomposables=None, cap=10 ** 6,
         return FpdReport(0, "exact", shift, structure.name, witness=None,
                          adjacency=None, integral=True, candidates=0, **base)
     index = _candidate_index(m, indecomposables)
-    full = hom_matrix(index.objs, index.tensored(m, structure._tensor, shift))
+    full = hom_matrix(index.objs, index.tensored(m, structure.tensor, shift))
     value, clique, adj, cliques = best_brick_set(index, full, tol, cap)
     witness = None if clique is None else [index.objs[i].describe() for i in clique]
     return FpdReport(

@@ -3,7 +3,9 @@
 Each suite is a function of its sizes that returns (key, thunk) pairs; a
 thunk returns (ok, detail).  ``run`` evaluates a suite and returns its
 results sorted by key, so ``fpq verify`` and the acceptance tests check the
-same cases.  Sizes have no defaults here: the command line defines them.
+same cases.  ``SUITES`` maps each name to (function, help, sizes), each size a
+(flag, minimum, default) triple that ``fpq verify`` makes an option of (any
+int when the minimum is None); ``run`` takes every size explicitly.
 """
 
 import functools
@@ -249,14 +251,29 @@ def fpv(*, n, count, max_dim, n_max, seed):
 
 
 SUITES = {
-    "closed-form": closed_form,
-    "euler": euler,
-    "duality": duality,
-    "canonical-tensor": canonical_tensor,
-    "wba-axioms": wba_axioms,
-    "kronecker-divergence": kronecker_divergence,
-    "gamma": gamma,
-    "fpv": fpv,
+    "closed-form": (closed_form, "interval dimensions vs the closed form",
+                    [("--n", 2, 4)]),
+    "euler": (euler, "hom - ext vs the Euler form",
+              [("--pairs", 0, 200), ("--quivers", 1, 10), ("--max-dim", 0, 4),
+               ("--seed", None, 7)]),
+    "duality": (duality, "hom duality and dual-interval dimensions",
+                [("--triples", 0, 100), ("--n", 1, 5), ("--max-dim", 0, 3),
+                 ("--seed", None, 11)]),
+    "canonical-tensor": (canonical_tensor,
+                         "canonical coproduct vs componentwise tensor",
+                         [("--n", 2, 4), ("--pairs", 0, 50), ("--max-dim", 0, 3),
+                          ("--seed", None, 3)]),
+    "wba-axioms": (wba_axioms, "catalog axiom reports and corruptions",
+                   [("--w-max", 0, 3), ("--corruptions", 0, 100),
+                    ("--seed", None, 23)]),
+    "kronecker-divergence": (kronecker_divergence,
+                             "band-module lower bounds grow without bound",
+                             [("--size", 3, 12)]),
+    "gamma": (gamma, "hub-matrix radii vs the closed form",
+              [("--n-max", 1, 50), ("--tol", 0, 1e-9)]),
+    "fpv": (fpv, "empirical curvature vs the closed form",
+            [("--n", 2, 4), ("--count", 0, 50), ("--max-dim", 0, 3),
+             ("--n-max", 1, 10), ("--seed", None, 17)]),
 }
 
 
@@ -264,7 +281,7 @@ def run(name, **sizes):
     """Evaluate suite name at sizes and return (key, ok, detail) sorted by
     key.  An FpqError fails only the case that raised it."""
     results = []
-    for key, thunk in SUITES[name](**sizes):
+    for key, thunk in SUITES[name][0](**sizes):
         try:
             ok, detail = thunk()
         except FpqError as exc:

@@ -339,6 +339,9 @@ class CoproductSpec:
             for k in term[:2]
         ):
             raise InputError("malformed coproduct spec: path keys must be strings")
+        name = data.get("name", "custom")
+        if not isinstance(name, str):
+            raise InputError("malformed coproduct spec: 'name' must be a string")
         unit = None
         if data.get("unit") is not None:
             unit = Representation.from_dict(data["unit"], quiver=quiver)
@@ -346,7 +349,7 @@ class CoproductSpec:
             quiver,
             delta,
             counit,
-            name=data.get("name", "custom"),
+            name=name,
             unit=unit,
         )
 

@@ -303,10 +303,11 @@ def _spec_with(value, *path):
         _spec_with("x", "counit", "e1"),
         _spec_with("1/0", "counit", "e1"),
         _spec_with(5, "delta", "e1", 0, 0),
+        _spec_with({"x": [1, 2]}, "name"),
     ],
     ids=["empty-object", "a-list", "term-with-two-entries",
          "float-coefficient", "counit-not-a-number",
-         "counit-zero-denominator", "integer-path-key"],
+         "counit-zero-denominator", "integer-path-key", "name-not-a-string"],
 )
 def test_malformed_specs_are_bad_input(tmp_path, spec):
     path = write_json(tmp_path / "spec.json", spec)
@@ -330,6 +331,7 @@ def test_unwritable_out_is_a_usage_error(tmp_path, where):
     [
         ["fpv", "--quiver", "typeA:>", "--object", "interval:1,2", "--n-max", "0"],
         ["bricks", "enumerate", "--quiver", "typeA:>", "--shifts", "x"],
+        ["bricks", "enumerate", "--quiver", "typeA:>", "--shifts="],
         ["verify", "fpv", "--n", "1"],
         ["verify", "euler", "--max-dim", "-1"],
         ["fpd", "--quiver", "typeA:<>", "--object", "interval:2,2", "--tol=inf"],
@@ -354,7 +356,8 @@ def test_unwritable_out_is_a_usage_error(tmp_path, where):
         ["fpd", "--quiver", "typeA:<>", "--object", "interval:2,2", "--cap", "-1"],
         ["bricks", "enumerate", "--quiver", "typeA:>", "--cap", "-3"],
     ],
-    ids=["fpv-n-max-0", "bricks-shifts-x", "verify-fpv-n-1", "verify-euler-max-dim",
+    ids=["fpv-n-max-0", "bricks-shifts-x", "bricks-shifts-empty", "verify-fpv-n-1",
+         "verify-euler-max-dim",
          "fpd-tol-inf", "fpd-tol-minus-inf", "spectral-tol-nan",
          "verify-gamma-tol-minus-1", "verify-gamma-n-max-0",
          "verify-duality-empty", "verify-euler-pairs-0", "verify-closed-form-n-1",
@@ -424,7 +427,7 @@ def test_verify_subcommands_are_the_suite_registry():
     assert set(suites) == set(verify.SUITES)
     for name, parser in suites.items():
         options = {a.dest for a in parser._actions} - {"help", "out"}
-        params = set(inspect.signature(verify.SUITES[name]).parameters)
+        params = set(inspect.signature(verify.SUITES[name][0]).parameters)
         assert options == params, name
 
 
@@ -438,11 +441,18 @@ def _parse(parser, argv):
     return got, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("argv", [
+_LEAVES = (
+    [["hom"], ["ext"], ["tensor"], ["fpd"], ["fpv"], ["bricks", "enumerate"],
+     ["spectral"]]
+    + [["wba", name] for name in ("check", "catalog", "tensor", "discrete")]
+    + [["verify", name] for name in verify.SUITES]
+)
+
+
+@pytest.mark.parametrize("argv", [leaf + ["-h"] for leaf in _LEAVES] + [
     ["verify", "duality", "--n", "3", "--seed", "2"],
     ["verify", "duality", "--bogus"],
     ["verify", "duality", "--n", "-1"],
-    ["verify", "duality", "-h"],
     ["verify", "dual"],
     ["verify", "-h", "duality"],
     ["wba", "tensor", "--left", "a", "--right", "b", "extra"],
@@ -454,6 +464,10 @@ def _parse(parser, argv):
     ["--bogus", "hom"],
     ["bogus"],
     [],
+    ["wba"],
+    ["bricks"],
+    ["verify"],
+    ["wba", "bogus"],
 ], ids=" ".join)
 def test_a_parser_built_for_argv_parses_it_as_the_full_parser_does(argv):
     """build_parser(argv) builds only the subcommands argv names, yet gives
@@ -463,8 +477,9 @@ def test_a_parser_built_for_argv_parses_it_as_the_full_parser_does(argv):
 
 def test_a_parser_built_for_argv_holds_only_the_named_subcommands():
     full = build_parser()
-    assert tuple(_subcommands(full)) == cli._COMMANDS
-    assert tuple(_subcommands(_subcommands(full)["wba"])) == cli._WBA_COMMANDS
+    assert list(_subcommands(full)) == list(cli._COMMANDS)
+    wba_tree = cli._COMMANDS["wba"][2]
+    assert list(_subcommands(_subcommands(full)["wba"])) == list(wba_tree)
     parser = build_parser(["verify", "duality", "--n", "3"])
     assert list(_subcommands(parser)) == ["verify"]
     assert list(_subcommands(_subcommands(parser)["verify"])) == ["duality"]
