@@ -46,6 +46,7 @@ COMMANDS = [
     ["verify", "wba-axioms"],
     ["wba", "check", "--catalog", "kronecker:2"],
     ["wba", "catalog", "--name", "kronecker:2"],
+    ["wba", "catalog", "--name", "k2"],
     ["tensor", "--left", LEFT, "--right", RIGHT],
     ["wba", "tensor", "--structure", "kronecker2-a", "--left", LEFT, "--right", RIGHT],
 ]
