@@ -169,8 +169,3 @@ def rank(rows, ncols):
                 else:
                     del row[j]
     return len(pivots)
-
-
-def freeze(m):
-    """Immutable (hashable) copy of a matrix."""
-    return tuple(tuple(row) for row in m)

@@ -34,13 +34,17 @@ prefix's, and the result trusted, not re-validated).  For the canonical
 grouplike coproduct (every path p gets D(p) = p (x) p, eps(p) = 1) this
 reproduces the componentwise tensor product matrix-for-matrix.
 
-catalog_k2 and catalog_kronecker return the five standard coproduct
-patterns on the two-vertex quiver without and with arrows.  All five are
-weak bialgebras in the arrowless case.  With arrows, patterns (b) and (d)
-fail coassociativity at every arrow — the failure is forced: the quiver
-relations and the counit law pin the arrow coproduct to a form that is not
-coassociative — and check_axioms reports the witness.  The catalog
-transcribes the patterns as defined; it does not repair them.
+catalog_k2 and catalog_kronecker build the five standard coproduct
+patterns on the two-vertex quiver without and with arrows from one table.
+It gives each of (a)-(d) as a counit-1 vertex u with the coproducts of e_u
+and of the other vertex's e_w; (c)/(d) are (a)/(b) with the vertices
+swapped, and every arrow r gets D(r) = e_u (x) r + r (x) e_u.  (e) is the
+canonical grouplike structure.  All five are weak bialgebras in the
+arrowless case.  With arrows, patterns (b) and (d) fail coassociativity at
+every arrow — the failure is forced: the quiver relations and the counit
+law pin the arrow coproduct to a form that is not coassociative — and
+check_axioms reports the witness.  The catalog transcribes the patterns as
+defined; it does not repair them.
 """
 
 import random
@@ -141,34 +145,21 @@ def _add_term(d, key, c):
         del d[key]
 
 
-def _t2_mul(alg, x, y):
+def _mul(alg, x, y):
+    """x * y in a tensor power of the path algebra, elements being dicts
+    from key tuples (one path index per leg) to coefficients; a pair of
+    terms dies at the first leg whose paths do not compose."""
     out = {}
-    for (u1, v1), c1 in x.items():
-        for (u2, v2), c2 in y.items():
-            u = alg.compose(u1, u2)
-            if u is None:
-                continue
-            v = alg.compose(v1, v2)
-            if v is None:
-                continue
-            _add_term(out, (u, v), c1 * c2)
-    return out
-
-
-def _t3_mul(alg, x, y):
-    out = {}
-    for (u1, v1, w1), c1 in x.items():
-        for (u2, v2, w2), c2 in y.items():
-            u = alg.compose(u1, u2)
-            if u is None:
-                continue
-            v = alg.compose(v1, v2)
-            if v is None:
-                continue
-            w = alg.compose(w1, w2)
-            if w is None:
-                continue
-            _add_term(out, (u, v, w), c1 * c2)
+    for kx, c1 in x.items():
+        for ky, c2 in y.items():
+            key = ()
+            for i, j in zip(kx, ky):
+                k = alg.compose(i, j)
+                if k is None:
+                    break
+                key += (k,)
+            else:
+                _add_term(out, key, c1 * c2)
     return out
 
 
@@ -218,20 +209,17 @@ class CoproductSpec:
         self.counit_consistent = self._counit_laws_hold()
 
     def _extend_delta(self):
+        """D on every path: a generator's table, else D(last arrow) times
+        D(prefix), the prefix's coproduct built earlier in alg.paths."""
         alg = self.algebra
-        full = [None] * len(alg)
-        for k, (s, t, ids) in enumerate(alg.paths):
-            if not ids:
-                full[k] = dict(self.delta_gen[f"e{s}"])
-            elif len(ids) == 1:
-                full[k] = dict(self.delta_gen[ids[0]])
-        for k, (s, t, ids) in enumerate(alg.paths):
+        full = []
+        for s, t, ids in alg.paths:
             if len(ids) < 2:
-                continue
-            d = dict(self.delta_gen[ids[-1]])
-            for aid in reversed(ids[:-1]):
-                d = _t2_mul(alg, d, self.delta_gen[aid])
-            full[k] = d
+                full.append(dict(self.delta_gen[ids[0] if ids else f"e{s}"]))
+            else:
+                mid = alg.paths[alg.arrow_path[ids[-1]]][0]
+                prefix = full[alg.index[(s, mid, ids[:-1])]]
+                full.append(_mul(alg, self.delta_gen[ids[-1]], prefix))
         return full
 
     def delta(self, k):
@@ -271,8 +259,8 @@ class CoproductSpec:
         return eps
 
     def _counit_witness(self, side):
-        """First path where (eps (x) id)D (side 0) or (id (x) eps)D (side 1)
-        fails to be the identity, or None."""
+        """Where (eps (x) id)D (side 0) or (id (x) eps)D (side 1) first
+        fails to be the identity, as a message, or None."""
         for p in range(len(self.algebra)):
             out = {}
             for (u, v), c in self._delta[p].items():
@@ -280,7 +268,8 @@ class CoproductSpec:
                 evaluated = u if side == 0 else v
                 _add_term(out, kept, c * self._eps[evaluated])
             if out != {p: 1}:
-                return p
+                law = "(eps(x)id)D" if side == 0 else "(id(x)eps)D"
+                return f"{law} != id at {self.algebra.path_key(p)}"
         return None
 
     def _counit_laws_hold(self):
@@ -384,38 +373,37 @@ def _multiplicativity_witness(spec):
         for j in range(len(alg)):
             k = alg.compose(i, j)
             target = spec.delta(k) if k is not None else {}
-            if _t2_mul(alg, spec.delta(i), spec.delta(j)) != target:
-                return (alg.path_key(i), alg.path_key(j))
+            if _mul(alg, spec.delta(i), spec.delta(j)) != target:
+                return f"D(p*q) != D(p)D(q) at p={alg.path_key(i)}, q={alg.path_key(j)}"
     return None
 
 
+def _coproduct_on_leg(spec, x, leg):
+    """(D (x) id)x for leg 0, (id (x) D)x for leg 1, x a dict on pairs."""
+    out = {}
+    for (u, v), c in x.items():
+        for (a, b), d in spec.delta(v if leg else u).items():
+            _add_term(out, (u, a, b) if leg else (a, b, v), c * d)
+    return out
+
+
 def _coassociativity_witness(spec):
-    alg = spec.algebra
-    for p in range(len(alg)):
-        left, right = {}, {}
-        for (u, v), c in spec.delta(p).items():
-            for (x, y), d in spec.delta(u).items():
-                _add_term(left, (x, y, v), c * d)
-            for (x, y), d in spec.delta(v).items():
-                _add_term(right, (u, x, y), c * d)
-        if left != right:
-            return alg.path_key(p)
+    for p in range(len(spec.algebra)):
+        d = spec.delta(p)
+        if _coproduct_on_leg(spec, d, 0) != _coproduct_on_leg(spec, d, 1):
+            return f"(D(x)id)D != (id(x)D)D at {spec.algebra.path_key(p)}"
     return None
 
 
 def _unit_comultiplication_witness(spec):
-    alg = spec.algebra
     du = spec.delta_unit
-    middle = {}
-    for (u, v), c in du.items():
-        for (x, y), d in spec.delta(u).items():
-            _add_term(middle, (x, y, v), c * d)
-    trivials = list(alg.trivial.values())
+    middle = _coproduct_on_leg(spec, du, 0)
+    trivials = list(spec.algebra.trivial.values())
     du_1 = {(u, v, t): c for (u, v), c in du.items() for t in trivials}
     one_du = {(t, u, v): c for (u, v), c in du.items() for t in trivials}
-    if _t3_mul(alg, du_1, one_du) != middle:
+    if _mul(spec.algebra, du_1, one_du) != middle:
         return "(D(1)(x)1)(1(x)D(1)) != (D(x)id)D(1)"
-    if _t3_mul(alg, one_du, du_1) != middle:
+    if _mul(spec.algebra, one_du, du_1) != middle:
         return "(1(x)D(1))(D(1)(x)1) != (D(x)id)D(1)"
     return None
 
@@ -423,72 +411,41 @@ def _unit_comultiplication_witness(spec):
 def _counit_product_witness(spec):
     alg = spec.algebra
     n = len(alg)
-
-    def eps_of(k):
-        return spec.eps(k) if k is not None else 0
-
+    # e[i][j] = eps(path_i * path_j), 0 when the two paths do not compose
+    e = [[0 if k is None else spec.eps(k)
+          for k in (alg.compose(i, j) for j in range(n))] for i in range(n)]
     for x in range(n):
+        ex = e[x]
         for y in range(n):
-            dy = spec.delta(y)
+            dy = spec.delta(y).items()
             for z in range(n):
                 yz = alg.compose(y, z)
-                lhs = eps_of(alg.compose(x, yz) if yz is not None else None)
-                first = sum(
-                    (
-                        c * eps_of(alg.compose(x, u)) * eps_of(alg.compose(v, z))
-                        for (u, v), c in dy.items()
-                    ),
-                    0,
-                )
-                if first != lhs:
-                    return (alg.path_key(x), alg.path_key(y), alg.path_key(z))
-                second = sum(
-                    (
-                        c * eps_of(alg.compose(x, v)) * eps_of(alg.compose(u, z))
-                        for (u, v), c in dy.items()
-                    ),
-                    0,
-                )
-                if second != lhs:
-                    return (alg.path_key(x), alg.path_key(y), alg.path_key(z))
+                lhs = 0 if yz is None else ex[yz]
+                if (sum((c * ex[u] * e[v][z] for (u, v), c in dy), 0) != lhs
+                        or sum((c * ex[v] * e[u][z] for (u, v), c in dy), 0) != lhs):
+                    return (f"eps(xyz) law fails at x={alg.path_key(x)},"
+                            f" y={alg.path_key(y)}, z={alg.path_key(z)}")
     return None
+
+
+# Each axiom with its witness: a message naming the first failure, or None.
+_AXIOMS = (
+    ("multiplicativity", _multiplicativity_witness),
+    ("coassociativity", _coassociativity_witness),
+    ("counit_left", lambda spec: spec._counit_witness(0)),
+    ("counit_right", lambda spec: spec._counit_witness(1)),
+    ("unit_comultiplication", _unit_comultiplication_witness),
+    ("counit_product_law", _counit_product_witness),
+)
 
 
 def check_axioms(spec):
     """Exhaustively verify the weak bialgebra axioms on the path basis."""
-    alg = spec.algebra
     failures = []
-    w = _multiplicativity_witness(spec)
-    if w is not None:
-        failures.append(
-            {"axiom": "multiplicativity", "witness": f"D(p*q) != D(p)D(q) at p={w[0]}, q={w[1]}"}
-        )
-    w = _coassociativity_witness(spec)
-    if w is not None:
-        failures.append(
-            {"axiom": "coassociativity", "witness": f"(D(x)id)D != (id(x)D)D at {w}"}
-        )
-    w = spec._counit_witness(0)
-    if w is not None:
-        failures.append(
-            {"axiom": "counit_left", "witness": f"(eps(x)id)D != id at {alg.path_key(w)}"}
-        )
-    w = spec._counit_witness(1)
-    if w is not None:
-        failures.append(
-            {"axiom": "counit_right", "witness": f"(id(x)eps)D != id at {alg.path_key(w)}"}
-        )
-    w = _unit_comultiplication_witness(spec)
-    if w is not None:
-        failures.append({"axiom": "unit_comultiplication", "witness": w})
-    w = _counit_product_witness(spec)
-    if w is not None:
-        failures.append(
-            {
-                "axiom": "counit_product_law",
-                "witness": f"eps(xyz) law fails at x={w[0]}, y={w[1]}, z={w[2]}",
-            }
-        )
+    for axiom, witness in _AXIOMS:
+        w = witness(spec)
+        if w is not None:
+            failures.append({"axiom": axiom, "witness": w})
     return AxiomReport(spec.name, failures, spec.is_bialgebra(), spec.counit_consistent)
 
 
@@ -502,58 +459,42 @@ def canonical_wba(quiver):
     )
 
 
-def _two_vertex_tables(variant):
-    """Vertex-idempotent coproduct/counit tables for the five standard
-    patterns; arrows are handled by the callers."""
-    if variant == "a":
-        delta = {
-            "e1": [("e1", "e1", 1)],
-            "e2": [("e2", "e2", 1), ("e1", "e2", 1), ("e2", "e1", 1)],
-        }
-        counit = {"e1": 1, "e2": 0}
-    elif variant == "b":
-        delta = {
-            "e1": [("e1", "e1", 1), ("e2", "e2", 1)],
-            "e2": [("e2", "e1", 1), ("e1", "e2", 1)],
-        }
-        counit = {"e1": 1, "e2": 0}
-    elif variant == "c":
-        delta = {
-            "e2": [("e2", "e2", 1)],
-            "e1": [("e1", "e1", 1), ("e1", "e2", 1), ("e2", "e1", 1)],
-        }
-        counit = {"e1": 0, "e2": 1}
-    elif variant == "d":
-        delta = {
-            "e2": [("e2", "e2", 1), ("e1", "e1", 1)],
-            "e1": [("e1", "e2", 1), ("e2", "e1", 1)],
-        }
-        counit = {"e1": 0, "e2": 1}
-    elif variant == "e":
-        delta = {"e1": [("e1", "e1", 1)], "e2": [("e2", "e2", 1)]}
-        counit = {"e1": 1, "e2": 1}
-    else:
-        raise InputError(f"unknown catalog variant {variant!r}")
-    return delta, counit
+# Patterns (a)-(d) on two vertices as (counit-1 vertex u, D(e_u), D(e_w)),
+# w the other vertex (counit 0), each term a (left, right) pair of letters
+# standing for e_u and e_w, with coefficient 1.
+_PATTERNS = {
+    "a": (1, ["uu"], ["ww", "uw", "wu"]),
+    "b": (1, ["uu", "ww"], ["wu", "uw"]),
+    "c": (2, ["uu"], ["ww", "uw", "wu"]),
+    "d": (2, ["uu", "ww"], ["wu", "uw"]),
+}
+
+
+def _two_vertex_catalog(quiver, prefix):
+    """Patterns (a)-(d) of _PATTERNS, each with unit S(u), every arrow
+    r getting D(r) = e_u (x) r + r (x) e_u and eps(r) = 0, then (e), the
+    grouplike structure with the all-k unit; named prefix-a .. prefix-e."""
+    out = []
+    for variant, (u, d_u, d_w) in _PATTERNS.items():
+        e = {"u": f"e{u}", "w": f"e{3 - u}"}
+        delta = {e["u"]: [(e[x], e[y], 1) for x, y in d_u],
+                 e["w"]: [(e[x], e[y], 1) for x, y in d_w]}
+        counit = {e["u"]: 1, e["w"]: 0}
+        for a in quiver.arrows:
+            delta[a.id] = [(e["u"], a.id, 1), (a.id, e["u"], 1)]
+            counit[a.id] = 0
+        out.append(CoproductSpec(quiver, delta, counit, name=f"{prefix}-{variant}",
+                                 unit=simple(quiver, u)))
+    delta, counit = _grouplike_table(quiver)
+    out.append(CoproductSpec(quiver, delta, counit, name=f"{prefix}-e",
+                             unit=identity_rep(quiver)))
+    return out
 
 
 def catalog_k2():
     """The five coproduct structures on two isolated vertices (all pass
     check_axioms; (e) is weak but not a bialgebra)."""
-    q = Quiver(2, [])
-    out = []
-    for variant in "abcde":
-        delta, counit = _two_vertex_tables(variant)
-        if variant in ("a", "b"):
-            unit = simple(q, 1)
-        elif variant in ("c", "d"):
-            unit = simple(q, 2)
-        else:
-            unit = identity_rep(q)
-        out.append(
-            CoproductSpec(q, delta, counit, name=f"k2-{variant}", unit=unit)
-        )
-    return out
+    return _two_vertex_catalog(Quiver(2, []), "k2")
 
 
 def kronecker_quiver(w):
@@ -567,37 +508,12 @@ def catalog_kronecker(w):
     """The five coproduct patterns on the w-arrow two-vertex quiver.
 
     (a)/(c): arrows primitive over the counit-1 vertex — weak bialgebras
-    (in fact bialgebras).  (b)/(d): the same arrow formula forced by the
+    (in fact bialgebras).  (b)/(d): the same arrow formula, forced by the
     counit law, which fails coassociativity at every arrow; included
     as defined, as known-bad entries check_axioms must flag.  (e): the
-    canonical grouplike
-    structure (a weak bialgebra that is not a bialgebra)."""
-    q = kronecker_quiver(w)
-    arrow_rules = {
-        "a": lambda aid: [("e1", aid, 1), (aid, "e1", 1)],
-        "b": lambda aid: [(aid, "e1", 1), ("e1", aid, 1)],
-        "c": lambda aid: [("e2", aid, 1), (aid, "e2", 1)],
-        "d": lambda aid: [(aid, "e2", 1), ("e2", aid, 1)],
-    }
-    out = []
-    for variant in "abcd":
-        delta, counit = _two_vertex_tables(variant)
-        for a in q.arrows:
-            delta[a.id] = arrow_rules[variant](a.id)
-            counit[a.id] = 0
-        unit = simple(q, 1) if variant in ("a", "b") else simple(q, 2)
-        out.append(
-            CoproductSpec(
-                q, delta, counit, name=f"kronecker{w}-{variant}", unit=unit
-            )
-        )
-    delta, counit = _grouplike_table(q)
-    out.append(
-        CoproductSpec(
-            q, delta, counit, name=f"kronecker{w}-e", unit=identity_rep(q)
-        )
-    )
-    return out
+    canonical grouplike structure (a weak bialgebra that is not a
+    bialgebra)."""
+    return _two_vertex_catalog(kronecker_quiver(w), f"kronecker{w}")
 
 
 def _grouplike_table(quiver):
@@ -744,10 +660,10 @@ def tensor_wba(spec, m, n):
                 f"action of arrow {a.id} is not supported on the"
                 f" ({a.target}, {a.source}) block"
             )
-        maps.append(exact.freeze([
-            [frac(row[c]) if c in row else 0 for c in range(s0, s1)]
+        maps.append(tuple(
+            tuple([frac(row[c]) if c in row else 0 for c in range(s0, s1)])
             for row in full[t0:t1]
-        ]))
+        ))
     dims = tuple(b - a for a, b in zip(offs, offs[1:]))
     return Representation._trusted(q, dims, tuple(maps))
 
@@ -777,51 +693,23 @@ def perturb_spec(spec, seed):
     exercise the axiom checker."""
     rng = random.Random(seed)
     alg = spec.algebra
-    keys = alg.generator_keys()
-    delta = {
-        key: [
-            [alg.path_key(u), alg.path_key(v), str(c)]
-            for (u, v), c in sorted(spec.delta_gen[key].items())
-        ]
-        for key in keys
-    }
-    counit = {key: str(c) for key, c in spec.eps_gen.items()}
+    data = spec.to_dict()
     shift = rng.choice([1, -1, 2, Fraction(1, 2)])
-    if rng.random() < 0.75:
-        key = rng.choice(keys)
-        u = rng.randrange(len(alg))
-        v = rng.randrange(len(alg))
-        terms = {
-            (alg.parse_path_key(lk), alg.parse_path_key(rk)): frac(c)
-            for lk, rk, c in delta[key]
-        }
-        _add_term(terms, (u, v), shift)
-        delta[key] = [
-            [alg.path_key(a), alg.path_key(b), str(c)]
-            for (a, b), c in sorted(terms.items())
-        ]
-        info = {
-            "kind": "delta",
-            "generator": key,
-            "pair": (alg.path_key(u), alg.path_key(v)),
-            "shift": str(shift),
-        }
+    kind = "delta" if rng.random() < 0.75 else "counit"
+    key = rng.choice(alg.generator_keys())
+    if kind == "delta":
+        pair = (alg.path_key(rng.randrange(len(alg))),
+                alg.path_key(rng.randrange(len(alg))))
+        data["delta"][key].append([*pair, str(shift)])  # summed on construction
+        term = f" * {pair[0]}(x){pair[1]}"
     else:
-        key = rng.choice(keys)
-        counit[key] = str(frac(counit[key]) + shift)
-        info = {"kind": "counit", "generator": key, "pair": None,
-                "shift": str(shift)}
-    out = CoproductSpec(
-        spec.quiver, delta, counit, name=f"{spec.name}+corrupt", unit=spec.unit
-    )
-    out.perturbation_info = info
-    if info["pair"] is not None:
-        out.perturbation = (
-            f"{info['kind']}[{key}] += {shift}"
-            f" * {info['pair'][0]}(x){info['pair'][1]}"
-        )
-    else:
-        out.perturbation = f"{info['kind']}[{key}] += {shift}"
+        pair, term = None, ""
+        data["counit"][key] = str(frac(data["counit"][key]) + shift)
+    out = CoproductSpec(spec.quiver, data["delta"], data["counit"],
+                        name=f"{spec.name}+corrupt", unit=spec.unit)
+    out.perturbation_info = {"kind": kind, "generator": key, "pair": pair,
+                             "shift": str(shift)}
+    out.perturbation = f"{kind}[{key}] += {shift}{term}"
     return out
 
 
