@@ -110,8 +110,11 @@ def _load_spec(desc, quiver=None):
         return wba.canonical_wba(quiver)
     m = _CATALOG_ENTRY.match(desc)
     if m:
-        name = "k2" if m.group(1) == "k2" else f"kronecker:{m.group(2)}"
-        return _catalog(name)["abcde".index(m.group(3))]
+        w = m.group(2)  # None for k2; kronecker01-a names kronecker1-a
+        catalog, prefix = (("k2", "k2") if w is None
+                           else (f"kronecker:{w}", f"kronecker{int(w)}"))
+        name = f"{prefix}-{m.group(3)}"
+        return next(spec for spec in _catalog(catalog) if spec.name == name)
     return wba.CoproductSpec.from_dict(_read_json(desc))
 
 
@@ -302,6 +305,8 @@ def _cmd_spectral(args):
 
 
 def _spec_from_args(args):
+    if args.spec is not None and args.structure is not None:
+        raise UsageError("give --spec FILE or --structure NAME, not both")
     q = _load_quiver(args.quiver) if args.quiver else None
     if not (args.spec or args.structure):
         raise UsageError("give --spec FILE or --structure NAME")
@@ -314,7 +319,11 @@ def _spec_from_args(args):
 def _cmd_wba_check(args):
     from . import wba
 
-    if args.catalog:
+    if args.catalog is not None:
+        unread = [f"--{k}" for k in ("spec", "structure", "quiver")
+                  if getattr(args, k) is not None]
+        if unread:
+            raise UsageError(f"--catalog does not read {', '.join(unread)}")
         reports = [wba.check_axioms(s).describe() for s in _catalog(args.catalog)]
         return {"reports": reports, "config": _config(args)}, 0
     spec = _spec_from_args(args)

@@ -507,6 +507,38 @@ def test_wba_check_catalog():
         assert [f["axiom"] for f in rep["failures"]] == ["coassociativity"]
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--spec", "nonexistent.json"),
+    ("--structure", "kronecker1-a"),
+    ("--quiver", "typeA:>"),
+])
+def test_wba_check_catalog_refuses_the_options_it_does_not_read(option, value):
+    argv = ["wba", "check", "--catalog", "kronecker:1", option, value]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == f"fpq: --catalog does not read {option}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "tensor", "discrete"])
+def test_wba_spec_and_structure_together_are_a_usage_error(tmp_path, command):
+    spec = write_json(tmp_path / "k2a.json", wba.catalog_k2()[0].to_dict())
+    argv = ["wba", command, "--spec", spec, "--structure", "kronecker2-b"]
+    if command == "tensor":
+        argv += ["--left", spec, "--right", spec]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == "fpq: give --spec FILE or --structure NAME, not both\n"
+
+
+@pytest.mark.parametrize("name,found", [
+    ("k2-c", "k2-c"),
+    ("kronecker2-e", "kronecker2-e"),
+    ("kronecker01-b", "kronecker1-b"),
+])
+def test_catalog_entries_are_looked_up_by_name(name, found):
+    assert run_json(["wba", "check", "--structure", name])["structure"] == found
+
+
 def test_wba_catalog_emits_structures():
     data = run_json(["wba", "catalog", "--name", "k2"])
     names = [s["name"] for s in data["structures"]]
