@@ -103,6 +103,24 @@ def test_kronecker_catalog_verdicts(w):
         assert "r1" in report.failures[0]["witness"]
 
 
+def test_axiom_witnesses_name_the_first_failure_of_each_law():
+    """kronecker1-e with D(r1) = e2(x)r1 and eps(r1) = 1 keeps the first
+    sum of the counit product law, eps(xyz) = sum eps(x y') eps(y'' z),
+    and breaks only the second, eps(xyz) = sum eps(x y'') eps(y' z)."""
+    spec = wba.CoproductSpec(
+        KRON1,
+        {"e1": [("e1", "e1", 1)], "e2": [("e2", "e2", 1)], "r1": [("e2", "r1", 1)]},
+        {"e1": 1, "e2": 1, "r1": 1},
+        name="one-sided-arrow",
+    )
+    assert wba.check_axioms(spec).failures == [
+        {"axiom": "multiplicativity", "witness": "D(p*q) != D(p)D(q) at p=r1, q=e1"},
+        {"axiom": "counit_right", "witness": "(id(x)eps)D != id at r1"},
+        {"axiom": "counit_product_law",
+         "witness": "eps(xyz) law fails at x=e2, y=r1, z=e1"},
+    ]
+
+
 def test_canonical_structure_is_grouplike_with_unit_counit():
     q = OrientationWord(">>").to_quiver()
     spec = wba.canonical_wba(q)
