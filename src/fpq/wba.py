@@ -198,7 +198,8 @@ class CoproductSpec:
             for left, right, c in delta[key]:
                 pair = (alg.parse_path_key(left), alg.parse_path_key(right))
                 _add_term(terms, pair, frac(c))
-            self.delta_gen[key] = terms
+            # terms given on one pair are summed, and Fractions can sum to an int
+            self.delta_gen[key] = {pair: frac(c) for pair, c in terms.items()}
         self.eps_gen = {key: frac(counit[key]) for key in keys}
         self._delta = self._extend_delta()
         self.delta_unit = {}

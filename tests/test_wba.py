@@ -121,6 +121,24 @@ def test_axiom_witnesses_name_the_first_failure_of_each_law():
     ]
 
 
+def test_coefficients_summed_on_one_pair_are_canonical():
+    """1/2 + 1/2 on e1(x)e1 is stored as the int 1, whether the spec gives
+    the term twice or perturb_spec adds the second half."""
+    twice = wba.CoproductSpec(
+        K2, {"e1": [("e1", "e1", "1/2")] * 2, "e2": [("e2", "e2", 1)]},
+        {"e1": 1, "e2": 1},
+    )
+    half = wba.CoproductSpec(
+        K2, {"e1": [("e1", "e1", "1/2")], "e2": [("e2", "e2", 1)]},
+        {"e1": 1, "e2": 1},
+    )
+    bumped = wba.perturb_spec(half, 99)
+    assert bumped.perturbation == "delta[e1] += 1/2 * e1(x)e1"
+    for spec in (twice, bumped):
+        assert spec.delta_gen["e1"] == {(0, 0): 1}
+        assert all(is_canonical(c) for c in spec.delta_gen["e1"].values())
+
+
 def test_canonical_structure_is_grouplike_with_unit_counit():
     q = OrientationWord(">>").to_quiver()
     spec = wba.canonical_wba(q)
