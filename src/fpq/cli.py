@@ -110,11 +110,10 @@ def _load_spec(desc, quiver=None):
         return wba.canonical_wba(quiver)
     m = _CATALOG_ENTRY.match(desc)
     if m:
-        w = m.group(2)  # None for k2; kronecker01-a names kronecker1-a
-        catalog, prefix = (("k2", "k2") if w is None
-                           else (f"kronecker:{w}", f"kronecker{int(w)}"))
-        name = f"{prefix}-{m.group(3)}"
-        return next(spec for spec in _catalog(catalog) if spec.name == name)
+        w = m.group(2)  # None for k2
+        entries = _catalog("k2" if w is None else f"kronecker:{w}")
+        name = desc if w is None else f"kronecker{int(w)}-{m.group(3)}"  # 01 is 1
+        return next(spec for spec in entries if spec.name == name)
     return wba.CoproductSpec.from_dict(_read_json(desc))
 
 
