@@ -1,8 +1,9 @@
 """Committed answer digests: the sha256 of each command's stdout bytes and
 its exit code, recomputed in-process through ``fpq.cli.run`` and compared
 with ``tests/digests.json``.  Commands run from the repository root, so
-file arguments are paths relative to it.  One more entry, ``FPD_SET``,
-digests the 840 library outputs of ``fpd_outputs``.
+file arguments are paths relative to it.  Two more entries digest library
+outputs: ``FPD_SET`` the 840 of ``fpd_outputs`` and ``WBA_SET`` the
+``tensor_wba`` outcomes of ``wba_outputs``.
 
 A change that alters an output on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_digests.py --write`` and names each
@@ -22,6 +23,7 @@ import pytest
 
 from fpq import engine, verify, wba
 from fpq.cli import _normalize, run
+from fpq.errors import FpqError
 from fpq.quiver import random_representation
 from fpq.typea import all_intervals, all_orientations, interval_rep
 
@@ -79,10 +81,47 @@ def fpd_outputs():
     return out
 
 
-def fpd_digest():
-    outputs = fpd_outputs()
+WBA_SET = ("wba-1624: tensor_wba on 29 structures, canonical A2-A4 and"
+           " kronecker1-3, and 25 corruptions of each")
+
+
+def wba_outputs():
+    """tensor_wba on 6 seeded pairs (dims 0..3) for each of 29 structures,
+    the canonical coproduct on every A2-A4 orientation and the Kronecker
+    catalogs w = 1..3, and on 2 pairs for each of perturb_spec(spec, 0..24):
+    the dims and the maps with each entry's type name, or the error class
+    and message.  1624 outcomes."""
+    specs = [wba.canonical_wba(w.to_quiver()) for n in (2, 3, 4) for w in all_orientations(n)]
+    specs += [spec for w in (1, 2, 3) for spec in wba.catalog_kronecker(w)]
+    cases = [(spec, 6) for spec in specs]
+    cases += [(wba.perturb_spec(spec, seed), 2) for spec in specs for seed in range(25)]
+    out = []
+    for k, (spec, pairs) in enumerate(cases):
+        q = spec.quiver
+        for j in range(pairs):
+            m = random_representation(q, 3, 1000 * k + 2 * j)
+            x = random_representation(q, 3, 1000 * k + 2 * j + 1)
+            try:
+                t = wba.tensor_wba(spec, m, x)
+            except FpqError as exc:
+                out.append([spec.name, type(exc).__name__, str(exc)])
+                continue
+            maps = [[[type(v).__name__, str(v)] for v in row] for mat in t.maps for row in mat]
+            out.append([spec.name, list(t.dims), maps])
+    return out
+
+
+def _library_digest(outputs):
     text = json.dumps(_normalize(outputs), sort_keys=True)
     return {"outputs": len(outputs), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def fpd_digest():
+    return _library_digest(fpd_outputs())
+
+
+def wba_digest():
+    return _library_digest(wba_outputs())
 
 
 def digest(argv):
@@ -108,9 +147,13 @@ def test_the_fpd_outputs_match_the_committed_digest():
     assert fpd_digest() == json.loads(DIGESTS.read_text())[FPD_SET]
 
 
+def test_the_wba_outputs_match_the_committed_digest():
+    assert wba_digest() == json.loads(DIGESTS.read_text())[WBA_SET]
+
+
 def test_every_committed_digest_has_a_command():
     assert set(json.loads(DIGESTS.read_text())) == (
-        {" ".join(a) for a in COMMANDS} | {FPD_SET}
+        {" ".join(a) for a in COMMANDS} | {FPD_SET, WBA_SET}
     )
 
 
@@ -119,4 +162,5 @@ if __name__ == "__main__":
         sys.exit("usage: test_digests.py --write")
     table = {" ".join(argv): digest(argv) for argv in COMMANDS}
     table[FPD_SET] = fpd_digest()
+    table[WBA_SET] = wba_digest()
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
