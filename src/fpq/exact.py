@@ -92,7 +92,8 @@ def eliminate(rows, ncols):
     are in reduced echelon form and the rest are zero in those columns."""
     pivots = []
     r = 0
-    for c in range(ncols):
+    # a row operation adds only columns some row already has
+    for c in sorted({c for row in rows for c in row if c < ncols}):
         for pr in range(r, len(rows)):
             if c in rows[pr]:
                 break

@@ -24,15 +24,20 @@ over all basis triples, where D(y) = sum y' (x) y''.  A structure with
 D(1) = 1 (x) 1 is flagged as a genuine bialgebra.
 
 A coproduct makes the tensor product M (x) N of two representations into a
-module again: the unit's coproduct acts on the componentwise tensor product
-as an idempotent, its image carries the diagonal action through D, and
-tensor_wba converts that module back into a representation (vertex spaces
-are the images of the idempotent actions e_i, each change of basis read
-off one elimination as a rank factorization, each coproduct applied
-straight to that image's basis, each path action built once from its
-prefix's, and the result trusted, not re-validated).  For the canonical
-grouplike coproduct (every path p gets D(p) = p (x) p, eps(p) = 1) this
-reproduces the componentwise tensor product matrix-for-matrix.
+module again: the componentwise tensor product is a module over A (x) A,
+the unit's coproduct D(1) acts on it as an idempotent, and its image
+carries the diagonal action through D.  tensor_wba reads that module off
+one vertex at a time: vertex v is the image of Q_v = D(e_v)D(1), its
+basis and coordinates come from one elimination as a rank factorization,
+each arrow's map is its coproduct applied straight to the source vertex's
+basis, each path action is built once from its prefix's, and the result
+is trusted, not re-validated.  Its four checks (D(1) idempotent, each
+D(g) keeping D(1)'s image, each Q_v idempotent, each arrow inside its
+block) are identities in A (x) A, proved or refuted once per
+CoproductSpec; one that holds in A (x) A holds on every module, so only
+the refuted ones are checked on M (x) N.  For the canonical grouplike
+coproduct (every path p gets D(p) = p (x) p, eps(p) = 1) this reproduces
+the componentwise tensor product matrix-for-matrix.
 
 catalog_k2 and catalog_kronecker build the five standard coproduct
 patterns on the two-vertex quiver without and with arrows from one table.
@@ -172,7 +177,9 @@ class CoproductSpec:
     paths multiplicatively at construction time, and the counit by an exact
     solve of the counit law (free values 0; counit_consistent records
     whether the law could be satisfied at all).  unit optionally names the
-    representation expected to be the tensor unit."""
+    representation expected to be the tensor unit.  vertex_units holds
+    Q_v = D(e_v)D(1) for each vertex and module_checks the checks of
+    tensor_wba that fail as identities in A (x) A."""
 
     def __init__(self, quiver, delta, counit, name="custom", unit=None):
         self.quiver = quiver
@@ -208,6 +215,38 @@ class CoproductSpec:
                 _add_term(self.delta_unit, pair, c)
         self._eps = self._extend_counit()
         self.counit_consistent = self._counit_laws_hold()
+        self.vertex_units = [_mul(alg, self.delta_gen[f"e{v}"], self.delta_unit)
+                             for v in range(1, quiver.n + 1)]
+        self.module_checks = self._failed_identities()
+
+    def _failed_identities(self):
+        """tensor_wba's checks that fail as identities in A (x) A, in its
+        order, each as (error class, message, lhs, rhs): D(1)^2 = D(1);
+        D(1)D(g)D(1) = D(g)D(1) for each generator g; Q_v^2 = Q_v for each
+        vertex; Q_t D(a) Q_s = D(1)D(a)D(1) for each arrow a: s -> t.  M (x) N
+        is a module over A (x) A, so an identity that holds there holds on
+        every pair of representations and need not be checked again."""
+        alg, unit, units = self.algebra, self.delta_unit, self.vertex_units
+        checks = [(StructureMismatchError, "the coproduct of 1 does not act"
+                   " idempotently on the tensor square", _mul(alg, unit, unit), unit)]
+        sandwiched = {}  # D(1)D(g)D(1)
+        for key in alg.generator_keys():
+            right = _mul(alg, self.delta_gen[key], unit)
+            sandwiched[key] = _mul(alg, unit, right)
+            checks.append((NotAQuiverActionError, f"D({key}) does not preserve the"
+                           " image of the D(1) action", sandwiched[key], right))
+        for v, q in enumerate(units, 1):
+            checks.append((NotAQuiverActionError, f"action of e{v} is not idempotent",
+                           _mul(alg, q, q), q))
+        for a in self.quiver.arrows:
+            d = self.delta_gen[a.id]
+            checks.append((
+                NotAQuiverActionError,
+                f"action of arrow {a.id} is not supported on the ({a.target}, {a.source}) block",
+                _mul(alg, units[a.target - 1], _mul(alg, d, units[a.source - 1])),
+                sandwiched[a.id],
+            ))
+        return [check for check in checks if check[2] != check[3]]
 
     def _extend_delta(self):
         """D on every path: a generator's table, else D(last arrow) times
@@ -581,23 +620,24 @@ def _act(entries_m, entries_n, dn, element, rows):
 def tensor_wba(spec, m, n):
     """Tensor product of representations twisted through the coproduct.
 
-    Builds the componentwise tensor product as a module over the algebra's
-    two-fold tensor square, cuts it down to the image of the idempotent
-    D(1)-action, restricts the D(generator) actions to that image, and
-    reads off a representation: vertex v's space is the image of e_v, and
-    each arrow's map is its action in that vertex basis.  One elimination
-    of an idempotent E gives E = B C with C B = I (B its pivot columns, C
-    its RREF rows), so C is the change of basis and no system is solved.
-    Matrices stay sparse rows until the arrow blocks are read off, so the
-    work follows the nonzeros, not (dim M * dim N)^2; no coproduct's action
-    on the whole square is formed (see _act).  The blocks are read off
-    through exact.frac, so they hold canonical entries, and are passed on
-    without re-validation.
-    Raises NotAQuiverAction when a restricted action leaves the image, an
-    e_v does not act idempotently, or an arrow acts outside its (target,
-    source) block (which happens for structures that are not weak
-    bialgebras), and StructureMismatch when D(1) does not even act
-    idempotently."""
+    M (x) N, the componentwise tensor product, is a module over A (x) A,
+    and vertex v of the result is the image of Q_v = D(e_v)D(1) acting on
+    it.  One elimination of Q_v's action (its nonzero rows) gives its pivot
+    columns W_v, the vertex basis, and its reduced rows R_v, the
+    coordinates on it: Q_v = W_v R_v, with R_v W_v = I once Q_v acts
+    idempotently.  Arrow a: s -> t then acts by R_t act(D(a)) W_s, the
+    unique X with act(D(a)) W_s = W_t X.  Matrices stay sparse rows, no
+    coproduct's action on the whole square is formed but Q_v's (see _act),
+    and the maps are read off through exact.frac, so they hold canonical
+    entries, and are passed on without re-validation.
+
+    The checks run in a fixed order: D(1) acts idempotently (else
+    StructureMismatch), each D(generator) preserves the image of D(1),
+    each e_v acts idempotently there, and each arrow acts inside its
+    (target, source) block (else NotAQuiverAction, which happens for
+    structures that are not weak bialgebras).  Each is an identity in
+    A (x) A (see CoproductSpec._failed_identities), proved or refuted once
+    per structure; only a refuted one is checked here, on the module."""
     if m.quiver != spec.quiver or n.quiver != spec.quiver:
         raise WrongQuiverError("representations are not over the coproduct's quiver")
     dm, dn = m.total_dim(), n.total_dim()
@@ -606,67 +646,27 @@ def tensor_wba(spec, m, n):
     alg = spec.algebra
     em, en = _path_entries(alg, m), _path_entries(alg, n)
     size = dm * dn
-    projector = _act(em, en, dn, spec.delta_unit, [{k: 1} for k in range(size)])
-    if exact.sparse_mul(projector, projector) != projector:
-        raise StructureMismatchError(
-            "the coproduct of 1 does not act idempotently on the tensor square"
-        )
-    coordinates = [dict(row) for row in projector]
-    pivots = exact.eliminate(coordinates, size)
-    rank = len(pivots)
-    del coordinates[rank:]
-    basis = [{t: row[p] for t, p in enumerate(pivots) if p in row}
-             for row in projector]
-    # coordinates @ basis = I, so x = coordinates @ image if basis @ x = image
-    actions = {}
-    for key in alg.generator_keys():
-        image = _act(em, en, dn, spec.delta_gen[key], basis)
-        coords = exact.sparse_mul(coordinates, image)
-        if exact.sparse_mul(basis, coords) != image:
-            raise NotAQuiverActionError(
-                f"D({key}) does not preserve the image of the D(1) action"
-            )
-        actions[key] = coords
-    # The e_v coordinates sum to the identity (D(1) is the sum of the D(e_v)
-    # and the basis lies in its image), and idempotents over Q that sum to
-    # the identity are orthogonal: with e_v = B_v C_v as above, C_u B_v = 0
-    # for u != v, so once each e_v is idempotent, [B_1 ... B_n] is a basis
-    # adapted to the vertex decomposition, and [C_1; ...; C_n] its inverse.
-    q = spec.quiver
-    offs, cols, inverse = [0], [], []
-    for v in range(1, q.n + 1):
-        e = actions[f"e{v}"]
-        if exact.sparse_mul(e, e) != e:
-            raise NotAQuiverActionError(f"action of e{v} is not idempotent")
-        rows = [dict(row) for row in e]
-        vpivots = exact.eliminate(rows, rank)
-        offs.append(offs[-1] + len(vpivots))
-        cols.extend((e, p) for p in vpivots)
-        inverse.extend(rows[:len(vpivots)])
-    vbasis = [
-        {t: e[r][p] for t, (e, p) in enumerate(cols) if p in e[r]}
-        for r in range(rank)
-    ]
+    identity = [{k: 1} for k in range(size)]
+    for error, message, lhs, rhs in spec.module_checks:
+        if _act(em, en, dn, lhs, identity) != _act(em, en, dn, rhs, identity):
+            raise error(message)
+    bases, coordinates = [], []
+    for q in spec.vertex_units:
+        action = _act(em, en, dn, q, identity)
+        rows = [dict(row) for row in action if row]
+        pivots = {p: t for t, p in enumerate(exact.eliminate(rows, size))}
+        coordinates.append(rows[:len(pivots)])
+        bases.append([{pivots[k]: x for k, x in row.items() if k in pivots} if row
+                      else row for row in action])
+    dims = tuple(len(rows) for rows in coordinates)
     maps = []
-    for a in q.arrows:
-        full = exact.sparse_mul(inverse, exact.sparse_mul(actions[a.id], vbasis))
-        t0, t1 = offs[a.target - 1], offs[a.target]
-        s0, s1 = offs[a.source - 1], offs[a.source]
-        if any(
-            not (t0 <= r < t1 and s0 <= c < s1)
-            for r, row in enumerate(full)
-            for c in row
-        ):
-            raise NotAQuiverActionError(
-                f"action of arrow {a.id} is not supported on the"
-                f" ({a.target}, {a.source}) block"
-            )
+    for a in spec.quiver.arrows:
+        image = _act(em, en, dn, spec.delta_gen[a.id], bases[a.source - 1])
         maps.append(tuple(
-            tuple([frac(row[c]) if c in row else 0 for c in range(s0, s1)])
-            for row in full[t0:t1]
+            tuple([frac(row[c]) if c in row else 0 for c in range(dims[a.source - 1])])
+            for row in exact.sparse_mul(coordinates[a.target - 1], image)
         ))
-    dims = tuple(b - a for a, b in zip(offs, offs[1:]))
-    return Representation._trusted(q, dims, tuple(maps))
+    return Representation._trusted(spec.quiver, dims, tuple(maps))
 
 
 def is_discrete(spec):

@@ -393,6 +393,50 @@ def test_tensor_matches_the_sympy_reference_on_rational_entries():
     assert set(failed) == {"unit", "image", "idempotent", "block"}, failed
 
 
+def test_the_benchmark_structures_prove_every_tensor_check_in_the_square():
+    """The canonical structure on every A2-A4 orientation and all k2 and
+    Kronecker catalog entries satisfy tensor_wba's four checks as
+    identities in A (x) A, so no product through them repeats one."""
+    specs = [wba.canonical_wba(w.to_quiver()) for n in (2, 3, 4) for w in all_orientations(n)]
+    specs += wba.catalog_k2() + [s for w in (1, 2, 3) for s in wba.catalog_kronecker(w)]
+    assert [s.name for s in specs if s.module_checks] == []
+    for spec in specs:
+        assert len(spec.vertex_units) == spec.quiver.n
+        alg = spec.algebra
+        for v, q in enumerate(spec.vertex_units, 1):
+            assert q == wba._mul(alg, spec.delta_gen[f"e{v}"], spec.delta_unit)
+
+
+def test_identities_refuted_in_the_square_are_checked_on_the_module():
+    """kronecker2-a with r2(x)r2 added to D(e2): D(1) = 1(x)1 + r2(x)r2 is
+    not idempotent in A (x) A, so tensor_wba checks it on each module.
+    Where M's r2 acts as zero the extra term does too, and the product is
+    kronecker2-a's, as the sympy reference finds; where both r2 act, D(1)
+    is not idempotent there either."""
+    base = by_name(wba.catalog_kronecker(2))["kronecker2-a"]
+    data = base.to_dict()
+    data["delta"]["e2"].append(["r2", "r2", "1"])
+    spec = wba.CoproductSpec.from_dict(data)
+    assert [c[1] for c in spec.module_checks][:1] == [
+        "the coproduct of 1 does not act idempotently on the tensor square"
+    ]
+    q = spec.quiver
+    rng = random.Random(41)
+    nonzero = 0
+    for _ in range(10):
+        m, x = _rational_rep(q, rng, 4), _rational_rep(q, rng, 4)
+        m = Representation(q, m.dims, [m.map_for("r1"), exact.zeros(m.dims[1], m.dims[0])])
+        t = wba.tensor_wba(spec, m, x)
+        maps = {a.id: [list(row) for row in t.map_for(a.id)] for a in q.arrows}
+        assert (list(t.dims), maps) == sympy_tensor_wba(spec, m, x), (m, x)
+        assert t == wba.tensor_wba(base, m, x)
+        nonzero += any(v for mat in t.maps for row in mat for v in row)
+    assert nonzero >= 3
+    ident = identity_rep(q)
+    with pytest.raises(StructureMismatchError, match="does not act idempotently"):
+        wba.tensor_wba(spec, ident, ident)
+
+
 def test_tensor_entries_are_canonical_on_integer_inputs():
     """What tensor_wba returns holds canonical entries, ints where integral,
     also where an elimination divides by a pivot other than 1: with
