@@ -121,6 +121,37 @@ def test_axiom_witnesses_name_the_first_failure_of_each_law():
     ]
 
 
+def _unit_comultiplication_by_expansion(spec):
+    """The weak-unit comultiplication law's witness with 1 written out as
+    the sum of every trivial path in the outer legs."""
+    alg, du = spec.algebra, spec.delta_unit
+    middle = wba._coproduct_on_leg(spec, du, 0)
+    trivials = list(alg.trivial.values())
+    du_1 = {(u, v, t): c for (u, v), c in du.items() for t in trivials}
+    one_du = {(t, u, v): c for (u, v), c in du.items() for t in trivials}
+    if wba._mul(alg, du_1, one_du) != middle:
+        return "(D(1)(x)1)(1(x)D(1)) != (D(x)id)D(1)"
+    if wba._mul(alg, one_du, du_1) != middle:
+        return "(1(x)D(1))(D(1)(x)1) != (D(x)id)D(1)"
+    return None
+
+
+def test_unit_comultiplication_witness_matches_the_expanded_unit():
+    """The witness pairs the terms of D(1) directly; on the catalogs, the
+    canonical structure on A2-A3 and corruptions of each, it names the
+    same failure as the product with 1 expanded, and both messages occur."""
+    specs = wba.catalog_k2() + [s for w in (1, 2) for s in wba.catalog_kronecker(w)]
+    specs += [wba.canonical_wba(w.to_quiver()) for n in (2, 3) for w in all_orientations(n)]
+    specs += [wba.perturb_spec(s, seed) for s in list(specs) for seed in range(12)]
+    seen = set()
+    for spec in specs:
+        got = wba._unit_comultiplication_witness(spec)
+        assert got == _unit_comultiplication_by_expansion(spec), spec.name
+        seen.add(got)
+    assert seen == {None, "(D(1)(x)1)(1(x)D(1)) != (D(x)id)D(1)",
+                    "(1(x)D(1))(D(1)(x)1) != (D(x)id)D(1)"}
+
+
 def test_coefficients_summed_on_one_pair_are_canonical():
     """1/2 + 1/2 on e1(x)e1 is stored as the int 1, whether the spec gives
     the term twice or perturb_spec adds the second half."""
