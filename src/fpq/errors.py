@@ -114,7 +114,8 @@ class WrongQuiverError(FpqError):
 
 class DimensionGuardError(FpqError):
     """A tensor product exceeded a size guard: an iterated tensor power's
-    total dimension, or one product's map-entry count."""
+    total dimension, one product's map-entry count, or the dimension of
+    the tensor square a coproduct acts on."""
 
     code = "dimension_guard"
 

@@ -283,6 +283,24 @@ def test_oversized_tensor_is_a_dimension_guard_under_a_memory_cap(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_oversized_wba_tensor_is_a_dimension_guard_under_a_memory_cap(tmp_path):
+    """dim M * dim N = 4 * 10^6 is above wba.MAX_TENSOR_DIM: refused before
+    tensor_wba allocates a row of the tensor square, under the same 1 GiB
+    address-space cap."""
+    m = write_json(tmp_path / "m.json", {"quiver": {
+        "vertices": 2, "arrows": [{"id": "r1", "from": 1, "to": 2}]},
+        "dims": [1000, 1000]})
+    argv = ["wba", "tensor", "--structure", "kronecker1-a", "--left", m, "--right", m]
+    env = dict(os.environ, PYTHONPATH=str(Path(fpq.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_RUN, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error == {"type": "dimension_guard", "message":
+                     f"tensor square would have dimension above {wba.MAX_TENSOR_DIM}"}
+    assert "Traceback" not in proc.stderr
+
+
 def _spec_with(value, *path):
     """kronecker1-a's spec as JSON data with the entry at path set to value."""
     spec = wba.catalog_kronecker(1)[0].to_dict()

@@ -8,6 +8,7 @@ import pytest
 
 from fpq import exact, wba
 from fpq.errors import (
+    DimensionGuardError,
     DuplicateLabelError,
     NotAQuiverActionError,
     StructureMismatchError,
@@ -214,6 +215,17 @@ def test_tensor_rejects_foreign_representations():
     other = Quiver(2, [("r1", 1, 2)])
     with pytest.raises(WrongQuiverError):
         wba.tensor_wba(spec, simple(other, 1), simple(other, 2))
+
+
+def test_tensor_square_above_the_budget_is_refused_after_the_zero_shortcut():
+    spec = by_name(wba.catalog_kronecker(1))["kronecker1-a"]
+    big = Representation(KRON1, [50, 51], [exact.zeros(51, 50)])
+    small = Representation(KRON1, [100, 0], [exact.zeros(0, 100)])
+    assert 100 * 101 > wba.MAX_TENSOR_DIM
+    with pytest.raises(DimensionGuardError, match="dimension above 5000"):
+        wba.tensor_wba(spec, big, small)
+    empty = Representation(KRON1, [0, 0], [[]])
+    assert wba.tensor_wba(spec, big, empty).dims == (0, 0)
 
 
 def test_tensor_rejects_structures_that_do_not_act():
