@@ -202,6 +202,12 @@ def _band_args(args, quiver):
 
 
 def _cmd_fpd(args):
+    other = ("band_family", "band_path1", "band_path2") if args.mode == "exact" \
+        else ("candidates",)
+    unread = [f"--{k.replace('_', '-')}" for k in other
+              if getattr(args, k) not in (None, False)]
+    if unread:
+        raise UsageError(f"--mode {args.mode} does not read {', '.join(unread)}")
     q = _load_quiver(args.quiver)
     m = _load_object(args.object, q)
     structure = _load_structure(args.structure, q)

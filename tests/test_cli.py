@@ -111,6 +111,25 @@ def test_fpd_lower_band_family_divergence(tmp_path):
         [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
+@pytest.mark.parametrize("mode, options, unread", [
+    ("exact", ["--band-family", "--budget", "3", "--band-path1", "r"],
+     "--band-family, --band-path1"),
+    ("exact", ["--band-path1", "r1", "--band-path2", "r2"], "--band-path1, --band-path2"),
+    ("lower", ["--band-family", "--candidates", "CANDIDATES"], "--candidates"),
+])
+def test_fpd_refuses_the_options_its_mode_does_not_read(tmp_path, mode, options, unread):
+    """The band options belong to lower mode and --candidates to exact
+    mode; each is refused, unread, in the other (a lower-mode candidate
+    list holding 5 would otherwise fail its validation)."""
+    q = write_json(tmp_path / "kron.json", KRONECKER)
+    m = write_json(tmp_path / "s1.json", SIMPLE_1)
+    c = write_json(tmp_path / "c.json", [5])
+    argv = ["fpd", "--quiver", q, "--object", m, "--mode", mode]
+    code, out, err = run_cli(argv + [c if x == "CANDIDATES" else x for x in options])
+    assert (code, out) == (2, "")
+    assert err == f"fpq: --mode {mode} does not read {unread}\n"
+
+
 def test_fpd_exact_without_candidates_fails_cleanly(tmp_path):
     q = write_json(tmp_path / "kron.json", KRONECKER)
     m = write_json(tmp_path / "s1.json", SIMPLE_1)
