@@ -23,21 +23,16 @@ and the weak-counit product law
 over all basis triples, where D(y) = sum y' (x) y''.  A structure with
 D(1) = 1 (x) 1 is flagged as a genuine bialgebra.
 
-A coproduct makes the tensor product M (x) N of two representations into a
-module again: the componentwise tensor product is a module over A (x) A,
-the unit's coproduct D(1) acts on it as an idempotent, and its image
-carries the diagonal action through D.  tensor_wba reads that module off
-one vertex at a time: vertex v is the image of Q_v = D(e_v)D(1), its
-basis and coordinates come from one elimination as a rank factorization,
-each arrow's map is its coproduct applied straight to the source vertex's
-basis, each path action is built once from its prefix's, and the result
-is trusted, not re-validated.  Its four checks (D(1) idempotent, each
-D(g) keeping D(1)'s image, each Q_v idempotent, each arrow inside its
-block) are identities in A (x) A, proved or refuted once per
-CoproductSpec; one that holds in A (x) A holds on every module, so only
-the refuted ones are checked on M (x) N.  For the canonical grouplike
-coproduct (every path p gets D(p) = p (x) p, eps(p) = 1) this reproduces
-the componentwise tensor product matrix-for-matrix.
+A coproduct makes the tensor product M (x) N of two representations, a
+module over A (x) A, into a module again: D(1) acts on it as an
+idempotent, and its image carries the diagonal action through D.
+tensor_wba reads it off one vertex at a time (vertex v is the image of
+Q_v = D(e_v)D(1), read off one elimination as a rank factorization).  Its
+checks are identities in A (x) A, proved or refuted once per
+CoproductSpec; only a refuted one is checked again on M (x) N.  For the
+canonical grouplike coproduct (every path p gets D(p) = p (x) p,
+eps(p) = 1) this reproduces the componentwise tensor product
+matrix-for-matrix.
 
 catalog_k2 and catalog_kronecker build the five standard coproduct
 patterns on the two-vertex quiver without and with arrows from one table.
@@ -76,9 +71,8 @@ from .quiver import (
 )
 
 _TRIVIAL_KEY = re.compile(r"^e([0-9]+)$")
-# Largest dim M * dim N that tensor_wba takes on: 46 times the largest
-# product the tests make (108), and about 1.5 s and 150 MB for dense maps
-# at 4900 on two-vertex structures; at 10^4 it was 8 s and 575 MB.
+# Largest dim M * dim N for tensor_wba: 46 times the tests' largest (108);
+# dense two-vertex products took 1.5 s, 150 MB at 4900 and 8 s, 575 MB at 10^4.
 MAX_TENSOR_DIM = 5000
 
 
@@ -225,12 +219,11 @@ class CoproductSpec:
         self.module_checks = self._failed_identities()
 
     def _failed_identities(self):
-        """tensor_wba's checks that fail as identities in A (x) A, in its
-        order, each as (error class, message, lhs, rhs): D(1)^2 = D(1);
-        D(1)D(g)D(1) = D(g)D(1) for each generator g; Q_v^2 = Q_v for each
-        vertex; Q_t D(a) Q_s = D(1)D(a)D(1) for each arrow a: s -> t.  M (x) N
-        is a module over A (x) A, so an identity that holds there holds on
-        every pair of representations and need not be checked again."""
+        """tensor_wba's checks, in its order, as (error class, message, lhs,
+        rhs), kept where lhs != rhs in A (x) A: D(1)^2 = D(1), D(1)D(g)D(1) =
+        D(g)D(1) per generator, Q_v^2 = Q_v per vertex and Q_t D(a) Q_s =
+        D(1)D(a)D(1) per arrow a: s -> t.  One that holds in A (x) A holds
+        on every module M (x) N."""
         alg, unit, units = self.algebra, self.delta_unit, self.vertex_units
         checks = [(StructureMismatchError, "the coproduct of 1 does not act"
                    " idempotently on the tensor square", _mul(alg, unit, unit), unit)]
@@ -244,13 +237,10 @@ class CoproductSpec:
             checks.append((NotAQuiverActionError, f"action of e{v} is not idempotent",
                            _mul(alg, q, q), q))
         for a in self.quiver.arrows:
-            d = self.delta_gen[a.id]
-            checks.append((
-                NotAQuiverActionError,
-                f"action of arrow {a.id} is not supported on the ({a.target}, {a.source}) block",
-                _mul(alg, units[a.target - 1], _mul(alg, d, units[a.source - 1])),
-                sandwiched[a.id],
-            ))
+            inside = _mul(alg, self.delta_gen[a.id], units[a.source - 1])
+            checks.append((NotAQuiverActionError, f"action of arrow {a.id} is not"
+                           f" supported on the ({a.target}, {a.source}) block",
+                           _mul(alg, units[a.target - 1], inside), sandwiched[a.id]))
         return [check for check in checks if check[2] != check[3]]
 
     def _extend_delta(self):
@@ -631,35 +621,27 @@ def _act(entries_m, entries_n, dn, element, rows):
 def tensor_wba(spec, m, n):
     """Tensor product of representations twisted through the coproduct.
 
-    M (x) N, the componentwise tensor product, is a module over A (x) A,
-    and vertex v of the result is the image of Q_v = D(e_v)D(1) acting on
-    it.  One elimination of Q_v's action (its nonzero rows) gives its pivot
-    columns W_v, the vertex basis, and its reduced rows R_v, the
-    coordinates on it: Q_v = W_v R_v, with R_v W_v = I once Q_v acts
-    idempotently.  Arrow a: s -> t then acts by R_t act(D(a)) W_s, the
-    unique X with act(D(a)) W_s = W_t X.  Matrices stay sparse rows, no
-    coproduct's action on the whole square is formed but Q_v's (see _act),
-    and the maps are read off through exact.frac, so they hold canonical
-    entries, and are passed on without re-validation.
-
-    The checks run in a fixed order: D(1) acts idempotently (else
-    StructureMismatch), each D(generator) preserves the image of D(1),
-    each e_v acts idempotently there, and each arrow acts inside its
-    (target, source) block (else NotAQuiverAction, which happens for
-    structures that are not weak bialgebras).  Each is an identity in
-    A (x) A (see CoproductSpec._failed_identities), proved or refuted once
-    per structure; only a refuted one is checked here, on the module.
-    Raises DimensionGuardError, before allocating, when dim M * dim N
-    exceeds MAX_TENSOR_DIM."""
+    Vertex v is the image of Q_v = D(e_v)D(1) acting on M (x) N.  One
+    elimination of that action's nonzero rows gives Q_v = W_v R_v, W_v its
+    pivot columns (the vertex basis) and R_v its reduced rows, with
+    R_v W_v = I once Q_v is idempotent; arrow a: s -> t acts by
+    R_t act(D(a)) W_s, the unique X with act(D(a)) W_s = W_t X.  Matrices
+    stay sparse rows (see _act); the maps are read off through exact.frac
+    and passed on without re-validation.
+    Checks, in order, the spec's module_checks on M (x) N: StructureMismatch
+    if D(1) does not act idempotently, NotAQuiverAction if a D(generator)
+    leaves its image, an e_v is not idempotent there, or an arrow acts
+    outside its (target, source) block (structures that are not weak
+    bialgebras).  Raises DimensionGuardError, before allocating, when
+    dim M * dim N exceeds MAX_TENSOR_DIM."""
     if m.quiver != spec.quiver or n.quiver != spec.quiver:
         raise WrongQuiverError("representations are not over the coproduct's quiver")
     dm, dn = m.total_dim(), n.total_dim()
     if dm == 0 or dn == 0:
         return zero_rep(spec.quiver)
     if dm * dn > MAX_TENSOR_DIM:
-        raise DimensionGuardError(
-            f"tensor square would have dimension above {MAX_TENSOR_DIM}"
-        )
+        raise DimensionGuardError(f"tensor square would have dimension above"
+                                  f" {MAX_TENSOR_DIM}")
     alg = spec.algebra
     em, en = _path_entries(alg, m), _path_entries(alg, n)
     size = dm * dn
