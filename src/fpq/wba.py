@@ -639,12 +639,12 @@ def tensor_wba(spec, m, n):
     dm, dn = m.total_dim(), n.total_dim()
     if dm == 0 or dn == 0:
         return zero_rep(spec.quiver)
-    if dm * dn > MAX_TENSOR_DIM:
+    size = dm * dn
+    if size > MAX_TENSOR_DIM:
         raise DimensionGuardError(f"tensor square would have dimension above"
                                   f" {MAX_TENSOR_DIM}")
     alg = spec.algebra
     em, en = _path_entries(alg, m), _path_entries(alg, n)
-    size = dm * dn
     identity = [{k: 1} for k in range(size)]
     for error, message, lhs, rhs in spec.module_checks:
         if _act(em, en, dn, lhs, identity) != _act(em, en, dn, rhs, identity):

@@ -443,11 +443,6 @@ def test_the_benchmark_structures_prove_every_tensor_check_in_the_square():
     specs = [wba.canonical_wba(w.to_quiver()) for n in (2, 3, 4) for w in all_orientations(n)]
     specs += wba.catalog_k2() + [s for w in (1, 2, 3) for s in wba.catalog_kronecker(w)]
     assert [s.name for s in specs if s.module_checks] == []
-    for spec in specs:
-        assert len(spec.vertex_units) == spec.quiver.n
-        alg = spec.algebra
-        for v, q in enumerate(spec.vertex_units, 1):
-            assert q == wba._mul(alg, spec.delta_gen[f"e{v}"], spec.delta_unit)
 
 
 def test_identities_refuted_in_the_square_are_checked_on_the_module():
