@@ -13,7 +13,8 @@ Conventions
 The hom-dimension computation sets up the commuting-square system
 f_t . M_a = N_a . f_s over the per-vertex unknowns f_v and ranks it by
 exact elimination.  Hom dimensions are memoized per pair of
-representations, which the higher layers lean on heavily.
+representations, up to MAX_HOM_PAIRS pairs, which the higher layers lean
+on heavily.
 
 Identity
 --------
@@ -342,8 +343,12 @@ def _hom_system(m, n):
     return rows, total
 
 
+# hom_dim's and dim_ext1's memos by id pair, each emptied in place when it
+# holds MAX_HOM_PAIRS entries (bricks reads the same dict objects); an
+# emptied entry is rebuilt the same when next asked for.
 _HOM_DIM_CACHE = {}
 _EXT1_CACHE = {}
+MAX_HOM_PAIRS = 2 ** 16
 
 
 def hom_dim(m, n):
@@ -356,6 +361,8 @@ def hom_dim(m, n):
         if m.quiver != n.quiver:
             raise WrongQuiverError("representations live over different quivers")
         rows, total = _hom_system(m, n)
+        if len(_HOM_DIM_CACHE) >= MAX_HOM_PAIRS:
+            _HOM_DIM_CACHE.clear()
         got = _HOM_DIM_CACHE[key] = total - exact.rank(rows, total)
     return got
 
@@ -373,6 +380,8 @@ def dim_ext1(m, n):
             raise ShapeError(
                 f"negative ext dimension {val}; hom/euler bookkeeping is broken"
             )
+        if len(_EXT1_CACHE) >= MAX_HOM_PAIRS:
+            _EXT1_CACHE.clear()
         _EXT1_CACHE[key] = val
     return val
 

@@ -27,7 +27,8 @@ A coproduct makes the tensor product M (x) N of two representations, a
 module over A (x) A, into a module again: D(1) acts on it as an
 idempotent, and its image carries the diagonal action through D.
 tensor_wba reads it off one vertex at a time (vertex v is the image of
-Q_v = D(e_v)D(1), read off one elimination as a rank factorization).  Its
+Q_v = D(e_v)D(1), read off one elimination as a rank factorization) and
+each arrow a: s -> t through D(a)Q_s, both stored on the CoproductSpec.  Its
 checks are identities in A (x) A, proved or refuted once per
 CoproductSpec; only a refuted one is checked again on M (x) N.  For the
 canonical grouplike coproduct (every path p gets D(p) = p (x) p,
@@ -89,28 +90,26 @@ class PathAlgebra:
         layer = [(a.source, a.target, (a.id,)) for a in quiver.arrows]
         while layer:
             found.extend(layer)
-            layer = [
-                (s, a.target, ids + (a.id,))
-                for (s, t, ids) in layer
-                for a in quiver.arrows
-                if a.source == t
-            ]
+            layer = [(s, a.target, ids + (a.id,)) for (s, t, ids) in layer
+                     for a in quiver.arrows if a.source == t]
         found.sort(key=lambda p: (1, len(p[2]), p[2]) if p[2] else (0, p[0]))
         self.paths = found
         self.index = {p: k for k, p in enumerate(found)}
         self.trivial = {p[0]: k for k, p in enumerate(found) if not p[2]}
         self.arrow_path = {p[2][0]: k for k, p in enumerate(found) if len(p[2]) == 1}
+        ending = {v: [] for v in range(1, quiver.n + 1)}
+        for k, (_, t, _) in enumerate(found):
+            ending[t].append(k)
+        # the index of path_i * path_j at (i, j), for each pair that composes
+        self.products = {(i, j): self.index[(found[j][0], t, found[j][2] + ids)]
+                         for i, (s, t, ids) in enumerate(found) for j in ending[s]}
 
     def __len__(self):
         return len(self.paths)
 
     def compose(self, i, j):
         """Index of path_i * path_j (j acts first), or None if zero."""
-        si, ti, ai = self.paths[i]
-        sj, tj, aj = self.paths[j]
-        if si != tj:
-            return None
-        return self.index[(sj, ti, aj + ai)]
+        return self.products.get((i, j))
 
     def generator_keys(self):
         return [f"e{v}" for v in range(1, self.quiver.n + 1)] + [
@@ -153,12 +152,12 @@ def _mul(alg, x, y):
     """x * y in a tensor power of the path algebra, elements being dicts
     from key tuples (one path index per leg) to coefficients; a pair of
     terms dies at the first leg whose paths do not compose."""
-    out = {}
+    out, products = {}, alg.products
     for kx, c1 in x.items():
         for ky, c2 in y.items():
             key = ()
             for i, j in zip(kx, ky):
-                k = alg.compose(i, j)
+                k = products.get((i, j))
                 if k is None:
                     break
                 key += (k,)
@@ -177,8 +176,9 @@ class CoproductSpec:
     solve of the counit law (free values 0; counit_consistent records
     whether the law could be satisfied at all).  unit optionally names the
     representation expected to be the tensor unit.  vertex_units holds
-    Q_v = D(e_v)D(1) for each vertex and module_checks the checks of
-    tensor_wba that fail as identities in A (x) A."""
+    Q_v = D(e_v)D(1) for each vertex, arrow_units D(a)Q_s for each arrow
+    a: s -> t, and module_checks the checks of tensor_wba that fail as
+    identities in A (x) A."""
 
     def __init__(self, quiver, delta, counit, name="custom", unit=None):
         self.quiver = quiver
@@ -216,6 +216,8 @@ class CoproductSpec:
         self.counit_consistent = self._counit_laws_hold()
         self.vertex_units = [_mul(alg, self.delta_gen[f"e{v}"], self.delta_unit)
                              for v in range(1, quiver.n + 1)]
+        self.arrow_units = [_mul(alg, self.delta_gen[a.id], self.vertex_units[a.source - 1])
+                            for a in quiver.arrows]
         self.module_checks = self._failed_identities()
 
     def _failed_identities(self):
@@ -236,8 +238,7 @@ class CoproductSpec:
         for v, q in enumerate(units, 1):
             checks.append((NotAQuiverActionError, f"action of e{v} is not idempotent",
                            _mul(alg, q, q), q))
-        for a in self.quiver.arrows:
-            inside = _mul(alg, self.delta_gen[a.id], units[a.source - 1])
+        for a, inside in zip(self.quiver.arrows, self.arrow_units):
             checks.append((NotAQuiverActionError, f"action of arrow {a.id} is not"
                            f" supported on the ({a.target}, {a.source}) block",
                            _mul(alg, units[a.target - 1], inside), sandwiched[a.id]))
@@ -299,8 +300,7 @@ class CoproductSpec:
         for p in range(len(self.algebra)):
             out = {}
             for (u, v), c in self._delta[p].items():
-                kept = v if side == 0 else u
-                evaluated = u if side == 0 else v
+                kept, evaluated = (v, u) if side == 0 else (u, v)
                 _add_term(out, kept, c * self._eps[evaluated])
             if out != {p: 1}:
                 law = "(eps(x)id)D" if side == 0 else "(id(x)eps)D"
@@ -369,13 +369,7 @@ class CoproductSpec:
         unit = None
         if data.get("unit") is not None:
             unit = Representation.from_dict(data["unit"], quiver=quiver)
-        return cls(
-            quiver,
-            delta,
-            counit,
-            name=name,
-            unit=unit,
-        )
+        return cls(quiver, delta, counit, name=name, unit=unit)
 
 
 class AxiomReport:
@@ -495,9 +489,7 @@ def canonical_wba(quiver):
     Its module tensor product is the componentwise one; the unit is the
     all-k representation with identity arrow maps."""
     delta, counit = _grouplike_table(quiver)
-    return CoproductSpec(
-        quiver, delta, counit, name="canonical", unit=identity_rep(quiver)
-    )
+    return CoproductSpec(quiver, delta, counit, name="canonical", unit=identity_rep(quiver))
 
 
 # Patterns (a)-(d) on two vertices as (counit-1 vertex u, D(e_u), D(e_w)),
@@ -558,23 +550,16 @@ def catalog_kronecker(w):
 
 
 def _grouplike_table(quiver):
-    delta = {}
-    counit = {}
-    for v in range(1, quiver.n + 1):
-        delta[f"e{v}"] = [(f"e{v}", f"e{v}", 1)]
-        counit[f"e{v}"] = 1
-    for a in quiver.arrows:
-        delta[a.id] = [(a.id, a.id, 1)]
-        counit[a.id] = 1
-    return delta, counit
+    keys = [f"e{v}" for v in range(1, quiver.n + 1)] + [a.id for a in quiver.arrows]
+    return {key: [(key, key, 1)] for key in keys}, dict.fromkeys(keys, 1)
 
 
 def _path_entries(alg, rep):
     """Each basis path's action on rep as the list of its nonzero entries
     (row, column, value), indexed in rep's total space, canonical (a
     product of Fractions can be integral).  Its block, at (target, source),
-    is the identity or its last arrow's rows times its prefix's block,
-    built earlier in alg.paths."""
+    is the identity, its arrow's rows, or its last arrow's rows times its
+    prefix's block, built earlier in alg.paths."""
     offs = [0]
     for d in rep.dims:
         offs.append(offs[-1] + d)
@@ -584,12 +569,12 @@ def _path_entries(alg, rep):
     }
     blocks, out = [], []
     for s, t, ids in alg.paths:
-        if ids:
+        if len(ids) > 1:
             mid = alg.paths[alg.arrow_path[ids[-1]]][0]
             prefix = blocks[alg.index[(s, mid, ids[:-1])]]
             block = exact.sparse_mul(arrows[ids[-1]], prefix)
         else:
-            block = [{k: 1} for k in range(rep.dims[s - 1])]
+            block = arrows[ids[0]] if ids else [{k: 1} for k in range(rep.dims[s - 1])]
         blocks.append(block)
         out.append([
             (r, k + offs[s - 1], frac(x))
@@ -599,23 +584,39 @@ def _path_entries(alg, rep):
     return out
 
 
-def _act(entries_m, entries_n, dn, element, rows):
+def _act(entries_m, entries_n, dn, element, rows=None):
     """act(element) @ rows, act(element) being the element's action on
     M (x) N, M's index slowest: each term c * u (x) v takes column k*dn + l
-    to row r*dn + r2 times c * u[r][k] * v[r2][l].  Columns whose row in
-    rows is empty are skipped; the action itself is never formed."""
-    out = [{} for _ in rows]
+    to row r*dn + r2 times c * u[r][k] * v[r2][l].  Matrices are keyed by
+    row index, {row: sparse row}, an absent row being zero (so equal
+    matrices compare equal); rows=None is the identity.  Columns with no
+    row are skipped; the action itself is never formed."""
+    out = {}
     for (i, j), c in element.items():
         for r, k, x in entries_m[i]:
             cx, base, target = c * x, k * dn, r * dn
+            if rows is None:
+                for r2, l, y in entries_n[j]:
+                    acc = out.get(target + r2)
+                    if acc is None:
+                        acc = out[target + r2] = {}
+                    acc[base + l] = acc.get(base + l, 0) + cx * y
+                continue
             for r2, l, y in entries_n[j]:
-                row = rows[base + l]
+                row = rows.get(base + l)
                 if row:
-                    acc = out[target + r2]
+                    acc = out.get(target + r2)
+                    if acc is None:
+                        acc = out[target + r2] = {}
                     cxy = cx * y
                     for t, z in row.items():
                         acc[t] = acc.get(t, 0) + cxy * z
-    return [{t: z for t, z in acc.items() if z} if acc else acc for acc in out]
+    for r, acc in list(out.items()):  # store no cancelled entry, no empty row
+        if not all(acc.values()):
+            acc = out[r] = {t: z for t, z in acc.items() if z}
+            if not acc:
+                del out[r]
+    return out
 
 
 def tensor_wba(spec, m, n):
@@ -625,9 +626,12 @@ def tensor_wba(spec, m, n):
     elimination of that action's nonzero rows gives Q_v = W_v R_v, W_v its
     pivot columns (the vertex basis) and R_v its reduced rows, with
     R_v W_v = I once Q_v is idempotent; arrow a: s -> t acts by
-    R_t act(D(a)) W_s, the unique X with act(D(a)) W_s = W_t X.  Matrices
-    stay sparse rows (see _act); the maps are read off through exact.frac
-    and passed on without re-validation.
+    R_t act(D(a)) W_s, the unique X with act(D(a)) W_s = W_t X.  That is
+    R_t act(D(a)Q_s) E_s, E_s the unit columns at Q_s's pivots: W_s =
+    act(Q_s) E_s and act is an algebra map, so act(D(a)) act(Q_s) =
+    act(D(a)Q_s), which spec.arrow_units holds.  Matrices are sparse rows
+    keyed by row index (see _act); each map's rows are read off straight
+    through exact.frac and passed on without re-validation.
     Checks, in order, the spec's module_checks on M (x) N: StructureMismatch
     if D(1) does not act idempotently, NotAQuiverAction if a D(generator)
     leaves its image, an e_v is not idempotent there, or an arrow acts
@@ -645,26 +649,29 @@ def tensor_wba(spec, m, n):
                                   f" {MAX_TENSOR_DIM}")
     alg = spec.algebra
     em, en = _path_entries(alg, m), _path_entries(alg, n)
-    identity = [{k: 1} for k in range(size)]
     for error, message, lhs, rhs in spec.module_checks:
-        if _act(em, en, dn, lhs, identity) != _act(em, en, dn, rhs, identity):
+        if _act(em, en, dn, lhs) != _act(em, en, dn, rhs):
             raise error(message)
-    bases, coordinates = [], []
+    pivots, coordinates = [], []
     for q in spec.vertex_units:
-        action = _act(em, en, dn, q, identity)
-        rows = [dict(row) for row in action if row]
-        pivots = {p: t for t, p in enumerate(exact.eliminate(rows, size))}
-        coordinates.append(rows[:len(pivots)])
-        bases.append([{pivots[k]: x for k, x in row.items() if k in pivots} if row
-                      else row for row in action])
-    dims = tuple(len(rows) for rows in coordinates)
+        action = _act(em, en, dn, q)
+        rows = [action[r] for r in sorted(action)]
+        pivots.append(exact.eliminate(rows, size))
+        coordinates.append(rows[:len(pivots[-1])])
     maps = []
-    for a in spec.quiver.arrows:
-        image = _act(em, en, dn, spec.delta_gen[a.id], bases[a.source - 1])
-        maps.append(tuple(
-            tuple([frac(row[c]) if c in row else 0 for c in range(dims[a.source - 1])])
-            for row in exact.sparse_mul(coordinates[a.target - 1], image)
-        ))
+    for a, unit in zip(spec.quiver.arrows, spec.arrow_units):
+        cols = pivots[a.source - 1]
+        image = _act(em, en, dn, unit, {p: {c: 1} for c, p in enumerate(cols)})
+        block = []
+        for row in coordinates[a.target - 1]:
+            acc = [0] * len(cols)
+            for k, x in row.items():
+                if k in image:
+                    for c, y in image[k].items():
+                        acc[c] += x * y
+            block.append(tuple([frac(z) for z in acc]))
+        maps.append(tuple(block))
+    dims = tuple(len(cols) for cols in pivots)
     return Representation._trusted(spec.quiver, dims, tuple(maps))
 
 
@@ -675,9 +682,7 @@ def is_discrete(spec):
     for i in range(1, q.n + 1):
         for j in range(1, q.n + 1):
             t = tensor_wba(spec, simple(q, i), simple(q, j))
-            expected = [
-                (1 if (v == i and i == j) else 0) for v in range(1, q.n + 1)
-            ]
+            expected = [int(v == i == j) for v in range(1, q.n + 1)]
             if list(t.dims) != expected:
                 return {
                     "discrete": False,

@@ -475,6 +475,32 @@ def test_identities_refuted_in_the_square_are_checked_on_the_module():
         wba.tensor_wba(spec, ident, ident)
 
 
+def test_tensor_matches_the_sympy_reference_where_the_vertex_basis_is_not_unit_columns():
+    """On kronecker1 with D(e1) = e1(x)e1 + t r1(x)e1, D(e2) = e2(x)e2 and
+    D(r1) = r1(x)r1 + s e2(x)r1, tensor_wba's four checks hold in A (x) A,
+    but Q_1 = e1(x)e1 + t r1(x)e1 mixes M1(x)N1 into M2(x)N1, so the vertex
+    basis W_1 is not a set of unit columns, and D(r1)Q_1 = (1 + st) r1(x)r1
+    is not D(r1): the map must go through D(r1)Q_1.  Seeded rational pairs
+    against the sympy reference, some of them with a nonzero map."""
+    rng = random.Random(43)
+    nonzero = 0
+    for t, s in ((1, 1), (-1, 2), (Fraction(1, 2), Fraction(-2, 3)), (1, -1)):
+        spec = wba.CoproductSpec(KRON1, {
+            "e1": [("e1", "e1", 1), ("r1", "e1", t)], "e2": [("e2", "e2", 1)],
+            "r1": [("r1", "r1", 1), ("e2", "r1", s)],
+        }, {"e1": 1, "e2": 1, "r1": 1})
+        r1 = spec.algebra.arrow_path["r1"]
+        assert spec.module_checks == []
+        assert spec.arrow_units == [{(r1, r1): 1 + s * t} if 1 + s * t else {}]
+        for _ in range(8):
+            m, x = _rational_rep(KRON1, rng, 4), _rational_rep(KRON1, rng, 4)
+            got = wba.tensor_wba(spec, m, x)
+            maps = {a.id: [list(row) for row in got.map_for(a.id)] for a in KRON1.arrows}
+            assert (list(got.dims), maps) == sympy_tensor_wba(spec, m, x), (t, s, m, x)
+            nonzero += any(v for mat in got.maps for row in mat for v in row)
+    assert nonzero >= 3
+
+
 def test_tensor_entries_are_canonical_on_integer_inputs():
     """What tensor_wba returns holds canonical entries, ints where integral,
     also where an elimination divides by a pivot other than 1: with
