@@ -90,19 +90,21 @@ class PathAlgebra:
         layer = [(a.source, a.target, (a.id,)) for a in quiver.arrows]
         while layer:
             found.extend(layer)
-            layer = [(s, a.target, ids + (a.id,)) for (s, t, ids) in layer
-                     for a in quiver.arrows if a.source == t]
+            layer = [
+                (s, a.target, ids + (a.id,))
+                for (s, t, ids) in layer
+                for a in quiver.arrows
+                if a.source == t
+            ]
         found.sort(key=lambda p: (1, len(p[2]), p[2]) if p[2] else (0, p[0]))
         self.paths = found
         self.index = {p: k for k, p in enumerate(found)}
         self.trivial = {p[0]: k for k, p in enumerate(found) if not p[2]}
         self.arrow_path = {p[2][0]: k for k, p in enumerate(found) if len(p[2]) == 1}
-        ending = {v: [] for v in range(1, quiver.n + 1)}
-        for k, (_, t, _) in enumerate(found):
-            ending[t].append(k)
-        # the index of path_i * path_j at (i, j), for each pair that composes
-        self.products = {(i, j): self.index[(found[j][0], t, found[j][2] + ids)]
-                         for i, (s, t, ids) in enumerate(found) for j in ending[s]}
+        # path_i * path_j (j acts first) by index pair, for each pair that composes
+        self.products = {(i, j): self.index[(sj, t, aj + ids)]
+                         for i, (s, t, ids) in enumerate(found)
+                         for j, (sj, tj, aj) in enumerate(found) if tj == s}
 
     def __len__(self):
         return len(self.paths)
@@ -300,7 +302,8 @@ class CoproductSpec:
         for p in range(len(self.algebra)):
             out = {}
             for (u, v), c in self._delta[p].items():
-                kept, evaluated = (v, u) if side == 0 else (u, v)
+                kept = v if side == 0 else u
+                evaluated = u if side == 0 else v
                 _add_term(out, kept, c * self._eps[evaluated])
             if out != {p: 1}:
                 law = "(eps(x)id)D" if side == 0 else "(id(x)eps)D"
@@ -369,7 +372,13 @@ class CoproductSpec:
         unit = None
         if data.get("unit") is not None:
             unit = Representation.from_dict(data["unit"], quiver=quiver)
-        return cls(quiver, delta, counit, name=name, unit=unit)
+        return cls(
+            quiver,
+            delta,
+            counit,
+            name=name,
+            unit=unit,
+        )
 
 
 class AxiomReport:
@@ -489,7 +498,9 @@ def canonical_wba(quiver):
     Its module tensor product is the componentwise one; the unit is the
     all-k representation with identity arrow maps."""
     delta, counit = _grouplike_table(quiver)
-    return CoproductSpec(quiver, delta, counit, name="canonical", unit=identity_rep(quiver))
+    return CoproductSpec(
+        quiver, delta, counit, name="canonical", unit=identity_rep(quiver)
+    )
 
 
 # Patterns (a)-(d) on two vertices as (counit-1 vertex u, D(e_u), D(e_w)),
@@ -550,8 +561,15 @@ def catalog_kronecker(w):
 
 
 def _grouplike_table(quiver):
-    keys = [f"e{v}" for v in range(1, quiver.n + 1)] + [a.id for a in quiver.arrows]
-    return {key: [(key, key, 1)] for key in keys}, dict.fromkeys(keys, 1)
+    delta = {}
+    counit = {}
+    for v in range(1, quiver.n + 1):
+        delta[f"e{v}"] = [(f"e{v}", f"e{v}", 1)]
+        counit[f"e{v}"] = 1
+    for a in quiver.arrows:
+        delta[a.id] = [(a.id, a.id, 1)]
+        counit[a.id] = 1
+    return delta, counit
 
 
 def _path_entries(alg, rep):
@@ -588,26 +606,21 @@ def _act(entries_m, entries_n, dn, element, rows=None):
     """act(element) @ rows, act(element) being the element's action on
     M (x) N, M's index slowest: each term c * u (x) v takes column k*dn + l
     to row r*dn + r2 times c * u[r][k] * v[r2][l].  Matrices are keyed by
-    row index, {row: sparse row}, an absent row being zero (so equal
-    matrices compare equal); rows=None is the identity.  Columns with no
-    row are skipped; the action itself is never formed."""
+    row index, {row: sparse row}, an absent row being zero; rows=None is
+    the identity.  The action itself is never formed."""
     out = {}
     for (i, j), c in element.items():
         for r, k, x in entries_m[i]:
             cx, base, target = c * x, k * dn, r * dn
             if rows is None:
                 for r2, l, y in entries_n[j]:
-                    acc = out.get(target + r2)
-                    if acc is None:
-                        acc = out[target + r2] = {}
+                    acc = out.setdefault(target + r2, {})
                     acc[base + l] = acc.get(base + l, 0) + cx * y
                 continue
             for r2, l, y in entries_n[j]:
                 row = rows.get(base + l)
                 if row:
-                    acc = out.get(target + r2)
-                    if acc is None:
-                        acc = out[target + r2] = {}
+                    acc = out.setdefault(target + r2, {})
                     cxy = cx * y
                     for t, z in row.items():
                         acc[t] = acc.get(t, 0) + cxy * z
@@ -626,12 +639,11 @@ def tensor_wba(spec, m, n):
     elimination of that action's nonzero rows gives Q_v = W_v R_v, W_v its
     pivot columns (the vertex basis) and R_v its reduced rows, with
     R_v W_v = I once Q_v is idempotent; arrow a: s -> t acts by
-    R_t act(D(a)) W_s, the unique X with act(D(a)) W_s = W_t X.  That is
-    R_t act(D(a)Q_s) E_s, E_s the unit columns at Q_s's pivots: W_s =
-    act(Q_s) E_s and act is an algebra map, so act(D(a)) act(Q_s) =
-    act(D(a)Q_s), which spec.arrow_units holds.  Matrices are sparse rows
-    keyed by row index (see _act); each map's rows are read off straight
-    through exact.frac and passed on without re-validation.
+    R_t act(D(a)) W_s, the unique X with act(D(a)) W_s = W_t X.  As act is
+    an algebra map and W_s = act(Q_s) E_s, E_s the unit columns at Q_s's
+    pivots, that is R_t act(D(a)Q_s) E_s (spec.arrow_units), read off on
+    sparse rows keyed by index (see _act) through exact.frac straight into
+    the output rows, passed on without re-validation.
     Checks, in order, the spec's module_checks on M (x) N: StructureMismatch
     if D(1) does not act idempotently, NotAQuiverAction if a D(generator)
     leaves its image, an e_v is not idempotent there, or an arrow acts
@@ -682,7 +694,9 @@ def is_discrete(spec):
     for i in range(1, q.n + 1):
         for j in range(1, q.n + 1):
             t = tensor_wba(spec, simple(q, i), simple(q, j))
-            expected = [int(v == i == j) for v in range(1, q.n + 1)]
+            expected = [
+                (1 if (v == i and i == j) else 0) for v in range(1, q.n + 1)
+            ]
             if list(t.dims) != expected:
                 return {
                     "discrete": False,
