@@ -28,7 +28,9 @@ module over A (x) A, into a module again: D(1) acts on it as an
 idempotent, and its image carries the diagonal action through D.
 tensor_wba reads it off one vertex at a time (vertex v is the image of
 Q_v = D(e_v)D(1), read off one elimination as a rank factorization) and
-each arrow a: s -> t through D(a)Q_s, both stored on the CoproductSpec.  Its
+each arrow a: s -> t through D(a)Q_s (act is an algebra map, so act(D(a)Q_s)
+on the unit columns at Q_s's pivots is act(D(a)) on the vertex basis), on
+sparse rows keyed by row index; the CoproductSpec stores Q_v and D(a)Q_s.  Its
 checks are identities in A (x) A, proved or refuted once per
 CoproductSpec; only a refuted one is checked again on M (x) N.  For the
 canonical grouplike coproduct (every path p gets D(p) = p (x) p,
