@@ -103,10 +103,12 @@ class PathAlgebra:
         self.index = {p: k for k, p in enumerate(found)}
         self.trivial = {p[0]: k for k, p in enumerate(found) if not p[2]}
         self.arrow_path = {p[2][0]: k for k, p in enumerate(found) if len(p[2]) == 1}
+        ending = {v: [] for v in range(1, quiver.n + 1)}
+        for j, (_, t, _) in enumerate(found):
+            ending[t].append(j)
         # path_i * path_j (j acts first) by index pair, for each pair that composes
-        self.products = {(i, j): self.index[(sj, t, aj + ids)]
-                         for i, (s, t, ids) in enumerate(found)
-                         for j, (sj, tj, aj) in enumerate(found) if tj == s}
+        self.products = {(i, j): self.index[(found[j][0], t, found[j][2] + ids)]
+                         for i, (s, t, ids) in enumerate(found) for j in ending[s]}
 
     def __len__(self):
         return len(self.paths)
