@@ -30,12 +30,11 @@ tensor_wba reads it off one vertex at a time (vertex v is the image of
 Q_v = D(e_v)D(1), read off one elimination as a rank factorization) and
 each arrow a: s -> t through D(a)Q_s (act is an algebra map, so act(D(a)Q_s)
 on the unit columns at Q_s's pivots is act(D(a)) on the vertex basis), on
-sparse rows keyed by row index; the CoproductSpec stores Q_v and D(a)Q_s.  Its
-checks are identities in A (x) A, proved or refuted once per
-CoproductSpec; only a refuted one is checked again on M (x) N.  For the
-canonical grouplike coproduct (every path p gets D(p) = p (x) p,
-eps(p) = 1) this reproduces the componentwise tensor product
-matrix-for-matrix.
+sparse rows keyed by row index.  Its checks are identities in A (x) A,
+proved or refuted once per CoproductSpec; only a refuted one is checked
+again on M (x) N.  For the canonical grouplike coproduct (every path p
+gets D(p) = p (x) p, eps(p) = 1) this reproduces the componentwise tensor
+product matrix-for-matrix.
 
 catalog_k2 and catalog_kronecker build the five standard coproduct
 patterns on the two-vertex quiver without and with arrows from one table.
@@ -606,34 +605,22 @@ def _path_entries(alg, rep):
     return out
 
 
-def _act(entries_m, entries_n, dn, element, rows=None):
-    """act(element) @ rows, act(element) being the element's action on
-    M (x) N, M's index slowest: each term c * u (x) v takes column k*dn + l
-    to row r*dn + r2 times c * u[r][k] * v[r2][l].  Matrices are keyed by
-    row index, {row: sparse row}, an absent row being zero; rows=None is
-    the identity.  The action itself is never formed."""
+def _act(entries_m, entries_n, dn, element):
+    """act(element), the element's action on M (x) N, M's index slowest:
+    each term c * u (x) v takes column k*dn + l to row r*dn + r2 times
+    c * u[r][k] * v[r2][l].  It is keyed by row index, {row: sparse row},
+    an absent row being zero, with no cancelled entry or empty row stored."""
     out = {}
     for (i, j), c in element.items():
         for r, k, x in entries_m[i]:
             cx, base, target = c * x, k * dn, r * dn
-            if rows is None:
-                for r2, l, y in entries_n[j]:
-                    acc = out.setdefault(target + r2, {})
-                    acc[base + l] = acc.get(base + l, 0) + cx * y
-                continue
             for r2, l, y in entries_n[j]:
-                row = rows.get(base + l)
-                if row:
-                    acc = out.setdefault(target + r2, {})
-                    cxy = cx * y
-                    for t, z in row.items():
-                        acc[t] = acc.get(t, 0) + cxy * z
-    for r, acc in list(out.items()):  # store no cancelled entry, no empty row
+                acc = out.setdefault(target + r2, {})
+                acc[base + l] = acc.get(base + l, 0) + cx * y
+    for r, acc in out.items():
         if not all(acc.values()):
-            acc = out[r] = {t: z for t, z in acc.items() if z}
-            if not acc:
-                del out[r]
-    return out
+            out[r] = {t: z for t, z in acc.items() if z}
+    return {r: acc for r, acc in out.items() if acc}
 
 
 def tensor_wba(spec, m, n):
@@ -676,19 +663,18 @@ def tensor_wba(spec, m, n):
         coordinates.append(rows[:len(pivots[-1])])
     maps = []
     for a, unit in zip(spec.quiver.arrows, spec.arrow_units):
-        cols = pivots[a.source - 1]
-        image = _act(em, en, dn, unit, {p: {c: 1} for c, p in enumerate(cols)})
+        colof = {p: c for c, p in enumerate(pivots[a.source - 1])}
+        image = _act(em, en, dn, unit)
         block = []
         for row in coordinates[a.target - 1]:
-            acc = [0] * len(cols)
+            acc = [0] * len(colof)
             for k, x in row.items():
-                if k in image:
-                    for c, y in image[k].items():
-                        acc[c] += x * y
+                for p, y in image.get(k, {}).items():
+                    if p in colof:
+                        acc[colof[p]] += x * y
             block.append(tuple([frac(z) for z in acc]))
         maps.append(tuple(block))
-    dims = tuple(len(cols) for cols in pivots)
-    return Representation._trusted(spec.quiver, dims, tuple(maps))
+    return Representation._trusted(spec.quiver, tuple(map(len, pivots)), tuple(maps))
 
 
 def is_discrete(spec):
