@@ -617,9 +617,7 @@ def _act(entries_m, entries_n, dn, element):
             for r2, l, y in entries_n[j]:
                 acc = out.setdefault(target + r2, {})
                 acc[base + l] = acc.get(base + l, 0) + cx * y
-    for r, acc in out.items():
-        if not all(acc.values()):
-            out[r] = {t: z for t, z in acc.items() if z}
+    out = {r: {t: z for t, z in acc.items() if z} for r, acc in out.items()}
     return {r: acc for r, acc in out.items() if acc}
 
 
