@@ -670,7 +670,7 @@ def tensor_wba(spec, m, n):
                 for p, y in image.get(k, {}).items():
                     if p in colof:
                         acc[colof[p]] += x * y
-            block.append(tuple([frac(z) for z in acc]))
+            block.append(tuple([frac(z) if z else 0 for z in acc]))
         maps.append(tuple(block))
     return Representation._trusted(spec.quiver, tuple(map(len, pivots)), tuple(maps))
 
