@@ -26,7 +26,7 @@ reads, so each list is checked and enumerated once.
 """
 
 from .errors import BadPathsError, CapExceededError, InputError, WrongQuiverError
-from .quiver import _EXT1_CACHE, _HOM_DIM_CACHE, Representation, dim_ext1, hom_dim
+from .quiver import HOM_MEMO, Representation, dim_ext1, hom_dim
 
 
 class DerivedObject:
@@ -67,20 +67,16 @@ def derived_hom_dim(x, y):
     return 0
 
 
-# Where hom_dim and dim_ext1 memoize derived_hom_dim by id pair.
-_MEMO_BY_SHIFT, _NO_MEMO = {0: _HOM_DIM_CACHE, 1: _EXT1_CACHE}, {}
-
-
 def hom_matrix(xs, ys):
     """[i][j] = derived_hom_dim(xs[i], ys[j]).  With ys = xs it is the
     identity exactly for a brick set; with ys the images of xs under a
     functor it is that functor's adjacency matrix on xs.  Entries are
-    read from the memo by id pair; derived_hom_dim computes the rest."""
+    read from HOM_MEMO; derived_hom_dim computes the rest."""
     cols = [(y.rep.key(), y.shift) for y in ys]
     out = []
     for x in xs:
         a, s = x.rep.key(), x.shift
-        row = [_MEMO_BY_SHIFT.get(t - s, _NO_MEMO).get((a, b)) for b, t in cols]
+        row = [HOM_MEMO.get((a, b, t - s)) for b, t in cols]
         if None in row:
             row = [derived_hom_dim(x, y) if v is None else v for v, y in zip(row, ys)]
         out.append(row)
@@ -289,20 +285,15 @@ def band_family(quiver, path1=None, path2=None):
     """A generator of arbitrarily large brick-set families of band modules:
     call with no paths on the two-arrow Kronecker quiver, or with two
     endpoint-sharing paths on any quiver.  Returns size -> [DerivedObject]."""
-    if path1 is None and path2 is None:
-        def gen(count):
-            return [
-                DerivedObject(band_kronecker(quiver, c), 0, label=f"band({c})")
-                for c in range(1, count + 1)
-            ]
-        return gen
-    if path1 is None or path2 is None:
+    if (path1 is None) != (path2 is None):
         raise BadPathsError("either give both paths or neither")
 
     def gen(count):
         return [
             DerivedObject(
-                band_two_paths(quiver, path1, path2, c), 0, label=f"band({c})"
+                band_kronecker(quiver, c) if path1 is None
+                else band_two_paths(quiver, path1, path2, c),
+                0, label=f"band({c})",
             )
             for c in range(1, count + 1)
         ]

@@ -12,9 +12,9 @@ Conventions
 
 The hom-dimension computation sets up the commuting-square system
 f_t . M_a = N_a . f_s over the per-vertex unknowns f_v and ranks it by
-exact elimination.  Hom dimensions are memoized per pair of
-representations, up to MAX_HOM_PAIRS pairs, which the higher layers lean
-on heavily.
+exact elimination.  Hom and Ext^1 dimensions are memoized in one table,
+HOM_MEMO, by pair of representations and degree, up to MAX_HOM_PAIRS
+entries, which the higher layers lean on heavily.
 
 Identity
 --------
@@ -231,16 +231,15 @@ class Representation:
     def __repr__(self):
         return f"Representation(dims={list(self.dims)})"
 
-    def to_dict(self, include_quiver=True):
-        out = {}
-        if include_quiver:
-            out["quiver"] = self.quiver.to_dict()
-        out["dims"] = list(self.dims)
-        out["maps"] = {
-            a.id: [[str(x) for x in row] for row in m]
-            for a, m in zip(self.quiver.arrows, self.maps)
+    def to_dict(self):
+        return {
+            "quiver": self.quiver.to_dict(),
+            "dims": list(self.dims),
+            "maps": {
+                a.id: [[str(x) for x in row] for row in m]
+                for a, m in zip(self.quiver.arrows, self.maps)
+            },
         }
-        return out
 
     @classmethod
     def from_dict(cls, data, quiver=None):
@@ -343,11 +342,10 @@ def _hom_system(m, n):
     return rows, total
 
 
-# hom_dim's and dim_ext1's memos by id pair, each emptied in place when it
-# holds MAX_HOM_PAIRS entries (bricks reads the same dict objects); an
-# emptied entry is rebuilt the same when next asked for.
-_HOM_DIM_CACHE = {}
-_EXT1_CACHE = {}
+# Derived hom dimensions by (id m, id n, d), d = 0 from hom_dim and 1 from
+# dim_ext1, emptied in place at MAX_HOM_PAIRS entries (bricks reads the same
+# dict); an emptied entry is rebuilt the same when next asked for.
+HOM_MEMO = {}
 MAX_HOM_PAIRS = 2 ** 16
 
 
@@ -355,15 +353,15 @@ def hom_dim(m, n):
     """dim Hom(m, n), exactly.  A cache hit is one dict read: the quivers
     are compared only on a miss, the one place an entry is written, and a
     representation's id includes its quiver's id."""
-    key = (m.key(), n.key())
-    got = _HOM_DIM_CACHE.get(key)
+    key = (m.key(), n.key(), 0)
+    got = HOM_MEMO.get(key)
     if got is None:
         if m.quiver != n.quiver:
             raise WrongQuiverError("representations live over different quivers")
         rows, total = _hom_system(m, n)
-        if len(_HOM_DIM_CACHE) >= MAX_HOM_PAIRS:
-            _HOM_DIM_CACHE.clear()
-        got = _HOM_DIM_CACHE[key] = total - exact.rank(rows, total)
+        if len(HOM_MEMO) >= MAX_HOM_PAIRS:
+            HOM_MEMO.clear()
+        got = HOM_MEMO[key] = total - exact.rank(rows, total)
     return got
 
 
@@ -372,17 +370,17 @@ def dim_ext1(m, n):
     memoized beside hom_dim, so the Euler form is taken once per pair.
     Derived from hom_dim, so hom - ext = <dim m, dim n> holds by
     construction; checking that identity only shows Ext^1 >= 0."""
-    key = (m.key(), n.key())
-    val = _EXT1_CACHE.get(key)
+    key = (m.key(), n.key(), 1)
+    val = HOM_MEMO.get(key)
     if val is None:
         val = hom_dim(m, n) - euler_form(m.quiver, m.dims, n.dims)
         if val < 0:
             raise ShapeError(
                 f"negative ext dimension {val}; hom/euler bookkeeping is broken"
             )
-        if len(_EXT1_CACHE) >= MAX_HOM_PAIRS:
-            _EXT1_CACHE.clear()
-        _EXT1_CACHE[key] = val
+        if len(HOM_MEMO) >= MAX_HOM_PAIRS:
+            HOM_MEMO.clear()
+        HOM_MEMO[key] = val
     return val
 
 

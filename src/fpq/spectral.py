@@ -53,59 +53,25 @@ def _check_square(a):
 
 
 def strongly_connected_components(succ, n):
-    """Tarjan's algorithm, iterative; components in reverse topological
-    order of the condensation (every edge goes from a later to an earlier
-    component in the returned list)."""
-    index = [0] * n
-    low = [0] * n
-    on_stack = [False] * n
-    visited = [False] * n
-    stack = []
-    comps = []
-    counter = [1]
-    for root in range(n):
-        if visited[root]:
-            continue
-        work = [(root, iter(succ[root]))]
-        visited[root] = True
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if not visited[w]:
-                    visited[w] = True
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    return comps
+    """Components, each ascending, in reverse topological order of the
+    condensation (every edge goes from a later to an earlier component).
+    reach[i], the bitset of what i reaches (i included), equals reach[j]
+    exactly when i and j reach each other; a component that reaches
+    another reaches strictly more, so it sorts later."""
+    reach = [1 << i for i in range(n)]
+    for i in range(n):
+        for j in succ[i]:
+            reach[i] |= 1 << j  # OR: a successor listed twice counts once
+    for k in range(n):  # Warshall
+        bit, row = 1 << k, reach[k]
+        reach = [r | row if r & bit else r for r in reach]
+    comps = {}
+    for i, r in enumerate(reach):
+        comps.setdefault(r, []).append(i)
+    return sorted(comps.values(), key=lambda c: reach[c[0]].bit_count())
 
 
-def _block_radius(block, tol, max_iter):
+def _block_radius(block, tol):
     """rho of an irreducible nonnegative integer block via power iteration
     on B + I.  Returns (value, lower, upper) with rho in [lower, upper]."""
     m = len(block)
@@ -114,7 +80,7 @@ def _block_radius(block, tol, max_iter):
         return v, v, v
     x = [1.0] * m
     lo_best, hi_best = 0.0, math.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         y = []
         for i in range(m):
             row = block[i]
@@ -139,19 +105,19 @@ def _block_radius(block, tol, max_iter):
             return mid - 1.0, lo_best - 1.0, hi_best - 1.0
         x = [yi / top for yi in y]
     raise NoConvergenceError(
-        f"power iteration did not converge within {max_iter} iterations "
+        f"power iteration did not converge within {MAX_ITER} iterations "
         f"(enclosure [{lo_best - 1.0}, {hi_best - 1.0}])",
         bracket=(lo_best - 1.0, hi_best - 1.0),
     )
 
 
-def spectral_radius(a, tol=DEFAULT_TOL, max_iter=MAX_ITER):
+def spectral_radius(a, tol=DEFAULT_TOL):
     """Spectral radius of a square nonnegative integer matrix.
 
     Exact (as a float) for permuted-triangular matrices; otherwise correct
     to the requested relative tolerance."""
     _check_square(a)
-    return max((_block_radius(b, tol, max_iter)[0] for b in _blocks(a)), default=0.0)
+    return max((_block_radius(b, tol)[0] for b in _blocks(a)), default=0.0)
 
 
 def _blocks(a):

@@ -153,6 +153,11 @@ def _add_term(d, key, c):
         del d[key]
 
 
+def _canonical(x):
+    """x with each coefficient through exact.frac (Fractions can sum to an int)."""
+    return {key: frac(c) for key, c in x.items()}
+
+
 def _mul(alg, x, y):
     """x * y in a tensor power of the path algebra, elements being dicts
     from key tuples (one path index per leg) to coefficients; a pair of
@@ -183,7 +188,8 @@ class CoproductSpec:
     representation expected to be the tensor unit.  vertex_units holds
     Q_v = D(e_v)D(1) for each vertex, arrow_units D(a)Q_s for each arrow
     a: s -> t, and module_checks the checks of tensor_wba that fail as
-    identities in A (x) A."""
+    identities in A (x) A; every coefficient they hold is canonical (see
+    exact.frac)."""
 
     def __init__(self, quiver, delta, counit, name="custom", unit=None):
         self.quiver = quiver
@@ -209,19 +215,18 @@ class CoproductSpec:
             for left, right, c in delta[key]:
                 pair = (alg.parse_path_key(left), alg.parse_path_key(right))
                 _add_term(terms, pair, frac(c))
-            # terms given on one pair are summed, and Fractions can sum to an int
-            self.delta_gen[key] = {pair: frac(c) for pair, c in terms.items()}
+            self.delta_gen[key] = _canonical(terms)
         self.eps_gen = {key: frac(counit[key]) for key in keys}
         self._delta = self._extend_delta()
-        self.delta_unit = {}
+        unit = {}
         for v in range(1, quiver.n + 1):
             for pair, c in self.delta_gen[f"e{v}"].items():
-                _add_term(self.delta_unit, pair, c)
-        self._eps = self._extend_counit()
-        self.counit_consistent = self._counit_laws_hold()
-        self.vertex_units = [_mul(alg, self.delta_gen[f"e{v}"], self.delta_unit)
-                             for v in range(1, quiver.n + 1)]
-        self.arrow_units = [_mul(alg, self.delta_gen[a.id], self.vertex_units[a.source - 1])
+                _add_term(unit, pair, c)
+        self.delta_unit = unit = _canonical(unit)
+        self._eps, self.counit_consistent = self._extend_counit()
+        units = self.vertex_units = [_canonical(_mul(alg, self.delta_gen[f"e{v}"], unit))
+                                     for v in range(1, quiver.n + 1)]
+        self.arrow_units = [_canonical(_mul(alg, self.delta_gen[a.id], units[a.source - 1]))
                             for a in quiver.arrows]
         self.module_checks = self._failed_identities()
 
@@ -247,7 +252,8 @@ class CoproductSpec:
             checks.append((NotAQuiverActionError, f"action of arrow {a.id} is not"
                            f" supported on the ({a.target}, {a.source}) block",
                            _mul(alg, units[a.target - 1], inside), sandwiched[a.id]))
-        return [check for check in checks if check[2] != check[3]]
+        return [(error, message, _canonical(lhs), _canonical(rhs))
+                for error, message, lhs, rhs in checks if lhs != rhs]
 
     def _extend_delta(self):
         """D on every path: a generator's table, else D(last arrow) times
@@ -270,17 +276,16 @@ class CoproductSpec:
         return self._eps[k]
 
     def _extend_counit(self):
-        """Generator values, then long-path values solving the counit law:
-        one sparse row per path, side and kept path, its right-hand side in
-        column len(long).  Free values are 0; an inconsistent law leaves
-        every long path at 0."""
+        """(eps, whether both counit laws hold): generator values, then
+        long-path values solving the counit laws, one sparse row per path,
+        side and kept path, its right-hand side in column len(long).  The
+        laws hold exactly when this system is consistent.  Free values are
+        0; an inconsistent law leaves every long path at 0."""
         alg = self.algebra
         long = [k for k, p in enumerate(alg.paths) if len(p[2]) >= 2]
         col = {k: c for c, k in enumerate(long)}
         eps = [0 if len(ids) >= 2 else self.eps_gen[ids[0] if ids else f"e{s}"]
                for s, _, ids in alg.paths]
-        if not long:
-            return eps
         rhs = len(long)
         rows = []
         for p in range(len(alg)):
@@ -294,10 +299,11 @@ class CoproductSpec:
                     row[j] = row.get(j, 0) + x
                 rows += ({j: x for j, x in row.items() if x} for row in law.values())
         pivots = exact.eliminate(rows, rhs)
-        if not any(rows[len(pivots):]):  # else some row reads 0 = nonzero
+        consistent = not any(rows[len(pivots):])  # else some row reads 0 = nonzero
+        if consistent:
             for row, c in zip(rows, pivots):
-                eps[long[c]] = row.get(rhs, 0)
-        return eps
+                eps[long[c]] = frac(row.get(rhs, 0))
+        return eps, consistent
 
     def _counit_witness(self, side):
         """Where (eps (x) id)D (side 0) or (id (x) eps)D (side 1) first
@@ -312,9 +318,6 @@ class CoproductSpec:
                 law = "(eps(x)id)D" if side == 0 else "(id(x)eps)D"
                 return f"{law} != id at {self.algebra.path_key(p)}"
         return None
-
-    def _counit_laws_hold(self):
-        return self._counit_witness(0) is None and self._counit_witness(1) is None
 
     def is_bialgebra(self):
         n = self.quiver.n

@@ -1,7 +1,8 @@
 """Independent oracles the tests check the library against.
 
 Everything here deliberately avoids the library's own algorithms:
-spectral radii come from numpy's eigenvalue solver, and their place
+spectral radii come from numpy's eigenvalue solver, strongly connected
+components from numpy boolean reachability matrices, and a radius's place
 relative to an integer from sympy's count of real characteristic roots,
 hom dimensions from a commuting-square system written out here and
 ranked by sympy, hom bases
@@ -53,6 +54,24 @@ def numpy_radius(a):
     if not a or not a[0]:
         return 0.0
     return float(max(abs(np.linalg.eigvals(np.array(a, dtype=float)))))
+
+
+def numpy_components(succ, n):
+    """(strongly connected components as ascending lists, sorted, and the
+    boolean reachability matrix, reflexive) of the digraph on 0..n-1 with
+    successor lists succ: the closure by squaring I + A until it is fixed,
+    and i, j in one component when each reaches the other."""
+    reach = np.eye(n, dtype=bool)
+    for i, js in enumerate(succ):
+        reach[i, list(js)] = True
+    while True:
+        step = reach.astype(np.int64) @ reach.astype(np.int64) > 0
+        if (step == reach).all():
+            break
+        reach = step
+    mutual = reach & reach.T
+    comps = {tuple(int(j) for j in np.flatnonzero(row)) for row in mutual}
+    return sorted(list(c) for c in comps), reach
 
 
 def radius_sign(a, k):

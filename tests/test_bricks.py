@@ -160,6 +160,10 @@ def test_band_modules_are_a_growing_brick_family():
         objs = fam(size)
         assert len(objs) == size
         brick_set(objs)
+    assert [(o.label, o.shift) for o in fam(2)] == [("band(1)", 0), ("band(2)", 0)]
+    not_kronecker = band_family(A2)  # refused on the first call
+    with pytest.raises(WrongQuiverError):
+        not_kronecker(1)
     b1, b2 = band_kronecker(KRON, 1), band_kronecker(KRON, 2)
     assert b1.dims == (1, 1) and b2.map_for("r2") == ((2,),)
     assert derived_hom_dim(DerivedObject(b1, 0), DerivedObject(b2, 0)) == 0
@@ -177,9 +181,12 @@ def test_band_two_paths_on_a_commuting_square():
     fam = band_family(square, ["a", "b"], ["c", "d"])
     objs = fam(4)
     brick_set(objs)
+    assert [(o.label, o.shift) for o in objs[:2]] == [("band(1)", 0), ("band(2)", 0)]
     m = band_two_paths(square, ["a", "b"], ["c", "d"], 3)
     assert m.dims == (1, 1, 1, 1)
     with pytest.raises(BadPathsError):
         band_two_paths(square, ["a"], ["c", "d"], 1)  # endpoints differ
     with pytest.raises(BadPathsError):
         band_family(square, ["a", "b"], None)
+    with pytest.raises(BadPathsError):
+        band_family(square, None, ["c", "d"])

@@ -6,8 +6,9 @@ outputs: ``FPD_SET`` the 840 of ``fpd_outputs`` and ``WBA_SET`` the
 ``tensor_wba`` outcomes of ``wba_outputs``.
 
 A change that alters an output on purpose regenerates the file with
-``PYTHONPATH=src python tests/test_digests.py --write`` and names each
-changed command in CHANGES.md.  Never re-seed or shrink a command to keep
+``PYTHONPATH=src python tests/test_digests.py --write``, which prints each
+entry it adds or changes to stderr, and names each changed command in
+CHANGES.md.  Never re-seed or shrink a command to keep
 its digest stable.
 """
 
@@ -51,6 +52,7 @@ COMMANDS = [
     ["wba", "catalog", "--name", "k2"],
     ["tensor", "--left", LEFT, "--right", RIGHT],
     ["wba", "tensor", "--structure", "kronecker2-a", "--left", LEFT, "--right", RIGHT],
+    ["verify", "fpv"],
 ]
 
 
@@ -163,4 +165,8 @@ if __name__ == "__main__":
     table = {" ".join(argv): digest(argv) for argv in COMMANDS}
     table[FPD_SET] = fpd_digest()
     table[WBA_SET] = wba_digest()
+    before = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    for name in sorted(table):
+        if table[name] != before.get(name):
+            print("changed:" if name in before else "added:", name, file=sys.stderr)
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")

@@ -237,20 +237,19 @@ def test_a_cached_proof_gives_the_same_value_and_integral(monkeypatch):
 
 def test_capped_caches_stay_under_their_caps_and_rebuild_the_same(monkeypatch):
     """An A6 sweep under small caps keeps the index memo, each index's
-    tensored lists, the radius cache and the hom and Ext^1 memos at or
+    tensored lists, the radius cache and the one hom and Ext^1 memo at or
     under their caps, every value matches the closed form, and an evicted
-    index is rebuilt to the same report.  The hom memos are emptied in
-    place: bricks reads the same dict objects."""
+    index is rebuilt to the same report.  The memo is emptied in place:
+    bricks reads the same dict object."""
     monkeypatch.setattr(bricks, "_INDEXES", {})
     monkeypatch.setattr(bricks, "MAX_INDEXES", 4)
     monkeypatch.setattr(bricks, "MAX_TENSORED", 3)
     monkeypatch.setattr(engine, "_RADIUS_CACHE", {})
     monkeypatch.setattr(engine, "MAX_RADII", 50)
     monkeypatch.setattr(quiver, "MAX_HOM_PAIRS", 300)
-    memos = (quiver._HOM_DIM_CACHE, quiver._EXT1_CACHE)
-    for memo in memos:
-        memo.clear()
-    first, emptied, last = None, [False, False], [0, 0]
+    memo = quiver.HOM_MEMO
+    memo.clear()
+    first, emptied, last = None, False, 0
     for w in all_orientations(6):
         q = w.to_quiver()
         for v in all_intervals(6):
@@ -262,13 +261,11 @@ def test_capped_caches_stay_under_their_caps_and_rebuild_the_same(monkeypatch):
                 assert len(bricks._INDEXES) <= 4
                 assert len(engine._RADIUS_CACHE) <= 50
                 assert all(len(i._tensored) <= 3 for i in bricks._INDEXES.values())
-                for k, memo in enumerate(memos):
-                    assert len(memo) <= 300
-                    emptied[k] = emptied[k] or len(memo) < last[k]
-                    last[k] = len(memo)
-    assert emptied == [True, True]
-    assert bricks._MEMO_BY_SHIFT[0] is quiver._HOM_DIM_CACHE is memos[0]
-    assert bricks._MEMO_BY_SHIFT[1] is quiver._EXT1_CACHE is memos[1]
+                assert len(memo) <= 300
+                emptied = emptied or len(memo) < last
+                last = len(memo)
+    assert emptied
+    assert bricks.HOM_MEMO is quiver.HOM_MEMO is memo
     m, shift, want = first
     assert ("<<<<<", m.quiver) not in bricks._INDEXES
     assert engine.fpd_exact(m, shift=shift).describe() == want

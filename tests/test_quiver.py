@@ -372,7 +372,7 @@ def test_equal_content_means_equal_representations():
     b = random_representation(q, 3, seed=1200)
     assert a is not b
     assert a == b and hash(a) == hash(b) and a.key() == b.key()
-    cache = quiver_module._HOM_DIM_CACHE
+    cache = quiver_module.HOM_MEMO
     d = hom_dim(a, a)
     size = len(cache)
     assert hom_dim(b, b) == d

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from fpq.errors import InputError
+from fpq import spectral
+from fpq.errors import InputError, NoConvergenceError
 from fpq.spectral import (
     gamma_matrix,
     gamma_radius_closed,
@@ -14,7 +15,7 @@ from fpq.spectral import (
     spectral_radius,
     strongly_connected_components,
 )
-from oracles import numpy_radius, radius_sign
+from oracles import numpy_components, numpy_radius, radius_sign
 
 
 def test_input_validation():
@@ -41,6 +42,39 @@ def test_scc_reverse_topological_order():
     assert sorted(map(sorted, comps)) == [[0], [1, 2]]
     order = {min(c): k for k, c in enumerate(comps)}
     assert order[1] < order[0]
+
+
+def test_scc_matches_a_numpy_reachability_oracle():
+    """Seeded digraphs on 0..40 vertices, sparse to dense, with self-loops
+    and successors listed more than once: the same components, each in
+    ascending order, and no component reaches a later one."""
+    rng = random.Random(25)
+    sizes = set()
+    for t in range(80):
+        n = rng.randint(0, 40)
+        density = (0.02, 0.05, 0.1, 0.5)[t % 4]
+        succ = []
+        for i in range(n):
+            out = [j for j in range(n) if j != i and rng.random() < density]
+            out += rng.sample(out, len(out) // 2)  # repeated successors
+            if rng.random() < 0.3:
+                out.append(i)  # a self-loop
+            rng.shuffle(out)
+            succ.append(out)
+        comps = strongly_connected_components(succ, n)
+        want, reach = numpy_components(succ, n)
+        assert sorted(comps) == want
+        assert all(c == sorted(c) for c in comps)
+        for p, c in enumerate(comps):
+            assert not any(reach[c[0], d[0]] for d in comps[p + 1:])
+        sizes.update(len(c) for c in comps)
+    assert 1 in sizes and max(sizes) > 20 and len(sizes) > 5
+
+
+def test_power_iteration_reads_its_cap_at_call_time(monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_ITER", 1)
+    with pytest.raises(NoConvergenceError, match="within 1 iterations"):
+        spectral_radius([[1, 1], [1, 0]])
 
 
 def test_random_matrices_match_numpy():

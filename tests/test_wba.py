@@ -171,6 +171,69 @@ def test_coefficients_summed_on_one_pair_are_canonical():
         assert all(is_canonical(c) for c in spec.delta_gen["e1"].values())
 
 
+def _half_twisted_kronecker1():
+    """kronecker1 with D(e1) = e1(x)e1 + 2 r1(x)e1 and D(r1) = r1(x)r1 +
+    1/2 e2(x)r1, so D(r1)Q_1 = 2 r1(x)r1 is a product of Fractions."""
+    return wba.CoproductSpec(KRON1, {
+        "e1": [("e1", "e1", 1), ("r1", "e1", 2)], "e2": [("e2", "e2", 1)],
+        "r1": [("r1", "r1", 1), ("e2", "r1", "1/2")],
+    }, {"e1": 1, "e2": 1, "r1": 1})
+
+
+def test_stored_coefficients_of_a_spec_are_canonical():
+    """D(1), the vertex and arrow units, both sides of each module check
+    and the solved counit hold canonical coefficients, also where they are
+    sums and products of Fractions: on the half-twisted kronecker1, a D(1)
+    whose halves sum to 1, an A3 counit solved as 1 / (1/2), the canonical
+    structure on A3-A4 and perturbations of each."""
+    spec = _half_twisted_kronecker1()
+    r1 = spec.algebra.arrow_path["r1"]
+    assert spec.arrow_units == [{(r1, r1): 2}]
+    assert type(spec.arrow_units[0][(r1, r1)]) is int
+    split = wba.CoproductSpec(
+        K2, {"e1": [("e1", "e1", "1/2")], "e2": [("e1", "e1", "1/2"), ("e2", "e2", 1)]},
+        {"e1": 1, "e2": 1},
+    )
+    assert type(split.delta_unit[(0, 0)]) is int
+    a3 = OrientationWord(">>").to_quiver()
+    halved = wba.CoproductSpec(a3, {
+        "e1": [("e1", "e1", 1)], "e2": [("e2", "e2", 1)], "e3": [("e3", "e3", 1)],
+        "a1": [("a1", "a1", "1/2")], "a2": [("a2", "a2", 1)],
+    }, {"e1": 1, "e2": 1, "e3": 1, "a1": 2, "a2": 1})
+    assert halved.counit_consistent
+    assert type(halved.eps(halved.algebra.parse_path_key("a1.a2"))) is int
+    specs = [spec, split, halved] + [wba.canonical_wba(w.to_quiver()) for n in (3, 4)
+                                     for w in all_orientations(n)]
+    specs += [wba.perturb_spec(s, seed) for s in list(specs) for seed in range(20)]
+    checked = 0
+    for s in specs:
+        elements = [s.delta_unit, *s.vertex_units, *s.arrow_units]
+        elements += [side for check in s.module_checks for side in check[2:]]
+        assert all(is_canonical(c) for x in elements for c in x.values()), s.name
+        assert all(is_canonical(s.eps(k)) for k in range(len(s.algebra))), s.name
+        checked += len(s.module_checks)
+    assert checked > 100
+
+
+def test_counit_consistency_is_read_off_the_counit_solve():
+    """counit_consistent, decided by the consistency of the counit system,
+    agrees with evaluating both counit laws, on the two-vertex and
+    Kronecker 1-3 catalogs, the canonical structure on A2-A4 and on a
+    4-vertex quiver with a path of length 3, and 60 perturbations of
+    each; most perturbations break the laws."""
+    square = Quiver(4, [("a", 1, 2), ("b", 2, 3), ("c", 3, 4), ("d", 1, 3)])
+    base = wba.catalog_k2() + [s for w in (1, 2, 3) for s in wba.catalog_kronecker(w)]
+    base += [wba.canonical_wba(w.to_quiver()) for n in (2, 3, 4) for w in all_orientations(n)]
+    base.append(wba.canonical_wba(square))
+    verdicts = []
+    for spec in base:
+        for s in [spec] + [wba.perturb_spec(spec, seed) for seed in range(60)]:
+            laws = s._counit_witness(0) is None and s._counit_witness(1) is None
+            assert s.counit_consistent == laws, (s.name, getattr(s, "perturbation", ""))
+            verdicts.append(laws)
+    assert len(verdicts) == 2135 and verdicts.count(False) > 1500
+
+
 def test_canonical_structure_is_grouplike_with_unit_counit():
     q = OrientationWord(">>").to_quiver()
     spec = wba.canonical_wba(q)
