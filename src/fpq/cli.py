@@ -202,10 +202,11 @@ def _band_args(args, quiver):
 
 
 def _cmd_fpd(args):
-    other = ("band_family", "band_path1", "band_path2") if args.mode == "exact" \
-        else ("candidates",)
+    other = ("band_family", "band_path1", "band_path2", "budget") if args.mode == "exact" \
+        else ("candidates", "cap")
+    given = {k: v for k, v in vars(args).items() if type(v) is not _Default}
     unread = [f"--{k.replace('_', '-')}" for k in other
-              if getattr(args, k) not in (None, False)]
+              if given.get(k) not in (None, False)]
     if unread:
         raise UsageError(f"--mode {args.mode} does not read {', '.join(unread)}")
     q = _load_quiver(args.quiver)
@@ -428,6 +429,11 @@ def _tolerance(text):
     return value
 
 
+class _Default(int):
+    """An option's default, which a mode that does not read the option
+    accepts; the same value given on the command line is a plain int."""
+
+
 def _size_type(minimum, default):
     """The argparse type of a verify size (flag, minimum, default)."""
     if minimum is None:
@@ -442,7 +448,7 @@ _PAIR = [("--left", dict(required=True)), ("--right", dict(required=True))]
 _STRUCTURE = ("--structure", dict(
     default="vertexwise", help="vertexwise (default), canonical, a catalog entry"
     " like kronecker2-a, or wba:<entry-or-spec.json>"))
-_CAP = ("--cap", dict(type=_int_at_least(1), default=10 ** 6))
+_CAP = ("--cap", dict(type=_int_at_least(1), default=_Default(10 ** 6)))
 _TOL = ("--tol", dict(type=_tolerance, default=1e-10))
 _SPEC = [("--spec", {}), ("--structure", {}), _QUIVER]
 
@@ -466,7 +472,7 @@ _COMMANDS = {
         ("--mode", dict(choices=("exact", "lower"), default="exact")),
         ("--candidates", dict(help="JSON list of candidate representations")),
         _CAP,
-        ("--budget", dict(type=_int_at_least(1), default=12)),
+        ("--budget", dict(type=_int_at_least(1), default=_Default(12))),
         _TOL,
         ("--band-family", dict(
             action="store_true",

@@ -113,9 +113,9 @@ class WrongQuiverError(FpqError):
 
 
 class DimensionGuardError(FpqError):
-    """A tensor product exceeded a size guard: an iterated tensor power's
-    total dimension, one product's map-entry count, or the dimension of
-    the tensor square a coproduct acts on."""
+    """A size guard was exceeded: an iterated tensor power's total
+    dimension, one product's map-entry count, the dimension of the tensor
+    square a coproduct acts on, or a path algebra's path count."""
 
     code = "dimension_guard"
 

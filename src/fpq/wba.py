@@ -27,14 +27,15 @@ A coproduct makes the tensor product M (x) N of two representations, a
 module over A (x) A, into a module again: D(1) acts on it as an
 idempotent, and its image carries the diagonal action through D.
 tensor_wba reads it off one vertex at a time (vertex v is the image of
-Q_v = D(e_v)D(1), read off one elimination as a rank factorization) and
-each arrow a: s -> t through D(a)Q_s (act is an algebra map, so act(D(a)Q_s)
+Q_v = D(e_v)D(1): read off the dimension vectors when Q_v is a sum of
+e_x (x) e_y, else off one elimination as a rank factorization) and each
+arrow a: s -> t through D(a)Q_s (act is an algebra map, so act(D(a)Q_s)
 on the unit columns at Q_s's pivots is act(D(a)) on the vertex basis), on
-sparse rows keyed by row index.  Its checks are identities in A (x) A,
-proved or refuted once per CoproductSpec; only a refuted one is checked
-again on M (x) N.  For the canonical grouplike coproduct (every path p
-gets D(p) = p (x) p, eps(p) = 1) this reproduces the componentwise tensor
-product matrix-for-matrix.
+sparse rows.  Its checks are identities in A (x) A, proved or refuted
+once per CoproductSpec; only a refuted one is checked again on M (x) N.
+For the canonical grouplike coproduct (every path p gets D(p) = p (x) p,
+eps(p) = 1) this reproduces the componentwise tensor product
+matrix-for-matrix.
 
 catalog_k2 and catalog_kronecker build the five standard coproduct
 patterns on the two-vertex quiver without and with arrows from one table.
@@ -52,6 +53,7 @@ defined; it does not repair them.
 import random
 import re
 from fractions import Fraction
+from itertools import accumulate, islice
 
 from . import exact
 from .errors import (
@@ -76,6 +78,10 @@ _TRIVIAL_KEY = re.compile(r"^e([0-9]+)$")
 # Largest dim M * dim N for tensor_wba: 46 times the tests' largest (108);
 # dense two-vertex products took 1.5 s, 150 MB at 4900 and 8 s, 575 MB at 10^4.
 MAX_TENSOR_DIM = 5000
+# Largest path count of a PathAlgebra: the tests' largest has 21 (A6); a
+# chain of 10 vertices with doubled arrows has 2036 and its canonical_wba
+# took 0.64 s, growing about 16 times for every two more vertices.
+MAX_PATHS = 2048
 
 
 class PathAlgebra:
@@ -91,12 +97,12 @@ class PathAlgebra:
         layer = [(a.source, a.target, (a.id,)) for a in quiver.arrows]
         while layer:
             found.extend(layer)
-            layer = [
-                (s, a.target, ids + (a.id,))
-                for (s, t, ids) in layer
-                for a in quiver.arrows
-                if a.source == t
-            ]
+            if len(found) > MAX_PATHS:
+                raise DimensionGuardError(f"path algebra would have more than"
+                                          f" {MAX_PATHS} paths")
+            layer = list(islice(((s, a.target, ids + (a.id,)) for (s, t, ids) in layer
+                                 for a in quiver.arrows if a.source == t),
+                                MAX_PATHS + 1 - len(found)))
         found.sort(key=lambda p: (1, len(p[2]), p[2]) if p[2] else (0, p[0]))
         self.paths = found
         self.index = {p: k for k, p in enumerate(found)}
@@ -186,10 +192,12 @@ class CoproductSpec:
     solve of the counit law (free values 0; counit_consistent records
     whether the law could be satisfied at all).  unit optionally names the
     representation expected to be the tensor unit.  vertex_units holds
-    Q_v = D(e_v)D(1) for each vertex, arrow_units D(a)Q_s for each arrow
-    a: s -> t, and module_checks the checks of tensor_wba that fail as
-    identities in A (x) A; every coefficient they hold is canonical (see
-    exact.frac)."""
+    Q_v = D(e_v)D(1) for each vertex, vertex_pairs the vertex pairs (x, y)
+    of Q_v's terms when each is e_x (x) e_y with coefficient 1 (else None),
+    arrow_units D(a)Q_s for each arrow a: s -> t, module_checks the checks
+    of tensor_wba that fail as identities in A (x) A, and read_paths the
+    basis paths whose action tensor_wba reads; every coefficient they hold
+    is canonical (see exact.frac)."""
 
     def __init__(self, quiver, delta, counit, name="custom", unit=None):
         self.quiver = quiver
@@ -226,9 +234,15 @@ class CoproductSpec:
         self._eps, self.counit_consistent = self._extend_counit()
         units = self.vertex_units = [_canonical(_mul(alg, self.delta_gen[f"e{v}"], unit))
                                      for v in range(1, quiver.n + 1)]
+        n = quiver.n  # e_v is the basis path v - 1
+        self.vertex_pairs = [[(i + 1, j + 1) for i, j in q] if all(
+            i < n and j < n and c == 1 for (i, j), c in q.items()) else None for q in units]
         self.arrow_units = [_canonical(_mul(alg, self.delta_gen[a.id], units[a.source - 1]))
                             for a in quiver.arrows]
         self.module_checks = self._failed_identities()
+        read = [x for check in self.module_checks for x in check[2:]] + self.arrow_units
+        read += [q for q, pairs in zip(units, self.vertex_pairs) if pairs is None]
+        self.read_paths = sorted({k for x in read for pair in x for k in pair})
 
     def _failed_identities(self):
         """tensor_wba's checks, in its order, as (error class, message, lhs,
@@ -578,34 +592,27 @@ def _grouplike_table(quiver):
     return delta, counit
 
 
-def _path_entries(alg, rep):
-    """Each basis path's action on rep as the list of its nonzero entries
-    (row, column, value), indexed in rep's total space, canonical (a
-    product of Fractions can be integral).  Its block, at (target, source),
-    is the identity, its arrow's rows, or its last arrow's rows times its
-    prefix's block, built earlier in alg.paths."""
-    offs = [0]
-    for d in rep.dims:
-        offs.append(offs[-1] + d)
-    arrows = {
-        a.id: [{k: x for k, x in enumerate(row) if x} for row in rep.map_for(a.id)]
-        for a in rep.quiver.arrows
-    }
-    blocks, out = [], []
-    for s, t, ids in alg.paths:
+def _path_entries(alg, rep, read):
+    """{k: path k's action on rep} for each basis index k in read, the
+    action as sparse rows (see exact.eliminate), one per row of rep's total
+    space, indexed in it, with canonical entries: the identity or its
+    arrow's map at its (target, source) block (a Representation holds both
+    canonical), or its last arrow's action times its prefix's, built
+    earlier in alg.paths, through exact.frac (a product of Fractions can be
+    integral)."""
+    offs, blocks = [0, *accumulate(rep.dims)], []
+    for s, t, ids in alg.paths[:read[-1] + 1 if read else 0]:
         if len(ids) > 1:
             mid = alg.paths[alg.arrow_path[ids[-1]]][0]
             prefix = blocks[alg.index[(s, mid, ids[:-1])]]
-            block = exact.sparse_mul(arrows[ids[-1]], prefix)
-        else:
-            block = arrows[ids[0]] if ids else [{k: 1} for k in range(rep.dims[s - 1])]
-        blocks.append(block)
-        out.append([
-            (r, k + offs[s - 1], frac(x))
-            for r, row in enumerate(block, offs[t - 1])
-            for k, x in row.items()
-        ])
-    return out
+            blocks.append([{k: frac(x) for k, x in row.items()} for row in
+                           exact.sparse_mul(blocks[alg.arrow_path[ids[-1]]], prefix)])
+            continue
+        rows = [{r: 1} for r in range(offs[s - 1], offs[s])] if not ids else [
+            {k: x for k, x in enumerate(row, offs[s - 1]) if x}
+            for row in rep.map_for(ids[0])]
+        blocks.append([{}] * offs[t - 1] + rows + [{}] * (offs[-1] - offs[t]))
+    return {k: blocks[k] for k in read}
 
 
 def _act(entries_m, entries_n, dn, element):
@@ -615,11 +622,14 @@ def _act(entries_m, entries_n, dn, element):
     an absent row being zero, with no cancelled entry or empty row stored."""
     out = {}
     for (i, j), c in element.items():
-        for r, k, x in entries_m[i]:
-            cx, base, target = c * x, k * dn, r * dn
-            for r2, l, y in entries_n[j]:
-                acc = out.setdefault(target + r2, {})
-                acc[base + l] = acc.get(base + l, 0) + cx * y
+        rows_n = [(r2, row.items()) for r2, row in enumerate(entries_n[j]) if row]
+        for r, row_m in enumerate(entries_m[i]):
+            for r2, row_n in rows_n if row_m else ():
+                acc = out.setdefault(r * dn + r2, {})
+                for k, x in row_m.items():
+                    cx, base = c * x, k * dn
+                    for l, y in row_n:
+                        acc[base + l] = acc.get(base + l, 0) + cx * y
     out = {r: {t: z for t, z in acc.items() if z} for r, acc in out.items()}
     return {r: acc for r, acc in out.items() if acc}
 
@@ -633,9 +643,12 @@ def tensor_wba(spec, m, n):
     R_v W_v = I once Q_v is idempotent; arrow a: s -> t acts by
     R_t act(D(a)) W_s, the unique X with act(D(a)) W_s = W_t X.  As act is
     an algebra map and W_s = act(Q_s) E_s, E_s the unit columns at Q_s's
-    pivots, that is R_t act(D(a)Q_s) E_s (spec.arrow_units), read off on
-    sparse rows keyed by index (see _act) through exact.frac straight into
-    the output rows, passed on without re-validation.
+    pivots, that is R_t act(D(a)Q_s) E_s (spec.arrow_units), each row of it
+    summed from the terms of D(a)Q_s through exact.frac straight into its
+    output row, passed on without re-validation.  Where spec.vertex_pairs
+    has Q_v's pairs (x, y), act(Q_v) projects onto the coordinates of the
+    M_x (x) N_y, so no elimination runs: its pivots are their indices,
+    sorted, read off the dimension vectors, and R_v is the unit rows.
     Checks, in order, the spec's module_checks on M (x) N: StructureMismatch
     if D(1) does not act idempotently, NotAQuiverAction if a D(generator)
     leaves its image, an e_v is not idempotent there, or an arrow acts
@@ -652,12 +665,19 @@ def tensor_wba(spec, m, n):
         raise DimensionGuardError(f"tensor square would have dimension above"
                                   f" {MAX_TENSOR_DIM}")
     alg = spec.algebra
-    em, en = _path_entries(alg, m), _path_entries(alg, n)
+    em, en = _path_entries(alg, m, spec.read_paths), _path_entries(alg, n, spec.read_paths)
     for error, message, lhs, rhs in spec.module_checks:
         if _act(em, en, dn, lhs) != _act(em, en, dn, rhs):
             raise error(message)
+    om, on = [0, *accumulate(m.dims)], [0, *accumulate(n.dims)]
     pivots, coordinates = [], []
-    for q in spec.vertex_units:
+    for q, pairs in zip(spec.vertex_units, spec.vertex_pairs):
+        if pairs is not None:  # act(Q_v) projects onto the M_x (x) N_y
+            pivots.append(sorted(k * dn + l for x, y in pairs
+                                 for k in range(om[x - 1], om[x])
+                                 for l in range(on[y - 1], on[y])))
+            coordinates.append([{p: 1} for p in pivots[-1]])
+            continue
         action = _act(em, en, dn, q)
         rows = [action[r] for r in sorted(action)]
         pivots.append(exact.eliminate(rows, size))
@@ -665,14 +685,19 @@ def tensor_wba(spec, m, n):
     maps = []
     for a, unit in zip(spec.quiver.arrows, spec.arrow_units):
         colof = {p: c for c, p in enumerate(pivots[a.source - 1])}
-        image = _act(em, en, dn, unit)
+        terms = [(c, em[i], en[j]) for (i, j), c in unit.items()]
         block = []
         for row in coordinates[a.target - 1]:
             acc = [0] * len(colof)
-            for k, x in row.items():
-                for p, y in image.get(k, {}).items():
-                    if p in colof:
-                        acc[colof[p]] += x * y
+            for p, w in row.items():  # w times row p of act(D(a)Q_s)
+                r, r2 = divmod(p, dn)
+                for c, rows_m, rows_n in terms:
+                    for k, x in rows_m[r].items():
+                        cx, base = c * w * x, k * dn
+                        for l, y in rows_n[r2].items():
+                            col = colof.get(base + l)
+                            if col is not None:
+                                acc[col] += cx * y
             block.append(tuple([frac(z) if z else 0 for z in acc]))
         maps.append(tuple(block))
     return Representation._trusted(spec.quiver, tuple(map(len, pivots)), tuple(maps))

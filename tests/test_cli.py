@@ -113,14 +113,18 @@ def test_fpd_lower_band_family_divergence(tmp_path):
 
 @pytest.mark.parametrize("mode, options, unread", [
     ("exact", ["--band-family", "--budget", "3", "--band-path1", "r"],
-     "--band-family, --band-path1"),
+     "--band-family, --band-path1, --budget"),
     ("exact", ["--band-path1", "r1", "--band-path2", "r2"], "--band-path1, --band-path2"),
     ("lower", ["--band-family", "--candidates", "CANDIDATES"], "--candidates"),
+    ("exact", ["--budget", "12"], "--budget"),
+    ("lower", ["--band-family", "--cap", "1000000", "--candidates", "CANDIDATES"],
+     "--candidates, --cap"),
 ])
 def test_fpd_refuses_the_options_its_mode_does_not_read(tmp_path, mode, options, unread):
-    """The band options belong to lower mode and --candidates to exact
-    mode; each is refused, unread, in the other (a lower-mode candidate
-    list holding 5 would otherwise fail its validation)."""
+    """The band options and --budget belong to lower mode, --candidates and
+    --cap to exact mode; each is refused, unread, in the other (a
+    lower-mode candidate list holding 5 would otherwise fail its
+    validation), even when given its default value."""
     q = write_json(tmp_path / "kron.json", KRONECKER)
     m = write_json(tmp_path / "s1.json", SIMPLE_1)
     c = write_json(tmp_path / "c.json", [5])
@@ -128,6 +132,20 @@ def test_fpd_refuses_the_options_its_mode_does_not_read(tmp_path, mode, options,
     code, out, err = run_cli(argv + [c if x == "CANDIDATES" else x for x in options])
     assert (code, out) == (2, "")
     assert err == f"fpq: --mode {mode} does not read {unread}\n"
+
+
+def test_fpd_reports_record_the_defaults_of_options_their_mode_does_not_read(tmp_path):
+    """A defaulted --budget or --cap is not refused, and the report's config
+    keeps it as the number it is."""
+    argv = ["fpd", "--quiver", "typeA:<>", "--object", "interval:2,2"]
+    config = run_json(argv)["config"]
+    assert (config["budget"], config["cap"]) == (12, 10 ** 6)
+    q = write_json(tmp_path / "kron.json", KRONECKER)
+    m = write_json(tmp_path / "s1.json", SIMPLE_1)
+    code, out, _ = run_cli(["fpd", "--quiver", q, "--object", m, "--mode", "lower",
+                            "--band-family", "--budget", "2"])
+    assert code == 0
+    assert '"budget": 2,\n    "cap": 1000000,' in out
 
 
 def test_fpd_exact_without_candidates_fails_cleanly(tmp_path):
@@ -320,6 +338,23 @@ def test_oversized_wba_tensor_is_a_dimension_guard_under_a_memory_cap(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_oversized_path_algebra_is_a_dimension_guard_under_a_memory_cap(tmp_path):
+    """A 30-vertex chain with two arrows between neighbours has more than
+    2^29 paths: the canonical structure on it is refused at wba.MAX_PATHS,
+    under the same 1 GiB address-space cap."""
+    arrows = [{"id": f"{c}{v}", "from": v, "to": v + 1} for v in range(1, 30) for c in "ab"]
+    q = write_json(tmp_path / "q.json", {"vertices": 30, "arrows": arrows})
+    argv = ["wba", "check", "--structure", "canonical", "--quiver", q]
+    env = dict(os.environ, PYTHONPATH=str(Path(fpq.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_RUN, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"] == {"type": "dimension_guard", "message":
+                                                f"path algebra would have more than"
+                                                f" {wba.MAX_PATHS} paths"}
+    assert "Traceback" not in proc.stderr
+
+
 def _spec_with(value, *path):
     """kronecker1-a's spec as JSON data with the entry at path set to value."""
     spec = wba.catalog_kronecker(1)[0].to_dict()
@@ -392,6 +427,9 @@ def test_unwritable_out_is_a_usage_error(tmp_path, where):
         ["fpd", "--quiver", "typeA:<>", "--object", "interval:2,2", "--cap", "0"],
         ["fpd", "--quiver", "typeA:<>", "--object", "interval:2,2", "--cap", "-1"],
         ["bricks", "enumerate", "--quiver", "typeA:>", "--cap", "-3"],
+        ["fpd", "--quiver", "typeA:<>", "--object", "interval:2,2", "--budget", "3"],
+        ["fpd", "--quiver", "typeA:<>", "--object", "interval:2,2", "--mode", "lower",
+         "--cap", "3"],
     ],
     ids=["fpv-n-max-0", "bricks-shifts-x", "bricks-shifts-empty", "verify-fpv-n-1",
          "verify-euler-max-dim",
@@ -402,7 +440,8 @@ def test_unwritable_out_is_a_usage_error(tmp_path, where):
          "verify-wba-axioms-corruptions-minus-1", "verify-kronecker-size-0",
          "verify-kronecker-size-2", "verify-euler-quivers-0",
          "verify-wba-axioms-w-max-minus-2", "verify-duality-n-minus-3",
-         "fpd-budget-0", "fpd-cap-0", "fpd-cap-minus-1", "bricks-cap-minus-3"],
+         "fpd-budget-0", "fpd-cap-0", "fpd-cap-minus-1", "bricks-cap-minus-3",
+         "fpd-exact-budget-3", "fpd-lower-cap-3"],
 )
 def test_bad_option_values_are_usage_errors(argv):
     code, out, err = run_cli(argv)

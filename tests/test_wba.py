@@ -1,5 +1,6 @@
 """Coproducts on path algebras: axiom checks, module tensors, catalogs."""
 
+import copy
 import json
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from fpq import exact, wba
 from fpq.errors import (
     DimensionGuardError,
+    FpqError,
     DuplicateLabelError,
     NotAQuiverActionError,
     StructureMismatchError,
@@ -71,6 +73,28 @@ def test_path_algebra_basis_order():
     assert alg.paths[a12] == (1, 3, ("a1", "a2"))
     assert alg.compose(alg.parse_path_key("a2"), alg.parse_path_key("a1")) == a12
     assert alg.compose(alg.parse_path_key("a1"), alg.parse_path_key("a2")) is None
+
+
+def _doubled_chain(n, isolated=0):
+    """n vertices in a line joined by two parallel arrows each, then
+    isolated vertices: sum over lengths L of (n - L) * 2^L paths, plus one
+    per isolated vertex."""
+    arrows = [(f"{c}{v}", v, v + 1) for v in range(1, n) for c in "ab"]
+    return Quiver(n + isolated, arrows)
+
+
+def test_path_algebra_above_the_path_budget_is_refused():
+    """The doubled chain of 10 vertices has 2036 paths; padded with
+    isolated vertices to wba.MAX_PATHS it is built, one vertex more is a
+    DimensionGuardError, and so is a 30-vertex chain, in a layer long
+    before its 2^29 longest paths."""
+    assert len(wba.PathAlgebra(_doubled_chain(10))) == 2036
+    full = wba.PathAlgebra(_doubled_chain(10, wba.MAX_PATHS - 2036))
+    assert len(full) == wba.MAX_PATHS
+    message = f"^path algebra would have more than {wba.MAX_PATHS} paths$"
+    for q in (_doubled_chain(10, wba.MAX_PATHS - 2035), _doubled_chain(30)):
+        with pytest.raises(DimensionGuardError, match=message):
+            wba.canonical_wba(q)
 
 
 def test_arrow_ids_may_not_shadow_trivial_paths():
@@ -564,6 +588,87 @@ def test_tensor_matches_the_sympy_reference_where_the_vertex_basis_is_not_unit_c
     assert nonzero >= 3
 
 
+def _on_the_elimination_route(spec):
+    """A copy of spec on which tensor_wba eliminates act(Q_v) at every
+    vertex, reading every path."""
+    forced = copy.copy(spec)
+    forced.vertex_pairs = [None] * spec.quiver.n
+    forced.read_paths = list(range(len(spec.algebra)))
+    return forced
+
+
+def _outcome(spec, m, x):
+    """tensor_wba's dims and maps with each entry's type, or its error."""
+    try:
+        t = wba.tensor_wba(spec, m, x)
+    except FpqError as exc:
+        return type(exc), str(exc)
+    return t.dims, [[(type(v), v) for v in row] for mat in t.maps for row in mat]
+
+
+def _offsets(rep):
+    return [sum(rep.dims[:v]) for v in range(len(rep.dims) + 1)]
+
+
+def test_vertex_bases_read_off_the_dims_are_the_eliminated_ones():
+    """On every k2, Kronecker and canonical A2-A4 structure each Q_v is a
+    sum of e_x (x) e_y with coefficient 1, and tensor_wba reads vertex v's
+    pivots off the dims: the indices k*dn + l, k in M's block x and l in
+    N's block y, sorted.  On seeded rational pairs, many with zero-
+    dimensional vertices, those are the pivots exact.eliminate finds on
+    act(Q_v)'s rows, whose reduced rows are the unit rows at them; the
+    product is the elimination route's, entry types included, and the
+    sympy reference's."""
+    specs = wba.catalog_k2() + [s for w in (1, 2, 3) for s in wba.catalog_kronecker(w)]
+    specs += [wba.canonical_wba(w.to_quiver()) for n in (2, 3, 4) for w in all_orientations(n)]
+    rng = random.Random(47)
+    zero_dims = nonzero = 0
+    for spec in specs:
+        q, alg = spec.quiver, spec.algebra
+        assert all(pairs is not None for pairs in spec.vertex_pairs), spec.name
+        every = list(range(len(alg)))
+        for _ in range(3):
+            m, x = _rational_rep(q, rng, 4), _rational_rep(q, rng, 4)
+            zero_dims += m.dims.count(0) + x.dims.count(0)
+            dn, om, on = x.total_dim(), _offsets(m), _offsets(x)
+            em, en = wba._path_entries(alg, m, every), wba._path_entries(alg, x, every)
+            for pairs, unit in zip(spec.vertex_pairs, spec.vertex_units):
+                assert unit == {(i - 1, j - 1): 1 for i, j in pairs}
+                read = sorted(k * dn + l for i, j in pairs for k in range(om[i - 1], om[i])
+                              for l in range(on[j - 1], on[j]))
+                action = wba._act(em, en, dn, unit)
+                rows = [action[r] for r in sorted(action)]
+                assert exact.eliminate(rows, m.total_dim() * dn) == read, spec.name
+                assert rows == [{p: 1} for p in read]
+            assert _outcome(spec, m, x) == _outcome(_on_the_elimination_route(spec), m, x)
+            t = wba.tensor_wba(spec, m, x)
+            maps = {a.id: [list(row) for row in t.map_for(a.id)] for a in q.arrows}
+            assert (list(t.dims), maps) == sympy_tensor_wba(spec, m, x), (spec.name, m, x)
+            nonzero += any(v for mat in t.maps for row in mat for v in row)
+    assert zero_dims >= 150 and nonzero >= 20, (zero_dims, nonzero)
+
+
+def test_corrupted_structures_take_both_routes_with_the_same_outcomes():
+    """Of the corruptions in the WBA_SET digest (perturb_spec 0..24 of the
+    canonical structures on A2-A4 and of the Kronecker catalogs), some keep
+    every Q_v a sum of e_x (x) e_y with coefficient 1 and some do not.  On
+    two seeded pairs each, tensor_wba's product or error is the one it
+    gives with every vertex eliminated."""
+    specs = [wba.canonical_wba(w.to_quiver()) for n in (2, 3, 4) for w in all_orientations(n)]
+    specs += [spec for w in (1, 2, 3) for spec in wba.catalog_kronecker(w)]
+    routes = {"pairs": 0, "elimination": 0}
+    for k, spec in enumerate(specs):
+        for seed in range(25):
+            bad = wba.perturb_spec(spec, seed)
+            routes["elimination" if None in bad.vertex_pairs else "pairs"] += 1
+            forced = _on_the_elimination_route(bad)
+            for j in range(2):
+                m = random_representation(bad.quiver, 3, 1000 * k + 2 * j)
+                x = random_representation(bad.quiver, 3, 1000 * k + 2 * j + 1)
+                assert _outcome(bad, m, x) == _outcome(forced, m, x), bad.perturbation
+    assert routes["pairs"] >= 400 and routes["elimination"] >= 100, routes
+
+
 def test_tensor_entries_are_canonical_on_integer_inputs():
     """What tensor_wba returns holds canonical entries, ints where integral,
     also where an elimination divides by a pivot other than 1: with
@@ -651,7 +756,9 @@ def test_path_actions_are_products_of_arrow_maps():
     """Each path's action is built from its prefix's; on every path of
     A4 '>>>' (lengths up to 3) and of the 3-arrow Kronecker quiver, with
     p/q entries, it must equal the dense product of its arrow maps placed
-    at its (target, source) block, integral values held as ints."""
+    at its (target, source) block, integral values held as ints, one
+    sparse row per row of the total space.  Asked for the longest path
+    alone, it returns that path's action alone."""
     rng = random.Random(31)
     for q, lengths in (
         (OrientationWord(">>>").to_quiver(), {0, 1, 2, 3}),
@@ -669,9 +776,9 @@ def test_path_actions_are_products_of_arrow_maps():
             ]
             rep = Representation(q, dims, maps)
             offs = [sum(dims[:v]) for v in range(q.n + 1)]
-            got = wba._path_entries(alg, rep)
-            assert len(got) == len(alg)
-            for (s, t, ids), entries in zip(alg.paths, got):
+            got = wba._path_entries(alg, rep, list(range(len(alg))))
+            assert list(got) == list(range(len(alg)))
+            for (s, t, ids), rows in zip(alg.paths, got.values()):
                 block = identity(dims[s - 1])
                 for aid in ids:
                     block = mat_mul(rep.map_for(aid), block)
@@ -679,9 +786,13 @@ def test_path_actions_are_products_of_arrow_maps():
                     (r + offs[t - 1], c + offs[s - 1]): x
                     for r, row in enumerate(block) for c, x in enumerate(row) if x
                 }
+                assert len(rows) == sum(dims)
+                entries = [(r, c, x) for r, row in enumerate(rows) for c, x in row.items()]
                 assert {(r, c): x for r, c, x in entries} == want, (s, t, ids)
                 assert len(entries) == len(want)
                 assert all(type(x) is int for _, _, x in entries if x.denominator == 1)
+            last = len(alg) - 1
+            assert wba._path_entries(alg, rep, [last]) == {last: got[last]}
 
 
 def test_discreteness_reports():
