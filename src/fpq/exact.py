@@ -20,7 +20,6 @@ arithmetic is exact, and fixing the pivot rule makes every derived basis
 deterministic.  Pivots lie in the first ``ncols`` columns; later columns
 only ride along in the row operations, so a right-hand side kept there is
 read off the reduced rows.
-``sparse_mul`` is the one product; an empty row costs it nothing.
 ``rank``, which needs no basis, also takes sparse rows but eliminates
 fraction-free over the integers: each row is cleared of denominators and
 reduced against the pivot rows found so far, still exactly.
@@ -120,18 +119,6 @@ def eliminate(rows, ncols):
     return pivots
 
 
-def sparse_mul(a, b):
-    """Product a @ b of matrices given as sparse rows (see eliminate)."""
-    out = []
-    for arow in a:
-        acc = {}
-        for k, x in arow.items():
-            for j, y in b[k].items():
-                acc[j] = acc.get(j, 0) + x * y
-        out.append({j: x for j, x in acc.items() if x} if acc else acc)
-    return out
-
-
 def rank(rows, ncols):
     """Rank of the first ncols columns of sparse rows (see eliminate),
     by fraction-free elimination over the integers.
@@ -143,7 +130,8 @@ def rank(rows, ncols):
     leading entries divided by their gcd, after which the row's content
     is divided out.  A pivot row is kept as its leading entry and the
     rest, so the cancelled entry is never formed.  A row left nonzero
-    becomes the pivot of its leading column; no basis is built."""
+    becomes the pivot of its leading column; no basis is built.  It returns
+    once it holds ncols pivots, reading no later row: none can add one."""
     pivots = {}
     for row in rows:
         row = {j: x for j, x in row.items() if j < ncols and x}
@@ -158,6 +146,8 @@ def rank(rows, ncols):
             r = row.pop(lead)
             if lead not in pivots:
                 pivots[lead] = (r, row)
+                if len(pivots) == ncols:
+                    return ncols
                 break
             p, tail = pivots[lead]
             g = math.gcd(p, r)

@@ -26,13 +26,15 @@ D(1) = 1 (x) 1 is flagged as a genuine bialgebra.
 A coproduct makes the tensor product M (x) N of two representations, a
 module over A (x) A, into a module again: D(1) acts on it as an
 idempotent, and its image carries the diagonal action through D.
-tensor_wba reads it off one vertex at a time (vertex v is the image of
-Q_v = D(e_v)D(1): read off the dimension vectors when Q_v is a sum of
-e_x (x) e_y, else off one elimination as a rank factorization) and each
-arrow a: s -> t through D(a)Q_s (act is an algebra map, so act(D(a)Q_s)
-on the unit columns at Q_s's pivots is act(D(a)) on the vertex basis), on
-sparse rows.  Its checks are identities in A (x) A, proved or refuted
-once per CoproductSpec; only a refuted one is checked again on M (x) N.
+tensor_wba reads it off one vertex at a time: vertex v is the image of
+Q_v = D(e_v)D(1), read off the dimension vectors when Q_v is a sum of
+e_x (x) e_y, else off one elimination as a rank factorization.  Each arrow
+a: s -> t acts through D(a)Q_s (act is an algebra map, so act(D(a)Q_s) on
+the unit columns at Q_s's pivots is act(D(a)) on the vertex basis): between
+two vertices read off the dims, as a sum of Kronecker blocks of the
+factors' maps, one per term of D(a)Q_s; else on sparse rows.  Its checks
+are identities in A (x) A, proved or refuted once per CoproductSpec; only a
+refuted one is checked again on M (x) N.
 For the canonical grouplike coproduct (every path p gets D(p) = p (x) p,
 eps(p) = 1) this reproduces the componentwise tensor product
 matrix-for-matrix.
@@ -82,6 +84,9 @@ MAX_TENSOR_DIM = 5000
 # chain of 10 vertices with doubled arrows has 2036 and its canonical_wba
 # took 0.64 s, growing about 16 times for every two more vertices.
 MAX_PATHS = 2048
+# Largest path count check_axioms runs on: its counit product law is cubic (0.37 s
+# at 57 paths, 3.45 s at 120); tests, catalogs and verify suites check at most 6.
+MAX_AXIOM_PATHS = 64
 
 
 class PathAlgebra:
@@ -164,6 +169,16 @@ def _canonical(x):
     return {key: frac(c) for key, c in x.items()}
 
 
+def _pairs(q, n):
+    """The vertex pairs (x, y) of Q_v as ((x, (y, ...)), ...), x and each
+    group's y ascending, when each term of q is e_x (x) e_y (e_x being the
+    basis path x - 1) with coefficient 1; else None."""
+    if any(i >= n or j >= n or c != 1 for (i, j), c in q.items()):
+        return None
+    return tuple((x + 1, tuple(sorted(j + 1 for i, j in q if i == x)))
+                 for x in sorted({i for i, _ in q}))
+
+
 def _mul(alg, x, y):
     """x * y in a tensor power of the path algebra, elements being dicts
     from key tuples (one path index per leg) to coefficients; a pair of
@@ -191,13 +206,13 @@ class CoproductSpec:
     paths multiplicatively at construction time, and the counit by an exact
     solve of the counit law (free values 0; counit_consistent records
     whether the law could be satisfied at all).  unit optionally names the
-    representation expected to be the tensor unit.  vertex_units holds
-    Q_v = D(e_v)D(1) for each vertex, vertex_pairs the vertex pairs (x, y)
-    of Q_v's terms when each is e_x (x) e_y with coefficient 1 (else None),
-    arrow_units D(a)Q_s for each arrow a: s -> t, module_checks the checks
-    of tensor_wba that fail as identities in A (x) A, and read_paths the
-    basis paths whose action tensor_wba reads; every coefficient they hold
-    is canonical (see exact.frac)."""
+    representation expected to be the tensor unit.  For tensor_wba, with
+    canonical coefficients: vertex_units, Q_v = D(e_v)D(1) per vertex, with
+    vertex_pairs (see _pairs); arrow_units, D(a)Q_s per arrow a: s -> t,
+    with arrow_blocks (see _block_terms); module_checks, its checks that
+    fail as identities in A (x) A; eliminated, the vertices without pairs
+    and the ends of arrows without blocks; read_paths, the paths whose maps
+    it reads."""
 
     def __init__(self, quiver, delta, counit, name="custom", unit=None):
         self.quiver = quiver
@@ -234,15 +249,36 @@ class CoproductSpec:
         self._eps, self.counit_consistent = self._extend_counit()
         units = self.vertex_units = [_canonical(_mul(alg, self.delta_gen[f"e{v}"], unit))
                                      for v in range(1, quiver.n + 1)]
-        n = quiver.n  # e_v is the basis path v - 1
-        self.vertex_pairs = [[(i + 1, j + 1) for i, j in q] if all(
-            i < n and j < n and c == 1 for (i, j), c in q.items()) else None for q in units]
+        self.vertex_pairs = [_pairs(q, quiver.n) for q in units]
         self.arrow_units = [_canonical(_mul(alg, self.delta_gen[a.id], units[a.source - 1]))
                             for a in quiver.arrows]
+        self.arrow_blocks = [self._block_terms(a, inside)
+                             for a, inside in zip(quiver.arrows, self.arrow_units)]
         self.module_checks = self._failed_identities()
-        read = [x for check in self.module_checks for x in check[2:]] + self.arrow_units
-        read += [q for q, pairs in zip(units, self.vertex_pairs) if pairs is None]
-        self.read_paths = sorted({k for x in read for pair in x for k in pair})
+        sparse = [(a, x) for a, x, b in zip(quiver.arrows, self.arrow_units,
+                                             self.arrow_blocks) if b is None]
+        self.eliminated = sorted({v for a, _ in sparse for v in (a.source, a.target)} | {
+            v for v, pairs in enumerate(self.vertex_pairs, 1) if pairs is None})
+        read = [x for check in self.module_checks for x in check[2:]] + [x for _, x in sparse]
+        read += [units[v - 1] for v in self.eliminated]
+        self.read_paths = sorted({k for x in read for pair in x for k in pair} | {
+            k for b in self.arrow_blocks if b for t in b for k in t[1:3]})
+
+    def _block_terms(self, a, inside):
+        """D(a)Q_s's terms c * u (x) v (u: x -> x', v: y -> y') as (c, u, v,
+        i, j), i the index of (x, y) in Q_s's vertex_pairs and j of (x', y')
+        in Q_t's, dropped if either is absent; None if an end has no pairs."""
+        ends = [self.vertex_pairs[v - 1] for v in (a.source, a.target)]
+        if None in ends:
+            return None
+        src, tgt = ({p: i for i, p in enumerate((x, y) for x, ys in pairs for y in ys)}
+                    for pairs in ends)
+        paths, terms = self.algebra.paths, []
+        for (u, v), c in inside.items():
+            (x, x2, _), (y, y2, _) = paths[u], paths[v]
+            if (x, y) in src and (x2, y2) in tgt:
+                terms.append((c, u, v, src[(x, y)], tgt[(x2, y2)]))
+        return terms
 
     def _failed_identities(self):
         """tensor_wba's checks, in its order, as (error class, message, lhs,
@@ -334,12 +370,8 @@ class CoproductSpec:
         return None
 
     def is_bialgebra(self):
-        n = self.quiver.n
-        expected = {}
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                expected[(self.algebra.trivial[i], self.algebra.trivial[j])] = 1
-        return self.delta_unit == expected
+        trivial = self.algebra.trivial.values()
+        return self.delta_unit == {(i, j): 1 for i in trivial for j in trivial}
 
     def to_dict(self):
         alg = self.algebra
@@ -504,7 +536,11 @@ _AXIOMS = (
 
 
 def check_axioms(spec):
-    """Exhaustively verify the weak bialgebra axioms on the path basis."""
+    """Exhaustively verify the weak bialgebra axioms on the path basis;
+    DimensionGuardError, before any of them, above MAX_AXIOM_PATHS paths."""
+    if len(spec.algebra) > MAX_AXIOM_PATHS:
+        raise DimensionGuardError(f"axiom check of {len(spec.algebra)} paths is above"
+                                  f" the limit of {MAX_AXIOM_PATHS}")
     failures = []
     for axiom, witness in _AXIOMS:
         w = witness(spec)
@@ -581,80 +617,83 @@ def catalog_kronecker(w):
 
 
 def _grouplike_table(quiver):
-    delta = {}
-    counit = {}
-    for v in range(1, quiver.n + 1):
-        delta[f"e{v}"] = [(f"e{v}", f"e{v}", 1)]
-        counit[f"e{v}"] = 1
-    for a in quiver.arrows:
-        delta[a.id] = [(a.id, a.id, 1)]
-        counit[a.id] = 1
-    return delta, counit
+    keys = [f"e{v}" for v in range(1, quiver.n + 1)] + [a.id for a in quiver.arrows]
+    return {key: [(key, key, 1)] for key in keys}, dict.fromkeys(keys, 1)
 
 
-def _path_entries(alg, rep, read):
-    """{k: path k's action on rep} for each basis index k in read, the
-    action as sparse rows (see exact.eliminate), one per row of rep's total
-    space, indexed in it, with canonical entries: the identity or its
-    arrow's map at its (target, source) block (a Representation holds both
-    canonical), or its last arrow's action times its prefix's, built
-    earlier in alg.paths, through exact.frac (a product of Fractions can be
-    integral)."""
-    offs, blocks = [0, *accumulate(rep.dims)], []
-    for s, t, ids in alg.paths[:read[-1] + 1 if read else 0]:
-        if len(ids) > 1:
-            mid = alg.paths[alg.arrow_path[ids[-1]]][0]
-            prefix = blocks[alg.index[(s, mid, ids[:-1])]]
-            blocks.append([{k: frac(x) for k, x in row.items()} for row in
-                           exact.sparse_mul(blocks[alg.arrow_path[ids[-1]]], prefix)])
-            continue
-        rows = [{r: 1} for r in range(offs[s - 1], offs[s])] if not ids else [
-            {k: x for k, x in enumerate(row, offs[s - 1]) if x}
-            for row in rep.map_for(ids[0])]
-        blocks.append([{}] * offs[t - 1] + rows + [{}] * (offs[-1] - offs[t]))
-    return {k: blocks[k] for k in read}
-
-
-def _act(entries_m, entries_n, dn, element):
-    """act(element), the element's action on M (x) N, M's index slowest:
-    each term c * u (x) v takes column k*dn + l to row r*dn + r2 times
-    c * u[r][k] * v[r2][l].  It is keyed by row index, {row: sparse row},
-    an absent row being zero, with no cancelled entry or empty row stored."""
-    out = {}
+def _act(alg, pm, pn, om, on, element):
+    """act(element), the element's action on M (x) N, M's index slowest, from
+    the path maps pm, pn (see _path_map) and block offsets om, on of M and
+    N: each term c * u (x) v, u: x -> x' and v: y -> y', takes column
+    k*dim N + l (k in M_x, l in N_y) to row r*dim N + r2 (r in M_x', r2 in
+    N_y') times c * M_u[r][k] * N_v[r2][l].  It is keyed by row index, {row:
+    sparse row} (see exact.eliminate), an absent row being zero, with no
+    cancelled entry or empty row stored."""
+    out, dn = {}, on[-1]
     for (i, j), c in element.items():
-        rows_n = [(r2, row.items()) for r2, row in enumerate(entries_n[j]) if row]
-        for r, row_m in enumerate(entries_m[i]):
-            for r2, row_n in rows_n if row_m else ():
-                acc = out.setdefault(r * dn + r2, {})
-                for k, x in row_m.items():
-                    cx, base = c * x, k * dn
-                    for l, y in row_n:
-                        acc[base + l] = acc.get(base + l, 0) + cx * y
+        (x, x2, _), (y, y2, _) = alg.paths[i], alg.paths[j]
+        rows_n = [(r2, [(l, b) for l, b in enumerate(row, on[y - 1]) if b])
+                  for r2, row in enumerate(pn[j], on[y2 - 1])]
+        for r, row_m in enumerate(pm[i], om[x2 - 1]):
+            for k, a in enumerate(row_m, om[x - 1]):
+                if a:
+                    ca, base = c * a, k * dn
+                    for r2, row_n in rows_n:
+                        acc = out.setdefault(r * dn + r2, {})
+                        for l, b in row_n:
+                            acc[base + l] = acc.get(base + l, 0) + ca * b
     out = {r: {t: z for t, z in acc.items() if z} for r, acc in out.items()}
     return {r: acc for r, acc in out.items() if acc}
+
+
+def _layout(pairs, dm, dn):
+    """(start, step) per pair of a vertex, entry (k, l) of M_x (x) N_y lying
+    at start + k*step + l of its basis, the coordinates k*dim N + l sorted
+    (step is dim N summed over x's group); and the vertex's dimension."""
+    out, start = [], 0
+    for x, ys in pairs:
+        step = sum([dn[y - 1] for y in ys])
+        for y in ys:
+            out.append((start, step))
+            start += dn[y - 1]
+        start += (dm[x - 1] - 1) * step  # the group's dm[x] rows of step entries
+    return out, start
+
+
+def _path_map(alg, rep, k):
+    """Path k's map on rep, from its source's space to its target's: the
+    identity, its arrow's map, or its arrows' maps multiplied through frac."""
+    s, _, ids = alg.paths[k]
+    d = rep.dims[s - 1]
+    mat = rep.map_for(ids[0]) if ids else [[int(i == j) for j in range(d)] for i in range(d)]
+    for aid in ids[1:]:
+        mat = [[frac(sum(x * mat[j][c] for j, x in enumerate(row))) for c in range(d)]
+               for row in rep.map_for(aid)]
+    return mat
 
 
 def tensor_wba(spec, m, n):
     """Tensor product of representations twisted through the coproduct.
 
-    Vertex v is the image of Q_v = D(e_v)D(1) acting on M (x) N.  One
-    elimination of that action's nonzero rows gives Q_v = W_v R_v, W_v its
-    pivot columns (the vertex basis) and R_v its reduced rows, with
-    R_v W_v = I once Q_v is idempotent; arrow a: s -> t acts by
-    R_t act(D(a)) W_s, the unique X with act(D(a)) W_s = W_t X.  As act is
-    an algebra map and W_s = act(Q_s) E_s, E_s the unit columns at Q_s's
-    pivots, that is R_t act(D(a)Q_s) E_s (spec.arrow_units), each row of it
-    summed from the terms of D(a)Q_s through exact.frac straight into its
-    output row, passed on without re-validation.  Where spec.vertex_pairs
-    has Q_v's pairs (x, y), act(Q_v) projects onto the coordinates of the
-    M_x (x) N_y, so no elimination runs: its pivots are their indices,
-    sorted, read off the dimension vectors, and R_v is the unit rows.
-    Checks, in order, the spec's module_checks on M (x) N: StructureMismatch
-    if D(1) does not act idempotently, NotAQuiverAction if a D(generator)
-    leaves its image, an e_v is not idempotent there, or an arrow acts
-    outside its (target, source) block (structures that are not weak
-    bialgebras).  Raises DimensionGuardError, before allocating, when
-    dim M * dim N exceeds MAX_TENSOR_DIM."""
+    Vertex v is the image of Q_v = D(e_v)D(1) acting on M (x) N; a rank
+    factorization Q_v = W_v R_v gives its basis W_v, with R_v W_v = I once
+    Q_v is idempotent, and arrow a: s -> t acts by R_t act(D(a)) W_s, which
+    is R_t act(D(a)Q_s) E_s (spec.arrow_units), E_s the unit columns at
+    Q_s's pivots, as act is an algebra map and W_s = act(Q_s) E_s.  Where
+    Q_v has pairs (x, y) (spec.vertex_pairs), act(Q_v) projects onto the
+    coordinates of the M_x (x) N_y, read off the dims (see _layout), and an
+    arrow between two such vertices sums c * kron(M_u, N_v) over the terms
+    c * u (x) v of D(a)Q_s (spec.arrow_blocks) at pair (x', y')'s rows and
+    pair (x, y)'s columns.  The vertices in spec.eliminated are eliminated
+    off act(Q_v)'s nonzero rows instead, and an arrow with an end without
+    pairs reads its map off act(D(a)Q_s) on sparse rows.  Each map row goes
+    through exact.frac and is frozen once summed; the result is passed on
+    without re-validation.  Checks, in order, the spec's module_checks on
+    M (x) N: StructureMismatch if D(1) does not act idempotently,
+    NotAQuiverAction if a D(generator) leaves its image, an e_v is not
+    idempotent there, or an arrow acts outside its (target, source) block
+    (structures that are not weak bialgebras).  Raises DimensionGuardError,
+    before allocating, when dim M * dim N exceeds MAX_TENSOR_DIM."""
     if m.quiver != spec.quiver or n.quiver != spec.quiver:
         raise WrongQuiverError("representations are not over the coproduct's quiver")
     dm, dn = m.total_dim(), n.total_dim()
@@ -665,42 +704,51 @@ def tensor_wba(spec, m, n):
         raise DimensionGuardError(f"tensor square would have dimension above"
                                   f" {MAX_TENSOR_DIM}")
     alg = spec.algebra
-    em, en = _path_entries(alg, m, spec.read_paths), _path_entries(alg, n, spec.read_paths)
-    for error, message, lhs, rhs in spec.module_checks:
-        if _act(em, en, dn, lhs) != _act(em, en, dn, rhs):
-            raise error(message)
+    pm, pn = ({k: _path_map(alg, rep, k) for k in spec.read_paths} for rep in (m, n))
     om, on = [0, *accumulate(m.dims)], [0, *accumulate(n.dims)]
-    pivots, coordinates = [], []
-    for q, pairs in zip(spec.vertex_units, spec.vertex_pairs):
-        if pairs is not None:  # act(Q_v) projects onto the M_x (x) N_y
-            pivots.append(sorted(k * dn + l for x, y in pairs
-                                 for k in range(om[x - 1], om[x])
-                                 for l in range(on[y - 1], on[y])))
-            coordinates.append([{p: 1} for p in pivots[-1]])
-            continue
-        action = _act(em, en, dn, q)
+    for error, message, lhs, rhs in spec.module_checks:
+        if _act(alg, pm, pn, om, on, lhs) != _act(alg, pm, pn, om, on, rhs):
+            raise error(message)
+    bases = {}  # vertex -> (pivots, reduced rows) of act(Q_v)
+    for v in spec.eliminated:
+        action = _act(alg, pm, pn, om, on, spec.vertex_units[v - 1])
         rows = [action[r] for r in sorted(action)]
-        pivots.append(exact.eliminate(rows, size))
-        coordinates.append(rows[:len(pivots[-1])])
+        pivots = exact.eliminate(rows, size)
+        bases[v] = pivots, rows[:len(pivots)]
+    layouts = [None if pairs is None else _layout(pairs, m.dims, n.dims)
+               for pairs in spec.vertex_pairs]
     maps = []
-    for a, unit in zip(spec.quiver.arrows, spec.arrow_units):
-        colof = {p: c for c, p in enumerate(pivots[a.source - 1])}
-        terms = [(c, em[i], en[j]) for (i, j), c in unit.items()]
-        block = []
-        for row in coordinates[a.target - 1]:
-            acc = [0] * len(colof)
-            for p, w in row.items():  # w times row p of act(D(a)Q_s)
-                r, r2 = divmod(p, dn)
-                for c, rows_m, rows_n in terms:
-                    for k, x in rows_m[r].items():
-                        cx, base = c * w * x, k * dn
-                        for l, y in rows_n[r2].items():
-                            col = colof.get(base + l)
-                            if col is not None:
-                                acc[col] += cx * y
-            block.append(tuple([frac(z) if z else 0 for z in acc]))
-        maps.append(tuple(block))
-    return Representation._trusted(spec.quiver, tuple(map(len, pivots)), tuple(maps))
+    for a, unit, blocks in zip(spec.quiver.arrows, spec.arrow_units, spec.arrow_blocks):
+        if blocks is None:  # R_t act(D(a)Q_s) at the pivot columns of Q_s
+            action, out = _act(alg, pm, pn, om, on, unit), []
+            colof = {p: c for c, p in enumerate(bases[a.source][0])}
+            for row in bases[a.target][1]:
+                acc = [0] * len(colof)
+                for p, w in row.items():  # w times row p of act(D(a)Q_s)
+                    for col, z in action.get(p, {}).items():
+                        if col in colof:
+                            acc[colof[col]] += w * z
+                out.append(acc)
+        else:  # c * kron(M_u, N_v) from pair i of Q_s to pair j of Q_t
+            (src, width), (tgt, height) = layouts[a.source - 1], layouts[a.target - 1]
+            out = [[0] * width for _ in range(height)]
+            for c, u, v, i, j in blocks:
+                (col0, step), (row0, step_t), rows_n = src[i], tgt[j], pn[v]
+                for r, row_m in enumerate(pm[u]):
+                    for k, x in enumerate(row_m):
+                        if x:
+                            cx, base = c * x, col0 + k * step
+                            for r2, row_n in enumerate(rows_n):
+                                acc = out[row0 + r * step_t + r2]
+                                for l, y in enumerate(row_n):
+                                    if y:
+                                        acc[base + l] += cx * y
+        for r, acc in enumerate(out):  # frozen one row at a time
+            out[r] = tuple([frac(z) if z else 0 for z in acc])
+        maps.append(tuple(out))
+    dims = tuple(len(bases[v][0]) if layout is None else layout[1]
+                 for v, layout in enumerate(layouts, 1))
+    return Representation._trusted(spec.quiver, dims, tuple(maps))
 
 
 def is_discrete(spec):
@@ -710,10 +758,7 @@ def is_discrete(spec):
     for i in range(1, q.n + 1):
         for j in range(1, q.n + 1):
             t = tensor_wba(spec, simple(q, i), simple(q, j))
-            expected = [
-                (1 if (v == i and i == j) else 0) for v in range(1, q.n + 1)
-            ]
-            if list(t.dims) != expected:
+            if list(t.dims) != [int(v == i == j) for v in range(1, q.n + 1)]:
                 return {
                     "discrete": False,
                     "structure": spec.name,
@@ -778,16 +823,11 @@ def deformation_preserves_axioms(spec, info):
     base = None
     for aid in arrow_ids:
         k = alg.arrow_path[aid]
-        expected = None
-        for e, idx in alg.trivial.items():
-            if spec.delta_gen[aid] == {(idx, k): 1, (k, idx): 1}:
-                expected = idx
-                break
-        if expected is None or (base is not None and expected != base):
+        expected = next((idx for idx in alg.trivial.values()
+                         if spec.delta_gen[aid] == {(idx, k): 1, (k, idx): 1}), None)
+        if expected is None or base not in (None, expected) or spec.eps_gen[aid] != 0:
             return False
         base = expected
-        if spec.eps_gen[aid] != 0:
-            return False
     e_key = alg.path_key(base)
     if spec.delta_gen[e_key] != {(base, base): 1}:
         return False

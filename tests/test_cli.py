@@ -355,6 +355,24 @@ def test_oversized_path_algebra_is_a_dimension_guard_under_a_memory_cap(tmp_path
     assert "Traceback" not in proc.stderr
 
 
+def test_axiom_check_above_its_path_budget_is_a_dimension_guard_under_a_memory_cap(tmp_path):
+    """The 6-vertex chain with two arrows between neighbours has 120 paths:
+    its path algebra is built, but check_axioms, cubic in the path count,
+    refuses it at wba.MAX_AXIOM_PATHS before any law is evaluated, under
+    the same 1 GiB address-space cap."""
+    arrows = [{"id": f"{c}{v}", "from": v, "to": v + 1} for v in range(1, 6) for c in "ab"]
+    q = write_json(tmp_path / "q.json", {"vertices": 6, "arrows": arrows})
+    argv = ["wba", "check", "--structure", "canonical", "--quiver", q]
+    env = dict(os.environ, PYTHONPATH=str(Path(fpq.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_RUN, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"] == {"type": "dimension_guard", "message":
+                                                f"axiom check of 120 paths is above the"
+                                                f" limit of {wba.MAX_AXIOM_PATHS}"}
+    assert "Traceback" not in proc.stderr
+
+
 def _spec_with(value, *path):
     """kronecker1-a's spec as JSON data with the entry at path set to value."""
     spec = wba.catalog_kronecker(1)[0].to_dict()

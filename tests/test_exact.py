@@ -116,6 +116,44 @@ def test_rank_matches_sympy_on_sparse_rational_systems():
         assert exact.rank(rows, ncols) == sympy.Matrix(dense).rank(), rows
 
 
+def test_rank_of_tall_systems_stops_at_full_column_rank():
+    """Seeded tall systems, more rows than columns, ending in rows that
+    hold Fractions (denominator 2, 3 or 5): rank agrees with sympy on each,
+    and once it holds ncols pivots it reads no further row (the rows come
+    from a generator that fails if advanced past the shortest full-rank
+    prefix), Fraction rows after it included.  Systems short of full rank
+    read every row and still agree."""
+    rng = random.Random(53)
+
+    def row(ncols, denominators):
+        return {j: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice(denominators))
+                for j in rng.sample(range(ncols + 2), rng.randint(1, 3))}
+
+    skipped = short = 0
+    for _ in range(120):
+        ncols = rng.randint(1, 8)
+        rows = [row(ncols, [1, 1, 2, 3]) for _ in range(rng.randint(ncols, 2 * ncols + 1))]
+        rows += [row(ncols, [2, 3, 5]) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:  # no entry in the last column: short of full rank
+            rows = [{j: x for j, x in r.items() if j != ncols - 1} for r in rows]
+        dense = [[r.get(j, 0) for j in range(ncols)] for r in rows]
+        want = sympy.Matrix(dense).rank()
+        assert exact.rank(rows, ncols) == want, rows
+        if want < ncols:
+            short += 1
+            continue
+        cut = next(k for k in range(1, len(rows) + 1)
+                   if sympy.Matrix(dense[:k]).rank() == ncols)
+
+        def stream():
+            yield from rows[:cut]
+            raise AssertionError("read a row after full column rank")
+
+        assert exact.rank(stream(), ncols) == ncols
+        skipped += any(x.denominator > 1 for r in rows[cut:] for x in r.values())
+    assert skipped >= 40 and short >= 20, (skipped, short)
+
+
 def test_eliminate_keeps_integer_rows_exact():
     """Int entries are divided by their pivot exactly: the scaled rows hold
     ints and Fractions only, never a float from int / int."""
@@ -208,28 +246,3 @@ def test_rref_matches_sympy_for_every_ncols():
             assert all(j < width for row in rows for j in row)
             full = _sym(m, width).rank()
             assert _sym(got, width).rank() == full == _sym(got + m, width).rank()
-
-
-def test_sparse_mul_matches_numpy():
-    inputs = _kernel_inputs(4, 60)
-    rng = random.Random(5)
-    for a in inputs:
-        b = rng.choice([m for m in inputs if len(m) == len(a[0])] or [None])
-        if b is None:
-            continue
-        width = len(b[0])
-        got = exact.sparse_mul(*(
-            [{j: x for j, x in enumerate(row) if x} for row in m] for m in (a, b)
-        ))
-        assert all(0 not in row.values() for row in got)
-        want = np.array(a, dtype=object) @ np.array(b, dtype=object)
-        assert [[row.get(j, 0) for j in range(width)] for row in got] == want.tolist()
-
-
-def test_sparse_mul_keeps_empty_rows_and_drops_cancelled_entries():
-    a = [{}, {0: 1, 1: 1}, {}, {1: Fraction(1, 2)}]
-    b = [{0: 2, 1: 3}, {0: -2, 2: 4}]
-    got = exact.sparse_mul(a, b)
-    assert got == [{}, {1: 3, 2: 4}, {}, {0: -1, 2: 2}]
-    assert got[0] is not a[0] and got[2] is not a[2]
-    assert exact.sparse_mul([{}], []) == [{}]

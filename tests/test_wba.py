@@ -97,6 +97,27 @@ def test_path_algebra_above_the_path_budget_is_refused():
             wba.canonical_wba(q)
 
 
+def test_axiom_check_above_its_path_budget_is_refused_before_any_law(monkeypatch):
+    """check_axioms runs its laws on a path algebra of exactly
+    wba.MAX_AXIOM_PATHS paths (the 5-vertex doubled chain, 57 paths,
+    padded with isolated vertices) and refuses one more path, or the
+    6-vertex doubled chain's 120, with a DimensionGuardError before any law
+    is evaluated; the largest structure of the catalogs has far fewer."""
+    ran = []
+    monkeypatch.setattr(wba, "_AXIOMS", (("law", lambda spec: ran.append(spec.name)),))
+    at_limit = wba.canonical_wba(_doubled_chain(5, wba.MAX_AXIOM_PATHS - 57))
+    assert len(at_limit.algebra) == wba.MAX_AXIOM_PATHS
+    assert wba.check_axioms(at_limit).ok and ran == ["canonical"]
+    for n, isolated in ((5, wba.MAX_AXIOM_PATHS - 56), (6, 0)):
+        spec = wba.canonical_wba(_doubled_chain(n, isolated))
+        with pytest.raises(DimensionGuardError, match=f"^axiom check of {len(spec.algebra)}"
+                           f" paths is above the limit of {wba.MAX_AXIOM_PATHS}$"):
+            wba.check_axioms(spec)
+    assert ran == ["canonical"]
+    catalogs = wba.catalog_k2() + [s for w in (1, 2, 3) for s in wba.catalog_kronecker(w)]
+    assert max(len(s.algebra) for s in catalogs) < wba.MAX_AXIOM_PATHS
+
+
 def test_arrow_ids_may_not_shadow_trivial_paths():
     q = Quiver(2, [("e1", 1, 2)])
     with pytest.raises(DuplicateLabelError):
@@ -593,6 +614,8 @@ def _on_the_elimination_route(spec):
     vertex, reading every path."""
     forced = copy.copy(spec)
     forced.vertex_pairs = [None] * spec.quiver.n
+    forced.arrow_blocks = [None] * len(spec.quiver.arrows)
+    forced.eliminated = list(range(1, spec.quiver.n + 1))
     forced.read_paths = list(range(len(spec.algebra)))
     return forced
 
@@ -612,9 +635,10 @@ def _offsets(rep):
 
 def test_vertex_bases_read_off_the_dims_are_the_eliminated_ones():
     """On every k2, Kronecker and canonical A2-A4 structure each Q_v is a
-    sum of e_x (x) e_y with coefficient 1, and tensor_wba reads vertex v's
-    pivots off the dims: the indices k*dn + l, k in M's block x and l in
-    N's block y, sorted.  On seeded rational pairs, many with zero-
+    sum of e_x (x) e_y with coefficient 1, its pairs grouped by x, and
+    tensor_wba reads vertex v's basis off the dims: the indices k*dn + l,
+    k in M's block x and l in N's block y, sorted, where _layout puts entry
+    (k, l) of M_x (x) N_y.  On seeded rational pairs, many with zero-
     dimensional vertices, those are the pivots exact.eliminate finds on
     act(Q_v)'s rows, whose reduced rows are the unit rows at them; the
     product is the elimination route's, entry types included, and the
@@ -631,15 +655,24 @@ def test_vertex_bases_read_off_the_dims_are_the_eliminated_ones():
             m, x = _rational_rep(q, rng, 4), _rational_rep(q, rng, 4)
             zero_dims += m.dims.count(0) + x.dims.count(0)
             dn, om, on = x.total_dim(), _offsets(m), _offsets(x)
-            em, en = wba._path_entries(alg, m, every), wba._path_entries(alg, x, every)
+            pm, pn = ({k: wba._path_map(alg, rep, k) for k in every} for rep in (m, x))
             for pairs, unit in zip(spec.vertex_pairs, spec.vertex_units):
-                assert unit == {(i - 1, j - 1): 1 for i, j in pairs}
-                read = sorted(k * dn + l for i, j in pairs for k in range(om[i - 1], om[i])
+                flat = [(i, j) for i, ys in pairs for j in ys]
+                assert flat == sorted(flat)
+                assert unit == {(i - 1, j - 1): 1 for i, j in flat}
+                read = sorted(k * dn + l for i, j in flat for k in range(om[i - 1], om[i])
                               for l in range(on[j - 1], on[j]))
-                action = wba._act(em, en, dn, unit)
+                action = wba._act(alg, pm, pn, om, on, unit)
                 rows = [action[r] for r in sorted(action)]
                 assert exact.eliminate(rows, m.total_dim() * dn) == read, spec.name
                 assert rows == [{p: 1} for p in read]
+                layout, dim = wba._layout(pairs, m.dims, x.dims)
+                assert dim == len(read) and len(layout) == len(flat)
+                for (i, j), (start, step) in zip(flat, layout):
+                    for k in range(m.dims[i - 1]):
+                        for l in range(x.dims[j - 1]):
+                            p = (om[i - 1] + k) * dn + on[j - 1] + l
+                            assert read[start + k * step + l] == p, spec.name
             assert _outcome(spec, m, x) == _outcome(_on_the_elimination_route(spec), m, x)
             t = wba.tensor_wba(spec, m, x)
             maps = {a.id: [list(row) for row in t.map_for(a.id)] for a in q.arrows}
@@ -651,22 +684,75 @@ def test_vertex_bases_read_off_the_dims_are_the_eliminated_ones():
 def test_corrupted_structures_take_both_routes_with_the_same_outcomes():
     """Of the corruptions in the WBA_SET digest (perturb_spec 0..24 of the
     canonical structures on A2-A4 and of the Kronecker catalogs), some keep
-    every Q_v a sum of e_x (x) e_y with coefficient 1 and some do not.  On
-    two seeded pairs each, tensor_wba's product or error is the one it
-    gives with every vertex eliminated."""
+    every Q_v a sum of e_x (x) e_y with coefficient 1 and some do not; of
+    the latter, some have an arrow with one end read off the dims and the
+    other eliminated, which tensor_wba reads on sparse rows, eliminating
+    both ends.  On two seeded pairs each, tensor_wba's product or error is
+    the one it gives with every vertex eliminated."""
     specs = [wba.canonical_wba(w.to_quiver()) for n in (2, 3, 4) for w in all_orientations(n)]
     specs += [spec for w in (1, 2, 3) for spec in wba.catalog_kronecker(w)]
-    routes = {"pairs": 0, "elimination": 0}
+    routes = {"pairs": 0, "elimination": 0, "mixed-arrow products": 0}
     for k, spec in enumerate(specs):
         for seed in range(25):
             bad = wba.perturb_spec(spec, seed)
             routes["elimination" if None in bad.vertex_pairs else "pairs"] += 1
+            ends = [[bad.vertex_pairs[v - 1] is None for v in (a.source, a.target)]
+                    for a in bad.quiver.arrows]
+            mixed = [a for a, (s, t) in zip(bad.quiver.arrows, ends) if s != t]
+            for a in mixed:
+                i = bad.quiver.arrow_index(a.id)
+                assert bad.arrow_blocks[i] is None
+                assert {a.source, a.target} <= set(bad.eliminated)
             forced = _on_the_elimination_route(bad)
             for j in range(2):
                 m = random_representation(bad.quiver, 3, 1000 * k + 2 * j)
                 x = random_representation(bad.quiver, 3, 1000 * k + 2 * j + 1)
                 assert _outcome(bad, m, x) == _outcome(forced, m, x), bad.perturbation
+                routes["mixed-arrow products"] += bool(mixed)
     assert routes["pairs"] >= 400 and routes["elimination"] >= 100, routes
+    assert routes["mixed-arrow products"] >= 150, routes
+
+
+def test_blocks_on_a_path_of_length_two_match_the_sympy_reference():
+    """On A3 '>>' with D(e2) = e2(x)e2 + e3(x)e2 and D(a1) = a1(x)a1 +
+    c a1.a2(x)a1, every Q_v is a sum of e_x (x) e_y, so both arrows are
+    built from Kronecker blocks, and D(a1)Q_1 has the term c a1.a2(x)a1 from
+    pair (1, 1) of Q_1 to pair (3, 2) of Q_2, whose M-side map is the
+    product of M's two arrow maps.  On seeded pairs with every dimension 1
+    or 2 and integer or p/q entries, tensor_wba's product, entry types
+    included, is the elimination route's and the sympy reference's, most
+    with that block nonzero."""
+    q = OrientationWord(">>").to_quiver()
+    rng = random.Random(59)
+
+    def factor(denominators):
+        dims = [rng.randint(1, 2) for _ in range(q.n)]
+        return Representation(q, dims, [
+            [[Fraction(rng.randint(-3, 3), rng.choice(denominators))
+              for _ in range(dims[a.source - 1])] for _ in range(dims[a.target - 1])]
+            for a in q.arrows])
+
+    long_blocks = 0
+    for c in (1, -2, Fraction(1, 2), Fraction(-2, 3)):
+        spec = wba.CoproductSpec(q, {
+            "e1": [("e1", "e1", 1)], "e2": [("e2", "e2", 1), ("e3", "e2", 1)],
+            "e3": [("e3", "e3", 1)], "a1": [("a1", "a1", 1), ("a1.a2", "a1", c)],
+            "a2": [("a2", "a2", 1)],
+        }, {key: 1 for key in ("e1", "e2", "e3", "a1", "a2")})
+        long_path = spec.algebra.parse_path_key("a1.a2")
+        assert None not in spec.vertex_pairs and spec.module_checks == []
+        assert (c, long_path, spec.algebra.arrow_path["a1"], 0, 1) in spec.arrow_blocks[0]
+        forced = _on_the_elimination_route(spec)
+        for k in range(8):
+            m, x = (factor((1,) if k % 2 else (1, 2, 3)) for _ in range(2))
+            assert _outcome(spec, m, x) == _outcome(forced, m, x), (c, m, x)
+            t = wba.tensor_wba(spec, m, x)
+            maps = {a.id: [list(row) for row in t.map_for(a.id)] for a in q.arrows}
+            assert (list(t.dims), maps) == sympy_tensor_wba(spec, m, x), (c, m, x)
+            path = mat_mul(m.map_for("a2"), m.map_for("a1"))
+            long_blocks += any(v for row in path for v in row) and any(
+                v for row in x.map_for("a1") for v in row)
+    assert long_blocks >= 20, long_blocks
 
 
 def test_tensor_entries_are_canonical_on_integer_inputs():
@@ -753,12 +839,10 @@ def test_terms_that_cancel_on_the_tensor_square_leave_no_stored_zero():
 
 
 def test_path_actions_are_products_of_arrow_maps():
-    """Each path's action is built from its prefix's; on every path of
-    A4 '>>>' (lengths up to 3) and of the 3-arrow Kronecker quiver, with
-    p/q entries, it must equal the dense product of its arrow maps placed
-    at its (target, source) block, integral values held as ints, one
-    sparse row per row of the total space.  Asked for the longest path
-    alone, it returns that path's action alone."""
+    """Each path's map, from its source's space to its target's: on every
+    path of A4 '>>>' (lengths up to 3) and of the 3-arrow Kronecker quiver,
+    with p/q entries, it must equal the dense product of its arrow maps
+    (the identity for a trivial path), integral values held as ints."""
     rng = random.Random(31)
     for q, lengths in (
         (OrientationWord(">>>").to_quiver(), {0, 1, 2, 3}),
@@ -775,24 +859,14 @@ def test_path_actions_are_products_of_arrow_maps():
                 for a in q.arrows
             ]
             rep = Representation(q, dims, maps)
-            offs = [sum(dims[:v]) for v in range(q.n + 1)]
-            got = wba._path_entries(alg, rep, list(range(len(alg))))
-            assert list(got) == list(range(len(alg)))
-            for (s, t, ids), rows in zip(alg.paths, got.values()):
+            for k, (s, t, ids) in enumerate(alg.paths):
                 block = identity(dims[s - 1])
                 for aid in ids:
                     block = mat_mul(rep.map_for(aid), block)
-                want = {
-                    (r + offs[t - 1], c + offs[s - 1]): x
-                    for r, row in enumerate(block) for c, x in enumerate(row) if x
-                }
-                assert len(rows) == sum(dims)
-                entries = [(r, c, x) for r, row in enumerate(rows) for c, x in row.items()]
-                assert {(r, c): x for r, c, x in entries} == want, (s, t, ids)
-                assert len(entries) == len(want)
-                assert all(type(x) is int for _, _, x in entries if x.denominator == 1)
-            last = len(alg) - 1
-            assert wba._path_entries(alg, rep, [last]) == {last: got[last]}
+                got = [list(row) for row in wba._path_map(alg, rep, k)]
+                assert got == block, (s, t, ids)
+                assert len(got) == dims[t - 1]
+                assert all(type(x) is int for row in got for x in row if x.denominator == 1)
 
 
 def test_discreteness_reports():
