@@ -26,7 +26,7 @@ reads, so each list is checked and enumerated once.
 """
 
 from .errors import BadPathsError, CapExceededError, InputError, WrongQuiverError
-from .quiver import HOM_MEMO, Representation, dim_ext1, hom_dim
+from .quiver import HOM_MEMO, Representation, dim_ext1, hom_dim, remember
 
 
 class DerivedObject:
@@ -123,8 +123,7 @@ def compatibility_graph(hom):
     ]
 
 
-# Caps on the index memo and on each index's tensored lists: a full memo
-# is emptied, and what it held is rebuilt, the same, on its next use.
+# Caps (see quiver.remember) on the index memo and each index's tensored lists.
 MAX_INDEXES = 64
 MAX_TENSORED = 32
 _INDEXES = {}
@@ -187,11 +186,10 @@ class CandidateIndex:
         key = (m.key(), tensor)
         reps = self._tensored.get(key)
         if reps is None:
-            if len(self._tensored) >= MAX_TENSORED:
-                self._tensored.clear()
             seen = {x.rep.key(): x.rep for x in self.objs}
             reps = [tensor(m, x.rep) for x in self.objs]
-            reps = self._tensored[key] = [seen.setdefault(t.key(), t) for t in reps]
+            reps = remember(self._tensored, key, [seen.setdefault(t.key(), t) for t in reps],
+                            MAX_TENSORED)
         return [DerivedObject(t, x.shift + shift) for t, x in zip(reps, self.objs)]
 
 
@@ -201,10 +199,7 @@ def candidate_index(key, build):
     (index_of) or what a generated list is generated from."""
     index = _INDEXES.get(key)
     if index is None:
-        index = CandidateIndex(build())
-        if len(_INDEXES) >= MAX_INDEXES:
-            _INDEXES.clear()
-        _INDEXES[key] = index
+        index = remember(_INDEXES, key, CandidateIndex(build()), MAX_INDEXES)
     return index
 
 

@@ -32,12 +32,12 @@ from .errors import (
     NotTypeAError,
     StructureMismatchError,
 )
-from .quiver import hom_dim, simple, tensor_vertexwise
+from .quiver import hom_dim, remember, simple, tensor_vertexwise
 from .spectral import DEFAULT_TOL, integer_radius, spectral_radius
 from .typea import interval_index, orientation_of
 
-# (radius, integer_radius's proof) by (flat entries, size, tol); emptied
-# when it holds MAX_RADII entries, each rebuilt the same when next asked for.
+# (radius, integer_radius's proof) by (flat entries, size, tol), capped by
+# remember at MAX_RADII entries.
 _RADIUS_CACHE = {}
 MAX_RADII = 2 ** 14
 
@@ -104,9 +104,7 @@ def _proved_radius(flat, size, tol):
     if got is None:
         a = [list(flat[k * size:(k + 1) * size]) for k in range(size)]
         r = spectral_radius(a, tol=tol)
-        if len(_RADIUS_CACHE) >= MAX_RADII:
-            _RADIUS_CACHE.clear()
-        got = _RADIUS_CACHE[key] = (r, integer_radius(a, r))
+        got = remember(_RADIUS_CACHE, key, (r, integer_radius(a, r)), MAX_RADII)
     return got
 
 

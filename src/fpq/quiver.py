@@ -18,20 +18,23 @@ entries, which the higher layers lean on heavily.
 
 Identity
 --------
-Quivers and representations are immutable, and each is interned to a small
-int id keyed by its content: equality, hashing and the hom-dimension cache
-all compare ids, so a cache hit hashes two ints instead of every matrix
-entry.  Interning is lazy (the first hash, comparison or cache lookup), so
-a representation that is only built and read never enters the table.  Ids
-come from a counter, never from a table's size, so two contents can never
-share one.  Representation(...) checks every map where it enters; the
-builders whose output is well formed by construction from checked
+Quivers and representations are immutable, and each is interned to an id
+object keyed by its content: equality, hashing and the memos all compare
+ids, by identity, so a memo hit hashes two ids instead of every matrix
+entry.  Interning is lazy (the first hash, comparison or memo lookup), so
+a representation that is only built and read never enters a table.  The
+intern tables hold their ids weakly: an entry lives exactly while a live
+object or a memo key holds its id, so equal live objects share one id, a
+memo entry is found again by an equal object built after the first died,
+and the memo caps bound the tables.  Each capped memo fills and empties
+through remember.  Representation(...) checks every map where it enters;
+the builders whose output is well formed by construction from checked
 representations return through Representation._trusted.
 """
 
 import graphlib
-import itertools
 import random
+import weakref
 from typing import NamedTuple
 
 from . import exact
@@ -59,17 +62,33 @@ MAX_ARROWS = 10 ** 5
 MAX_DIM = 10 ** 4
 MAX_MAP_ENTRIES = 10 ** 6
 
-_IDS = itertools.count()
-_QUIVER_IDS = {}
-_REP_IDS = {}
+
+class _Id:
+    """An interned id, compared and hashed by identity; a copy is the id."""
+    __slots__ = ("__weakref__",)
+    __copy__ = __deepcopy__ = lambda self, memo=None: self
+
+
+_QUIVER_IDS = weakref.WeakValueDictionary()
+_REP_IDS = weakref.WeakValueDictionary()
 
 
 def _intern(table, content):
     """The id of content in table, taking a fresh one on first sight."""
     got = table.get(content)
     if got is None:
-        got = table.setdefault(content, next(_IDS))
+        got = table[content] = _Id()
     return got
+
+
+def remember(table, key, value, cap):
+    """table[key] = value, the table emptied in place first when it holds
+    cap entries; an emptied entry is rebuilt the same when next asked for.
+    Returns value."""
+    if len(table) >= cap:
+        table.clear()
+    table[key] = value
+    return value
 
 
 class Arrow(NamedTuple):
@@ -98,11 +117,11 @@ class Quiver:
 
     def __eq__(self, other):
         return self is other or (
-            isinstance(other, Quiver) and self._ident() == other._ident()
+            isinstance(other, Quiver) and self._ident() is other._ident()
         )
 
     def __hash__(self):
-        return self._ident()
+        return hash(self._ident())
 
     def __repr__(self):
         arr = ", ".join(f"{a.id}:{a.source}->{a.target}" for a in self.arrows)
@@ -222,11 +241,11 @@ class Representation:
 
     def __eq__(self, other):
         return self is other or (
-            isinstance(other, Representation) and self.key() == other.key()
+            isinstance(other, Representation) and self.key() is other.key()
         )
 
     def __hash__(self):
-        return self.key()
+        return hash(self.key())
 
     def __repr__(self):
         return f"Representation(dims={list(self.dims)})"
@@ -343,8 +362,7 @@ def _hom_system(m, n):
 
 
 # Derived hom dimensions by (id m, id n, d), d = 0 from hom_dim and 1 from
-# dim_ext1, emptied in place at MAX_HOM_PAIRS entries (bricks reads the same
-# dict); an emptied entry is rebuilt the same when next asked for.
+# dim_ext1, capped by remember in place (bricks reads the same dict).
 HOM_MEMO = {}
 MAX_HOM_PAIRS = 2 ** 16
 
@@ -359,9 +377,7 @@ def hom_dim(m, n):
         if m.quiver != n.quiver:
             raise WrongQuiverError("representations live over different quivers")
         rows, total = _hom_system(m, n)
-        if len(HOM_MEMO) >= MAX_HOM_PAIRS:
-            HOM_MEMO.clear()
-        got = HOM_MEMO[key] = total - exact.rank(rows, total)
+        got = remember(HOM_MEMO, key, total - exact.rank(rows, total), MAX_HOM_PAIRS)
     return got
 
 
@@ -378,9 +394,7 @@ def dim_ext1(m, n):
             raise ShapeError(
                 f"negative ext dimension {val}; hom/euler bookkeeping is broken"
             )
-        if len(HOM_MEMO) >= MAX_HOM_PAIRS:
-            HOM_MEMO.clear()
-        HOM_MEMO[key] = val
+        remember(HOM_MEMO, key, val, MAX_HOM_PAIRS)
     return val
 
 

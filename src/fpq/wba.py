@@ -157,16 +157,12 @@ class PathAlgebra:
 
 
 def _add_term(d, key, c):
-    c = d.get(key, 0) + c
+    """d[key] += c through exact.frac (Fractions can sum to an int); 0 deletes."""
+    c = frac(d.get(key, 0) + c)
     if c:
         d[key] = c
     elif key in d:
         del d[key]
-
-
-def _canonical(x):
-    """x with each coefficient through exact.frac (Fractions can sum to an int)."""
-    return {key: frac(c) for key, c in x.items()}
 
 
 def _pairs(q, n):
@@ -234,23 +230,21 @@ class CoproductSpec:
                 raise InputError(f"counit not given on generator {key!r}")
         self.delta_gen = {}
         for key in keys:
-            terms = {}
+            terms = self.delta_gen[key] = {}
             for left, right, c in delta[key]:
                 pair = (alg.parse_path_key(left), alg.parse_path_key(right))
                 _add_term(terms, pair, frac(c))
-            self.delta_gen[key] = _canonical(terms)
         self.eps_gen = {key: frac(counit[key]) for key in keys}
         self._delta = self._extend_delta()
-        unit = {}
+        unit = self.delta_unit = {}
         for v in range(1, quiver.n + 1):
             for pair, c in self.delta_gen[f"e{v}"].items():
                 _add_term(unit, pair, c)
-        self.delta_unit = unit = _canonical(unit)
         self._eps, self.counit_consistent = self._extend_counit()
-        units = self.vertex_units = [_canonical(_mul(alg, self.delta_gen[f"e{v}"], unit))
+        units = self.vertex_units = [_mul(alg, self.delta_gen[f"e{v}"], unit)
                                      for v in range(1, quiver.n + 1)]
         self.vertex_pairs = [_pairs(q, quiver.n) for q in units]
-        self.arrow_units = [_canonical(_mul(alg, self.delta_gen[a.id], units[a.source - 1]))
+        self.arrow_units = [_mul(alg, self.delta_gen[a.id], units[a.source - 1])
                             for a in quiver.arrows]
         self.arrow_blocks = [self._block_terms(a, inside)
                              for a, inside in zip(quiver.arrows, self.arrow_units)]
@@ -302,8 +296,7 @@ class CoproductSpec:
             checks.append((NotAQuiverActionError, f"action of arrow {a.id} is not"
                            f" supported on the ({a.target}, {a.source}) block",
                            _mul(alg, units[a.target - 1], inside), sandwiched[a.id]))
-        return [(error, message, _canonical(lhs), _canonical(rhs))
-                for error, message, lhs, rhs in checks if lhs != rhs]
+        return [check for check in checks if check[2] != check[3]]
 
     def _extend_delta(self):
         """D on every path: a generator's table, else D(last arrow) times

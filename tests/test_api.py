@@ -144,6 +144,23 @@ def test_only_the_trusted_builders_skip_the_constructor():
     assert sorted(sites) == [("quiver.py", "_trusted"), ("quiver.py", "opposite")]
 
 
+def test_only_the_cap_and_clear_helper_empties_a_table():
+    """quiver.remember holds the one cap-and-clear rule of the memos: no
+    other code in the package calls .clear()."""
+    sites = []
+    for name, tree in _modules():
+        owner = {}  # node -> innermost enclosing function (the walk is breadth-first)
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        sites += [
+            (name, owner.get(node)) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "clear"
+        ]
+    assert sites == [("quiver.py", "remember")]
+
+
 def test_importing_the_cli_leaves_wba_unloaded():
     """A fresh `import fpq.cli` does not load fpq.wba; the package still
     exports the same names, the weak-bialgebra ones resolved on first use."""

@@ -1,5 +1,7 @@
 """Quivers, representations, hom/ext spaces, and the Euler form."""
 
+import copy
+import gc
 import json
 import math
 import random
@@ -372,6 +374,7 @@ def test_equal_content_means_equal_representations():
     b = random_representation(q, 3, seed=1200)
     assert a is not b
     assert a == b and hash(a) == hash(b) and a.key() == b.key()
+    assert copy.deepcopy(a) == a == copy.copy(a)
     cache = quiver_module.HOM_MEMO
     d = hom_dim(a, a)
     size = len(cache)
@@ -409,9 +412,55 @@ def test_separately_built_equal_quivers_work_together():
 def test_building_a_representation_does_not_intern_it():
     table = quiver_module._REP_IDS
     q = random_acyclic_quiver(4, 11)
+    gc.collect()  # ids held only by garbage cycles (a quiver and its opposite) go now
     before = len(table)
     m = random_representation(q, 3, seed=1300)
     tensor_vertexwise(m, m)
     assert len(table) == before
     m.key()
     assert len(table) == before + 1
+
+
+def test_intern_entries_die_with_their_last_holder():
+    """The intern tables hold ids weakly: representations interned and
+    measured (their duals over opposite quivers, which sit in reference
+    cycles, too), then dropped with the memo entries they wrote, leave
+    both tables at their earlier size."""
+    reps, quivers = quiver_module._REP_IDS, quiver_module._QUIVER_IDS
+    memo = quiver_module.HOM_MEMO
+    memo.clear()
+    gc.collect()
+    before = len(reps), len(quivers)
+    built = []
+    for seed in range(20):
+        q = random_acyclic_quiver(5, 1400 + seed)
+        m, n = (random_representation(q, 2, seed=1500 + 2 * seed + k) for k in (0, 1))
+        hom_dim(m, n)
+        dim_ext1(dual(n), dual(m))
+        built += [m, n]
+    assert len(reps) >= before[0] + 40
+    del built, q, m, n
+    memo.clear()
+    gc.collect()
+    assert (len(reps), len(quivers)) == before
+
+
+def test_a_memo_entry_outlives_the_objects_that_wrote_it(monkeypatch):
+    """An equal pair built after the first pair died reads the first
+    pair's entry: the memo key keeps the ids alive, so no hom system is
+    set up again."""
+    def pair():
+        q = random_acyclic_quiver(5, 1600)
+        return (random_representation(q, 3, seed=1601),
+                random_representation(q, 3, seed=1602))
+
+    a, b = pair()
+    want = hom_dim(a, b)
+    del a, b
+    gc.collect()
+
+    def refused(m, n):
+        raise AssertionError("hom system set up again")
+
+    monkeypatch.setattr(quiver_module, "_hom_system", refused)
+    assert hom_dim(*pair()) == want

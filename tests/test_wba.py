@@ -226,11 +226,12 @@ def _half_twisted_kronecker1():
 
 
 def test_stored_coefficients_of_a_spec_are_canonical():
-    """D(1), the vertex and arrow units, both sides of each module check
-    and the solved counit hold canonical coefficients, also where they are
-    sums and products of Fractions: on the half-twisted kronecker1, a D(1)
-    whose halves sum to 1, an A3 counit solved as 1 / (1/2), the canonical
-    structure on A3-A4 and perturbations of each."""
+    """D(1), the vertex and arrow units, D of every path, both sides of
+    each module check and the solved counit hold canonical coefficients,
+    also where they are sums and products of Fractions: on the
+    half-twisted kronecker1, a D(1) whose halves sum to 1, an A3 counit
+    solved as 1 / (1/2), an A3 whose D(a1.a2) is (1/2) * 2 on a1.a2 (x)
+    a1.a2, the canonical structure on A3-A4 and perturbations of each."""
     spec = _half_twisted_kronecker1()
     r1 = spec.algebra.arrow_path["r1"]
     assert spec.arrow_units == [{(r1, r1): 2}]
@@ -247,12 +248,20 @@ def test_stored_coefficients_of_a_spec_are_canonical():
     }, {"e1": 1, "e2": 1, "e3": 1, "a1": 2, "a2": 1})
     assert halved.counit_consistent
     assert type(halved.eps(halved.algebra.parse_path_key("a1.a2"))) is int
-    specs = [spec, split, halved] + [wba.canonical_wba(w.to_quiver()) for n in (3, 4)
-                                     for w in all_orientations(n)]
+    inverse = wba.CoproductSpec(a3, {
+        "e1": [("e1", "e1", 1)], "e2": [("e2", "e2", 1)], "e3": [("e3", "e3", 1)],
+        "a1": [("a1", "a1", "1/2")], "a2": [("a2", "a2", 2)],
+    }, {"e1": 1, "e2": 1, "e3": 1, "a1": 2, "a2": "1/2"})
+    long = inverse.algebra.parse_path_key("a1.a2")
+    assert inverse.delta(long) == {(long, long): 1}
+    assert type(inverse.delta(long)[(long, long)]) is int
+    specs = [spec, split, halved, inverse] + [
+        wba.canonical_wba(w.to_quiver()) for n in (3, 4) for w in all_orientations(n)]
     specs += [wba.perturb_spec(s, seed) for s in list(specs) for seed in range(20)]
     checked = 0
     for s in specs:
         elements = [s.delta_unit, *s.vertex_units, *s.arrow_units]
+        elements += [s.delta(k) for k in range(len(s.algebra))]
         elements += [side for check in s.module_checks for side in check[2:]]
         assert all(is_canonical(c) for x in elements for c in x.values()), s.name
         assert all(is_canonical(s.eps(k)) for k in range(len(s.algebra))), s.name
