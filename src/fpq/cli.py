@@ -56,6 +56,17 @@ def _read_json(path):
         raise UsageError(
             f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # bytes that are not UTF-8, an int past the digit limit
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _int(digits):
+    """A descriptor's digit string as an int; a usage error past Python's
+    limit on the digits an int conversion reads."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise UsageError(f"a number of {len(digits)} digits is too long to read") from None
 
 
 def _load_quiver(desc):
@@ -71,10 +82,16 @@ def _load_object(desc, quiver):
         if quiver is None:
             raise UsageError("interval:i,j needs --quiver")
         word = orientation_of(quiver)
-        return interval_rep(word, (int(m.group(1)), int(m.group(2))), quiver)
-    data = _read_json(desc)
+        return interval_rep(word, (_int(m.group(1)), _int(m.group(2))), quiver)
+    return _object(_read_json(desc), quiver, desc)
+
+
+def _object(data, quiver, where):
+    """A representation from JSON data read at where (a file, or a list of
+    candidates holding it), over its embedded quiver (an object or a file
+    name), else over quiver."""
     if not isinstance(data, dict):
-        raise InputError(f"{desc}: a representation must be a JSON object")
+        raise InputError(f"{where}: a representation must be a JSON object")
     if isinstance(data.get("quiver"), str):
         data = dict(data)
         data["quiver"] = _read_json(data["quiver"])
@@ -96,7 +113,7 @@ def _catalog(name):
         raise UsageError(f"catalog name must be k2 or kronecker:w, got {name!r}")
     if m.group(1) == "k2":
         return wba.catalog_k2()
-    return wba.catalog_kronecker(int(m.group(2)))
+    return wba.catalog_kronecker(_int(m.group(2)))
 
 
 def _load_spec(desc, quiver=None):
@@ -217,7 +234,8 @@ def _cmd_fpd(args):
         data = _read_json(args.candidates)
         if not isinstance(data, list):
             raise InputError(f"{args.candidates}: candidates must be a JSON list")
-        candidates = [_parse_candidate(entry, q) for entry in data]
+        candidates = [_load_object(entry, q) if isinstance(entry, str)
+                      else _object(entry, q, args.candidates) for entry in data]
     if args.mode == "exact":
         report = engine.fpd_exact(
             m,
@@ -240,16 +258,6 @@ def _cmd_fpd(args):
     data = report.describe()
     data["config"] = _config(args)
     return data, 0
-
-
-def _parse_candidate(entry, quiver):
-    if isinstance(entry, str):
-        return _load_object(entry, quiver)
-    if not isinstance(entry, dict):
-        raise InputError("a candidate must be a representation object or a string")
-    if "quiver" not in entry:
-        return Representation.from_dict(entry, quiver=quiver)
-    return Representation.from_dict(entry)
 
 
 def _cmd_fpv(args):

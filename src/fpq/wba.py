@@ -30,11 +30,13 @@ tensor_wba reads it off one vertex at a time: vertex v is the image of
 Q_v = D(e_v)D(1), read off the dimension vectors when Q_v is a sum of
 e_x (x) e_y, else off one elimination as a rank factorization.  Each arrow
 a: s -> t acts through D(a)Q_s (act is an algebra map, so act(D(a)Q_s) on
-the unit columns at Q_s's pivots is act(D(a)) on the vertex basis): between
-two vertices read off the dims, as a sum of Kronecker blocks of the
-factors' maps, one per term of D(a)Q_s; else on sparse rows.  Its checks
-are identities in A (x) A, proved or refuted once per CoproductSpec; only a
-refuted one is checked again on M (x) N.
+the unit columns at Q_s's pivots is act(D(a)) on the vertex basis).  Every
+action it builds is one sum of Kronecker blocks c * kron(M_u, N_v) of the
+factors' maps, one per term c * u (x) v, placed by one coordinate rule:
+on dense rows between two vertices read off the dims, on sparse rows of
+the whole tensor square elsewhere.  Its checks are identities in A (x) A,
+proved or refuted once per CoproductSpec; only a refuted one is checked
+again on M (x) N.
 For the canonical grouplike coproduct (every path p gets D(p) = p (x) p,
 eps(p) = 1) this reproduces the componentwise tensor product
 matrix-for-matrix.
@@ -54,8 +56,9 @@ defined; it does not repair them.
 
 import random
 import re
+from collections import defaultdict
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import islice
 
 from . import exact
 from .errors import (
@@ -165,6 +168,24 @@ def _add_term(d, key, c):
         del d[key]
 
 
+def _pair_index(pairs):
+    """{(x, y): i}, i the place of (x, y) in pairs (see _pairs), x-major."""
+    return {p: i for i, p in enumerate((x, y) for x, ys in pairs for y in ys)}
+
+
+def _terms(paths, element, src, tgt):
+    """element's terms c * u (x) v (u: x -> x', v: y -> y') as (c, u, v, i,
+    j), i = src[(x, y)] and j = tgt[(x', y')] (see _pair_index), a term
+    dropped if either pair is absent."""
+    out = []
+    for (u, v), c in element.items():
+        (x, x2, _), (y, y2, _) = paths[u], paths[v]
+        i, j = src.get((x, y)), tgt.get((x2, y2))
+        if i is not None and j is not None:
+            out.append((c, u, v, i, j))
+    return out
+
+
 def _pairs(q, n):
     """The vertex pairs (x, y) of Q_v as ((x, (y, ...)), ...), x and each
     group's y ascending, when each term of q is e_x (x) e_y (e_x being the
@@ -259,20 +280,12 @@ class CoproductSpec:
             k for b in self.arrow_blocks if b for t in b for k in t[1:3]})
 
     def _block_terms(self, a, inside):
-        """D(a)Q_s's terms c * u (x) v (u: x -> x', v: y -> y') as (c, u, v,
-        i, j), i the index of (x, y) in Q_s's vertex_pairs and j of (x', y')
-        in Q_t's, dropped if either is absent; None if an end has no pairs."""
+        """D(a)Q_s's terms as _terms lists them, pair i of Q_s's vertex_pairs
+        to pair j of Q_t's; None if an end has no pairs."""
         ends = [self.vertex_pairs[v - 1] for v in (a.source, a.target)]
         if None in ends:
             return None
-        src, tgt = ({p: i for i, p in enumerate((x, y) for x, ys in pairs for y in ys)}
-                    for pairs in ends)
-        paths, terms = self.algebra.paths, []
-        for (u, v), c in inside.items():
-            (x, x2, _), (y, y2, _) = paths[u], paths[v]
-            if (x, y) in src and (x2, y2) in tgt:
-                terms.append((c, u, v, src[(x, y)], tgt[(x2, y2)]))
-        return terms
+        return _terms(self.algebra.paths, inside, *map(_pair_index, ends))
 
     def _failed_identities(self):
         """tensor_wba's checks, in its order, as (error class, message, lhs,
@@ -591,9 +604,12 @@ def catalog_k2():
 
 
 def kronecker_quiver(w):
-    """Two vertices, w parallel arrows 1 -> 2 (ids r1..rw)."""
+    """Two vertices, w parallel arrows 1 -> 2 (ids r1..rw); its w + 2 paths
+    are held to MAX_PATHS before any arrow is built."""
     if w < 1:
         raise InputError("the arrow count w must be at least 1")
+    if w + 2 > MAX_PATHS:
+        raise DimensionGuardError(f"path algebra would have more than {MAX_PATHS} paths")
     return Quiver(2, [Arrow(f"r{k}", 1, 2) for k in range(1, w + 1)])
 
 
@@ -614,31 +630,6 @@ def _grouplike_table(quiver):
     return {key: [(key, key, 1)] for key in keys}, dict.fromkeys(keys, 1)
 
 
-def _act(alg, pm, pn, om, on, element):
-    """act(element), the element's action on M (x) N, M's index slowest, from
-    the path maps pm, pn (see _path_map) and block offsets om, on of M and
-    N: each term c * u (x) v, u: x -> x' and v: y -> y', takes column
-    k*dim N + l (k in M_x, l in N_y) to row r*dim N + r2 (r in M_x', r2 in
-    N_y') times c * M_u[r][k] * N_v[r2][l].  It is keyed by row index, {row:
-    sparse row} (see exact.eliminate), an absent row being zero, with no
-    cancelled entry or empty row stored."""
-    out, dn = {}, on[-1]
-    for (i, j), c in element.items():
-        (x, x2, _), (y, y2, _) = alg.paths[i], alg.paths[j]
-        rows_n = [(r2, [(l, b) for l, b in enumerate(row, on[y - 1]) if b])
-                  for r2, row in enumerate(pn[j], on[y2 - 1])]
-        for r, row_m in enumerate(pm[i], om[x2 - 1]):
-            for k, a in enumerate(row_m, om[x - 1]):
-                if a:
-                    ca, base = c * a, k * dn
-                    for r2, row_n in rows_n:
-                        acc = out.setdefault(r * dn + r2, {})
-                        for l, b in row_n:
-                            acc[base + l] = acc.get(base + l, 0) + ca * b
-    out = {r: {t: z for t, z in acc.items() if z} for r, acc in out.items()}
-    return {r: acc for r, acc in out.items() if acc}
-
-
 def _layout(pairs, dm, dn):
     """(start, step) per pair of a vertex, entry (k, l) of M_x (x) N_y lying
     at start + k*step + l of its basis, the coordinates k*dim N + l sorted
@@ -651,6 +642,39 @@ def _layout(pairs, dm, dn):
             start += dn[y - 1]
         start += (dm[x - 1] - 1) * step  # the group's dm[x] rows of step entries
     return out, start
+
+
+def _add_blocks(out, terms, pm, pn, src, tgt):
+    """Add c * kron(M_u, N_v) for each term (c, u, v, i, j) (see _terms) to
+    out, at pair j's rows of tgt and pair i's columns of src (see _layout),
+    from the path maps pm, pn (see _path_map); out's rows are dense lists
+    or sparse rows that default to 0, out itself a list or a defaultdict."""
+    for c, u, v, i, j in terms:
+        (col0, step), (row0, step_t), rows_n = src[i], tgt[j], pn[v]
+        for r, row_m in enumerate(pm[u]):
+            for k, x in enumerate(row_m):
+                if x:
+                    cx, base = c * x, col0 + k * step
+                    for r2, row_n in enumerate(rows_n, row0 + r * step_t):
+                        acc = out[r2]
+                        for l, y in enumerate(row_n, base):
+                            if y:
+                                acc[l] += cx * y
+
+
+def _act(alg, pm, pn, dm, dn, element):
+    """act(element) on M (x) N, dm and dn the dimension vectors of M and N:
+    the element's blocks (see _add_blocks) on the whole tensor square, its
+    pairs (x, y) x-major, where _layout puts entry (k, l) of M_x (x) N_y at
+    k*dim N + l, k and l counted over all of M and N.  Keyed by row index,
+    {row: sparse row} (see exact.eliminate), an absent row being zero, with
+    no cancelled entry or empty row stored."""
+    square = [(x, range(1, len(dn) + 1)) for x in range(1, len(dm) + 1)]
+    index, (layout, _) = _pair_index(square), _layout(square, dm, dn)
+    out = defaultdict(lambda: defaultdict(int))
+    _add_blocks(out, _terms(alg.paths, element, index, index), pm, pn, layout, layout)
+    out = {r: {t: z for t, z in acc.items() if z} for r, acc in out.items()}
+    return {r: acc for r, acc in out.items() if acc}
 
 
 def _path_map(alg, rep, k):
@@ -679,41 +703,42 @@ def tensor_wba(spec, m, n):
     c * u (x) v of D(a)Q_s (spec.arrow_blocks) at pair (x', y')'s rows and
     pair (x, y)'s columns.  The vertices in spec.eliminated are eliminated
     off act(Q_v)'s nonzero rows instead, and an arrow with an end without
-    pairs reads its map off act(D(a)Q_s) on sparse rows.  Each map row goes
-    through exact.frac and is frozen once summed; the result is passed on
-    without re-validation.  Checks, in order, the spec's module_checks on
-    M (x) N: StructureMismatch if D(1) does not act idempotently,
-    NotAQuiverAction if a D(generator) leaves its image, an e_v is not
-    idempotent there, or an arrow acts outside its (target, source) block
-    (structures that are not weak bialgebras).  Raises DimensionGuardError,
-    before allocating, when dim M * dim N exceeds MAX_TENSOR_DIM."""
+    pairs reads its map off act(D(a)Q_s); act (see _act) adds the same
+    blocks by the same kernel (see _add_blocks) on sparse rows of the whole
+    tensor square, whose pairs (x, y), x-major, _layout lays out too.  Each
+    map row goes through exact.frac and is frozen once summed; the result
+    is passed on without re-validation.  Checks, in order, the spec's
+    module_checks on M (x) N: StructureMismatch if D(1) does not act
+    idempotently, NotAQuiverAction if a D(generator) leaves its image, an
+    e_v is not idempotent there, or an arrow acts outside its (target,
+    source) block (structures that are not weak bialgebras).  Raises
+    DimensionGuardError, before allocating, when dim M * dim N exceeds
+    MAX_TENSOR_DIM."""
     if m.quiver != spec.quiver or n.quiver != spec.quiver:
         raise WrongQuiverError("representations are not over the coproduct's quiver")
-    dm, dn = m.total_dim(), n.total_dim()
-    if dm == 0 or dn == 0:
+    dm, dn, size = m.dims, n.dims, m.total_dim() * n.total_dim()
+    if size == 0:
         return zero_rep(spec.quiver)
-    size = dm * dn
     if size > MAX_TENSOR_DIM:
         raise DimensionGuardError(f"tensor square would have dimension above"
                                   f" {MAX_TENSOR_DIM}")
     alg = spec.algebra
     pm, pn = ({k: _path_map(alg, rep, k) for k in spec.read_paths} for rep in (m, n))
-    om, on = [0, *accumulate(m.dims)], [0, *accumulate(n.dims)]
     for error, message, lhs, rhs in spec.module_checks:
-        if _act(alg, pm, pn, om, on, lhs) != _act(alg, pm, pn, om, on, rhs):
+        if _act(alg, pm, pn, dm, dn, lhs) != _act(alg, pm, pn, dm, dn, rhs):
             raise error(message)
     bases = {}  # vertex -> (pivots, reduced rows) of act(Q_v)
     for v in spec.eliminated:
-        action = _act(alg, pm, pn, om, on, spec.vertex_units[v - 1])
+        action = _act(alg, pm, pn, dm, dn, spec.vertex_units[v - 1])
         rows = [action[r] for r in sorted(action)]
         pivots = exact.eliminate(rows, size)
         bases[v] = pivots, rows[:len(pivots)]
-    layouts = [None if pairs is None else _layout(pairs, m.dims, n.dims)
+    layouts = [None if pairs is None else _layout(pairs, dm, dn)
                for pairs in spec.vertex_pairs]
     maps = []
     for a, unit, blocks in zip(spec.quiver.arrows, spec.arrow_units, spec.arrow_blocks):
         if blocks is None:  # R_t act(D(a)Q_s) at the pivot columns of Q_s
-            action, out = _act(alg, pm, pn, om, on, unit), []
+            action, out = _act(alg, pm, pn, dm, dn, unit), []
             colof = {p: c for c, p in enumerate(bases[a.source][0])}
             for row in bases[a.target][1]:
                 acc = [0] * len(colof)
@@ -725,17 +750,7 @@ def tensor_wba(spec, m, n):
         else:  # c * kron(M_u, N_v) from pair i of Q_s to pair j of Q_t
             (src, width), (tgt, height) = layouts[a.source - 1], layouts[a.target - 1]
             out = [[0] * width for _ in range(height)]
-            for c, u, v, i, j in blocks:
-                (col0, step), (row0, step_t), rows_n = src[i], tgt[j], pn[v]
-                for r, row_m in enumerate(pm[u]):
-                    for k, x in enumerate(row_m):
-                        if x:
-                            cx, base = c * x, col0 + k * step
-                            for r2, row_n in enumerate(rows_n):
-                                acc = out[row0 + r * step_t + r2]
-                                for l, y in enumerate(row_n):
-                                    if y:
-                                        acc[base + l] += cx * y
+            _add_blocks(out, blocks, pm, pn, src, tgt)
         for r, acc in enumerate(out):  # frozen one row at a time
             out[r] = tuple([frac(z) if z else 0 for z in acc])
         maps.append(tuple(out))

@@ -173,6 +173,57 @@ def test_fpd_candidates_must_be_a_list_of_objects_or_strings(tmp_path, candidate
     assert json.loads(out)["error"]["type"] == "bad_input"
 
 
+def test_fpd_inline_candidates_load_like_files(tmp_path):
+    """A candidate list entry that is a representation object loads as the
+    same object in a file does, its "quiver" a file name included, and one
+    over another quiver gets --object's wrong_quiver error."""
+    q = write_json(tmp_path / "kron.json", KRONECKER)
+    s1 = {"quiver": q, "dims": [1, 0], "maps": {}}
+    m = write_json(tmp_path / "s1.json", s1)
+    argv = ["fpd", "--quiver", q, "--object", m, "--candidates"]
+    reports = []
+    for candidates in ([m], [s1]):
+        report = run_json(argv + [write_json(tmp_path / "c.json", candidates)])
+        del report["config"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["candidates"] == 1
+    other = dict(s1, quiver={"vertices": 3, "arrows": []}, dims=[1, 0, 0])
+    for candidates in ([write_json(tmp_path / "o.json", other)], [other]):
+        code, out, err = run_cli(argv + [write_json(tmp_path / "c.json", candidates)])
+        assert code == 1, err
+        assert json.loads(out)["error"] == {"type": "wrong_quiver", "message":
+                                            "the representation is over a different"
+                                            " quiver than --quiver"}
+
+
+_LONG = "9" * 5000  # past Python's 4300-digit limit on int conversion
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["spectral", "--matrix", "FILE"], f"[[{_LONG}]]"),
+    (["spectral", "--matrix", "FILE"], b"[[\xff]]"),
+    (["hom", "--quiver", "FILE", "--left", "FILE", "--right", "FILE"],
+     f'{{"vertices": {_LONG}, "arrows": []}}'),
+    (["hom", "--quiver", "typeA:>", "--left", f"interval:{_LONG},1",
+      "--right", "interval:1,1"], None),
+    (["wba", "catalog", "--name", f"kronecker:{_LONG}"], None),
+    (["wba", "check", "--structure", f"kronecker{_LONG}-a"], None),
+], ids=["matrix-file", "matrix-not-utf8", "quiver-file", "interval", "kronecker-catalog",
+        "kronecker-entry"])
+def test_input_python_will_not_convert_ends_in_the_contract(tmp_path, argv, text):
+    """A JSON file or a descriptor holding an integer past Python's digit
+    limit, or a file that is not UTF-8, exits 1 or 2, without a traceback."""
+    path = tmp_path / "in.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
+        path.write_text(text)
+    code, out, err = run_cli([str(path) if x == "FILE" else x for x in argv])
+    assert code in (1, 2), (code, out)
+    assert "Traceback" not in err
+
+
 def test_fpv_closed_form_matches_empirical():
     data = run_json(["fpv", "--quiver", "typeA:><", "--object",
                      "interval:1,3", "--n-max", "5"])
@@ -370,6 +421,25 @@ def test_axiom_check_above_its_path_budget_is_a_dimension_guard_under_a_memory_c
     assert json.loads(proc.stdout)["error"] == {"type": "dimension_guard", "message":
                                                 f"axiom check of 120 paths is above the"
                                                 f" limit of {wba.MAX_AXIOM_PATHS}"}
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["wba", "catalog", "--name", "kronecker:100000000"],
+    ["wba", "tensor", "--structure", "kronecker100000000-a", "--left", "m.json",
+     "--right", "m.json"],
+], ids=["catalog", "tensor"])
+def test_kronecker_catalog_above_the_path_budget_is_refused_before_its_arrows(argv):
+    """kronecker:w has w + 2 paths: w = 10^8 is refused at wba.MAX_PATHS
+    before any of its arrows is built, under the same 1 GiB address-space
+    cap, before the factors are read."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fpq.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_RUN, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"] == {"type": "dimension_guard", "message":
+                                                f"path algebra would have more than"
+                                                f" {wba.MAX_PATHS} paths"}
     assert "Traceback" not in proc.stderr
 
 

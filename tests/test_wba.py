@@ -647,11 +647,12 @@ def test_vertex_bases_read_off_the_dims_are_the_eliminated_ones():
     sum of e_x (x) e_y with coefficient 1, its pairs grouped by x, and
     tensor_wba reads vertex v's basis off the dims: the indices k*dn + l,
     k in M's block x and l in N's block y, sorted, where _layout puts entry
-    (k, l) of M_x (x) N_y.  On seeded rational pairs, many with zero-
-    dimensional vertices, those are the pivots exact.eliminate finds on
-    act(Q_v)'s rows, whose reduced rows are the unit rows at them; the
-    product is the elimination route's, entry types included, and the
-    sympy reference's."""
+    (k, l) of M_x (x) N_y; on the whole tensor square, every pair (x, y)
+    x-major, which is where _act works, _layout puts it at k*dn + l itself.
+    On seeded rational pairs, many with zero-dimensional vertices, those
+    are the pivots exact.eliminate finds on act(Q_v)'s rows, whose reduced
+    rows are the unit rows at them; the product is the elimination
+    route's, entry types included, and the sympy reference's."""
     specs = wba.catalog_k2() + [s for w in (1, 2, 3) for s in wba.catalog_kronecker(w)]
     specs += [wba.canonical_wba(w.to_quiver()) for n in (2, 3, 4) for w in all_orientations(n)]
     rng = random.Random(47)
@@ -660,21 +661,26 @@ def test_vertex_bases_read_off_the_dims_are_the_eliminated_ones():
         q, alg = spec.quiver, spec.algebra
         assert all(pairs is not None for pairs in spec.vertex_pairs), spec.name
         every = list(range(len(alg)))
+        square = [(i, tuple(range(1, q.n + 1))) for i in range(1, q.n + 1)]
         for _ in range(3):
             m, x = _rational_rep(q, rng, 4), _rational_rep(q, rng, 4)
             zero_dims += m.dims.count(0) + x.dims.count(0)
             dn, om, on = x.total_dim(), _offsets(m), _offsets(x)
             pm, pn = ({k: wba._path_map(alg, rep, k) for k in every} for rep in (m, x))
+            laid_out = [(square, range(m.total_dim() * dn))]
             for pairs, unit in zip(spec.vertex_pairs, spec.vertex_units):
                 flat = [(i, j) for i, ys in pairs for j in ys]
                 assert flat == sorted(flat)
                 assert unit == {(i - 1, j - 1): 1 for i, j in flat}
                 read = sorted(k * dn + l for i, j in flat for k in range(om[i - 1], om[i])
                               for l in range(on[j - 1], on[j]))
-                action = wba._act(alg, pm, pn, om, on, unit)
+                action = wba._act(alg, pm, pn, m.dims, x.dims, unit)
                 rows = [action[r] for r in sorted(action)]
                 assert exact.eliminate(rows, m.total_dim() * dn) == read, spec.name
                 assert rows == [{p: 1} for p in read]
+                laid_out.append((pairs, read))
+            for pairs, read in laid_out:
+                flat = [(i, j) for i, ys in pairs for j in ys]
                 layout, dim = wba._layout(pairs, m.dims, x.dims)
                 assert dim == len(read) and len(layout) == len(flat)
                 for (i, j), (start, step) in zip(flat, layout):
