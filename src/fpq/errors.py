@@ -115,7 +115,8 @@ class WrongQuiverError(FpqError):
 class DimensionGuardError(FpqError):
     """A size guard was exceeded: an iterated tensor power's total
     dimension, one product's map-entry count, the dimension of the tensor
-    square a coproduct acts on, or a path algebra's path count."""
+    square a coproduct acts on, a path algebra's path count, or the digits
+    of an output map entry (Python's int-to-str limit)."""
 
     code = "dimension_guard"
 

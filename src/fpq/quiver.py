@@ -34,6 +34,7 @@ representations return through Representation._trusted.
 
 import graphlib
 import random
+import sys
 import weakref
 from typing import NamedTuple
 
@@ -251,14 +252,17 @@ class Representation:
         return f"Representation(dims={list(self.dims)})"
 
     def to_dict(self):
-        return {
-            "quiver": self.quiver.to_dict(),
-            "dims": list(self.dims),
-            "maps": {
-                a.id: [[str(x) for x in row] for row in m]
-                for a, m in zip(self.quiver.arrows, self.maps)
-            },
-        }
+        """The JSON form, entries as strings; DimensionGuardError when an
+        entry has more digits than Python's limit on int-to-str conversion
+        (sys.get_int_max_str_digits), whatever the inputs' digits were."""
+        try:
+            maps = {a.id: [[str(x) for x in row] for row in m]
+                    for a, m in zip(self.quiver.arrows, self.maps)}
+        except ValueError:
+            raise DimensionGuardError(
+                f"a map entry has more than {sys.get_int_max_str_digits()} digits,"
+                f" Python's limit on converting an int to a string") from None
+        return {"quiver": self.quiver.to_dict(), "dims": list(self.dims), "maps": maps}
 
     @classmethod
     def from_dict(cls, data, quiver=None):

@@ -34,9 +34,11 @@ the unit columns at Q_s's pivots is act(D(a)) on the vertex basis).  Every
 action it builds is one sum of Kronecker blocks c * kron(M_u, N_v) of the
 factors' maps, one per term c * u (x) v, placed by one coordinate rule:
 on dense rows between two vertices read off the dims, on sparse rows of
-the whole tensor square elsewhere.  Its checks are identities in A (x) A,
-proved or refuted once per CoproductSpec; only a refuted one is checked
-again on M (x) N.
+the whole tensor square elsewhere.  It reads an arrow's map in place and a
+trivial path's identity as its dimension, and keeps a dense row as summed
+when the coefficients and maps are ints, else through exact.frac.  Its
+checks are identities in A (x) A, proved or refuted once per
+CoproductSpec; only a refuted one is checked again on M (x) N.
 For the canonical grouplike coproduct (every path p gets D(p) = p (x) p,
 eps(p) = 1) this reproduces the componentwise tensor product
 matrix-for-matrix.
@@ -58,7 +60,7 @@ import random
 import re
 from collections import defaultdict
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 from . import exact
 from .errors import (
@@ -116,6 +118,7 @@ class PathAlgebra:
         self.index = {p: k for k, p in enumerate(found)}
         self.trivial = {p[0]: k for k, p in enumerate(found) if not p[2]}
         self.arrow_path = {p[2][0]: k for k, p in enumerate(found) if len(p[2]) == 1}
+        self.arrow_place = {self.arrow_path[a.id]: i for i, a in enumerate(quiver.arrows)}
         ending = {v: [] for v in range(1, quiver.n + 1)}
         for j, (_, t, _) in enumerate(found):
             ending[t].append(j)
@@ -229,7 +232,8 @@ class CoproductSpec:
     with arrow_blocks (see _block_terms); module_checks, its checks that
     fail as identities in A (x) A; eliminated, the vertices without pairs
     and the ends of arrows without blocks; read_paths, the paths whose maps
-    it reads."""
+    it reads (see _path_maps); integral_blocks, whether every block
+    coefficient is an int."""
 
     def __init__(self, quiver, delta, counit, name="custom", unit=None):
         self.quiver = quiver
@@ -278,6 +282,7 @@ class CoproductSpec:
         read += [units[v - 1] for v in self.eliminated]
         self.read_paths = sorted({k for x in read for pair in x for k in pair} | {
             k for b in self.arrow_blocks if b for t in b for k in t[1:3]})
+        self.integral_blocks = all(type(t[0]) is int for b in self.arrow_blocks if b for t in b)
 
     def _block_terms(self, a, inside):
         """D(a)Q_s's terms as _terms lists them, pair i of Q_s's vertex_pairs
@@ -630,63 +635,78 @@ def _grouplike_table(quiver):
     return {key: [(key, key, 1)] for key in keys}, dict.fromkeys(keys, 1)
 
 
-def _layout(pairs, dm, dn):
-    """(start, step) per pair of a vertex, entry (k, l) of M_x (x) N_y lying
-    at start + k*step + l of its basis, the coordinates k*dim N + l sorted
-    (step is dim N summed over x's group); and the vertex's dimension."""
-    out, start = [], 0
-    for x, ys in pairs:
-        step = sum([dn[y - 1] for y in ys])
-        for y in ys:
-            out.append((start, step))
-            start += dn[y - 1]
-        start += (dm[x - 1] - 1) * step  # the group's dm[x] rows of step entries
-    return out, start
+def _layout(vertex_pairs, dm, dn):
+    """Per vertex, in one pass: None without pairs, else (start, step) per
+    pair, entry (k, l) of M_x (x) N_y at start + k*step + l, the k*dim N + l
+    sorted (step: dim N summed over x's group), and the vertex's dimension."""
+    out = []
+    for pairs in vertex_pairs:
+        places, start = [], 0
+        for x, ys in pairs or ():
+            step = 0
+            for y in ys:
+                step += dn[y - 1]
+            for y in ys:
+                places.append((start, step))
+                start += dn[y - 1]
+            start += (dm[x - 1] - 1) * step  # the group's dm[x] rows of step entries
+        out.append(None if pairs is None else (places, start))
+    return out
 
 
 def _add_blocks(out, terms, pm, pn, src, tgt):
     """Add c * kron(M_u, N_v) for each term (c, u, v, i, j) (see _terms) to
     out, at pair j's rows of tgt and pair i's columns of src (see _layout),
-    from the path maps pm, pn (see _path_map); out's rows are dense lists
-    or sparse rows that default to 0, out itself a list or a defaultdict."""
+    from the path maps pm, pn (see _path_maps), an int d standing for I_d;
+    out's rows are dense lists or sparse rows that default to 0, out itself
+    a list or a defaultdict."""
     for c, u, v, i, j in terms:
-        (col0, step), (row0, step_t), rows_n = src[i], tgt[j], pn[v]
-        for r, row_m in enumerate(pm[u]):
-            for k, x in enumerate(row_m):
+        (col0, step), (row0, step_t), a, b = src[i], tgt[j], pm[u], pn[v]
+        ident = type(a) is int  # M's identity: row r is 1 at column r
+        for r in range(a if ident else len(a)):
+            for k, x in ((r, 1),) if ident else enumerate(a[r]):
                 if x:
-                    cx, base = c * x, col0 + k * step
-                    for r2, row_n in enumerate(rows_n, row0 + r * step_t):
+                    cx, base, r0 = c * x, col0 + k * step, row0 + r * step_t
+                    if type(b) is int:  # N's identity: row l is cx at column l
+                        for l in range(b):
+                            out[r0 + l][base + l] += cx
+                        continue
+                    for r2, row_n in enumerate(b, r0):
                         acc = out[r2]
                         for l, y in enumerate(row_n, base):
                             if y:
                                 acc[l] += cx * y
 
 
-def _act(alg, pm, pn, dm, dn, element):
-    """act(element) on M (x) N, dm and dn the dimension vectors of M and N:
-    the element's blocks (see _add_blocks) on the whole tensor square, its
-    pairs (x, y) x-major, where _layout puts entry (k, l) of M_x (x) N_y at
-    k*dim N + l, k and l counted over all of M and N.  Keyed by row index,
-    {row: sparse row} (see exact.eliminate), an absent row being zero, with
-    no cancelled entry or empty row stored."""
-    square = [(x, range(1, len(dn) + 1)) for x in range(1, len(dm) + 1)]
-    index, (layout, _) = _pair_index(square), _layout(square, dm, dn)
-    out = defaultdict(lambda: defaultdict(int))
+def _act(alg, pm, pn, square, element):
+    """act(element) on M (x) N: its blocks (see _add_blocks) on the whole
+    tensor square, square its pair index and layout, pairs (x, y) x-major
+    (entry (k, l) of M_x (x) N_y at k*dim N + l), as {row: sparse row} (see
+    exact.eliminate), with no cancelled entry or empty row stored."""
+    (index, layout), out = square, defaultdict(lambda: defaultdict(int))
     _add_blocks(out, _terms(alg.paths, element, index, index), pm, pn, layout, layout)
     out = {r: {t: z for t, z in acc.items() if z} for r, acc in out.items()}
     return {r: acc for r, acc in out.items() if acc}
 
 
 def _path_map(alg, rep, k):
-    """Path k's map on rep, from its source's space to its target's: the
-    identity, its arrow's map, or its arrows' maps multiplied through frac."""
+    """Path k's map on rep, from its source's space to its target's: its
+    dimension for a trivial path (see _add_blocks), its arrow's map, or its
+    arrows' maps multiplied through frac."""
     s, _, ids = alg.paths[k]
     d = rep.dims[s - 1]
-    mat = rep.map_for(ids[0]) if ids else [[int(i == j) for j in range(d)] for i in range(d)]
+    mat = rep.map_for(ids[0]) if ids else d
     for aid in ids[1:]:
         mat = [[frac(sum(x * mat[j][c] for j, x in enumerate(row))) for c in range(d)]
                for row in rep.map_for(aid)]
     return mat
+
+
+def _path_maps(alg, rep, paths):
+    """{k: path k's map on rep} for k in paths: an arrow's read in place at
+    its place in the quiver's arrows (alg.arrow_place), else _path_map's."""
+    maps, place = rep.maps, alg.arrow_place
+    return {k: maps[place[k]] if k in place else _path_map(alg, rep, k) for k in paths}
 
 
 def tensor_wba(spec, m, n):
@@ -705,15 +725,16 @@ def tensor_wba(spec, m, n):
     off act(Q_v)'s nonzero rows instead, and an arrow with an end without
     pairs reads its map off act(D(a)Q_s); act (see _act) adds the same
     blocks by the same kernel (see _add_blocks) on sparse rows of the whole
-    tensor square, whose pairs (x, y), x-major, _layout lays out too.  Each
-    map row goes through exact.frac and is frozen once summed; the result
-    is passed on without re-validation.  Checks, in order, the spec's
-    module_checks on M (x) N: StructureMismatch if D(1) does not act
-    idempotently, NotAQuiverAction if a D(generator) leaves its image, an
-    e_v is not idempotent there, or an arrow acts outside its (target,
-    source) block (structures that are not weak bialgebras).  Raises
-    DimensionGuardError, before allocating, when dim M * dim N exceeds
-    MAX_TENSOR_DIM."""
+    tensor square, built at most once.  Path maps are read by _path_maps.
+    A blocks-route row is frozen as summed, canonical already, when
+    spec.integral_blocks holds and M's and N's maps are ints, else through
+    exact.frac; the result is passed on without re-validation.
+    Checks, in order, the spec's module_checks on M (x) N: StructureMismatch
+    if D(1) does not act idempotently, NotAQuiverAction if a D(generator)
+    leaves its image, an e_v is not idempotent there, or an arrow acts
+    outside its (target, source) block (structures that are not weak
+    bialgebras).  Raises DimensionGuardError, before allocating, when
+    dim M * dim N exceeds MAX_TENSOR_DIM."""
     if m.quiver != spec.quiver or n.quiver != spec.quiver:
         raise WrongQuiverError("representations are not over the coproduct's quiver")
     dm, dn, size = m.dims, n.dims, m.total_dim() * n.total_dim()
@@ -723,22 +744,26 @@ def tensor_wba(spec, m, n):
         raise DimensionGuardError(f"tensor square would have dimension above"
                                   f" {MAX_TENSOR_DIM}")
     alg = spec.algebra
-    pm, pn = ({k: _path_map(alg, rep, k) for k in spec.read_paths} for rep in (m, n))
+    pm, pn = _path_maps(alg, m, spec.read_paths), _path_maps(alg, n, spec.read_paths)
+    if spec.module_checks or spec.eliminated:  # _act's whole square, built once
+        whole = [(x, range(1, len(dn) + 1)) for x in range(1, len(dm) + 1)]
+        square = _pair_index(whole), _layout([whole], dm, dn)[0][0]
     for error, message, lhs, rhs in spec.module_checks:
-        if _act(alg, pm, pn, dm, dn, lhs) != _act(alg, pm, pn, dm, dn, rhs):
+        if _act(alg, pm, pn, square, lhs) != _act(alg, pm, pn, square, rhs):
             raise error(message)
     bases = {}  # vertex -> (pivots, reduced rows) of act(Q_v)
     for v in spec.eliminated:
-        action = _act(alg, pm, pn, dm, dn, spec.vertex_units[v - 1])
+        action = _act(alg, pm, pn, square, spec.vertex_units[v - 1])
         rows = [action[r] for r in sorted(action)]
         pivots = exact.eliminate(rows, size)
         bases[v] = pivots, rows[:len(pivots)]
-    layouts = [None if pairs is None else _layout(pairs, dm, dn)
-               for pairs in spec.vertex_pairs]
+    layouts = _layout(spec.vertex_pairs, dm, dn)
+    entries = chain.from_iterable(chain.from_iterable(m.maps + n.maps))
+    integral = spec.integral_blocks and type(sum(entries)) is int  # a Fraction sum stays one
     maps = []
     for a, unit, blocks in zip(spec.quiver.arrows, spec.arrow_units, spec.arrow_blocks):
         if blocks is None:  # R_t act(D(a)Q_s) at the pivot columns of Q_s
-            action, out = _act(alg, pm, pn, dm, dn, unit), []
+            action, out = _act(alg, pm, pn, square, unit), []
             colof = {p: c for c, p in enumerate(bases[a.source][0])}
             for row in bases[a.target][1]:
                 acc = [0] * len(colof)
@@ -751,9 +776,9 @@ def tensor_wba(spec, m, n):
             (src, width), (tgt, height) = layouts[a.source - 1], layouts[a.target - 1]
             out = [[0] * width for _ in range(height)]
             _add_blocks(out, blocks, pm, pn, src, tgt)
-        for r, acc in enumerate(out):  # frozen one row at a time
-            out[r] = tuple([frac(z) if z else 0 for z in acc])
-        maps.append(tuple(out))
+        if blocks is None or not integral:  # else every entry is an int already
+            out = [[frac(z) if z else 0 for z in acc] for acc in out]
+        maps.append(tuple(map(tuple, out)))
     dims = tuple(len(bases[v][0]) if layout is None else layout[1]
                  for v, layout in enumerate(layouts, 1))
     return Representation._trusted(spec.quiver, dims, tuple(maps))

@@ -425,6 +425,30 @@ def test_axiom_check_above_its_path_budget_is_a_dimension_guard_under_a_memory_c
 
 
 @pytest.mark.parametrize("argv", [
+    ["tensor", "--left", "m.json", "--right", "m.json"],
+    ["wba", "tensor", "--structure", "canonical", "--quiver", "q.json",
+     "--left", "m.json", "--right", "m.json"],
+], ids=["tensor", "wba-tensor"])
+def test_output_entry_past_the_digit_limit_is_a_dimension_guard(tmp_path, argv):
+    """An A_2 representation whose one map entry, 10^2500, is read within
+    Python's 4300-digit limit has a tensor square with the entry 10^5000,
+    which str() will not convert: the command exits 1 with the JSON error
+    dimension_guard naming the limit, and no traceback."""
+    quiver = {"vertices": 2, "arrows": [{"id": "a", "from": 1, "to": 2}]}
+    write_json(tmp_path / "q.json", quiver)
+    write_json(tmp_path / "m.json", {"quiver": quiver, "dims": [1, 1],
+                                     "maps": {"a": [[10 ** 2500]]}})
+    env = dict(os.environ, PYTHONPATH=str(Path(fpq.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "fpq.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "dimension_guard"
+    assert f"{sys.get_int_max_str_digits()} digits" in error["message"]
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
     ["wba", "catalog", "--name", "kronecker:100000000"],
     ["wba", "tensor", "--structure", "kronecker100000000-a", "--left", "m.json",
      "--right", "m.json"],

@@ -646,9 +646,10 @@ def test_vertex_bases_read_off_the_dims_are_the_eliminated_ones():
     """On every k2, Kronecker and canonical A2-A4 structure each Q_v is a
     sum of e_x (x) e_y with coefficient 1, its pairs grouped by x, and
     tensor_wba reads vertex v's basis off the dims: the indices k*dn + l,
-    k in M's block x and l in N's block y, sorted, where _layout puts entry
-    (k, l) of M_x (x) N_y; on the whole tensor square, every pair (x, y)
-    x-major, which is where _act works, _layout puts it at k*dn + l itself.
+    k in M's block x and l in N's block y, sorted, where _layout, in one
+    pass over the vertices, puts entry (k, l) of M_x (x) N_y; on the whole
+    tensor square, every pair (x, y) x-major, which is where _act works,
+    _layout puts it at k*dn + l itself.
     On seeded rational pairs, many with zero-dimensional vertices, those
     are the pivots exact.eliminate finds on act(Q_v)'s rows, whose reduced
     rows are the unit rows at them; the product is the elimination
@@ -666,7 +667,8 @@ def test_vertex_bases_read_off_the_dims_are_the_eliminated_ones():
             m, x = _rational_rep(q, rng, 4), _rational_rep(q, rng, 4)
             zero_dims += m.dims.count(0) + x.dims.count(0)
             dn, om, on = x.total_dim(), _offsets(m), _offsets(x)
-            pm, pn = ({k: wba._path_map(alg, rep, k) for k in every} for rep in (m, x))
+            pm, pn = (wba._path_maps(alg, rep, every) for rep in (m, x))
+            whole = wba._pair_index(square), wba._layout([square], m.dims, x.dims)[0][0]
             laid_out = [(square, range(m.total_dim() * dn))]
             for pairs, unit in zip(spec.vertex_pairs, spec.vertex_units):
                 flat = [(i, j) for i, ys in pairs for j in ys]
@@ -674,14 +676,15 @@ def test_vertex_bases_read_off_the_dims_are_the_eliminated_ones():
                 assert unit == {(i - 1, j - 1): 1 for i, j in flat}
                 read = sorted(k * dn + l for i, j in flat for k in range(om[i - 1], om[i])
                               for l in range(on[j - 1], on[j]))
-                action = wba._act(alg, pm, pn, m.dims, x.dims, unit)
+                action = wba._act(alg, pm, pn, whole, unit)
                 rows = [action[r] for r in sorted(action)]
                 assert exact.eliminate(rows, m.total_dim() * dn) == read, spec.name
                 assert rows == [{p: 1} for p in read]
                 laid_out.append((pairs, read))
-            for pairs, read in laid_out:
+            layouts = wba._layout([pairs for pairs, _ in laid_out] + [None], m.dims, x.dims)
+            assert layouts[-1] is None
+            for (pairs, read), (layout, dim) in zip(laid_out, layouts):
                 flat = [(i, j) for i, ys in pairs for j in ys]
-                layout, dim = wba._layout(pairs, m.dims, x.dims)
                 assert dim == len(read) and len(layout) == len(flat)
                 for (i, j), (start, step) in zip(flat, layout):
                     for k in range(m.dims[i - 1]):
@@ -853,11 +856,86 @@ def test_terms_that_cancel_on_the_tensor_square_leave_no_stored_zero():
         assert (list(t.dims), maps) == sympy_tensor_wba(spec, m, x)
 
 
+def _int_rep(q, rng, total, scale=1):
+    """Vertex dimensions summing to at most total; every map entry is an
+    int scale * p with |p| <= 3."""
+    dims = None
+    while dims is None or sum(dims) > total:
+        dims = [rng.randint(0, 2) for _ in range(q.n)]
+    return Representation(q, dims, [
+        [[scale * rng.randint(-3, 3) for _ in range(dims[a.source - 1])]
+         for _ in range(dims[a.target - 1])] for a in q.arrows])
+
+
+def _typed_pair(spec, m, x):
+    """tensor_wba's (dims, maps) and the sympy reference's, every entry as
+    (type, value), the reference's typed as its canonical entry."""
+    t = wba.tensor_wba(spec, m, x)
+    dims, ref = sympy_tensor_wba(spec, m, x)
+    got = {a.id: [[(type(v), v) for v in row] for row in t.map_for(a.id)]
+           for a in spec.quiver.arrows}
+    want = {aid: [[(type(exact.frac(v)), v) for v in row] for row in mat]
+            for aid, mat in ref.items()}
+    return (list(t.dims), got), (dims, want)
+
+
+def test_read_and_freeze_rules_match_the_sympy_reference():
+    """tensor_wba reads an arrow's map in place and a trivial path's
+    identity as its dimension, and freezes a row as summed when the spec's
+    block coefficients and the factors' maps are all ints.  On
+    int x int, int x p/q and p/q x p/q pairs, many with zero-dimensional
+    vertices, over kronecker1-3 (a)-(e), whose (a)-(d) arrows are blocks
+    kron(I, N_r) + kron(M_r, I), and canonical A2-A4, the product is the
+    sympy reference's, entry types included."""
+    specs = [s for w in (1, 2, 3) for s in wba.catalog_kronecker(w)]
+    specs += [wba.canonical_wba(w.to_quiver()) for n in (2, 3, 4) for w in all_orientations(n)]
+    rng = random.Random(67)
+    trivial_blocks = zero_dims = nonzero = 0
+    for spec in specs:
+        assert spec.integral_blocks and None not in spec.arrow_blocks, spec.name
+        paths = spec.algebra.paths
+        trivial_blocks += any(not paths[k][2] for b in spec.arrow_blocks for t in b
+                              for k in t[1:3])
+        for kinds in (("int", "int"), ("int", "p/q"), ("p/q", "p/q"), ("p/q", "int")):
+            m, x = (_int_rep(spec.quiver, rng, 4) if kind == "int"
+                    else _rational_rep(spec.quiver, rng, 4) for kind in kinds)
+            zero_dims += m.dims.count(0) + x.dims.count(0)
+            got, want = _typed_pair(spec, m, x)
+            assert got == want, (spec.name, kinds, m, x)
+            nonzero += any(v for mat in got[1].values() for row in mat for _, v in row)
+    assert trivial_blocks == 12 and zero_dims >= 200 and nonzero >= 25, (
+        trivial_blocks, zero_dims, nonzero)
+
+
+def test_a_fraction_coefficient_that_int_factors_make_integral_gives_ints():
+    """D(r1) = 1/2 r1(x)r1 with eps(r1) = 2 on the 1-arrow Kronecker
+    quiver: a block coefficient is a Fraction, so no row is frozen as
+    summed, and with M's entries even every product entry is integral.
+    Each must come out an int, as the sympy reference's canonical entry."""
+    spec = wba.CoproductSpec(KRON1, {
+        "e1": [("e1", "e1", 1)], "e2": [("e2", "e2", 1)],
+        "r1": [("r1", "r1", Fraction(1, 2))],
+    }, {"e1": 1, "e2": 1, "r1": 2})
+    assert not spec.integral_blocks and spec.module_checks == []
+    assert wba.check_axioms(spec).ok
+    rng = random.Random(71)
+    nonzero = 0
+    for _ in range(30):
+        m, x = _int_rep(KRON1, rng, 4, scale=2), _int_rep(KRON1, rng, 4)
+        got, want = _typed_pair(spec, m, x)
+        assert got == want, (m, x)
+        assert all(t is int for mat in got[1].values() for row in mat for t, _ in row)
+        nonzero += any(v for mat in got[1].values() for row in mat for _, v in row)
+    assert nonzero >= 3, nonzero
+
+
 def test_path_actions_are_products_of_arrow_maps():
     """Each path's map, from its source's space to its target's: on every
     path of A4 '>>>' (lengths up to 3) and of the 3-arrow Kronecker quiver,
-    with p/q entries, it must equal the dense product of its arrow maps
-    (the identity for a trivial path), integral values held as ints."""
+    with p/q entries, it must equal the dense product of its arrow maps,
+    integral values held as ints; a trivial path's map is its dimension,
+    standing for the identity, and an arrow's, read by _path_maps, is the
+    representation's own matrix, not a copy."""
     rng = random.Random(31)
     for q, lengths in (
         (OrientationWord(">>>").to_quiver(), {0, 1, 2, 3}),
@@ -874,10 +952,17 @@ def test_path_actions_are_products_of_arrow_maps():
                 for a in q.arrows
             ]
             rep = Representation(q, dims, maps)
+            read = wba._path_maps(alg, rep, range(len(alg)))
             for k, (s, t, ids) in enumerate(alg.paths):
+                if not ids:
+                    assert wba._path_map(alg, rep, k) == read[k] == dims[s - 1]
+                    continue
+                if len(ids) == 1:
+                    assert read[k] is rep.map_for(ids[0])
                 block = identity(dims[s - 1])
                 for aid in ids:
                     block = mat_mul(rep.map_for(aid), block)
+                assert [list(row) for row in read[k]] == block, (s, t, ids)
                 got = [list(row) for row in wba._path_map(alg, rep, k)]
                 assert got == block, (s, t, ids)
                 assert len(got) == dims[t - 1]
