@@ -32,13 +32,14 @@ e_x (x) e_y, else off one elimination as a rank factorization.  Each arrow
 a: s -> t acts through D(a)Q_s (act is an algebra map, so act(D(a)Q_s) on
 the unit columns at Q_s's pivots is act(D(a)) on the vertex basis).  Every
 action it builds is one sum of Kronecker blocks c * kron(M_u, N_v) of the
-factors' maps, one per term c * u (x) v, placed by one coordinate rule:
-on dense rows between two vertices read off the dims, on sparse rows of
-the whole tensor square elsewhere.  It reads an arrow's map in place and a
-trivial path's identity as its dimension, and keeps a dense row as summed
-when the coefficients and maps are ints, else through exact.frac.  Its
-checks are identities in A (x) A, proved or refuted once per
-CoproductSpec; only a refuted one is checked again on M (x) N.
+factors' maps, one per term c * u (x) v, added into one flat row-major
+buffer: an arrow's map between two vertices read off the dims, or the
+whole tensor square elsewhere.  It reads each factor's maps by slot, an
+arrow's in place and a trivial path's identity as its dimension, and
+keeps a map as summed when the coefficients and maps are ints, else
+through exact.frac.  Its checks are identities in A (x) A, proved or
+refuted once per CoproductSpec; only a refuted one is checked again on
+M (x) N.
 For the canonical grouplike coproduct (every path p gets D(p) = p (x) p,
 eps(p) = 1) this reproduces the componentwise tensor product
 matrix-for-matrix.
@@ -118,7 +119,6 @@ class PathAlgebra:
         self.index = {p: k for k, p in enumerate(found)}
         self.trivial = {p[0]: k for k, p in enumerate(found) if not p[2]}
         self.arrow_path = {p[2][0]: k for k, p in enumerate(found) if len(p[2]) == 1}
-        self.arrow_place = {self.arrow_path[a.id]: i for i, a in enumerate(quiver.arrows)}
         ending = {v: [] for v in range(1, quiver.n + 1)}
         for j, (_, t, _) in enumerate(found):
             ending[t].append(j)
@@ -176,16 +176,16 @@ def _pair_index(pairs):
     return {p: i for i, p in enumerate((x, y) for x, ys in pairs for y in ys)}
 
 
-def _terms(paths, element, src, tgt):
-    """element's terms c * u (x) v (u: x -> x', v: y -> y') as (c, u, v, i,
-    j), i = src[(x, y)] and j = tgt[(x', y')] (see _pair_index), a term
-    dropped if either pair is absent."""
-    out = []
+def _terms(spec, element, src, tgt):
+    """element's terms c * u (x) v (u: x -> x', v: y -> y') as (c, slot of
+    u, slot of v, i, j) (see CoproductSpec), i = src[(x, y)] and j =
+    tgt[(x', y')] (see _pair_index), a term dropped if either pair is absent."""
+    out, paths, slot = [], spec.algebra.paths, spec.slot
     for (u, v), c in element.items():
         (x, x2, _), (y, y2, _) = paths[u], paths[v]
         i, j = src.get((x, y)), tgt.get((x2, y2))
         if i is not None and j is not None:
-            out.append((c, u, v, i, j))
+            out.append((c, slot[u], slot[v], i, j))
     return out
 
 
@@ -230,10 +230,12 @@ class CoproductSpec:
     canonical coefficients: vertex_units, Q_v = D(e_v)D(1) per vertex, with
     vertex_pairs (see _pairs); arrow_units, D(a)Q_s per arrow a: s -> t,
     with arrow_blocks (see _block_terms); module_checks, its checks that
-    fail as identities in A (x) A; eliminated, the vertices without pairs
-    and the ends of arrows without blocks; read_paths, the paths whose maps
-    it reads (see _path_maps); integral_blocks, whether every block
-    coefficient is an int."""
+    fail as identities in A (x) A; read_paths, the paths of length two or
+    more in those checks and the units; slot, each read path's place in a
+    factor's maps by slot (see _slot_maps): an arrow at its place in the
+    quiver's arrows, e_v at len(arrows) + v - 1, the read_paths after them;
+    eliminated, the vertices without pairs and the ends of arrows without
+    blocks; integral_blocks, whether every block coefficient is an int."""
 
     def __init__(self, quiver, delta, counit, name="custom", unit=None):
         self.quiver = quiver
@@ -271,17 +273,18 @@ class CoproductSpec:
         self.vertex_pairs = [_pairs(q, quiver.n) for q in units]
         self.arrow_units = [_mul(alg, self.delta_gen[a.id], units[a.source - 1])
                             for a in quiver.arrows]
+        self.module_checks = self._failed_identities()
+        read = [x for check in self.module_checks for x in check[2:]] + self.arrow_units + units
+        self.read_paths = sorted({k for x in read for pair in x for k in pair
+                                  if len(alg.paths[k][2]) > 1})
+        slots = [alg.arrow_path[a.id] for a in quiver.arrows] + [
+            alg.trivial[v] for v in range(1, quiver.n + 1)] + self.read_paths
+        self.slot = {k: i for i, k in enumerate(slots)}
         self.arrow_blocks = [self._block_terms(a, inside)
                              for a, inside in zip(quiver.arrows, self.arrow_units)]
-        self.module_checks = self._failed_identities()
-        sparse = [(a, x) for a, x, b in zip(quiver.arrows, self.arrow_units,
-                                             self.arrow_blocks) if b is None]
-        self.eliminated = sorted({v for a, _ in sparse for v in (a.source, a.target)} | {
+        self.eliminated = sorted({v for a, b in zip(quiver.arrows, self.arrow_blocks) if b is None
+                                  for v in (a.source, a.target)} | {
             v for v, pairs in enumerate(self.vertex_pairs, 1) if pairs is None})
-        read = [x for check in self.module_checks for x in check[2:]] + [x for _, x in sparse]
-        read += [units[v - 1] for v in self.eliminated]
-        self.read_paths = sorted({k for x in read for pair in x for k in pair} | {
-            k for b in self.arrow_blocks if b for t in b for k in t[1:3]})
         self.integral_blocks = all(type(t[0]) is int for b in self.arrow_blocks if b for t in b)
 
     def _block_terms(self, a, inside):
@@ -290,7 +293,7 @@ class CoproductSpec:
         ends = [self.vertex_pairs[v - 1] for v in (a.source, a.target)]
         if None in ends:
             return None
-        return _terms(self.algebra.paths, inside, *map(_pair_index, ends))
+        return _terms(self, inside, *map(_pair_index, ends))
 
     def _failed_identities(self):
         """tensor_wba's checks, in its order, as (error class, message, lhs,
@@ -638,55 +641,61 @@ def _grouplike_table(quiver):
 def _layout(vertex_pairs, dm, dn):
     """Per vertex, in one pass: None without pairs, else (start, step) per
     pair, entry (k, l) of M_x (x) N_y at start + k*step + l, the k*dim N + l
-    sorted (step: dim N summed over x's group), and the vertex's dimension."""
-    out = []
+    sorted (step: dim N summed over x's group); and the list of the
+    vertices' dimensions, 0 where a vertex has no pairs."""
+    places, dims = [], []
     for pairs in vertex_pairs:
-        places, start = [], 0
+        laid, start = [], 0
         for x, ys in pairs or ():
             step = 0
             for y in ys:
                 step += dn[y - 1]
             for y in ys:
-                places.append((start, step))
+                laid.append((start, step))
                 start += dn[y - 1]
             start += (dm[x - 1] - 1) * step  # the group's dm[x] rows of step entries
-        out.append(None if pairs is None else (places, start))
-    return out
+        places.append(None if pairs is None else laid)
+        dims.append(start)
+    return places, dims
 
 
-def _add_blocks(out, terms, pm, pn, src, tgt):
+def _add_blocks(out, width, terms, pm, pn, src, tgt):
     """Add c * kron(M_u, N_v) for each term (c, u, v, i, j) (see _terms) to
-    out, at pair j's rows of tgt and pair i's columns of src (see _layout),
-    from the path maps pm, pn (see _path_maps), an int d standing for I_d;
-    out's rows are dense lists or sparse rows that default to 0, out itself
-    a list or a defaultdict."""
+    the flat row-major buffer out, entry (row, col) at row * width + col,
+    at pair j's rows of tgt and pair i's columns of src (see _layout), from
+    the maps by slot pm, pn (see CoproductSpec), an int d standing for I_d;
+    out is a list or a defaultdict."""
     for c, u, v, i, j in terms:
         (col0, step), (row0, step_t), a, b = src[i], tgt[j], pm[u], pn[v]
         ident = type(a) is int  # M's identity: row r is 1 at column r
         for r in range(a if ident else len(a)):
             for k, x in ((r, 1),) if ident else enumerate(a[r]):
                 if x:
-                    cx, base, r0 = c * x, col0 + k * step, row0 + r * step_t
+                    cx, base = c * x, (row0 + r * step_t) * width + col0 + k * step
                     if type(b) is int:  # N's identity: row l is cx at column l
-                        for l in range(b):
-                            out[r0 + l][base + l] += cx
+                        for p in range(base, base + b * (width + 1), width + 1):
+                            out[p] += cx
                         continue
-                    for r2, row_n in enumerate(b, r0):
-                        acc = out[r2]
-                        for l, y in enumerate(row_n, base):
+                    for row_n in b:
+                        for p, y in enumerate(row_n, base):
                             if y:
-                                acc[l] += cx * y
+                                out[p] += cx * y
+                        base += width
 
 
-def _act(alg, pm, pn, square, element):
+def _act(spec, pm, pn, square, element):
     """act(element) on M (x) N: its blocks (see _add_blocks) on the whole
-    tensor square, square its pair index and layout, pairs (x, y) x-major
-    (entry (k, l) of M_x (x) N_y at k*dim N + l), as {row: sparse row} (see
-    exact.eliminate), with no cancelled entry or empty row stored."""
-    (index, layout), out = square, defaultdict(lambda: defaultdict(int))
-    _add_blocks(out, _terms(alg.paths, element, index, index), pm, pn, layout, layout)
-    out = {r: {t: z for t, z in acc.items() if z} for r, acc in out.items()}
-    return {r: acc for r, acc in out.items() if acc}
+    tensor square, square its pair index, layout and dimension, pairs (x,
+    y) x-major (entry (k, l) of M_x (x) N_y at k*dim N + l), summed in one
+    buffer and returned as {row: sparse row} (see exact.eliminate), with no
+    cancelled entry or empty row stored."""
+    (index, layout, size), out, rows = square, defaultdict(int), defaultdict(dict)
+    _add_blocks(out, size, _terms(spec, element, index, index), pm, pn, layout, layout)
+    for p, z in out.items():
+        if z:
+            r, col = divmod(p, size)
+            rows[r][col] = z
+    return rows
 
 
 def _path_map(alg, rep, k):
@@ -702,11 +711,13 @@ def _path_map(alg, rep, k):
     return mat
 
 
-def _path_maps(alg, rep, paths):
-    """{k: path k's map on rep} for k in paths: an arrow's read in place at
-    its place in the quiver's arrows (alg.arrow_place), else _path_map's."""
-    maps, place = rep.maps, alg.arrow_place
-    return {k: maps[place[k]] if k in place else _path_map(alg, rep, k) for k in paths}
+def _slot_maps(spec, rep):
+    """rep's maps by slot (see CoproductSpec): its arrow maps, its dims
+    (see _add_blocks), then _path_map's of spec.read_paths."""
+    out = rep.maps + rep.dims
+    for k in spec.read_paths:
+        out += (_path_map(spec.algebra, rep, k),)
+    return out
 
 
 def tensor_wba(spec, m, n):
@@ -724,64 +735,62 @@ def tensor_wba(spec, m, n):
     pair (x, y)'s columns.  The vertices in spec.eliminated are eliminated
     off act(Q_v)'s nonzero rows instead, and an arrow with an end without
     pairs reads its map off act(D(a)Q_s); act (see _act) adds the same
-    blocks by the same kernel (see _add_blocks) on sparse rows of the whole
-    tensor square, built at most once.  Path maps are read by _path_maps.
-    A blocks-route row is frozen as summed, canonical already, when
-    spec.integral_blocks holds and M's and N's maps are ints, else through
-    exact.frac; the result is passed on without re-validation.
+    blocks by the same kernel (see _add_blocks) on the whole tensor
+    square, built at most once.  Factor maps are read by slot (see
+    _slot_maps).  Each arrow's map is summed in one flat row-major buffer,
+    kept as summed, canonical already, when spec.integral_blocks holds and
+    M's and N's maps hold no Fraction, else passed through exact.frac,
+    then cut into rows; the result is passed on without re-validation.
     Checks, in order, the spec's module_checks on M (x) N: StructureMismatch
     if D(1) does not act idempotently, NotAQuiverAction if a D(generator)
     leaves its image, an e_v is not idempotent there, or an arrow acts
     outside its (target, source) block (structures that are not weak
     bialgebras).  Raises DimensionGuardError, before allocating, when
     dim M * dim N exceeds MAX_TENSOR_DIM."""
-    if m.quiver != spec.quiver or n.quiver != spec.quiver:
+    if not spec.quiver == m.quiver == n.quiver:
         raise WrongQuiverError("representations are not over the coproduct's quiver")
-    dm, dn, size = m.dims, n.dims, m.total_dim() * n.total_dim()
+    dm, dn = m.dims, n.dims
+    size = sum(dm) * sum(dn)
     if size == 0:
         return zero_rep(spec.quiver)
     if size > MAX_TENSOR_DIM:
         raise DimensionGuardError(f"tensor square would have dimension above"
                                   f" {MAX_TENSOR_DIM}")
-    alg = spec.algebra
-    pm, pn = _path_maps(alg, m, spec.read_paths), _path_maps(alg, n, spec.read_paths)
+    pm, pn = _slot_maps(spec, m), _slot_maps(spec, n)
     if spec.module_checks or spec.eliminated:  # _act's whole square, built once
         whole = [(x, range(1, len(dn) + 1)) for x in range(1, len(dm) + 1)]
-        square = _pair_index(whole), _layout([whole], dm, dn)[0][0]
+        square = _pair_index(whole), _layout([whole], dm, dn)[0][0], size
     for error, message, lhs, rhs in spec.module_checks:
-        if _act(alg, pm, pn, square, lhs) != _act(alg, pm, pn, square, rhs):
+        if _act(spec, pm, pn, square, lhs) != _act(spec, pm, pn, square, rhs):
             raise error(message)
+    places, dims = _layout(spec.vertex_pairs, dm, dn)
     bases = {}  # vertex -> (pivots, reduced rows) of act(Q_v)
     for v in spec.eliminated:
-        action = _act(alg, pm, pn, square, spec.vertex_units[v - 1])
+        action = _act(spec, pm, pn, square, spec.vertex_units[v - 1])
         rows = [action[r] for r in sorted(action)]
         pivots = exact.eliminate(rows, size)
         bases[v] = pivots, rows[:len(pivots)]
-    layouts = _layout(spec.vertex_pairs, dm, dn)
+        dims[v - 1] = len(pivots)
     entries = chain.from_iterable(chain.from_iterable(m.maps + n.maps))
-    integral = spec.integral_blocks and type(sum(entries)) is int  # a Fraction sum stays one
+    integral = spec.integral_blocks and Fraction not in map(type, entries)  # all ints
     maps = []
     for a, unit, blocks in zip(spec.quiver.arrows, spec.arrow_units, spec.arrow_blocks):
+        height, width = dims[a.target - 1], dims[a.source - 1]
+        out = [0] * (height * width)
         if blocks is None:  # R_t act(D(a)Q_s) at the pivot columns of Q_s
-            action, out = _act(alg, pm, pn, square, unit), []
+            action = _act(spec, pm, pn, square, unit)
             colof = {p: c for c, p in enumerate(bases[a.source][0])}
-            for row in bases[a.target][1]:
-                acc = [0] * len(colof)
+            for r, row in enumerate(bases[a.target][1]):
                 for p, w in row.items():  # w times row p of act(D(a)Q_s)
                     for col, z in action.get(p, {}).items():
                         if col in colof:
-                            acc[colof[col]] += w * z
-                out.append(acc)
+                            out[r * width + colof[col]] += w * z
         else:  # c * kron(M_u, N_v) from pair i of Q_s to pair j of Q_t
-            (src, width), (tgt, height) = layouts[a.source - 1], layouts[a.target - 1]
-            out = [[0] * width for _ in range(height)]
-            _add_blocks(out, blocks, pm, pn, src, tgt)
-        if blocks is None or not integral:  # else every entry is an int already
-            out = [[frac(z) if z else 0 for z in acc] for acc in out]
-        maps.append(tuple(map(tuple, out)))
-    dims = tuple(len(bases[v][0]) if layout is None else layout[1]
-                 for v, layout in enumerate(layouts, 1))
-    return Representation._trusted(spec.quiver, dims, tuple(maps))
+            _add_blocks(out, width, blocks, pm, pn, places[a.source - 1], places[a.target - 1])
+        if blocks is None or not integral:
+            out = [frac(z) if z else 0 for z in out]
+        maps.append(tuple(zip(*[iter(out)] * width)) if width else ((),) * height)  # row tuples
+    return Representation._trusted(spec.quiver, tuple(dims), tuple(maps))
 
 
 def is_discrete(spec):

@@ -620,12 +620,13 @@ def test_tensor_matches_the_sympy_reference_where_the_vertex_basis_is_not_unit_c
 
 def _on_the_elimination_route(spec):
     """A copy of spec on which tensor_wba eliminates act(Q_v) at every
-    vertex, reading every path."""
+    vertex.  It keeps spec's slots: spec.read_paths already holds every
+    path of length two or more in the arrow units and the vertex units,
+    which are all that route reads besides the module checks."""
     forced = copy.copy(spec)
     forced.vertex_pairs = [None] * spec.quiver.n
     forced.arrow_blocks = [None] * len(spec.quiver.arrows)
     forced.eliminated = list(range(1, spec.quiver.n + 1))
-    forced.read_paths = list(range(len(spec.algebra)))
     return forced
 
 
@@ -659,16 +660,17 @@ def test_vertex_bases_read_off_the_dims_are_the_eliminated_ones():
     rng = random.Random(47)
     zero_dims = nonzero = 0
     for spec in specs:
-        q, alg = spec.quiver, spec.algebra
+        q = spec.quiver
         assert all(pairs is not None for pairs in spec.vertex_pairs), spec.name
-        every = list(range(len(alg)))
         square = [(i, tuple(range(1, q.n + 1))) for i in range(1, q.n + 1)]
         for _ in range(3):
             m, x = _rational_rep(q, rng, 4), _rational_rep(q, rng, 4)
             zero_dims += m.dims.count(0) + x.dims.count(0)
             dn, om, on = x.total_dim(), _offsets(m), _offsets(x)
-            pm, pn = (wba._path_maps(alg, rep, every) for rep in (m, x))
-            whole = wba._pair_index(square), wba._layout([square], m.dims, x.dims)[0][0]
+            pm, pn = wba._slot_maps(spec, m), wba._slot_maps(spec, x)
+            places, dims = wba._layout([square], m.dims, x.dims)
+            assert dims == [m.total_dim() * dn]
+            whole = wba._pair_index(square), places[0], dims[0]
             laid_out = [(square, range(m.total_dim() * dn))]
             for pairs, unit in zip(spec.vertex_pairs, spec.vertex_units):
                 flat = [(i, j) for i, ys in pairs for j in ys]
@@ -676,14 +678,15 @@ def test_vertex_bases_read_off_the_dims_are_the_eliminated_ones():
                 assert unit == {(i - 1, j - 1): 1 for i, j in flat}
                 read = sorted(k * dn + l for i, j in flat for k in range(om[i - 1], om[i])
                               for l in range(on[j - 1], on[j]))
-                action = wba._act(alg, pm, pn, whole, unit)
+                action = wba._act(spec, pm, pn, whole, unit)
                 rows = [action[r] for r in sorted(action)]
                 assert exact.eliminate(rows, m.total_dim() * dn) == read, spec.name
                 assert rows == [{p: 1} for p in read]
                 laid_out.append((pairs, read))
-            layouts = wba._layout([pairs for pairs, _ in laid_out] + [None], m.dims, x.dims)
-            assert layouts[-1] is None
-            for (pairs, read), (layout, dim) in zip(laid_out, layouts):
+            places, dims = wba._layout([pairs for pairs, _ in laid_out] + [None],
+                                       m.dims, x.dims)
+            assert places[-1] is None and dims[-1] == 0
+            for (pairs, read), layout, dim in zip(laid_out, places, dims):
                 flat = [(i, j) for i, ys in pairs for j in ys]
                 assert dim == len(read) and len(layout) == len(flat)
                 for (i, j), (start, step) in zip(flat, layout):
@@ -759,7 +762,10 @@ def test_blocks_on_a_path_of_length_two_match_the_sympy_reference():
         }, {key: 1 for key in ("e1", "e2", "e3", "a1", "a2")})
         long_path = spec.algebra.parse_path_key("a1.a2")
         assert None not in spec.vertex_pairs and spec.module_checks == []
-        assert (c, long_path, spec.algebra.arrow_path["a1"], 0, 1) in spec.arrow_blocks[0]
+        assert spec.read_paths == [long_path]
+        assert spec.slot[long_path] == len(q.arrows) + q.n  # past the maps and the dims
+        a1 = spec.slot[spec.algebra.arrow_path["a1"]]
+        assert (c, spec.slot[long_path], a1, 0, 1) in spec.arrow_blocks[0]
         forced = _on_the_elimination_route(spec)
         for k in range(8):
             m, x = (factor((1,) if k % 2 else (1, 2, 3)) for _ in range(2))
@@ -867,16 +873,27 @@ def _int_rep(q, rng, total, scale=1):
          for _ in range(dims[a.target - 1])] for a in q.arrows])
 
 
-def _typed_pair(spec, m, x):
-    """tensor_wba's (dims, maps) and the sympy reference's, every entry as
-    (type, value), the reference's typed as its canonical entry."""
-    t = wba.tensor_wba(spec, m, x)
-    dims, ref = sympy_tensor_wba(spec, m, x)
-    got = {a.id: [[(type(v), v) for v in row] for row in t.map_for(a.id)]
-           for a in spec.quiver.arrows}
-    want = {aid: [[(type(exact.frac(v)), v) for v in row] for row in mat]
-            for aid, mat in ref.items()}
-    return (list(t.dims), got), (dims, want)
+def _typed_outcomes(spec, m, x):
+    """(tensor_wba's, the sympy reference's) outcome: (dims, {arrow id:
+    rows of (type, value)}), the reference's entries typed as their
+    canonical entries, or the name of the first check that fails (see
+    sympy_tensor_wba)."""
+    try:
+        t = wba.tensor_wba(spec, m, x)
+        got = (list(t.dims), {a.id: [[(type(v), v) for v in row] for row in t.map_for(a.id)]
+                              for a in spec.quiver.arrows})
+    except StructureMismatchError:
+        got = "unit"
+    except NotAQuiverActionError as exc:
+        got = next(kind for word, kind in (("preserve", "image"), ("idempotent", "idempotent"),
+                                           ("supported", "block")) if word in str(exc))
+    try:
+        dims, ref = sympy_tensor_wba(spec, m, x)
+        want = (dims, {aid: [[(type(exact.frac(v)), v) for v in row] for row in mat]
+                       for aid, mat in ref.items()})
+    except ValueError as exc:
+        want = str(exc)
+    return got, want
 
 
 def test_read_and_freeze_rules_match_the_sympy_reference():
@@ -886,25 +903,36 @@ def test_read_and_freeze_rules_match_the_sympy_reference():
     int x int, int x p/q and p/q x p/q pairs, many with zero-dimensional
     vertices, over kronecker1-3 (a)-(e), whose (a)-(d) arrows are blocks
     kron(I, N_r) + kron(M_r, I), and canonical A2-A4, the product is the
-    sympy reference's, entry types included."""
+    sympy reference's, entry types included, and every map is a tuple of
+    height row tuples of width entries, () at height 0 and ((),) * height
+    at width 0, both of which occur."""
     specs = [s for w in (1, 2, 3) for s in wba.catalog_kronecker(w)]
     specs += [wba.canonical_wba(w.to_quiver()) for n in (2, 3, 4) for w in all_orientations(n)]
     rng = random.Random(67)
-    trivial_blocks = zero_dims = nonzero = 0
+    trivial_blocks = zero_dims = nonzero = zero_heights = zero_widths = 0
     for spec in specs:
         assert spec.integral_blocks and None not in spec.arrow_blocks, spec.name
-        paths = spec.algebra.paths
-        trivial_blocks += any(not paths[k][2] for b in spec.arrow_blocks for t in b
+        arrows = len(spec.quiver.arrows)
+        dims_slots = range(arrows, arrows + spec.quiver.n)  # the trivial paths' slots
+        trivial_blocks += any(k in dims_slots for b in spec.arrow_blocks for t in b
                               for k in t[1:3])
         for kinds in (("int", "int"), ("int", "p/q"), ("p/q", "p/q"), ("p/q", "int")):
             m, x = (_int_rep(spec.quiver, rng, 4) if kind == "int"
                     else _rational_rep(spec.quiver, rng, 4) for kind in kinds)
             zero_dims += m.dims.count(0) + x.dims.count(0)
-            got, want = _typed_pair(spec, m, x)
+            got, want = _typed_outcomes(spec, m, x)
             assert got == want, (spec.name, kinds, m, x)
             nonzero += any(v for mat in got[1].values() for row in mat for _, v in row)
+            t = wba.tensor_wba(spec, m, x)
+            for a, mat in zip(spec.quiver.arrows, t.maps):
+                height, width = t.dims[a.target - 1], t.dims[a.source - 1]
+                assert type(mat) is tuple and len(mat) == height
+                assert all(type(row) is tuple and len(row) == width for row in mat)
+                zero_heights += height == 0 < width
+                zero_widths += width == 0 < height
     assert trivial_blocks == 12 and zero_dims >= 200 and nonzero >= 25, (
         trivial_blocks, zero_dims, nonzero)
+    assert zero_heights >= 20 and zero_widths >= 20, (zero_heights, zero_widths)
 
 
 def test_a_fraction_coefficient_that_int_factors_make_integral_gives_ints():
@@ -917,25 +945,123 @@ def test_a_fraction_coefficient_that_int_factors_make_integral_gives_ints():
         "r1": [("r1", "r1", Fraction(1, 2))],
     }, {"e1": 1, "e2": 1, "r1": 2})
     assert not spec.integral_blocks and spec.module_checks == []
+    assert spec.arrow_blocks == [[(Fraction(1, 2), 0, 0, 0, 0)]]  # r1's slot is 0
     assert wba.check_axioms(spec).ok
     rng = random.Random(71)
     nonzero = 0
     for _ in range(30):
         m, x = _int_rep(KRON1, rng, 4, scale=2), _int_rep(KRON1, rng, 4)
-        got, want = _typed_pair(spec, m, x)
+        got, want = _typed_outcomes(spec, m, x)
         assert got == want, (m, x)
         assert all(t is int for mat in got[1].values() for row in mat for t, _ in row)
         nonzero += any(v for mat in got[1].values() for row in mat for _, v in row)
     assert nonzero >= 3, nonzero
 
 
+def test_a_refuted_check_on_a_path_of_length_two_reads_its_slot():
+    """D(a1) = a1(x)a1 + a1.a2(x)a1.a2 on A3 '>>' fails the arrow-block
+    check in A (x) A, and that check reads a1.a2, whose slot lies past
+    the arrow maps and the dims.  On seeded int and p/q pairs, many with
+    zero-dimensional vertices, tensor_wba's product or failed check is the
+    sympy reference's, entry types included: the check fails exactly
+    where a1.a2 acts as nonzero on both factors."""
+    q = OrientationWord(">>").to_quiver()
+    spec = wba.CoproductSpec(q, {
+        "e1": [("e1", "e1", 1)], "e2": [("e2", "e2", 1)], "e3": [("e3", "e3", 1)],
+        "a1": [("a1", "a1", 1), ("a1.a2", "a1.a2", 1)], "a2": [("a2", "a2", 1)],
+    }, {key: 1 for key in ("e1", "e2", "e3", "a1", "a2")})
+    long_path = spec.algebra.parse_path_key("a1.a2")
+    assert [check[1] for check in spec.module_checks] == [
+        "action of arrow a1 is not supported on the (2, 1) block"]
+    assert spec.read_paths == [long_path] and spec.slot[long_path] == len(q.arrows) + q.n
+    rng = random.Random(79)
+
+    def factor(low, denominators):
+        dims = [rng.randint(low, 2) for _ in range(q.n)]
+        return Representation(q, dims, [
+            [[Fraction(rng.randint(-3, 3), rng.choice(denominators))
+              for _ in range(dims[a.source - 1])] for _ in range(dims[a.target - 1])]
+            for a in q.arrows])
+
+    outcomes = {"block": 0, "product": 0}
+    for k in range(60):
+        m, x = (factor(int(k % 3 > 0), (1,) if k % 2 else (1, 2, 3)) for _ in range(2))
+        got, want = _typed_outcomes(spec, m, x)
+        assert got == want, (m, x)
+        acts = [any(v for row in mat_mul(r.map_for("a2"), r.map_for("a1")) for v in row)
+                if r.dims[0] and r.dims[2] else False for r in (m, x)]
+        assert (got == "block") == all(acts), (m, x)
+        outcomes["block" if got == "block" else "product"] += 1
+    assert outcomes["block"] >= 15 and outcomes["product"] >= 15, outcomes
+
+
+def test_identity_blocks_on_k2_match_the_sympy_reference():
+    """Every term of a k2 vertex unit is c e_x (x) e_y, a block kron(I, I)
+    that reads both of its slots as dimensions.  Over the k2 catalog and
+    its perturb_spec corruptions 0..24, some refuted in A (x) A and some
+    without pairs, so that _act adds such blocks on the whole square,
+    tensor_wba's dims or failed check on seeded int x p/q pairs are the
+    sympy reference's, and the same with every vertex eliminated."""
+    rng = random.Random(83)
+    acted = failed = 0
+    for spec in wba.catalog_k2():
+        for seed in range(-1, 25):
+            s = spec if seed < 0 else wba.perturb_spec(spec, seed)
+            acted += bool(s.module_checks or s.eliminated)
+            m, x = _int_rep(K2, rng, 4), _rational_rep(K2, rng, 4)
+            got, want = _typed_outcomes(s, m, x)
+            assert got == want, (s.name, seed, m, x)
+            assert _outcome(s, m, x) == _outcome(_on_the_elimination_route(s), m, x)
+            failed += isinstance(got, str)
+    assert acted >= 30 and failed >= 10, (acted, failed)
+
+
+def test_fraction_coefficients_that_sum_to_an_integer_give_ints():
+    """D(r1) = 1/2 r1(x)r1 + 1/2 r2(x)r2 on the 2-arrow Kronecker quiver
+    puts both blocks on the same pairs, so with M's r1 and r2 maps equal
+    and N's equal each entry is a sum of two Fraction halves that comes
+    out integral, and must be an int.  With unequal int maps some entries
+    are halves.  Either way the product is the sympy reference's, entry
+    types included."""
+    q = wba.kronecker_quiver(2)
+    spec = wba.CoproductSpec(q, {
+        "e1": [("e1", "e1", 1)], "e2": [("e2", "e2", 1)],
+        "r1": [("r1", "r1", Fraction(1, 2)), ("r2", "r2", Fraction(1, 2))],
+        "r2": [("r2", "r2", 1)],
+    }, {"e1": 1, "e2": 1, "r1": 1, "r2": 1})
+    assert not spec.integral_blocks and spec.module_checks == []
+    rng = random.Random(97)
+    halves = nonzero = 0
+    for k in range(30):
+        pair = []
+        for _ in range(2):
+            dims = [rng.randint(1, 2) for _ in range(q.n)]
+            r1 = [[rng.randint(-3, 3) for _ in range(dims[0])] for _ in range(dims[1])]
+            r2 = r1 if k % 2 else [[rng.randint(-3, 3) for _ in range(dims[0])]
+                                   for _ in range(dims[1])]
+            pair.append(Representation(q, dims, [r1, r2]))
+        got, want = _typed_outcomes(spec, *pair)
+        assert got == want, pair
+        entries = [(t, v) for row in got[1]["r1"] for t, v in row]
+        if k % 2:
+            assert all(t is int for t, _ in entries), pair
+            nonzero += any(v for _, v in entries)
+        else:
+            halves += any(t is Fraction for t, _ in entries)
+    assert nonzero >= 8 and halves >= 4, (nonzero, halves)
+
+
 def test_path_actions_are_products_of_arrow_maps():
-    """Each path's map, from its source's space to its target's: on every
-    path of A4 '>>>' (lengths up to 3) and of the 3-arrow Kronecker quiver,
-    with p/q entries, it must equal the dense product of its arrow maps,
-    integral values held as ints; a trivial path's map is its dimension,
-    standing for the identity, and an arrow's, read by _path_maps, is the
-    representation's own matrix, not a copy."""
+    """Each path's map, from its source's space to its target's, read by
+    slot: on every path of A4 '>>>' (lengths up to 3) and of the 3-arrow
+    Kronecker quiver, with p/q entries, under a grouplike structure whose
+    D(e_s) also carries p (x) p for each longer path p from s, so that its
+    read_paths are every longer path.  A trivial path e_v's slot is
+    len(arrows) + v - 1 and reads its dimension, standing for the
+    identity; an arrow's is its place in the quiver's arrows and reads the
+    representation's own matrix, not a copy; a longer path's lies past
+    both, in read_paths order, and reads the dense product of its arrow
+    maps, integral values held as ints.  _path_map gives the same maps."""
     rng = random.Random(31)
     for q, lengths in (
         (OrientationWord(">>>").to_quiver(), {0, 1, 2, 3}),
@@ -943,6 +1069,14 @@ def test_path_actions_are_products_of_arrow_maps():
     ):
         alg = wba.PathAlgebra(q)
         assert {len(ids) for _, _, ids in alg.paths} == lengths
+        keys = alg.generator_keys()
+        delta = {key: [(key, key, 1)] for key in keys}
+        longer = [k for k, (_, _, ids) in enumerate(alg.paths) if len(ids) > 1]
+        for k in longer:
+            delta[f"e{alg.paths[k][0]}"].append((alg.path_key(k), alg.path_key(k), 1))
+        spec = wba.CoproductSpec(q, delta, dict.fromkeys(keys, 1))
+        assert spec.read_paths == longer
+        arrows = len(q.arrows)
         for _ in range(6):
             dims = [rng.randint(1, 3) for _ in range(q.n)]
             maps = [
@@ -952,17 +1086,23 @@ def test_path_actions_are_products_of_arrow_maps():
                 for a in q.arrows
             ]
             rep = Representation(q, dims, maps)
-            read = wba._path_maps(alg, rep, range(len(alg)))
+            read = wba._slot_maps(spec, rep)
+            assert len(read) == len(spec.slot) == arrows + q.n + len(longer)
             for k, (s, t, ids) in enumerate(alg.paths):
+                slot = spec.slot[k]
                 if not ids:
-                    assert wba._path_map(alg, rep, k) == read[k] == dims[s - 1]
+                    assert slot == arrows + s - 1
+                    assert wba._path_map(alg, rep, k) == read[slot] == dims[s - 1]
                     continue
                 if len(ids) == 1:
-                    assert read[k] is rep.map_for(ids[0])
+                    assert q.arrows[slot].id == ids[0]
+                    assert read[slot] is rep.map_for(ids[0])
+                else:
+                    assert slot == arrows + q.n + longer.index(k)
                 block = identity(dims[s - 1])
                 for aid in ids:
                     block = mat_mul(rep.map_for(aid), block)
-                assert [list(row) for row in read[k]] == block, (s, t, ids)
+                assert [list(row) for row in read[slot]] == block, (s, t, ids)
                 got = [list(row) for row in wba._path_map(alg, rep, k)]
                 assert got == block, (s, t, ids)
                 assert len(got) == dims[t - 1]
