@@ -210,6 +210,8 @@ def _band_args(args, quiver):
     if args.band_path1 or args.band_path2:
         if not (args.band_path1 and args.band_path2):
             raise UsageError("--band-path1 and --band-path2 go together")
+        if args.band_family:
+            raise UsageError("give --band-family or the band paths, not both")
         return band_family(
             quiver, args.band_path1.split(","), args.band_path2.split(",")
         )
@@ -382,10 +384,8 @@ def _cmd_wba_discrete(args):
 
 
 def _cmd_verify(args):
-    sizes = {
-        k: v for k, v in vars(args).items()
-        if k not in ("command", "suite", "func", "out")
-    }
+    names = [flag[2:].replace("-", "_") for flag, _, _ in verify.SUITES[args.suite][2]]
+    sizes = {k: getattr(args, k) for k in names}
     results = verify.run(args.suite, **sizes)
     if not results:
         given = ", ".join(

@@ -12,32 +12,33 @@ with zero rows or zero columns is legal and is represented literally
 shapes must be tracked by the caller when a dimension vanishes.
 
 A sparse row is a dict {column: value} of its nonzero entries, ints or
-Fractions.  The one elimination loop, ``eliminate``, works on sparse rows,
-so its cost follows the nonzeros, and scales a pivot row by the Fraction
-1/p, so int entries never meet float division.  The pivot is the first
-nonzero entry in column order (no magnitude pivoting): over Q the
-arithmetic is exact, and fixing the pivot rule makes every derived basis
-deterministic.  Pivots lie in the first ``ncols`` columns; later columns
-only ride along in the row operations, so a right-hand side kept there is
-read off the reduced rows.
-``rank``, which needs no basis, also takes sparse rows but eliminates
-fraction-free over the integers: each row is cleared of denominators and
-reduced against the pivot rows found so far, still exactly.
+Fractions, so elimination costs follow the nonzeros.  ``rank`` and
+``eliminate`` share one fraction-free step (Bareiss), ``_reduce``: a row
+is cleared of denominators and reduced, in Python ints, against the pivot
+rows found so far, keyed by leading column.  A column's pivot is the
+first row to lead there (no magnitude pivoting): over Q the arithmetic is
+exact.  Pivots lie in the first ``ncols`` columns; later columns ride
+along, so ``eliminate``, which back-substitutes to the reduced echelon
+form, unique whatever the row order, reads a right-hand side kept there
+off its reduced rows.
 """
 
 import math
+import sys
 from fractions import Fraction
-
-ONE = Fraction(1)
 
 
 def frac(x):
     """The canonical entry of an int, a string like '3/4', '4/2' or '-2',
     or a Fraction: an int when the value is integral, else a Fraction.  A
-    bool is not a number here."""
+    bool is not a number here, nor a string whose decimal exponent has
+    more digits' worth than Python will convert to an int."""
     if type(x) is int:
         return x
     if isinstance(x, str):
+        power = x.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+        if power.isdecimal() and 0 < sys.get_int_max_str_digits() < int(power):
+            raise ValueError(f"decimal exponent {power} is too large")
         x = Fraction(x)
     if isinstance(x, Fraction):
         n, d = x.as_integer_ratio()  # one call; .numerator, .denominator are two
@@ -84,79 +85,77 @@ def kron(a, b, sa, sb):
     return tuple(out)
 
 
-def eliminate(rows, ncols):
-    """Gauss-Jordan elimination of sparse rows, in place, over the first
-    ncols columns; returns the pivot columns.  Each pivot row is the first
-    remaining row with a nonzero in its column; afterwards rows[:len(pivots)]
-    are in reduced echelon form and the rest are zero in those columns."""
-    pivots = []
-    r = 0
-    # a row operation adds only columns some row already has
-    for c in sorted({c for row in rows for c in row if c < ncols}):
-        for pr in range(r, len(rows)):
-            if c in rows[pr]:
-                break
+def _cancel(row, r, p, tail):
+    """(a, a*row - b*tail), no zero stored, where row had r in the column
+    of the pivot (p, tail) and a and b are p and r divided by their gcd;
+    row is the caller's own and may be changed."""
+    g = math.gcd(p, r)
+    a, b = p // g, r // g
+    if a != 1:
+        row = {j: a * x for j, x in row.items()}
+    for j, y in tail.items():
+        x = row.get(j, 0) - b * y
+        if x:
+            row[j] = x
         else:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        if p != 1:
-            q = ONE / p
-            rows[r] = prow = {j: x * q for j, x in prow.items()}
-        for i, row in enumerate(rows):
-            f = row.get(c)
-            if f is None or i == r:
-                continue
-            for j, x in prow.items():
-                y = row.get(j, 0) - f * x
-                if y:
-                    row[j] = y
-                else:
-                    del row[j]
-        pivots.append(c)
-        r += 1
-    return pivots
+            del row[j]
+    return a, row
+
+
+def _reduce(row, pivots, ncols):
+    """Reduce a sparse row against pivots {lead: (leading entry, tail)}:
+    cleared of denominators, the row is cancelled (see _cancel) against
+    the pivot of its leading column, its content divided out, until it
+    leads where no pivot is; below ncols it becomes that pivot, else what
+    is left is returned."""
+    row = {j: x for j, x in row.items() if x}
+    if not all(type(x) is int for x in row.values()):
+        scale = math.lcm(*(x.denominator for x in row.values()))
+        row = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+    while row:
+        g = math.gcd(*row.values())
+        if g > 1:
+            row = {j: x // g for j, x in row.items()}
+        lead = min(row)
+        if lead >= ncols:
+            return row
+        r = row.pop(lead)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            pivots[lead] = r, row
+            return None
+        row = _cancel(row, r, *pivot)[1]
+    return None
 
 
 def rank(rows, ncols):
-    """Rank of the first ncols columns of sparse rows (see eliminate),
-    by fraction-free elimination over the integers.
-
-    A row holding a Fraction is cleared of denominators, which keeps the
-    rank and puts every step in Python ints; each row is then reduced
-    against the pivot rows kept so far, keyed by leading column:
-    row <- a*row - b*pivot, where a and b are the pivot's and the row's
-    leading entries divided by their gcd, after which the row's content
-    is divided out.  A pivot row is kept as its leading entry and the
-    rest, so the cancelled entry is never formed.  A row left nonzero
-    becomes the pivot of its leading column; no basis is built.  It returns
-    once it holds ncols pivots, reading no later row: none can add one."""
+    """Rank of the first ncols columns of sparse rows, the pivots _reduce
+    finds.  It returns once it holds ncols pivots, reading no later row:
+    none can add one."""
     pivots = {}
     for row in rows:
-        row = {j: x for j, x in row.items() if j < ncols and x}
-        if not all(type(x) is int for x in row.values()):
-            scale = math.lcm(*(x.denominator for x in row.values()))
-            row = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
-        while row:
-            g = math.gcd(*row.values())
-            if g > 1:
-                row = {j: x // g for j, x in row.items()}
-            lead = min(row)
-            r = row.pop(lead)
-            if lead not in pivots:
-                pivots[lead] = (r, row)
-                if len(pivots) == ncols:
-                    return ncols
-                break
-            p, tail = pivots[lead]
-            g = math.gcd(p, r)
-            a, b = p // g, r // g
-            row = {j: a * x for j, x in row.items()}
-            for j, y in tail.items():
-                x = row.get(j, 0) - b * y
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
+        _reduce(row, pivots, ncols)
+        if len(pivots) == ncols:
+            break
     return len(pivots)
+
+
+def eliminate(rows, ncols):
+    """(pivot columns, reduced rows, rest) of sparse rows over their first
+    ncols columns: _reduce's pivots, back-substituted last lead first so
+    that each is zero at every later lead, then divided by its leading
+    entry; rest holds the nonzero leftovers past ncols.  The input is not
+    changed."""
+    pivots = {}
+    rest = [left for row in rows if (left := _reduce(row, pivots, ncols))]
+    leads, done, reduced = sorted(pivots), {}, []
+    for lead in reversed(leads):
+        p, row = pivots[lead]
+        for j in [j for j in row if j in done]:
+            a, row = _cancel(row, row.pop(j), *done[j])
+            p *= a
+        g = math.gcd(p, *row.values())
+        p, row = done[lead] = p // g, {k: y // g for k, y in row.items()}
+        reduced.append({lead: 1} | {k: Fraction(y, p) if y % p else y // p
+                                    for k, y in row.items()})
+    return leads, reduced[::-1], rest

@@ -362,12 +362,11 @@ class CoproductSpec:
                             else (rhs, -c * eps[evaluated]))
                     row[j] = row.get(j, 0) + x
                 rows += ({j: x for j, x in row.items() if x} for row in law.values())
-        pivots = exact.eliminate(rows, rhs)
-        consistent = not any(rows[len(pivots):])  # else some row reads 0 = nonzero
-        if consistent:
-            for row, c in zip(rows, pivots):
-                eps[long[c]] = frac(row.get(rhs, 0))
-        return eps, consistent
+        pivots, reduced, rest = exact.eliminate(rows, rhs)
+        if not rest:  # else some row reads 0 = nonzero
+            for c, row in zip(pivots, reduced):
+                eps[long[c]] = row.get(rhs, 0)
+        return eps, not rest
 
     def _counit_witness(self, side):
         """Where (eps (x) id)D (side 0) or (id (x) eps)D (side 1) first
@@ -766,10 +765,9 @@ def tensor_wba(spec, m, n):
     places, dims = _layout(spec.vertex_pairs, dm, dn)
     bases = {}  # vertex -> (pivots, reduced rows) of act(Q_v)
     for v in spec.eliminated:
-        action = _act(spec, pm, pn, square, spec.vertex_units[v - 1])
-        rows = [action[r] for r in sorted(action)]
-        pivots = exact.eliminate(rows, size)
-        bases[v] = pivots, rows[:len(pivots)]
+        pivots, reduced, _ = exact.eliminate(
+            _act(spec, pm, pn, square, spec.vertex_units[v - 1]).values(), size)
+        bases[v] = pivots, reduced
         dims[v - 1] = len(pivots)
     entries = chain.from_iterable(chain.from_iterable(m.maps + n.maps))
     integral = spec.integral_blocks and Fraction not in map(type, entries)  # all ints

@@ -467,6 +467,33 @@ def test_kronecker_catalog_above_the_path_budget_is_refused_before_its_arrows(ar
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["hom", "--left", "m.json", "--right", "m.json"],
+    ["wba", "tensor", "--spec", "spec.json", "--left", "interval:1,1",
+     "--right", "interval:1,1"],
+], ids=["hom", "wba-tensor-spec"])
+def test_decimal_exponent_past_the_digit_limit_is_bad_input(tmp_path, argv):
+    """A map entry or a coproduct coefficient written "1e30000000" would
+    make Fraction build 10^30000000: it is refused as bad_input once its
+    exponent exceeds Python's digit limit, before any power is formed,
+    under the same 1 GiB address-space cap."""
+    quiver = {"vertices": 2, "arrows": [{"id": "a1", "from": 1, "to": 2}]}
+    huge = "1e30000000"
+    write_json(tmp_path / "m.json", {"quiver": quiver, "dims": [1, 1],
+                                     "maps": {"a1": [[huge]]}})
+    write_json(tmp_path / "spec.json", {
+        "quiver": quiver, "delta": {"e1": [["e1", "e1", "1"]], "e2": [["e2", "e2", "1"]],
+                                    "a1": [["a1", "a1", huge]]},
+        "counit": {"e1": "1", "e2": "1", "a1": "1"}})
+    env = dict(os.environ, PYTHONPATH=str(Path(fpq.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_RUN, *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "bad_input" and "exponent 30000000" in error["message"]
+    assert "Traceback" not in proc.stderr
+
+
 def _spec_with(value, *path):
     """kronecker1-a's spec as JSON data with the entry at path set to value."""
     spec = wba.catalog_kronecker(1)[0].to_dict()
@@ -674,6 +701,106 @@ def test_a_parser_built_for_argv_holds_only_the_named_subcommands():
     assert len(_subcommands(build_parser(["verify", "-h"]))) == 1
     assert len(_subcommands(_subcommands(build_parser(["verify", "-h"]))["verify"])) == 8
     assert len(_subcommands(build_parser(["-h", "verify"]))) == 9
+
+
+class _Recording(argparse.Namespace):
+    """A namespace that logs the name of every attribute read from it."""
+
+    read = set()
+
+    def __getattribute__(self, name):
+        _Recording.read.add(name)
+        return super().__getattribute__(name)
+
+
+def _samples(tmp_path):
+    """Per leaf, invocations that between them give every option the leaf
+    takes, each invocation only the options its mode accepts."""
+    kron, s1 = write_json(tmp_path / "kron.json", KRONECKER), write_json(
+        tmp_path / "s1.json", SIMPLE_1)
+    a2 = {"vertices": 2, "arrows": [{"id": "a1", "from": 1, "to": 2}]}
+    spec = write_json(tmp_path / "spec.json", wba.canonical_wba(
+        fpq.Quiver.from_dict(a2)).to_dict())
+    q = write_json(tmp_path / "a2.json", a2)
+    candidates = write_json(tmp_path / "c.json", [
+        f"interval:{i},{j}" for i in range(1, 4) for j in range(i, 4)])
+    matrix = write_json(tmp_path / "m.json", [[0, 1], [1, 0]])
+    pair = ["--left", "interval:1,2", "--right", "interval:1,1"]
+    fpd = ["fpd", "--object", "interval:1,2", "--shift", "1", "--structure",
+           "vertexwise", "--tol", "1e-9"]
+    band = ["fpd", "--quiver", kron, "--object", s1, "--shift", "0", "--structure",
+            "vertexwise", "--tol", "1e-9", "--mode", "lower", "--budget", "3"]
+    by_spec = [["--spec", spec, "--quiver", q], ["--structure", "canonical", "--quiver", q]]
+    out = {
+        ("hom",): [["hom", "--quiver", "typeA:>", *pair]],
+        ("ext",): [["ext", "--quiver", "typeA:>", *pair]],
+        ("tensor",): [["tensor", "--quiver", "typeA:>", *pair, "--structure", "canonical"]],
+        ("fpd",): [fpd + ["--quiver", "typeA:><", "--mode", "exact", "--candidates",
+                          candidates, "--cap", "100"],
+                   band + ["--band-family"],
+                   band + ["--band-path1", "r1", "--band-path2", "r2"]],
+        ("fpv",): [["fpv", "--quiver", "typeA:><", "--object", "interval:1,3",
+                    "--structure", "vertexwise", "--n-max", "3"]],
+        ("bricks", "enumerate"): [["bricks", "enumerate", "--quiver", "typeA:><",
+                                   "--shifts", "0,1", "--cap", "100"]],
+        ("spectral",): [["spectral", "--matrix", matrix, "--tol", "1e-9"]],
+        ("wba", "check"): [["wba", "check", "--catalog", "k2"]]
+        + [["wba", "check", *given] for given in by_spec],
+        ("wba", "catalog"): [["wba", "catalog", "--name", "k2"]],
+        ("wba", "tensor"): [["wba", "tensor", *given, *pair] for given in by_spec],
+        ("wba", "discrete"): [["wba", "discrete", *given] for given in by_spec],
+    }
+    small = {"--n": "3", "--pairs": "3", "--quivers": "2", "--max-dim": "2",
+             "--seed": "5", "--triples": "3", "--w-max": "1", "--corruptions": "3",
+             "--size": "4", "--n-max": "4", "--tol": "1e-9", "--count": "2"}
+    for name, (_, _, sizes) in verify.SUITES.items():
+        out["verify", name] = [["verify", name] + [
+            x for flag, _, _ in sizes for x in (flag, small[flag])]]
+    return out
+
+
+def _options(leaf):
+    """The flags a leaf of cli._COMMANDS takes, --out included."""
+    node = cli._COMMANDS[leaf[0]]
+    for name in leaf[1:]:
+        node = node[2][name]
+    return {flag for flag, _ in node[1]} | {"--out"}
+
+
+def test_every_option_a_leaf_accepts_is_read(tmp_path):
+    """On each of the 19 leaves the handler, then the report's writer, read
+    every option a sample invocation gives through a recording namespace,
+    and the samples give every option the leaf takes, each only where its
+    mode accepts it (the others are refused: see the fpd and wba check
+    refusal tests).  Recording the config, which copies the namespace
+    whole, reads no option by name."""
+    samples = _samples(tmp_path)
+    assert sorted(samples) == sorted(map(tuple, _LEAVES))
+    for leaf, invocations in samples.items():
+        given = set()
+        for argv in invocations:
+            argv = argv + ["--out", str(tmp_path / "out.json")]
+            args = build_parser(argv).parse_args(argv, namespace=_Recording())
+            _Recording.read = set()
+            data, code = args.func(args)
+            cli._emit(data, args)
+            assert code == 0, (argv, data)
+            flags = {x for x in argv if x.startswith("--")}
+            unread = {f for f in flags if f[2:].replace("-", "_") not in _Recording.read}
+            assert not unread, (argv, unread)
+            given |= flags
+        assert given == _options(leaf), leaf
+
+
+def test_band_family_with_band_paths_is_a_usage_error(tmp_path):
+    """The band paths name the family, so --band-family beside them would go
+    unread: refused."""
+    q = write_json(tmp_path / "kron.json", KRONECKER)
+    m = write_json(tmp_path / "s1.json", SIMPLE_1)
+    code, out, err = run_cli(["fpd", "--quiver", q, "--object", m, "--mode", "lower",
+                              "--band-family", "--band-path1", "r1", "--band-path2", "r2"])
+    assert (code, out) == (2, "")
+    assert err == "fpq: give --band-family or the band paths, not both\n"
 
 
 def test_wba_check_single_structure():

@@ -26,17 +26,16 @@ def sparse(m):
 
 
 def test_rref_hand_example():
-    """eliminate leaves the reduced echelon form of the first ncols columns;
-    a fourth column rides along, so a right-hand side there is read off the
-    pivot rows (x = (2, 1, 0) here), and a nonzero left in a zero row
-    marks an inconsistent system."""
+    """eliminate returns the reduced echelon form of the first ncols
+    columns; a fourth column rides along, so a right-hand side there is
+    read off the reduced rows (x = (2, 1, 0) here), and a nonzero leftover
+    past ncols, the rest, marks an inconsistent system."""
     rows = sparse(exact.mat_from([[0, 2, 4], [1, 1, 1], [2, 4, 6]]))
-    assert exact.eliminate(rows, 3) == [0, 1]
-    assert rows == [{0: 1, 2: -1}, {1: 1, 2: 2}, {}]
-    for last, rest in ((8, {}), (9, {3: 1})):
+    assert exact.eliminate(rows, 3) == ([0, 1], [{0: 1, 2: -1}, {1: 1, 2: 2}], [])
+    for last, rest in ((8, []), (9, [{3: 1}])):
         rows = sparse(exact.mat_from([[0, 2, 4, 2], [1, 1, 1, 3], [2, 4, 6, last]]))
-        assert exact.eliminate(rows, 3) == [0, 1]
-        assert rows == [{0: 1, 2: -1, 3: 2}, {1: 1, 2: 2, 3: 1}, rest]
+        assert exact.eliminate(rows, 3) == (
+            [0, 1], [{0: 1, 2: -1, 3: 2}, {1: 1, 2: 2, 3: 1}], rest)
 
 
 def test_rank_matches_numpy():
@@ -155,19 +154,17 @@ def test_rank_of_tall_systems_stops_at_full_column_rank():
 
 
 def test_eliminate_keeps_integer_rows_exact():
-    """Int entries are divided by their pivot exactly: the scaled rows hold
-    ints and Fractions only, never a float from int / int."""
-    rows = [{0: 2, 1: 1}]
-    assert exact.eliminate(rows, 2) == [0]
-    assert rows == [{0: 1, 1: Fraction(1, 2)}]
+    """Int entries are divided by their pivot exactly: the reduced rows hold
+    canonical entries, ints and Fractions only (an int when integral),
+    never a float from int / int."""
+    assert exact.eliminate([{0: 2, 1: 1}], 2) == ([0], [{0: 1, 1: Fraction(1, 2)}], [])
     rows = [{0: 3, 1: 1, 2: 2}, {0: 1, 1: 1}]
-    assert exact.eliminate(rows, 2) == [0, 1]
-    assert rows == [{0: 1, 2: 1}, {1: 1, 2: -1}]
-    for rows in ([{0: 2, 1: 1}], [{0: 3, 1: 1, 2: 2}, {0: 1, 1: 1}]):
-        exact.eliminate(rows, 2)
-        for row in rows:
+    assert exact.eliminate(rows, 2) == ([0, 1], [{0: 1, 2: 1}, {1: 1, 2: -1}], [])
+    for rows in ([{0: 2, 1: 1}], [{0: 3, 1: 1, 2: 2}, {0: 1, 1: 1}],
+                 [{0: Fraction(2, 3), 1: Fraction(4, 3)}, {1: Fraction(1, 2), 2: 5}]):
+        for row in exact.eliminate(rows, 2)[1]:
             for x in row.values():
-                assert type(x) in (int, Fraction), rows
+                assert type(x) is int or type(x) is Fraction and x.denominator > 1, rows
 
 
 def test_kron_agrees_with_numpy():
@@ -232,17 +229,42 @@ def _frac_rows(mat):
 def test_rref_matches_sympy_for_every_ncols():
     """For every ncols, eliminate's pivots and reduced rows match sympy's
     rref of the first ncols columns, and the later columns ride along in
-    the same invertible row operations: the rows keep the row space of the
-    whole matrix."""
+    the same invertible row operations: the reduced rows and the rest keep
+    the row space of the whole matrix, and the rest lies past ncols."""
     for m in _kernel_inputs(1, 80):
         width = len(m[0])
         for ncols in range(width + 1):
-            rows = sparse(m)
-            pivots = exact.eliminate(rows, ncols)
-            got = [[row.get(j, Fraction(0)) for j in range(width)] for row in rows]
+            pivots, reduced, rest = exact.eliminate(sparse(m), ncols)
+            got = [[row.get(j, Fraction(0)) for j in range(width)]
+                   for row in reduced + rest]
             want, want_pivots = _sym([row[:ncols] for row in m], ncols).rref()
             assert pivots == list(want_pivots), (m, ncols)
-            assert [row[:ncols] for row in got] == _frac_rows(want), (m, ncols)
-            assert all(j < width for row in rows for j in row)
+            want = _frac_rows(want)
+            assert [row[:ncols] for row in got[:len(pivots)]] == want[:len(pivots)], (m, ncols)
+            assert all(ncols <= j < width for row in rest for j in row), (m, ncols)
+            assert all(j < width for row in reduced for j in row)
             full = _sym(m, width).rank()
             assert _sym(got, width).rank() == full == _sym(got + m, width).rank()
+
+
+def test_eliminate_ignores_row_order_and_leaves_its_input():
+    """Shuffled rows give the same pivots and reduced rows, the reduced
+    echelon form being unique, and an empty rest exactly when the first
+    order gives one; the input rows are left as they were."""
+    rng = random.Random(11)
+    for m in _kernel_inputs(2, 60):
+        width = len(m[0])
+        for ncols in range(width + 1):
+            rows = sparse(m)
+            before = [dict(row) for row in rows]
+            pivots, reduced, rest = exact.eliminate(rows, ncols)
+            assert rows == before, (m, ncols)
+            shuffled = rng.sample(rows, len(rows))
+            again, again_reduced, again_rest = exact.eliminate(shuffled, ncols)
+            assert (again, bool(again_rest)) == (pivots, bool(rest)), (m, ncols)
+            cut = [{j: x for j, x in row.items() if j < ncols} for row in reduced]
+            assert cut == [{j: x for j, x in row.items() if j < ncols}
+                           for row in again_reduced], (m, ncols)
+            if not rest:  # consistent: the later columns are unique too
+                assert again_reduced == reduced, (m, ncols)
+            assert rows == before, (m, ncols)

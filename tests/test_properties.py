@@ -101,14 +101,14 @@ def test_rref_is_idempotent(seed, rows, cols):
 
     rng = random.Random(seed)
     ncols = rng.randint(0, cols)  # later columns ride along
-    reduced = [
+    given = [
         {j: x for j in range(cols) if (x := Fraction(rng.randint(-4, 4)))}
         for _ in range(rows)
     ]
-    pivots = exact.eliminate(reduced, ncols)
-    again = [dict(row) for row in reduced]
-    assert exact.eliminate(again, ncols) == pivots
-    assert again == reduced
+    pivots, reduced, rest = exact.eliminate(given, ncols)
+    again = [dict(row) for row in reduced + rest]
+    assert exact.eliminate(again, ncols) == (pivots, reduced, rest)
+    assert again == reduced + rest
 
 
 @settings(max_examples=15, deadline=None)

@@ -653,7 +653,7 @@ def test_vertex_bases_read_off_the_dims_are_the_eliminated_ones():
     _layout puts it at k*dn + l itself.
     On seeded rational pairs, many with zero-dimensional vertices, those
     are the pivots exact.eliminate finds on act(Q_v)'s rows, whose reduced
-    rows are the unit rows at them; the product is the elimination
+    rows are the unit rows at them, with no rest; the product is the elimination
     route's, entry types included, and the sympy reference's."""
     specs = wba.catalog_k2() + [s for w in (1, 2, 3) for s in wba.catalog_kronecker(w)]
     specs += [wba.canonical_wba(w.to_quiver()) for n in (2, 3, 4) for w in all_orientations(n)]
@@ -678,10 +678,9 @@ def test_vertex_bases_read_off_the_dims_are_the_eliminated_ones():
                 assert unit == {(i - 1, j - 1): 1 for i, j in flat}
                 read = sorted(k * dn + l for i, j in flat for k in range(om[i - 1], om[i])
                               for l in range(on[j - 1], on[j]))
-                action = wba._act(spec, pm, pn, whole, unit)
-                rows = [action[r] for r in sorted(action)]
-                assert exact.eliminate(rows, m.total_dim() * dn) == read, spec.name
-                assert rows == [{p: 1} for p in read]
+                rows = list(wba._act(spec, pm, pn, whole, unit).values())
+                assert exact.eliminate(rows, m.total_dim() * dn) == (
+                    read, [{p: 1} for p in read], []), spec.name
                 laid_out.append((pairs, read))
             places, dims = wba._layout([pairs for pairs, _ in laid_out] + [None],
                                        m.dims, x.dims)
