@@ -13,7 +13,6 @@ from .bricks import (
     band_two_paths,
     brick_set,
     compatibility_graph,
-    derived_hom_dim,
     hom_matrix,
     maximal_brick_sets,
 )

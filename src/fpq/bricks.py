@@ -8,7 +8,7 @@ so every object is a shifted representation; a DerivedObject is a pair
                       Ext^1(M, N) if b = a + 1,
                       0            otherwise,
 
-which is what derived_hom_dim computes; hom_matrix(xs, ys) is the one place
+which is what quiver.hom_row computes; hom_matrix(xs, ys) is the one place
 these dimensions are assembled into a matrix.  A brick has a one-dimensional
 endomorphism space; a brick set is a finite set of bricks with vanishing
 hom spaces in both directions between distinct members, so a list is a
@@ -26,7 +26,7 @@ reads, so each list is checked and enumerated once.
 """
 
 from .errors import BadPathsError, CapExceededError, InputError, WrongQuiverError
-from .quiver import HOM_MEMO, Representation, dim_ext1, hom_dim, remember
+from .quiver import Representation, hom_row, remember
 
 
 class DerivedObject:
@@ -57,30 +57,13 @@ class DerivedObject:
         return out
 
 
-def derived_hom_dim(x, y):
-    """Hom dimension between shifted representations (see module docstring)."""
-    d = y.shift - x.shift
-    if d == 0:
-        return hom_dim(x.rep, y.rep)
-    if d == 1:
-        return dim_ext1(x.rep, y.rep)
-    return 0
-
-
 def hom_matrix(xs, ys):
-    """[i][j] = derived_hom_dim(xs[i], ys[j]).  With ys = xs it is the
-    identity exactly for a brick set; with ys the images of xs under a
-    functor it is that functor's adjacency matrix on xs.  Entries are
-    read from HOM_MEMO; derived_hom_dim computes the rest."""
-    cols = [(y.rep.key(), y.shift) for y in ys]
-    out = []
-    for x in xs:
-        a, s = x.rep.key(), x.shift
-        row = [HOM_MEMO.get((a, b, t - s)) for b, t in cols]
-        if None in row:
-            row = [derived_hom_dim(x, y) if v is None else v for v, y in zip(row, ys)]
-        out.append(row)
-    return out
+    """[i][j] = derived hom dimension from xs[i] to ys[j] (see module
+    docstring), one quiver.hom_row per row over ys's ids, taken once.  With
+    ys = xs it is the identity exactly for a brick set; with ys the images
+    of xs under a functor it is that functor's adjacency matrix on xs."""
+    cols = [(y.rep.key(), y.shift, y.rep) for y in ys]
+    return [hom_row(x.rep, cols, x.shift) for x in xs]
 
 
 class BrickSet:
@@ -258,12 +241,8 @@ def band_two_paths(quiver, path1, path2, c):
     v2 = _walk_path(quiver, path2)
     if (v1[0], v1[-1]) != (v2[0], v2[-1]):
         raise BadPathsError("paths must share their start and end vertices")
-    if v1[0] == v1[-1]:
-        raise BadPathsError("paths must join two distinct vertices")
     if set(v1[1:-1]) & set(v2[1:-1]):
         raise BadPathsError("paths must be vertex-disjoint away from endpoints")
-    if len(v1) != len(set(v1)) or len(v2) != len(set(v2)):
-        raise BadPathsError("each path must visit distinct vertices")
     if set(path1) & set(path2):
         raise BadPathsError("paths must not share arrows")
     support = set(v1) | set(v2)

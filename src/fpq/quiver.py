@@ -11,10 +11,10 @@ Conventions
   Fraction; everything here is exact.
 
 The hom-dimension computation sets up the commuting-square system
-f_t . M_a = N_a . f_s over the per-vertex unknowns f_v and ranks it by
-exact elimination.  Hom and Ext^1 dimensions are memoized in one table,
-HOM_MEMO, by pair of representations and degree, up to MAX_HOM_PAIRS
-entries, which the higher layers lean on heavily.
+f_t . M_a = N_a . f_s over the per-vertex unknowns f_v from the maps'
+nonzeros and ranks it by exact elimination.  hom_row, behind hom_dim,
+dim_ext1 and bricks.hom_matrix, is the one reader and writer of HOM_MEMO,
+which holds Hom and Ext^1 dimensions by (id m, id n, degree).
 
 Identity
 --------
@@ -333,73 +333,93 @@ def _hom_system(m, n):
 
     Unknown layout: f_1 then f_2 ... ; f_v has shape (n.dims[v], m.dims[v])
     flattened row-major.  One equation per arrow a: s->t and per entry of
-    f_t . M_a - N_a . f_s (shape n.dims[t] x m.dims[s]); zero equations are
-    dropped, and none is built when there are no unknowns.  The two terms
-    never share an unknown, since s != t."""
-    offsets = []
-    total = 0
-    for v in range(m.quiver.n):
-        offsets.append(total)
-        total += n.dims[v] * m.dims[v]
+    f_t . M_a - N_a . f_s (shape n.dims[t] x m.dims[s]), filled from the
+    nonzeros of M_a and N_a alone; zero equations are dropped, none is built
+    without unknowns, and the two terms never share an unknown (s != t).
+    DimensionGuardError before any row when equations times unknowns
+    exceeds MAX_HOM_SYSTEM, so the rows held stay under that budget."""
+    offsets = [0]
+    for dn, dm in zip(n.dims, m.dims):
+        offsets.append(offsets[-1] + dn * dm)
+    total = offsets.pop()
     if not total:
         return [], 0
+    equations = sum(n.dims[a.target - 1] * m.dims[a.source - 1]
+                    for a in m.quiver.arrows)
+    if equations * total > MAX_HOM_SYSTEM:
+        raise DimensionGuardError(
+            f"hom system of {equations} equations in {total} unknowns is above"
+            f" the limit of {MAX_HOM_SYSTEM} for their product")
     rows = []
-    for idx, a in enumerate(m.quiver.arrows):
+    for a, ma, na in zip(m.quiver.arrows, m.maps, n.maps):
         s, t = a.source - 1, a.target - 1
-        ma = m.maps[idx]  # m.dims[t] x m.dims[s]
-        na = n.maps[idx]  # n.dims[t] x n.dims[s]
-        dt_n, ds_m = n.dims[t], m.dims[s]
-        dt_m, ds_n = m.dims[t], n.dims[s]
-        for p in range(dt_n):
-            # (f_t . M_a)[p][q] = sum_r f_t[p][r] * M_a[r][q]
-            base_t = offsets[t] + p * dt_m
-            for qq in range(ds_m):
-                row = {base_t + r: ma[r][qq] for r in range(dt_m) if ma[r][qq]}
-                # (N_a . f_s)[p][q] = sum_r N_a[p][r] * f_s[r][q]
-                for r in range(ds_n):
-                    c = na[p][r]
-                    if c:
-                        row[offsets[s] + r * ds_m + qq] = -c
-                if row:
-                    rows.append(row)
+        ds_m, dt_m, dt_n = m.dims[s], m.dims[t], n.dims[t]
+        if not ds_m or not dt_n:
+            continue  # the block has no entries
+        block = [{} for _ in range(dt_n * ds_m)]  # entry (p, q) at p * ds_m + q
+        left, right = offsets[t], offsets[s]
+        for r, m_row in enumerate(ma):  # f_t[p][r] * M_a[r][q]
+            for q, x in enumerate(m_row):
+                if x:
+                    for p in range(dt_n):
+                        block[p * ds_m + q][left + p * dt_m + r] = x
+        for p, n_row in enumerate(na):  # -N_a[p][r] * f_s[r][q]
+            for r, x in enumerate(n_row):
+                if x:
+                    for q in range(ds_m):
+                        block[p * ds_m + q][right + r * ds_m + q] = -x
+        rows += filter(None, block)
     return rows, total
 
 
-# Derived hom dimensions by (id m, id n, d), d = 0 from hom_dim and 1 from
-# dim_ext1, capped by remember in place (bricks reads the same dict).
+# Derived hom dimensions by (id m, id n, d), d = 0 for Hom and 1 for Ext^1, capped
+# by remember in place; hom_row alone reads and writes it.  See _hom_system for
+# MAX_HOM_SYSTEM, the budget on equations times unknowns of one system.
 HOM_MEMO = {}
 MAX_HOM_PAIRS = 2 ** 16
+MAX_HOM_SYSTEM = 2 * 10 ** 6
+
+
+def hom_row(m, cols, shift):
+    """[dim Hom(m[shift], n[t]) for (n.key(), t, n) in cols]: Hom(m, n) at
+    t = shift, Ext^1(m, n) = Hom(m, n) - <dim m, dim n> (hereditary) at
+    t = shift + 1, and 0 otherwise.  A hit is one dict read per entry: the
+    quivers are compared only where a system is built, and a
+    representation's id includes its quiver's id.  hom - ext = <dim m, dim n>
+    holds by construction; checking it only shows Ext^1 >= 0."""
+    a = m.key()
+    row = [HOM_MEMO.get((a, b, t - shift)) for b, t, _ in cols]
+    if None not in row:
+        return row
+    for k, (b, t, n) in enumerate(cols):
+        if row[k] is not None:
+            continue
+        d = t - shift
+        val = HOM_MEMO.get((a, b, 0)) if d in (0, 1) else 0
+        if val is None:
+            if m.quiver != n.quiver:
+                raise WrongQuiverError("representations live over different quivers")
+            rows, total = _hom_system(m, n)
+            val = remember(HOM_MEMO, (a, b, 0), total - exact.rank(rows, total),
+                           MAX_HOM_PAIRS)
+        if d == 1:
+            val -= euler_form(m.quiver, m.dims, n.dims)
+            if val < 0:
+                raise ShapeError(
+                    f"negative ext dimension {val}; hom/euler bookkeeping is broken")
+            remember(HOM_MEMO, (a, b, 1), val, MAX_HOM_PAIRS)
+        row[k] = val
+    return row
 
 
 def hom_dim(m, n):
-    """dim Hom(m, n), exactly.  A cache hit is one dict read: the quivers
-    are compared only on a miss, the one place an entry is written, and a
-    representation's id includes its quiver's id."""
-    key = (m.key(), n.key(), 0)
-    got = HOM_MEMO.get(key)
-    if got is None:
-        if m.quiver != n.quiver:
-            raise WrongQuiverError("representations live over different quivers")
-        rows, total = _hom_system(m, n)
-        got = remember(HOM_MEMO, key, total - exact.rank(rows, total), MAX_HOM_PAIRS)
-    return got
+    """dim Hom(m, n), exactly (see hom_row)."""
+    return hom_row(m, [(n.key(), 0, n)], 0)[0]
 
 
 def dim_ext1(m, n):
-    """dim Ext^1(m, n) = dim Hom(m, n) - <dim m, dim n> (hereditary),
-    memoized beside hom_dim, so the Euler form is taken once per pair.
-    Derived from hom_dim, so hom - ext = <dim m, dim n> holds by
-    construction; checking that identity only shows Ext^1 >= 0."""
-    key = (m.key(), n.key(), 1)
-    val = HOM_MEMO.get(key)
-    if val is None:
-        val = hom_dim(m, n) - euler_form(m.quiver, m.dims, n.dims)
-        if val < 0:
-            raise ShapeError(
-                f"negative ext dimension {val}; hom/euler bookkeeping is broken"
-            )
-        remember(HOM_MEMO, key, val, MAX_HOM_PAIRS)
-    return val
+    """dim Ext^1(m, n) = dim Hom(m, n) - <dim m, dim n> (see hom_row)."""
+    return hom_row(m, [(n.key(), 1, n)], 0)[0]
 
 
 def tensor_vertexwise(m, n):

@@ -204,7 +204,13 @@ def coxeter_plus(m):
     S+_k replaces M_k by the kernel of the sum map (+)_{a: i -> k} M_i -> M_k,
     and each reversed arrow k -> i acts by the projection onto its own
     summand, so parallel arrows stay apart.  Every arrow is reversed twice,
-    so the result lives over the quiver of M again."""
+    so the result lives over the quiver of M again.  tau M is that result
+    twisted by a -> -a on every arrow: the twist is an isomorphism when the
+    underlying graph is bipartite (negate alternate vertices), so it can show
+    only on a graph with an odd cycle, such as 1 -> 2 -> 3 with 1 -> 3.
+    There, without it, dim Hom(N, C+ M) can differ from dim Ext^1(M, N),
+    the cokernel of the commuting-square map, which is dim Hom(M, N) -
+    <dim M, dim N>."""
     q = m.quiver
     arrows = [(a.id, a.source, a.target) for a in q.arrows]
     dims = list(m.dims)
@@ -230,7 +236,7 @@ def coxeter_plus(m):
             row += dims[source - 1]
         dims[k - 1] = len(kernel)
     return Representation(Quiver(q.n, arrows), dims, [
-        [[str(x) for x in row] for row in mat.tolist()] for mat in maps
+        [[str(-x) for x in row] for row in mat.tolist()] for mat in maps
     ])
 
 

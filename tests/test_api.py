@@ -21,7 +21,7 @@ EXPORTS = {
     "all_intervals", "all_orientations", "band_family", "band_kronecker",
     "band_two_paths", "brick_set", "bricks", "canonical_wba", "catalog_k2",
     "catalog_kronecker", "check_axioms", "classify", "closed_form_fpd",
-    "compatibility_graph", "derived_hom_dim", "dim_ext1", "dual", "engine",
+    "compatibility_graph", "dim_ext1", "dual", "engine",
     "errors", "euler_form", "exact", "fpd_exact", "fpd_lower_bound",
     "fpv_closed_form", "fpv_empirical", "from_weak_bialgebra", "gamma_matrix",
     "gamma_radius_closed", "hom_dim", "hom_matrix", "identity_rep",
@@ -159,6 +159,25 @@ def test_only_the_cap_and_clear_helper_empties_a_table():
             and node.func.attr == "clear"
         ]
     assert sites == [("quiver.py", "remember")]
+
+
+def test_one_function_reads_and_writes_the_hom_memo():
+    """HOM_MEMO is named in the package only where quiver.py defines it and
+    inside quiver.hom_row, so its key format and every hit and miss live
+    in that one function."""
+    sites = []
+    for name, tree in _modules():
+        owner = {}  # node -> innermost enclosing function (the walk is breadth-first)
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and "HOM_MEMO" in (node.name, node.asname):
+                sites.append((name, "import"))
+            elif getattr(node, "attr", getattr(node, "id", None)) == "HOM_MEMO":
+                sites.append((name, owner.get(node, type(node.ctx).__name__)))
+    assert sorted(set(sites)) == [("quiver.py", "Store"), ("quiver.py", "hom_row")]
+    assert sites.count(("quiver.py", "Store")) == 1
 
 
 def test_importing_the_cli_leaves_wba_unloaded():

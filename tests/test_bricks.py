@@ -12,7 +12,6 @@ from fpq.bricks import (
     band_kronecker,
     band_two_paths,
     brick_set,
-    derived_hom_dim,
     hom_matrix,
     maximal_brick_sets,
 )
@@ -51,10 +50,10 @@ def test_derived_hom_between_shifts():
     s1 = DerivedObject(simple(A2, 1), 0)
     s2 = DerivedObject(simple(A2, 2), 0)
     s2_up = DerivedObject(simple(A2, 2), 1)
-    assert derived_hom_dim(s1, s2) == 0
-    assert derived_hom_dim(s1, s2_up) == 1  # = dim Ext^1(S1, S2)
-    assert derived_hom_dim(s2_up, s1) == 0
-    assert derived_hom_dim(DerivedObject(simple(A2, 2), 5), s1) == 0
+    assert hom_matrix([s1], [s2])[0][0] == 0
+    assert hom_matrix([s1], [s2_up])[0][0] == 1  # = dim Ext^1(S1, S2)
+    assert hom_matrix([s2_up], [s1])[0][0] == 0
+    assert hom_matrix([DerivedObject(simple(A2, 2), 5)], [s1])[0][0] == 0
 
 
 def test_certificate_is_identity_for_brick_sets():
@@ -166,7 +165,7 @@ def test_band_modules_are_a_growing_brick_family():
         not_kronecker(1)
     b1, b2 = band_kronecker(KRON, 1), band_kronecker(KRON, 2)
     assert b1.dims == (1, 1) and b2.map_for("r2") == ((2,),)
-    assert derived_hom_dim(DerivedObject(b1, 0), DerivedObject(b2, 0)) == 0
+    assert hom_matrix([DerivedObject(b1, 0)], [DerivedObject(b2, 0)])[0][0] == 0
 
 
 def test_band_kronecker_needs_the_kronecker_quiver():
@@ -186,6 +185,8 @@ def test_band_two_paths_on_a_commuting_square():
     assert m.dims == (1, 1, 1, 1)
     with pytest.raises(BadPathsError):
         band_two_paths(square, ["a"], ["c", "d"], 1)  # endpoints differ
+    with pytest.raises(BadPathsError, match="at least one arrow"):
+        band_two_paths(square, [], ["c", "d"], 1)  # the CLI cannot pass an empty path
     with pytest.raises(BadPathsError):
         band_family(square, ["a", "b"], None)
     with pytest.raises(BadPathsError):

@@ -12,6 +12,8 @@ import io
 import json
 import math
 import os
+import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,7 @@ import pytest
 
 import fpq
 from fpq import cli, engine, spectral, verify, wba
+from fpq import quiver as quiver_module
 from fpq.cli import build_parser, run
 from fpq.errors import InputError
 
@@ -369,6 +372,33 @@ def test_oversized_tensor_is_a_dimension_guard_under_a_memory_cap(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout)["error"]["type"] == "dimension_guard"
     assert "Traceback" not in proc.stderr
+
+
+def test_oversized_hom_system_is_a_dimension_guard_under_a_memory_cap(tmp_path):
+    """A seeded dense A_2 pair of dims [60, 60], whose hom system of 3600
+    equations in 7200 unknowns is above quiver.MAX_HOM_SYSTEM: refused
+    before a row is built, in under a second of the child's CPU time, under
+    the same 1 GiB address-space cap."""
+    rng = random.Random(60)
+    quiver = {"vertices": 2, "arrows": [{"id": "a", "from": 1, "to": 2}]}
+    for name in ("m.json", "n.json"):
+        write_json(tmp_path / name, {"quiver": quiver, "dims": [60, 60], "maps": {
+            "a": [[rng.randint(-2, 2) for _ in range(60)] for _ in range(60)]}})
+    env = dict(os.environ, PYTHONPATH=str(Path(fpq.__file__).parents[1]))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_RUN, "hom", "--left", "m.json",
+                           "--right", "n.json"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"] == {"type": "dimension_guard", "message":
+                                                "hom system of 3600 equations in 7200"
+                                                " unknowns is above the limit of"
+                                                f" {quiver_module.MAX_HOM_SYSTEM} for"
+                                                " their product"}
+    assert "Traceback" not in proc.stderr
+    cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+    assert cpu < 1, cpu
 
 
 def test_oversized_wba_tensor_is_a_dimension_guard_under_a_memory_cap(tmp_path):
@@ -790,6 +820,48 @@ def test_every_option_a_leaf_accepts_is_read(tmp_path):
             assert not unread, (argv, unread)
             given |= flags
         assert given == _options(leaf), leaf
+
+
+# 1 -> 2 twice (a, d), 2 -> 3 twice (b, e) and 1 -> 3 (c)
+_BAND_QUIVER = {"vertices": 3, "arrows": [
+    {"id": aid, "from": s, "to": t}
+    for aid, s, t in [("a", 1, 2), ("b", 2, 3), ("c", 1, 3), ("d", 1, 2), ("e", 2, 3)]]}
+
+
+@pytest.mark.parametrize("path1, path2, message", [
+    ("zz", "c", "unknown arrow id 'zz'"),
+    ("a,c", "c", "arrow c starts at 1, expected 2"),
+    ("a", "c", "paths must share their start and end vertices"),
+    ("a,b", "d,e", "paths must be vertex-disjoint away from endpoints"),
+    ("c", "c", "paths must not share arrows"),
+], ids=["unknown-arrow", "broken-walk", "endpoints-differ", "meet-in-the-middle",
+        "shared-arrow"])
+def test_band_paths_refusals_are_bad_paths(tmp_path, path1, path2, message):
+    """Each refusal of band paths that a validated (acyclic) quiver can
+    reach ends the lower-mode run in the JSON error bad_paths."""
+    q = write_json(tmp_path / "q.json", _BAND_QUIVER)
+    m = write_json(tmp_path / "s1.json", {"dims": [1, 0, 0], "maps": {}})
+    code, out, err = run_cli(["fpd", "--quiver", q, "--object", m, "--mode", "lower",
+                              "--band-path1", path1, "--band-path2", path2,
+                              "--budget", "3"])
+    assert code == 1, err
+    assert json.loads(out)["error"] == {"type": "bad_paths", "message": message}
+
+
+@pytest.mark.parametrize("quiver, message", [
+    ({"vertices": 2, "arrows": [{"id": "r1", "from": 1, "to": 2}]},
+     "band_kronecker needs 2 vertices and 2 arrows"),
+    ({"vertices": 2, "arrows": [{"id": "r1", "from": 2, "to": 1},
+                                {"id": "r2", "from": 2, "to": 1}]},
+     "band_kronecker needs both arrows 1 -> 2"),
+], ids=["not-kronecker", "reversed-arrows"])
+def test_band_family_off_the_kronecker_quiver_is_wrong_quiver(tmp_path, quiver, message):
+    q = write_json(tmp_path / "q.json", quiver)
+    m = write_json(tmp_path / "s1.json", SIMPLE_1)
+    code, out, err = run_cli(["fpd", "--quiver", q, "--object", m, "--mode", "lower",
+                              "--band-family", "--budget", "3"])
+    assert code == 1, err
+    assert json.loads(out)["error"] == {"type": "wrong_quiver", "message": message}
 
 
 def test_band_family_with_band_paths_is_a_usage_error(tmp_path):

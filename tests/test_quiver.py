@@ -30,6 +30,7 @@ from fpq.quiver import (
     dual,
     euler_form,
     hom_dim,
+    hom_row,
     identity_rep,
     opposite,
     random_acyclic_quiver,
@@ -327,6 +328,63 @@ def test_hom_dim_matches_sympy_oracle_on_random_pairs():
         n = random_representation(q, 3, seed=801 + 2 * seed)
         for x, y in [(m, n), (n, m), (m, m), (m, direct_sum(m, n))]:
             assert hom_dim(x, y) == sympy_hom_dim(x, y)
+
+
+# 1 -> 2 twice (a, b), 2 -> 3 (c) and 1 -> 3 (d)
+PARALLEL = Quiver(3, [("a", 1, 2), ("b", 1, 2), ("c", 2, 3), ("d", 1, 3)])
+
+
+def _seeded(dims, entries, seed):
+    rng = random.Random(seed)
+    return Representation(PARALLEL, dims, {
+        a.id: [[rng.choice(entries) for _ in range(dims[a.source - 1])]
+               for _ in range(dims[a.target - 1])]
+        for a in PARALLEL.arrows
+    })
+
+
+def test_hom_row_matches_the_sympy_and_auslander_reiten_oracles(monkeypatch):
+    """hom_row, cold and then from the memo, at every relative degree:
+    sympy's nullity at 0, Hom(N, tau M) at 1 and 0 elsewhere, on seeded
+    pairs over a quiver with parallel arrows, among them M zero at the
+    source of a, b and d, M zero at the target of a and b but not at their
+    source (the -N_a . f_s equations alone), all-zero maps and Fraction
+    entries."""
+    ints, zero = range(-2, 3), [0]
+    fracs = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)]
+    cases = [([0, 2, 1], ints), ([2, 0, 1], ints), ([2, 2, 2], zero),
+             ([2, 1, 2], fracs), ([1, 2, 1], ints), ([2, 2, 1], fracs)]
+    reps = [_seeded(dims, entries, 3000 + k) for k, (dims, entries) in enumerate(cases)]
+    reps += [random_representation(PARALLEL, 2, seed=3100 + k) for k in range(3)]
+    monkeypatch.setattr(quiver_module, "HOM_MEMO", {})
+    cols = [(n.key(), t, n) for n in reps for t in (-1, 0, 1, 2)]
+    for m in reps:
+        want = [sympy_hom_dim(m, n) if t == 0 else ar_ext1(m, n) if t == 1 else 0
+                for _, t, n in cols]
+        assert hom_row(m, cols, 0) == want, m.dims
+        assert hom_row(m, [(b, t + 5, n) for b, t, n in cols], 5) == want
+        assert [hom_dim(m, n) for n in reps] == want[1::4]
+        assert [dim_ext1(m, n) for n in reps] == want[2::4]
+    assert len(quiver_module.HOM_MEMO) == 2 * len(reps) ** 2
+
+
+def test_hom_system_budget_weighs_equations_times_unknowns(monkeypatch):
+    """On A_2 with dims [2, 3] against [4, 5] the system has 5 * 2 = 10
+    equations in 4 * 2 + 5 * 3 = 23 unknowns: it is built at a budget of
+    230 and refused, unremembered, at 229.  A system without equations
+    passes any budget."""
+    m, n = (Representation(A2, dims, {"a": [[1] * dims[0]] * dims[1]})
+            for dims in ([2, 3], [4, 5]))
+    monkeypatch.setattr(quiver_module, "HOM_MEMO", {})
+    monkeypatch.setattr(quiver_module, "MAX_HOM_SYSTEM", 229)
+    with pytest.raises(DimensionGuardError, match="10 equations in 23 unknowns"):
+        hom_dim(m, n)
+    assert quiver_module.HOM_MEMO == {}
+    monkeypatch.setattr(quiver_module, "MAX_HOM_SYSTEM", 0)
+    big = Representation(A2, [50, 0], {})
+    assert hom_dim(big, big) == 2500
+    monkeypatch.setattr(quiver_module, "MAX_HOM_SYSTEM", 230)
+    assert hom_dim(m, n) == sympy_hom_dim(m, n)
 
 
 def test_ext1_matches_auslander_reiten_oracle():
