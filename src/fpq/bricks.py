@@ -40,16 +40,6 @@ class DerivedObject:
     def key(self):
         return (self.rep.key(), self.shift)
 
-    def __eq__(self, other):
-        return isinstance(other, DerivedObject) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        tag = self.label or f"dims={list(self.rep.dims)}"
-        return f"DerivedObject({tag}, shift={self.shift})"
-
     def describe(self):
         out = {"dims": list(self.rep.dims), "shift": self.shift}
         if self.label:

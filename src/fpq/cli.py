@@ -20,7 +20,6 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 
 from . import engine, verify
 from .bricks import (
@@ -152,8 +151,6 @@ _LEAVES = (int, str, bool, type(None))
 def _normalize(obj):
     if type(obj) in _LEAVES:
         return obj
-    if isinstance(obj, Fraction):
-        return int(obj) if obj.denominator == 1 else str(obj)
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):

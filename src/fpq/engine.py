@@ -91,10 +91,6 @@ class FpdReport:
         out.update(self.extra)
         return out
 
-    def __repr__(self):
-        flag = ", divergent" if self.divergent else ""
-        return f"FpdReport({self.value}, mode={self.mode}{flag})"
-
 
 def _proved_radius(flat, size, tol):
     """(radius, integer_radius's proof) of the size x size matrix whose
@@ -271,13 +267,14 @@ def fpv_closed_form(m, structure=None):
     return max(m.dims) if m.dims else 0
 
 
-def fpv_empirical(m, structure=None, n_max=10, guard=DIMENSION_GUARD):
+def fpv_empirical(m, structure=None, n_max=10):
     """Curvature estimate from iterated tensor powers against vertex simples.
 
     For each vertex i, tensors M onto S(i) n_max times and measures
     a_n = dim Hom(S(i), M^{(x)n} (x) S(i)); the vertex estimate is
     a_{n_max}^(1/n_max), reported as an exact int when the root
-    round-trips.  Returns a report with per-vertex sequences and the max.
+    round-trips.  Returns a report with per-vertex sequences and the max;
+    DimensionGuardError once a power passes DIMENSION_GUARD dimensions.
     """
     structure = structure or vertexwise()
     per_vertex = []
@@ -288,9 +285,9 @@ def fpv_empirical(m, structure=None, n_max=10, guard=DIMENSION_GUARD):
         seq = []
         for _ in range(n_max):
             t = structure.tensor(m, t)
-            if t.total_dim() > guard:
+            if t.total_dim() > DIMENSION_GUARD:
                 raise DimensionGuardError(
-                    f"tensor power exceeded {guard} total dimensions at"
+                    f"tensor power exceeded {DIMENSION_GUARD} total dimensions at"
                     f" vertex {v}"
                 )
             seq.append(hom_dim(s, t))

@@ -43,8 +43,6 @@ def frac(x):
     if isinstance(x, Fraction):
         n, d = x.as_integer_ratio()  # one call; .numerator, .denominator are two
         return n if d == 1 else x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return int(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 

@@ -124,10 +124,6 @@ class Quiver:
     def __hash__(self):
         return hash(self._ident())
 
-    def __repr__(self):
-        arr = ", ".join(f"{a.id}:{a.source}->{a.target}" for a in self.arrows)
-        return f"Quiver({self.n}; {arr})"
-
     def to_dict(self):
         return {
             "vertices": self.n,
@@ -248,9 +244,6 @@ class Representation:
     def __hash__(self):
         return hash(self.key())
 
-    def __repr__(self):
-        return f"Representation(dims={list(self.dims)})"
-
     def to_dict(self):
         """The JSON form, entries as strings; DimensionGuardError when an
         entry has more digits than Python's limit on int-to-str conversion
@@ -273,10 +266,11 @@ class Representation:
         try:
             dims = data["dims"]
             maps = data.get("maps", {})
-            if not isinstance(maps, dict):
-                raise InputError(
-                    "malformed representation object: maps must be an object"
-                )
+            if not isinstance(maps, dict) or not all(
+                    isinstance(m, list) and all(isinstance(row, list) for row in m)
+                    for m in maps.values()):
+                raise InputError("malformed representation object: maps must be"
+                                 " an object of arrays of arrays")
             maps = {
                 aid: [[exact.frac(x) for x in row] for row in m]
                 for aid, m in maps.items()

@@ -61,15 +61,6 @@ class OrientationWord:
                 arrows.append((f"a{s}", s + 1, s))
         return Quiver(self.n, arrows)
 
-    def __eq__(self, other):
-        return isinstance(other, OrientationWord) and self.dirs == other.dirs
-
-    def __hash__(self):
-        return hash(self.dirs)
-
-    def __repr__(self):
-        return f"OrientationWord({self.dirs!r})"
-
 
 def all_orientations(n):
     """All 2^(n-1) orientation words of the A_n line, lexicographic."""
@@ -108,14 +99,11 @@ def classify(w, v):
     return IntervalKind.FLOW
 
 
-def interval_rep(w, v, quiver=None):
-    """The interval module on [i, j] as a representation of w's quiver.
-
-    Pass quiver to build over an existing Quiver object whose shape matches
-    w (same endpoints per position), e.g. one parsed from JSON."""
+def interval_rep(w, v, quiver):
+    """The interval module on [i, j] as a representation of quiver, whose
+    shape matches w (same endpoints per position): w.to_quiver(), or a
+    Quiver parsed from JSON."""
     i, j = _check_interval(w, v)
-    if quiver is None:
-        quiver = w.to_quiver()
     dims = [1 if i <= s <= j else 0 for s in range(1, w.n + 1)]
     one = [[1]]
     maps = {}

@@ -416,6 +416,10 @@ class CoproductSpec:
         delta, counit = data.get("delta"), data.get("counit")
         if not isinstance(delta, dict) or not isinstance(counit, dict):
             raise InputError("coproduct spec needs 'delta' and 'counit' objects")
+        if not all(isinstance(terms, list) and all(isinstance(t, list) for t in terms)
+                   for terms in delta.values()):
+            raise InputError("malformed coproduct spec: each coproduct must be an array"
+                             " of [left, right, coefficient] arrays")
         try:
             delta = {
                 key: [(left, right, frac(c)) for left, right, c in terms]
@@ -464,10 +468,6 @@ class AxiomReport:
             "counit_extension_consistent": self.counit_consistent,
             "failures": self.failures,
         }
-
-    def __repr__(self):
-        state = "ok" if self.ok else f"{len(self.failures)} failures"
-        return f"AxiomReport({self.structure}, {state})"
 
 
 def _multiplicativity_witness(spec):

@@ -114,6 +114,24 @@ def test_fpd_lower_band_family_divergence(tmp_path):
         [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
+def test_fpd_lower_without_a_family_reports_the_simples_floor():
+    data = run_json(["fpd", "--quiver", "typeA:>", "--object", "interval:1,2",
+                     "--mode", "lower"])
+    assert (data["value"], data["floor"], data["family_sequence"]) == (1, 1.0, [])
+    assert "witness" not in data and data["divergent"] is False
+
+
+def test_fpd_lower_band_family_without_a_hub_is_not_divergent(tmp_path):
+    """S(2) is simple projective on the Kronecker quiver, so no band module
+    maps to S(2) (x) X: the adjacency is zero and has no hub member."""
+    q = write_json(tmp_path / "kron.json", KRONECKER)
+    m = write_json(tmp_path / "s2.json", {"dims": [0, 1], "maps": {}})
+    data = run_json(["fpd", "--quiver", q, "--object", m, "--mode", "lower",
+                     "--band-family", "--budget", "3"])
+    assert data["adjacency"] == [[0] * 3] * 3
+    assert data["divergent"] is False and data["value"] == 1
+
+
 @pytest.mark.parametrize("mode, options, unread", [
     ("exact", ["--band-family", "--budget", "3", "--band-path1", "r"],
      "--band-family, --band-path1, --budget"),
@@ -227,6 +245,18 @@ def test_input_python_will_not_convert_ends_in_the_contract(tmp_path, argv, text
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("quiver, rep, error", [
+    ({"vertices": -1, "arrows": []}, SIMPLE_1, "bad_arrow"),
+    (KRONECKER, {"dims": [-1, 1], "maps": {}}, "shape_mismatch"),
+], ids=["vertex-count-negative", "dimension-negative"])
+def test_invalid_quivers_and_representations_name_their_error(tmp_path, quiver, rep, error):
+    q = write_json(tmp_path / "q.json", quiver)
+    m = write_json(tmp_path / "m.json", rep)
+    code, out, err = run_cli(["hom", "--quiver", q, "--left", m, "--right", m])
+    assert code == 1, err
+    assert json.loads(out)["error"]["type"] == error
+
+
 def test_fpv_closed_form_matches_empirical():
     data = run_json(["fpv", "--quiver", "typeA:><", "--object",
                      "interval:1,3", "--n-max", "5"])
@@ -279,6 +309,8 @@ def test_spectral_integer_and_float_formats(tmp_path):
         # finite entries whose radius (2e308) overflows the power iteration
         "[[1e308, 1e308], [1e308, 1e308]]",
         "[[true, 1], [1, 0]]",  # a JSON boolean is not a number
+        "[1, 0]",  # not an array of arrays
+        f"[[1{'0' * 400}, 1], [1, 0]]",  # an int no float holds
     ],
 )
 def test_spectral_rejects_non_numeric_and_non_finite_entries(tmp_path, text):
@@ -300,14 +332,23 @@ def test_spectral_rejects_non_numeric_and_non_finite_entries(tmp_path, text):
         (KRONECKER, {"dims": [1, 1], "maps": {"r1": [[True]]}}),
         (KRONECKER, {"dims": [1, 1], "maps": [[[1]], [[1]]]}),
         (KRONECKER, {"dims": [1, 1], "maps": {"r1": [["1/0"]]}}),
+        ({"arrows": []}, SIMPLE_1),
+        (KRONECKER, {"dims": [2, 1], "maps": {"r1": ["12"]}}),
+        (KRONECKER, {"dims": [1, 1], "maps": {"r1": "1"}}),
+        (None, SIMPLE_1),
     ],
     ids=["rep-is-a-list", "vertices-not-int", "dims-float", "dims-string",
-         "map-entry-bool", "maps-is-a-list", "map-entry-zero-denominator"],
+         "map-entry-bool", "maps-is-a-list", "map-entry-zero-denominator",
+         "vertices-missing", "map-row-is-a-string", "map-is-a-string",
+         "no-quiver-anywhere"],
 )
 def test_malformed_files_are_bad_input(tmp_path, quiver, rep):
-    q = write_json(tmp_path / "q.json", quiver)
+    """A string where an array goes is refused, not read as its characters
+    (["12"] as [[1, 2]], "1" as [[1]]); quiver None gives no --quiver, so
+    the representation needs its own."""
+    q = [] if quiver is None else ["--quiver", write_json(tmp_path / "q.json", quiver)]
     m = write_json(tmp_path / "m.json", rep)
-    code, out, err = run_cli(["hom", "--quiver", q, "--left", m, "--right", m])
+    code, out, err = run_cli(["hom", *q, "--left", m, "--right", m])
     assert code == 1, err
     assert json.loads(out)["error"]["type"] == "bad_input"
 
@@ -534,6 +575,23 @@ def _spec_with(value, *path):
     return spec
 
 
+def _spec_without(*path):
+    """kronecker1-a's spec as JSON data without the entry at path."""
+    spec = _spec_with(None, *path)
+    del spec[path[0]][path[1]]
+    return spec
+
+
+def _term_as_a_string():
+    """The canonical spec over the quiver 1 -a-> 2 with its term a(x)a
+    written as the string "aa1", which reads, character by character, as
+    the term itself."""
+    spec = wba.canonical_wba(quiver_module.Quiver(2, [("a", 1, 2)])).to_dict()
+    assert spec["delta"]["a"] == [["a", "a", "1"]]
+    spec["delta"]["a"] = ["aa1"]
+    return spec
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -545,10 +603,18 @@ def _spec_with(value, *path):
         _spec_with("1/0", "counit", "e1"),
         _spec_with(5, "delta", "e1", 0, 0),
         _spec_with({"x": [1, 2]}, "name"),
+        _spec_with("zz", "delta", "e1", 0, 0),
+        _spec_with("r1.r1", "delta", "r1", 0, 1),
+        _spec_without("delta", "e1"),
+        _spec_without("counit", "e1"),
+        _spec_with([], "delta"),
+        _term_as_a_string(),
     ],
     ids=["empty-object", "a-list", "term-with-two-entries",
          "float-coefficient", "counit-not-a-number",
-         "counit-zero-denominator", "integer-path-key", "name-not-a-string"],
+         "counit-zero-denominator", "integer-path-key", "name-not-a-string",
+         "unknown-path-key", "path-not-a-walk", "coproduct-missing",
+         "counit-missing", "delta-not-an-object", "term-is-a-string"],
 )
 def test_malformed_specs_are_bad_input(tmp_path, spec):
     path = write_json(tmp_path / "spec.json", spec)
@@ -599,6 +665,8 @@ def test_unwritable_out_is_a_usage_error(tmp_path, where):
         ["fpd", "--quiver", "typeA:<>", "--object", "interval:2,2", "--budget", "3"],
         ["fpd", "--quiver", "typeA:<>", "--object", "interval:2,2", "--mode", "lower",
          "--cap", "3"],
+        ["fpd", "--quiver", "typeA:<>", "--object", "interval:2,2", "--cap", "x"],
+        ["spectral", "--matrix", "m.json", "--tol", "x"],
     ],
     ids=["fpv-n-max-0", "bricks-shifts-x", "bricks-shifts-empty", "verify-fpv-n-1",
          "verify-euler-max-dim",
@@ -610,7 +678,7 @@ def test_unwritable_out_is_a_usage_error(tmp_path, where):
          "verify-kronecker-size-2", "verify-euler-quivers-0",
          "verify-wba-axioms-w-max-minus-2", "verify-duality-n-minus-3",
          "fpd-budget-0", "fpd-cap-0", "fpd-cap-minus-1", "bricks-cap-minus-3",
-         "fpd-exact-budget-3", "fpd-lower-cap-3"],
+         "fpd-exact-budget-3", "fpd-lower-cap-3", "fpd-cap-x", "spectral-tol-x"],
 )
 def test_bad_option_values_are_usage_errors(argv):
     code, out, err = run_cli(argv)
@@ -991,6 +1059,17 @@ def test_verify_bytes_stable_across_runs():
     assert first[0] == 0
 
 
+def test_spectral_without_convergence_reports_its_bracket(tmp_path, monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_ITER", 1)
+    matrix = write_json(tmp_path / "m.json", [[1, 1], [1, 0]])
+    code, out, err = run_cli(["spectral", "--matrix", matrix])
+    assert code == 1, err
+    error = json.loads(out)["error"]
+    assert error["type"] == "no_convergence"
+    low, high = error["bracket"]
+    assert low <= (1 + math.sqrt(5)) / 2 <= high
+
+
 def test_malformed_json_reports_position(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{bad")
@@ -998,6 +1077,38 @@ def test_malformed_json_reports_position(tmp_path):
     assert code == 2
     assert out == ""
     assert f"{bad}:1:2: malformed JSON" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectral", "--matrix", "MISSING"], "cannot read MISSING: "),
+    (["wba", "catalog", "--name", "k3"], "catalog name must be k2 or kronecker:w, got 'k3'"),
+    (["wba", "check", "--structure", "canonical"], "structure 'canonical' needs --quiver"),
+    (["wba", "discrete"], "give --spec FILE or --structure NAME\n"),
+    (["fpd", "--quiver", "typeA:>", "--object", "interval:1,1", "--mode", "lower",
+      "--band-path1", "a1"], "--band-path1 and --band-path2 go together"),
+], ids=["missing-file", "catalog-name", "canonical-without-quiver", "no-structure",
+        "one-band-path"])
+def test_usage_refusals_exit_two_with_their_message(tmp_path, argv, message):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli([missing if x == "MISSING" else x for x in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("fpq: " + message.replace("MISSING", missing))
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["wba", "catalog", "--name", "kronecker:0"],
+     {"type": "bad_input", "message": "the arrow count w must be at least 1"}),
+    (["hom", "--quiver", "typeA:>x", "--left", "interval:1,1", "--right", "interval:1,1"],
+     {"type": "bad_input", "message": "orientation word must be over '><', got '>x'"}),
+    (["tensor", "--quiver", "typeA:>", "--left", "interval:1,1", "--right", "interval:1,1",
+      "--structure", "kronecker1-a"],
+     {"type": "wrong_quiver",
+      "message": "the coproduct structure lives on a different quiver than --quiver"}),
+], ids=["kronecker-catalog-0", "orientation-letter", "structure-quiver"])
+def test_domain_refusals_exit_one_with_their_error(argv, error):
+    code, out, err = run_cli(argv)
+    assert code == 1, err
+    assert json.loads(out)["error"] == error
 
 
 def test_interval_without_quiver_is_usage_error():

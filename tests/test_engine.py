@@ -156,13 +156,14 @@ def test_curvature_closed_form_needs_componentwise_structure():
         engine.fpv_closed_form(simple(q, 1), structure=structure)
 
 
-def test_curvature_guard_aborts_runaway_powers():
+def test_curvature_guard_aborts_runaway_powers(monkeypatch):
     from fpq.quiver import Representation
 
     q = OrientationWord(">").to_quiver()
     m = Representation(q, [2, 2], {"a1": [[1, 0], [0, 1]]})
-    with pytest.raises(DimensionGuardError):
-        engine.fpv_empirical(m, n_max=10, guard=16)
+    monkeypatch.setattr(engine, "DIMENSION_GUARD", 16)
+    with pytest.raises(DimensionGuardError, match="exceeded 16 total dimensions"):
+        engine.fpv_empirical(m, n_max=10)
 
 
 def test_coproduct_structure_reproduces_componentwise_dimension():

@@ -64,6 +64,8 @@ def test_quiver_validation():
         Quiver(2, [("a", 1, 3)])
     with pytest.raises(DuplicateLabelError):
         Quiver(3, [("a", 1, 2), ("a", 2, 3)])
+    with pytest.raises(BadArrowError, match="vertex count must be nonnegative"):
+        Quiver(-1, [])
 
 
 def test_representation_shape_checks():
@@ -71,8 +73,18 @@ def test_representation_shape_checks():
         Representation(A2, [1], {})
     with pytest.raises(ShapeError):
         Representation(A2, [1, 1], {"a": [[1], [2]]})
+    with pytest.raises(ShapeError, match="negative dimension"):
+        Representation(A2, [-1, 1], {})
+    with pytest.raises(ShapeError, match="one matrix per arrow required"):
+        Representation(A2, [1, 1], [])
     with pytest.raises(InputError):
         Representation.from_dict({"dims": [1, 1], "maps": {"zz": [[1]]}}, A2)
+    with pytest.raises(InputError, match="needs an embedded quiver"):
+        Representation.from_dict({"dims": [1, 1]})
+    with pytest.raises(InputError, match="vertex 3 outside 1..2"):
+        simple(A2, 3)
+    with pytest.raises(ShapeError, match="one entry per vertex"):
+        euler_form(A2, [1], [1, 1])
 
 
 def test_from_dict_rejects_sizes_past_the_input_limits():
@@ -385,6 +397,18 @@ def test_hom_system_budget_weighs_equations_times_unknowns(monkeypatch):
     assert hom_dim(big, big) == 2500
     monkeypatch.setattr(quiver_module, "MAX_HOM_SYSTEM", 230)
     assert hom_dim(m, n) == sympy_hom_dim(m, n)
+
+
+def test_a_rank_past_the_hom_dimension_is_caught_as_negative_ext(monkeypatch):
+    """Ext^1 = Hom - <dim m, dim n> can go negative only when the hom
+    bookkeeping is wrong; a rank that over-counts by one makes it so."""
+    from fpq import exact
+
+    rank = exact.rank
+    monkeypatch.setattr(exact, "rank", lambda rows, ncols: rank(rows, ncols) + 1)
+    monkeypatch.setattr(quiver_module, "HOM_MEMO", {})
+    with pytest.raises(ShapeError, match="negative ext dimension -1"):
+        dim_ext1(M12, M12)
 
 
 def test_ext1_matches_auslander_reiten_oracle():

@@ -135,6 +135,9 @@ def test_block_structure_takes_the_max():
 
 def test_gamma_closed_form():
     assert gamma_matrix(3) == [[1, 1, 1], [1, 0, 0], [1, 0, 0]]
+    for build in (gamma_matrix, gamma_radius_closed):
+        with pytest.raises(InputError, match="n must be >= 1"):
+            build(0)
     assert gamma_radius_closed(4) == pytest.approx((1 + math.sqrt(13)) / 2, abs=1e-12)
     for n in range(1, 31):
         g = gamma_matrix(n)

@@ -34,6 +34,8 @@ def test_orientation_of_rejects_other_quivers():
 
 def test_enumeration_counts():
     assert len(all_orientations(4)) == 8
+    with pytest.raises(InputError, match="n must be >= 1"):
+        all_orientations(0)
     assert len(all_intervals(4)) == 10
     objs = all_indecomposables(OrientationWord("><>"))
     assert [x.label for x in objs] == [f"M[{i},{j}]" for i, j in all_intervals(4)]

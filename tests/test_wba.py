@@ -1202,6 +1202,10 @@ def test_the_valid_deformation_family_is_real():
     spec2 = entries2["kronecker2-a"]
     info_bad = {"kind": "delta", "generator": "r1", "pair": ("r1", "r2"), "shift": "1"}
     assert not wba.deformation_preserves_axioms(spec2, info_bad)
+    # nor is a structure whose shared vertex idempotent is not grouplike
+    data = spec.to_dict()
+    data["delta"]["e1"] = [["e1", "e1", "2"]]
+    assert not wba.deformation_preserves_axioms(wba.CoproductSpec.from_dict(data), info)
 
 
 def test_discrete_structure_on_the_two_vertex_algebra():
