@@ -115,9 +115,9 @@ def _catalog(name):
     return wba.catalog_kronecker(_int(m.group(2)))
 
 
-def _load_spec(desc, quiver=None):
+def _load_spec(desc, quiver):
     """A CoproductSpec from 'canonical', a catalog entry name (k2-a,
-    kronecker2-e, ...), or a JSON file."""
+    kronecker2-e, ...), or a JSON file, over quiver unless it is None."""
     from . import wba
 
     if desc == "canonical":
@@ -129,20 +129,21 @@ def _load_spec(desc, quiver=None):
         w = m.group(2)  # None for k2
         entries = _catalog("k2" if w is None else f"kronecker:{w}")
         name = desc if w is None else f"kronecker{int(w)}-{m.group(3)}"  # 01 is 1
-        return next(spec for spec in entries if spec.name == name)
-    return wba.CoproductSpec.from_dict(_read_json(desc))
+        spec = next(spec for spec in entries if spec.name == name)
+    else:
+        spec = wba.CoproductSpec.from_dict(_read_json(desc))
+    if quiver is not None and spec.quiver != quiver:
+        raise WrongQuiverError(
+            "the coproduct structure lives on a different quiver than --quiver"
+        )
+    return spec
 
 
 def _load_structure(desc, quiver):
     if desc in (None, "vertexwise"):
         return engine.vertexwise()
     inner = desc[4:] if desc.startswith("wba:") else desc
-    spec = _load_spec(inner, quiver)
-    if quiver is not None and spec.quiver != quiver:
-        raise WrongQuiverError(
-            "the coproduct structure lives on a different quiver than --quiver"
-        )
-    return engine.from_weak_bialgebra(spec)
+    return engine.from_weak_bialgebra(_load_spec(inner, quiver))
 
 
 _LEAVES = (int, str, bool, type(None))
@@ -182,25 +183,25 @@ def _emit(data, args):
         raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
+def _pair(args, quiver):
+    """The --left and --right objects, over quiver, else the right one over
+    the left one's quiver."""
+    left = _load_object(args.left, quiver)
+    return left, _load_object(args.right, quiver or left.quiver)
+
+
 def _cmd_dim(args):
     q = _load_quiver(args.quiver) if args.quiver else None
-    left = _load_object(args.left, q)
-    right = _load_object(args.right, q or left.quiver)
     dim = hom_dim if args.command == "hom" else dim_ext1
-    return {"dim": dim(left, right), "config": _config(args)}, 0
+    return {"dim": dim(*_pair(args, q))}, 0
 
 
 def _cmd_tensor(args):
     q = _load_quiver(args.quiver) if args.quiver else None
-    left = _load_object(args.left, q)
-    right = _load_object(args.right, q or left.quiver)
+    left, right = _pair(args, q)
     structure = _load_structure(args.structure, q or left.quiver)
     t = structure.tensor(left, right)
-    return {
-        "representation": t.to_dict(),
-        "structure": structure.name,
-        "config": _config(args),
-    }, 0
+    return {"representation": t.to_dict(), "structure": structure.name}, 0
 
 
 def _band_args(args, quiver):
@@ -254,16 +255,14 @@ def _cmd_fpd(args):
             budget=args.budget,
             tol=args.tol,
         )
-    data = report.describe()
-    data["config"] = _config(args)
-    return data, 0
+    return report.describe(), 0
 
 
 def _cmd_fpv(args):
     q = _load_quiver(args.quiver)
     m = _load_object(args.object, q)
     structure = _load_structure(args.structure, q)
-    data = {"config": _config(args), "structure": structure.name}
+    data = {"structure": structure.name}
     if structure.is_vertexwise:
         data["closed_form"] = engine.fpv_closed_form(m, structure)
     empirical = engine.fpv_empirical(m, structure, n_max=args.n_max)
@@ -294,12 +293,7 @@ def _cmd_bricks(args):
         entry = BrickSet([objs[k] for k in clique], certificate).describe()
         entry["size"] = len(clique)
         entries.append(entry)
-    return {
-        "candidates": len(objs),
-        "count": len(entries),
-        "sets": entries,
-        "config": _config(args),
-    }, 0
+    return {"candidates": len(objs), "count": len(entries), "sets": entries}, 0
 
 
 def _cmd_spectral(args):
@@ -313,7 +307,6 @@ def _cmd_spectral(args):
         "value": rounded if rounded is not None else radius,
         "integral": rounded is not None,
         "size": len(rows),
-        "config": _config(args),
     }, 0
 
 
@@ -323,10 +316,7 @@ def _spec_from_args(args):
     q = _load_quiver(args.quiver) if args.quiver else None
     if not (args.spec or args.structure):
         raise UsageError("give --spec FILE or --structure NAME")
-    spec = _load_spec(args.spec or args.structure, q)
-    if q is not None and spec.quiver != q:
-        raise WrongQuiverError("structure and --quiver disagree")
-    return spec
+    return _load_spec(args.spec or args.structure, q)
 
 
 def _cmd_wba_check(args):
@@ -337,12 +327,8 @@ def _cmd_wba_check(args):
                   if getattr(args, k) is not None]
         if unread:
             raise UsageError(f"--catalog does not read {', '.join(unread)}")
-        reports = [wba.check_axioms(s).describe() for s in _catalog(args.catalog)]
-        return {"reports": reports, "config": _config(args)}, 0
-    spec = _spec_from_args(args)
-    data = wba.check_axioms(spec).describe()
-    data["config"] = _config(args)
-    return data, 0
+        return {"reports": [wba.check_axioms(s).describe() for s in _catalog(args.catalog)]}, 0
+    return wba.check_axioms(_spec_from_args(args)).describe(), 0
 
 
 def _cmd_wba_catalog(args):
@@ -353,31 +339,21 @@ def _cmd_wba_catalog(args):
         entry = spec.to_dict()
         entry["axioms"] = wba.check_axioms(spec).describe()
         structures.append(entry)
-    return {"structures": structures, "config": _config(args)}, 0
+    return {"structures": structures}, 0
 
 
 def _cmd_wba_tensor(args):
     from . import wba
 
     spec = _spec_from_args(args)
-    q = spec.quiver
-    left = _load_object(args.left, q)
-    right = _load_object(args.right, q)
-    t = wba.tensor_wba(spec, left, right)
-    return {
-        "representation": t.to_dict(),
-        "structure": spec.name,
-        "config": _config(args),
-    }, 0
+    t = wba.tensor_wba(spec, *_pair(args, spec.quiver))
+    return {"representation": t.to_dict(), "structure": spec.name}, 0
 
 
 def _cmd_wba_discrete(args):
     from . import wba
 
-    spec = _spec_from_args(args)
-    data = wba.is_discrete(spec)
-    data["config"] = _config(args)
-    return data, 0
+    return wba.is_discrete(_spec_from_args(args)), 0
 
 
 def _cmd_verify(args):
@@ -399,7 +375,6 @@ def _cmd_verify(args):
         ],
         "passes": len(results) - len(failures),
         "failures": len(failures),
-        "config": _config(args),
     }
     return data, 0 if not failures else 1
 
@@ -566,6 +541,7 @@ def run(argv=None):
     try:
         try:
             data, code = args.func(args)
+            data["config"] = _config(args)
         except FpqError as exc:
             data, code = {"error": exc.payload()}, 1
         _emit(data, args)

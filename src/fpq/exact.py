@@ -5,7 +5,7 @@ denominator is then > 1) otherwise.  ``frac`` is the one coercion; every
 builder and parser calls it, so an integral entry runs as an int however
 it was given, and equal matrices hold equal, equally typed entries.
 Dense matrices are sequences of rows of canonical entries; all functions
-accept lists or tuples.  ``mat_from`` and ``kron``, which build
+accept lists or tuples.  ``mat_from``, ``kron`` and ``zeros``, which build
 representation maps, return frozen (hashable) tuple rows.  A matrix
 with zero rows or zero columns is legal and is represented literally
 (``[]`` or ``[[], [], ...]``, frozen ``()`` or ``((), (), ...)``), so
@@ -47,11 +47,24 @@ def frac(x):
 
 
 def zeros(rows, cols):
-    return [[0] * cols for _ in range(rows)]
+    """The rows x cols zero matrix, frozen."""
+    return ((0,) * cols,) * rows
+
+
+_SEQUENCES = frozenset((list, tuple))
+
+
+def nested(x):
+    """Whether x is a list or tuple of lists or tuples; a string, whose
+    characters would read as entries, is not."""
+    return type(x) in _SEQUENCES and _SEQUENCES.issuperset(map(type, x))
 
 
 def mat_from(rows):
-    """Copy a nested sequence into frozen rows of canonical entries."""
+    """Copy a list or tuple of list or tuple rows into frozen rows of
+    canonical entries; anything else is a TypeError."""
+    if not nested(rows):
+        raise TypeError("a matrix must be an array of arrays")
     return tuple(tuple([frac(x) for x in row]) for row in rows)
 
 

@@ -27,8 +27,9 @@ intern tables hold their ids weakly: an entry lives exactly while a live
 object or a memo key holds its id, so equal live objects share one id, a
 memo entry is found again by an equal object built after the first died,
 and the memo caps bound the tables.  Each capped memo fills and empties
-through remember.  Representation(...) checks every map where it enters;
-the builders whose output is well formed by construction from checked
+through remember.  Quiver(...) and Representation(...) check and coerce
+their own input, each value once; from_dict only reads the JSON form.  The
+builders whose output is well formed by construction from checked
 representations return through Representation._trusted.
 """
 
@@ -55,13 +56,15 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-# Limits on JSON input, which from_dict checks before allocating anything:
-# far above what a hom or tensor computation finishes on, far below what
-# exhausts memory.  MAX_MAP_ENTRIES bounds the sum of dims[t] * dims[s].
+# Limits on input, checked before anything is allocated (a quiver's by Quiver, a
+# representation's by from_dict, as library callers build larger ones): far
+# above what a hom or tensor computation finishes on, far below what exhausts
+# memory.  MAX_MAP_ENTRIES bounds the sum of dims[t] * dims[s].
 MAX_VERTICES = 10 ** 4
 MAX_ARROWS = 10 ** 5
 MAX_DIM = 10 ** 4
 MAX_MAP_ENTRIES = 10 ** 6
+_ZERO = object()  # a map a dict leaves out, zero-filled at its shape
 
 
 class _Id:
@@ -102,8 +105,15 @@ class Quiver:
     """Finite quiver on vertices 1..n with labeled arrows, acyclic."""
 
     def __init__(self, n, arrows):
-        self.n = int(n)
-        self.arrows = tuple(Arrow(str(a[0]), int(a[1]), int(a[2])) for a in arrows)
+        arrows = tuple(Arrow(str(a[0]), a[1], a[2]) for a in arrows)
+        if not _is_int(n) or not all(_is_int(s) and _is_int(t) for _, s, t in arrows):
+            raise InputError(
+                "malformed quiver object: vertex count and arrow ends must be integers"
+            )
+        if n > MAX_VERTICES or len(arrows) > MAX_ARROWS:
+            raise InputError(f"quiver too large: at most {MAX_VERTICES} vertices"
+                             f" and {MAX_ARROWS} arrows")
+        self.n, self.arrows = n, arrows
         self._index = {a.id: k for k, a in enumerate(self.arrows)}
         self._id = self._opposite = None
         validate_quiver(self)
@@ -139,13 +149,6 @@ class Quiver:
             arrows = [(a["id"], a["from"], a["to"]) for a in data.get("arrows", [])]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed quiver object: {exc}") from exc
-        if not _is_int(n) or not all(_is_int(s) and _is_int(t) for _, s, t in arrows):
-            raise InputError(
-                "malformed quiver object: vertex count and arrow ends must be integers"
-            )
-        if n > MAX_VERTICES or len(arrows) > MAX_ARROWS:
-            raise InputError(f"quiver too large: at most {MAX_VERTICES} vertices"
-                             f" and {MAX_ARROWS} arrows")
         return cls(n, arrows)
 
 
@@ -181,11 +184,14 @@ class Representation:
     """A representation of a quiver; immutable once constructed."""
 
     def __init__(self, quiver, dims, maps):
-        """maps: dict arrow_id -> matrix, or sequence in arrow order.
-        Matrices for arrows with a zero-dimensional end may be omitted
-        (from a dict) or given as empty lists."""
-        self.quiver = quiver
-        self.dims = tuple(int(d) for d in dims)
+        """dims: a list or tuple of ints, one per vertex.  maps: dict
+        arrow_id -> matrix, or sequence in arrow order, each as
+        exact.mat_from reads it; a matrix a dict leaves out is zero."""
+        if type(dims) not in (list, tuple) or not all(map(_is_int, dims)):
+            raise InputError(
+                "malformed representation object: dims must be a list of integers"
+            )
+        self.quiver, self.dims = quiver, tuple(dims)
         if len(self.dims) != quiver.n:
             raise ShapeError(
                 f"dimension vector has {len(self.dims)} entries for {quiver.n} vertices"
@@ -193,15 +199,22 @@ class Representation:
         if any(d < 0 for d in self.dims):
             raise ShapeError("negative dimension")
         if isinstance(maps, dict):
-            seq = [maps.get(a.id) for a in quiver.arrows]
+            if not maps.keys() <= quiver._index.keys():
+                unknown = sorted(maps.keys() - quiver._index.keys(), key=str)
+                raise InputError(f"maps refer to unknown arrows: {unknown}")
+            maps = [maps.get(a.id, _ZERO) for a in quiver.arrows]
         else:
-            seq = list(maps)
-            if len(seq) != len(quiver.arrows):
+            maps = list(maps)
+            if len(maps) != len(quiver.arrows):
                 raise ShapeError("one matrix per arrow required")
         frozen = []
-        for a, m in zip(quiver.arrows, seq):
+        for a, m in zip(quiver.arrows, maps):
             rows, cols = self.dims[a.target - 1], self.dims[a.source - 1]
-            m = exact.mat_from(exact.zeros(rows, cols) if m is None else m)
+            try:
+                m = exact.zeros(rows, cols) if m is _ZERO else exact.mat_from(m)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise InputError(f"malformed representation object: map for arrow"
+                                 f" {a.id}: {exc}") from exc
             if len(m) != rows or (rows and any(len(r) != cols for r in m)):
                 raise ShapeError(
                     f"map for arrow {a.id} must be {rows}x{cols} "
@@ -259,36 +272,25 @@ class Representation:
 
     @classmethod
     def from_dict(cls, data, quiver=None):
+        """Read a JSON object over its embedded quiver, unless quiver is
+        given.  Besides the JSON shapes, only the size limits are checked
+        here: they must be before the constructor zero-fills maps."""
+        if not isinstance(data, dict):
+            raise InputError("a representation must be a JSON object")
         if quiver is None:
             if "quiver" not in data:
                 raise InputError("representation object needs an embedded quiver")
             quiver = Quiver.from_dict(data["quiver"])
-        try:
-            dims = data["dims"]
-            maps = data.get("maps", {})
-            if not isinstance(maps, dict) or not all(
-                    isinstance(m, list) and all(isinstance(row, list) for row in m)
-                    for m in maps.values()):
-                raise InputError("malformed representation object: maps must be"
-                                 " an object of arrays of arrays")
-            maps = {
-                aid: [[exact.frac(x) for x in row] for row in m]
-                for aid, m in maps.items()
-            }
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"malformed representation object: {exc}") from exc
-        if not isinstance(dims, list) or not all(_is_int(d) for d in dims):
-            raise InputError(
-                "malformed representation object: dims must be a list of integers"
-            )
-        if any(d > MAX_DIM for d in dims) or len(dims) == quiver.n and sum(
-            dims[a.target - 1] * dims[a.source - 1] for a in quiver.arrows
-        ) > MAX_MAP_ENTRIES:
+        dims, maps = data.get("dims"), data.get("maps", {})
+        if not isinstance(maps, dict):
+            raise InputError("malformed representation object: maps must be an object")
+        if isinstance(dims, list) and all(map(_is_int, dims)) and (
+            max(dims, default=0) > MAX_DIM or len(dims) == quiver.n and sum(
+                dims[a.target - 1] * dims[a.source - 1] for a in quiver.arrows
+            ) > MAX_MAP_ENTRIES
+        ):
             raise InputError(f"representation too large: each dimension at most"
                              f" {MAX_DIM}, at most {MAX_MAP_ENTRIES} map entries")
-        unknown = set(maps) - {a.id for a in quiver.arrows}
-        if unknown:
-            raise InputError(f"maps refer to unknown arrows: {sorted(unknown)}")
         return cls(quiver, dims, maps)
 
 

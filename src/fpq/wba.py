@@ -141,6 +141,8 @@ class PathAlgebra:
     def parse_path_key(self, key):
         """Basis index of a path key: 'e3', an arrow id, or 'a1.a2'
         (dot-joined arrow ids in traversal order)."""
+        if not isinstance(key, str):
+            raise InputError(f"path key {key!r} is not a string")
         m = _TRIVIAL_KEY.match(key)
         if m and int(m.group(1)) in self.trivial and key not in self.arrow_path:
             return self.trivial[int(m.group(1))]
@@ -163,8 +165,11 @@ class PathAlgebra:
 
 
 def _add_term(d, key, c):
-    """d[key] += c through exact.frac (Fractions can sum to an int); 0 deletes."""
-    c = frac(d.get(key, 0) + c)
+    """d[key] += c, c and the sum through exact.frac (Fractions can multiply
+    or sum to an int; c may be a coefficient as given); 0 deletes."""
+    c = frac(c)
+    if key in d:
+        c = frac(d[key] + c)
     if c:
         d[key] = c
     elif key in d:
@@ -222,10 +227,12 @@ class CoproductSpec:
 
     delta maps each generator key ('e1'..'en' and arrow ids) to a list of
     (left path key, right path key, coefficient) triples; counit maps each
-    generator key to a scalar.  The comultiplication is extended to longer
-    paths multiplicatively at construction time, and the counit by an exact
-    solve of the counit law (free values 0; counit_consistent records
-    whether the law could be satisfied at all).  unit optionally names the
+    generator key to a scalar, each a value exact.frac reads; anything
+    else, and a key that names no generator, is an InputError.  The
+    comultiplication is extended to longer paths multiplicatively at
+    construction time, and the counit by an exact solve of the counit law
+    (free values 0; counit_consistent records whether the law could be
+    satisfied at all).  unit optionally names the
     representation expected to be the tensor unit.  For tensor_wba, with
     canonical coefficients: vertex_units, Q_v = D(e_v)D(1) per vertex, with
     vertex_pairs (see _pairs); arrow_units, D(a)Q_s per arrow a: s -> t,
@@ -255,13 +262,24 @@ class CoproductSpec:
                 raise InputError(f"coproduct not given on generator {key!r}")
             if key not in counit:
                 raise InputError(f"counit not given on generator {key!r}")
+        unknown = sorted((delta.keys() | counit.keys()) - set(keys), key=str)
+        if unknown:
+            raise InputError(f"coproduct or counit given on {unknown}, which are"
+                             f" not generators of the quiver")
         self.delta_gen = {}
-        for key in keys:
-            terms = self.delta_gen[key] = {}
-            for left, right, c in delta[key]:
-                pair = (alg.parse_path_key(left), alg.parse_path_key(right))
-                _add_term(terms, pair, frac(c))
-        self.eps_gen = {key: frac(counit[key]) for key in keys}
+        try:
+            for key in keys:
+                given = delta[key]
+                if not exact.nested(given) or not set(map(len, given)) <= {3}:
+                    raise InputError("malformed coproduct spec: each coproduct must be"
+                                     " an array of [left, right, coefficient] arrays")
+                terms = self.delta_gen[key] = {}
+                for left, right, c in given:
+                    pair = (alg.parse_path_key(left), alg.parse_path_key(right))
+                    _add_term(terms, pair, c)
+            self.eps_gen = {key: frac(counit[key]) for key in keys}
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"malformed coproduct spec: {exc}") from exc
         self._delta = self._extend_delta()
         unit = self.delta_unit = {}
         for v in range(1, quiver.n + 1):
@@ -406,48 +424,24 @@ class CoproductSpec:
         return out
 
     @classmethod
-    def from_dict(cls, data, quiver=None):
+    def from_dict(cls, data):
+        """The structure a JSON object holds, over its embedded quiver; the
+        constructor checks delta's and counit's entries."""
         if not isinstance(data, dict):
             raise InputError("a coproduct spec must be a JSON object")
-        if quiver is None:
-            if "quiver" not in data:
-                raise InputError("coproduct spec needs an embedded quiver")
-            quiver = Quiver.from_dict(data["quiver"])
+        if "quiver" not in data:
+            raise InputError("coproduct spec needs an embedded quiver")
+        quiver = Quiver.from_dict(data["quiver"])
         delta, counit = data.get("delta"), data.get("counit")
         if not isinstance(delta, dict) or not isinstance(counit, dict):
             raise InputError("coproduct spec needs 'delta' and 'counit' objects")
-        if not all(isinstance(terms, list) and all(isinstance(t, list) for t in terms)
-                   for terms in delta.values()):
-            raise InputError("malformed coproduct spec: each coproduct must be an array"
-                             " of [left, right, coefficient] arrays")
-        try:
-            delta = {
-                key: [(left, right, frac(c)) for left, right, c in terms]
-                for key, terms in delta.items()
-            }
-            counit = {key: frac(c) for key, c in counit.items()}
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"malformed coproduct spec: {exc}") from exc
-        if not all(
-            isinstance(k, str)
-            for terms in delta.values()
-            for term in terms
-            for k in term[:2]
-        ):
-            raise InputError("malformed coproduct spec: path keys must be strings")
         name = data.get("name", "custom")
         if not isinstance(name, str):
             raise InputError("malformed coproduct spec: 'name' must be a string")
-        unit = None
-        if data.get("unit") is not None:
-            unit = Representation.from_dict(data["unit"], quiver=quiver)
-        return cls(
-            quiver,
-            delta,
-            counit,
-            name=name,
-            unit=unit,
-        )
+        unit = data.get("unit")
+        if unit is not None:
+            unit = Representation.from_dict(unit, quiver=quiver)
+        return cls(quiver, delta, counit, name=name, unit=unit)
 
 
 class AxiomReport:

@@ -336,11 +336,16 @@ def test_spectral_rejects_non_numeric_and_non_finite_entries(tmp_path, text):
         (KRONECKER, {"dims": [2, 1], "maps": {"r1": ["12"]}}),
         (KRONECKER, {"dims": [1, 1], "maps": {"r1": "1"}}),
         (None, SIMPLE_1),
+        (KRONECKER, {"dims": [1, 1], "maps": {"r1": None}}),
+        (KRONECKER, {"dims": [1, 1], "maps": {"r1": [{"1": 0}]}}),
+        (KRONECKER, {"dims": [1, 1], "maps": {"zz": [[1]]}}),
+        (KRONECKER, {"maps": {}}),
     ],
     ids=["rep-is-a-list", "vertices-not-int", "dims-float", "dims-string",
          "map-entry-bool", "maps-is-a-list", "map-entry-zero-denominator",
          "vertices-missing", "map-row-is-a-string", "map-is-a-string",
-         "no-quiver-anywhere"],
+         "no-quiver-anywhere", "map-is-null", "map-row-is-an-object",
+         "unknown-arrow", "dims-missing"],
 )
 def test_malformed_files_are_bad_input(tmp_path, quiver, rep):
     """A string where an array goes is refused, not read as its characters
@@ -609,12 +614,18 @@ def _term_as_a_string():
         _spec_without("counit", "e1"),
         _spec_with([], "delta"),
         _term_as_a_string(),
+        _spec_with([["e1", "e2", "5"]], "delta", "zz"),
+        _spec_with(7, "counit", "typo"),
+        _spec_with("e1" + "9" * 5000, "delta", "e1", 0, 0),
+        _spec_with([1, 2], "unit"),
     ],
     ids=["empty-object", "a-list", "term-with-two-entries",
          "float-coefficient", "counit-not-a-number",
          "counit-zero-denominator", "integer-path-key", "name-not-a-string",
          "unknown-path-key", "path-not-a-walk", "coproduct-missing",
-         "counit-missing", "delta-not-an-object", "term-is-a-string"],
+         "counit-missing", "delta-not-an-object", "term-is-a-string",
+         "coproduct-on-unknown-generator", "counit-on-unknown-generator",
+         "trivial-key-past-the-digit-limit", "unit-not-an-object"],
 )
 def test_malformed_specs_are_bad_input(tmp_path, spec):
     path = write_json(tmp_path / "spec.json", spec)
@@ -1104,7 +1115,11 @@ def test_usage_refusals_exit_two_with_their_message(tmp_path, argv, message):
       "--structure", "kronecker1-a"],
      {"type": "wrong_quiver",
       "message": "the coproduct structure lives on a different quiver than --quiver"}),
-], ids=["kronecker-catalog-0", "orientation-letter", "structure-quiver"])
+    (["wba", "discrete", "--quiver", "typeA:>>", "--structure", "kronecker1-e"],
+     {"type": "wrong_quiver",
+      "message": "the coproduct structure lives on a different quiver than --quiver"}),
+], ids=["kronecker-catalog-0", "orientation-letter", "structure-quiver",
+        "wba-structure-quiver"])
 def test_domain_refusals_exit_one_with_their_error(argv, error):
     code, out, err = run_cli(argv)
     assert code == 1, err

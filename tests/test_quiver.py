@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from fpq import exact, wba
 from fpq import quiver as quiver_module
 from fpq.errors import (
     BadArrowError,
@@ -99,6 +100,73 @@ def test_from_dict_rejects_sizes_past_the_input_limits():
         with pytest.raises(InputError, match="representation too large"):
             Representation.from_dict({"dims": dims}, A2)
     assert Representation.from_dict({"dims": [MAX_DIM, 0]}, A2).dims == (MAX_DIM, 0)
+
+
+def _a2_spec(**changes):
+    """The grouplike coproduct on A2, given on generators, with changes
+    made to delta ('delta_<key>') and counit ('counit_<key>')."""
+    delta = {key: [(key, key, 1)] for key in ("e1", "e2", "a")}
+    counit = dict.fromkeys(delta, 1)
+    for name, value in changes.items():
+        table, key = name.split("_")
+        (delta if table == "delta" else counit)[key] = value
+    return lambda: wba.CoproductSpec(A2, delta, counit)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Quiver(True, []),
+    lambda: Quiver(2.0, []),
+    lambda: Quiver("2", []),
+    lambda: Quiver(2, [("a", True, 2)]),
+    lambda: Quiver(2.7, [("a", 1, 2.9)]),
+    lambda: Quiver(2, [("a", 1, "2")]),
+    lambda: Quiver(MAX_VERTICES + 1, []),
+    lambda: Quiver(2, [("a", 1, 2)] * (MAX_ARROWS + 1)),
+    lambda: Representation(A2, [True, 1], {}),
+    lambda: Representation(A2, [1.0, 1], {}),
+    lambda: Representation(A2, ["1", 1], {}),
+    lambda: Representation(A2, "11", {}),
+    lambda: Representation(A2, [2, 1], {"a": ["12"]}),
+    lambda: Representation(A2, [1, 1], {"a": "1"}),
+    lambda: Representation(A2, [1, 1], {"a": [{"1": 0}]}),
+    lambda: Representation(A2, [1, 1], [None]),
+    lambda: Representation(A2, [1, 1], {"zz": [[1]]}),
+    lambda: Representation(A2, [1, 1], {"a": [["x"]]}),
+    lambda: Representation(A2, [1, 1], {"a": [["1/0"]]}),
+    lambda: Representation(A2, [1, 1], {"a": [[1.5]]}),
+    _a2_spec(delta_a=["aa1"]),
+    _a2_spec(delta_a="aa1"),
+    _a2_spec(delta_a=[("a", "a")]),
+    _a2_spec(delta_a=[(5, "a", 1)]),
+    _a2_spec(delta_a=[("a", "a", "x")]),
+    _a2_spec(counit_e1=1.5),
+    _a2_spec(delta_zz=[("e1", "e2", "5")]),
+    _a2_spec(counit_typo=7),
+], ids=["vertices-bool", "vertices-float", "vertices-string", "arrow-end-bool",
+        "arrow-ends-float", "arrow-end-string", "too-many-vertices", "too-many-arrows",
+        "dim-bool", "dim-float", "dim-string", "dims-a-string", "row-a-string",
+        "matrix-a-string", "row-an-object", "matrix-none", "unknown-arrow",
+        "entry-not-a-number", "entry-zero-denominator", "entry-float",
+        "term-a-string", "coproduct-a-string", "term-a-pair", "path-key-an-int",
+        "coefficient-not-a-number", "counit-float", "coproduct-on-unknown-generator",
+        "counit-on-unknown-generator"])
+def test_constructors_refuse_what_the_readers_refuse(build):
+    """Quiver, Representation and CoproductSpec check their own input: a
+    library caller gets the refusal a JSON file gets, as InputError."""
+    with pytest.raises(InputError):
+        build()
+
+
+def test_from_dict_reads_each_map_entry_through_frac_once(monkeypatch):
+    calls = []
+    frac = exact.frac
+    monkeypatch.setattr(exact, "frac", lambda x: calls.append(x) or frac(x))
+    q = Quiver(3, [("a", 1, 2), ("b", 2, 3)])
+    data = {"dims": [2, 2, 1], "maps": {"a": [["1", "1/2"], ["0", "-3"]],
+                                        "b": [["4/2", "5"]]}}
+    m = Representation.from_dict(data, q)
+    assert m.maps == (((1, Fraction(1, 2)), (0, -3)), ((2, 5),))
+    assert calls == ["1", "1/2", "0", "-3", "4/2", "5"]  # one call per entry
 
 
 def test_hom_dimensions_on_the_two_vertex_line():
