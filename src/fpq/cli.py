@@ -298,8 +298,6 @@ def _cmd_bricks(args):
 
 def _cmd_spectral(args):
     rows = _read_json(args.matrix)
-    if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
-        raise InputError("matrix JSON must be an array of arrays")
     radius = spectral_radius(rows, tol=args.tol)
     rounded = integer_radius(rows, radius)
     return {

@@ -59,7 +59,7 @@ def _is_int(x):
 # Limits on input, checked before anything is allocated (a quiver's by Quiver, a
 # representation's by from_dict, as library callers build larger ones): far
 # above what a hom or tensor computation finishes on, far below what exhausts
-# memory.  MAX_MAP_ENTRIES bounds the sum of dims[t] * dims[s].
+# memory.  MAX_MAP_ENTRIES bounds sum dims[t] * max(dims[s], 1): an empty row is an entry.
 MAX_VERTICES = 10 ** 4
 MAX_ARROWS = 10 ** 5
 MAX_DIM = 10 ** 4
@@ -105,11 +105,13 @@ class Quiver:
     """Finite quiver on vertices 1..n with labeled arrows, acyclic."""
 
     def __init__(self, n, arrows):
-        arrows = tuple(Arrow(str(a[0]), a[1], a[2]) for a in arrows)
+        arrows = tuple(Arrow(a[0], a[1], a[2]) for a in arrows)
         if not _is_int(n) or not all(_is_int(s) and _is_int(t) for _, s, t in arrows):
             raise InputError(
                 "malformed quiver object: vertex count and arrow ends must be integers"
             )
+        if not all(isinstance(a.id, str) for a in arrows):
+            raise InputError("malformed quiver object: arrow ids must be strings")
         if n > MAX_VERTICES or len(arrows) > MAX_ARROWS:
             raise InputError(f"quiver too large: at most {MAX_VERTICES} vertices"
                              f" and {MAX_ARROWS} arrows")
@@ -286,7 +288,7 @@ class Representation:
             raise InputError("malformed representation object: maps must be an object")
         if isinstance(dims, list) and all(map(_is_int, dims)) and (
             max(dims, default=0) > MAX_DIM or len(dims) == quiver.n and sum(
-                dims[a.target - 1] * dims[a.source - 1] for a in quiver.arrows
+                dims[a.target - 1] * max(dims[a.source - 1], 1) for a in quiver.arrows
             ) > MAX_MAP_ENTRIES
         ):
             raise InputError(f"representation too large: each dimension at most"
@@ -422,12 +424,12 @@ def tensor_vertexwise(m, n):
     """Vertex-wise tensor product: dims multiply per vertex and each arrow
     acts by the Kronecker product (left factor slowest).  Raises
     DimensionGuardError, before allocating, when the product would have
-    more than MAX_MAP_ENTRIES map entries."""
+    more than MAX_MAP_ENTRIES map entries, counted as from_dict counts them."""
     if m.quiver != n.quiver:
         raise WrongQuiverError("representations live over different quivers")
     q = m.quiver
     dims = tuple([dm * dn for dm, dn in zip(m.dims, n.dims)])
-    if sum(dims[a.target - 1] * dims[a.source - 1] for a in q.arrows) \
+    if sum(dims[a.target - 1] * max(dims[a.source - 1], 1) for a in q.arrows) \
             > MAX_MAP_ENTRIES:
         raise DimensionGuardError(
             f"tensor product would have more than {MAX_MAP_ENTRIES} map entries"

@@ -21,6 +21,7 @@ import math
 import numbers
 
 from .errors import InputError, NoConvergenceError
+from .exact import nested
 
 DEFAULT_TOL = 1e-10
 MAX_ITER = 10 ** 5
@@ -30,6 +31,8 @@ MAX_MATRIX_SIZE = 10 ** 3
 
 
 def _check_square(a):
+    if not nested(a):
+        raise InputError("matrix JSON must be an array of arrays")
     n = len(a)
     if n > MAX_MATRIX_SIZE:
         raise InputError(f"matrix too large: at most {MAX_MATRIX_SIZE} rows")
@@ -184,6 +187,7 @@ def integer_radius(a, radius):
     Each strongly connected block is compared with k exactly by
     _compare_block.  rho(a) = k when no block exceeds k and one reaches it
     (or a is empty and k = 0)."""
+    _check_square(a)
     k = round(radius)
     reached = not a and k == 0
     for block in _blocks(a):

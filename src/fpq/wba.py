@@ -39,7 +39,7 @@ arrow's in place and a trivial path's identity as its dimension, and
 keeps a map as summed when the coefficients and maps are ints, else
 through exact.frac.  Its checks are identities in A (x) A, proved or
 refuted once per CoproductSpec; only a refuted one is checked again on
-M (x) N.
+M (x) N.  Every term list an action reads is fixed per CoproductSpec.
 For the canonical grouplike coproduct (every path p gets D(p) = p (x) p,
 eps(p) = 1) this reproduces the componentwise tensor product
 matrix-for-matrix.
@@ -147,17 +147,13 @@ class PathAlgebra:
         if m and int(m.group(1)) in self.trivial and key not in self.arrow_path:
             return self.trivial[int(m.group(1))]
         ids = tuple(key.split("."))
-        for aid in ids:
-            if aid not in self.arrow_path:
-                raise InputError(f"unknown path key {key!r}")
-        src = self.paths[self.arrow_path[ids[0]]][0]
-        cur = src
-        for aid in ids:
-            s, t, _ = self.paths[self.arrow_path[aid]]
-            if s != cur:
-                raise InputError(f"path key {key!r} is not a composable walk")
-            cur = t
-        return self.index[(src, cur, ids)]
+        if not self.arrow_path.keys() >= set(ids):
+            raise InputError(f"unknown path key {key!r}")
+        ends = self.paths[self.arrow_path[ids[0]]][0], self.paths[self.arrow_path[ids[-1]]][1]
+        k = self.index.get((*ends, ids))  # every composable walk, and only those
+        if k is None:
+            raise InputError(f"path key {key!r} is not a composable walk")
+        return k
 
     def path_key(self, k):
         s, _, ids = self.paths[k]
@@ -183,12 +179,12 @@ def _pair_index(pairs):
 
 def _terms(spec, element, src, tgt):
     """element's terms c * u (x) v (u: x -> x', v: y -> y') as (c, slot of
-    u, slot of v, i, j) (see CoproductSpec), i = src[(x, y)] and j =
-    tgt[(x', y')] (see _pair_index), a term dropped if either pair is absent."""
+    u, slot of v, i, j) (see CoproductSpec), i = src((x, y)) and j =
+    tgt((x', y')), pair places (see _pair_index), a term dropped on None."""
     out, paths, slot = [], spec.algebra.paths, spec.slot
     for (u, v), c in element.items():
         (x, x2, _), (y, y2, _) = paths[u], paths[v]
-        i, j = src.get((x, y)), tgt.get((x2, y2))
+        i, j = src((x, y)), tgt((x2, y2))
         if i is not None and j is not None:
             out.append((c, slot[u], slot[v], i, j))
     return out
@@ -235,14 +231,18 @@ class CoproductSpec:
     satisfied at all).  unit optionally names the
     representation expected to be the tensor unit.  For tensor_wba, with
     canonical coefficients: vertex_units, Q_v = D(e_v)D(1) per vertex, with
-    vertex_pairs (see _pairs); arrow_units, D(a)Q_s per arrow a: s -> t,
-    with arrow_blocks (see _block_terms); module_checks, its checks that
-    fail as identities in A (x) A; read_paths, the paths of length two or
-    more in those checks and the units; slot, each read path's place in a
-    factor's maps by slot (see _slot_maps): an arrow at its place in the
-    quiver's arrows, e_v at len(arrows) + v - 1, the read_paths after them;
-    eliminated, the vertices without pairs and the ends of arrows without
-    blocks; integral_blocks, whether every block coefficient is an int."""
+    vertex_pairs (see _pairs); arrow_units, D(a)Q_s per arrow a: s -> t;
+    read_paths, the paths of length two or more in the units and in the
+    checks that fail as identities in A (x) A; slot, each read path's place
+    in a factor's maps by slot (see _slot_maps): an arrow at its place in
+    the quiver's arrows, e_v at len(arrows) + v - 1, the read_paths after
+    them; as _terms lists them on the whole tensor square, pairs x-major,
+    module_checks, the failed checks as (error class, message, lhs, rhs),
+    unit_terms, the Q_v, and arrow_terms, the D(a)Q_s; arrow_blocks, the
+    D(a)Q_s from pair i of Q_s's vertex_pairs to pair j of Q_t's, None if
+    an end has no pairs; eliminated, the vertices without pairs and the
+    ends of arrows without blocks; integral_blocks, whether every block
+    coefficient is an int."""
 
     def __init__(self, quiver, delta, counit, name="custom", unit=None):
         self.quiver = quiver
@@ -291,27 +291,27 @@ class CoproductSpec:
         self.vertex_pairs = [_pairs(q, quiver.n) for q in units]
         self.arrow_units = [_mul(alg, self.delta_gen[a.id], units[a.source - 1])
                             for a in quiver.arrows]
-        self.module_checks = self._failed_identities()
-        read = [x for check in self.module_checks for x in check[2:]] + self.arrow_units + units
+        failed = self._failed_identities()
+        read = [x for check in failed for x in check[2:]] + self.arrow_units + units
         self.read_paths = sorted({k for x in read for pair in x for k in pair
                                   if len(alg.paths[k][2]) > 1})
         slots = [alg.arrow_path[a.id] for a in quiver.arrows] + [
             alg.trivial[v] for v in range(1, quiver.n + 1)] + self.read_paths
         self.slot = {k: i for i, k in enumerate(slots)}
-        self.arrow_blocks = [self._block_terms(a, inside)
-                             for a, inside in zip(quiver.arrows, self.arrow_units)]
+        square = (lambda p: (p[0] - 1) * quiver.n + p[1] - 1,) * 2  # every (x, y), x-major
+        self.module_checks = [(error, message, _terms(self, lhs, *square),
+                               _terms(self, rhs, *square)) for error, message, lhs, rhs in failed]
+        self.unit_terms = [_terms(self, q, *square) for q in units]
+        self.arrow_terms = [_terms(self, x, *square) for x in self.arrow_units]
+        self.arrow_blocks = []
+        for a, inside in zip(quiver.arrows, self.arrow_units):
+            ends = [self.vertex_pairs[v - 1] for v in (a.source, a.target)]
+            self.arrow_blocks.append(None if None in ends else _terms(
+                self, inside, *(_pair_index(pairs).get for pairs in ends)))
         self.eliminated = sorted({v for a, b in zip(quiver.arrows, self.arrow_blocks) if b is None
                                   for v in (a.source, a.target)} | {
             v for v, pairs in enumerate(self.vertex_pairs, 1) if pairs is None})
         self.integral_blocks = all(type(t[0]) is int for b in self.arrow_blocks if b for t in b)
-
-    def _block_terms(self, a, inside):
-        """D(a)Q_s's terms as _terms lists them, pair i of Q_s's vertex_pairs
-        to pair j of Q_t's; None if an end has no pairs."""
-        ends = [self.vertex_pairs[v - 1] for v in (a.source, a.target)]
-        if None in ends:
-            return None
-        return _terms(self, inside, *map(_pair_index, ends))
 
     def _failed_identities(self):
         """tensor_wba's checks, in its order, as (error class, message, lhs,
@@ -392,8 +392,7 @@ class CoproductSpec:
         for p in range(len(self.algebra)):
             out = {}
             for (u, v), c in self._delta[p].items():
-                kept = v if side == 0 else u
-                evaluated = u if side == 0 else v
+                kept, evaluated = (v, u) if side == 0 else (u, v)
                 _add_term(out, kept, c * self._eps[evaluated])
             if out != {p: 1}:
                 law = "(eps(x)id)D" if side == 0 else "(id(x)eps)D"
@@ -406,13 +405,9 @@ class CoproductSpec:
 
     def to_dict(self):
         alg = self.algebra
-        delta = {}
-        for key in alg.generator_keys():
-            terms = [
-                [alg.path_key(u), alg.path_key(v), str(c)]
-                for (u, v), c in self.delta_gen[key].items()
-            ]
-            delta[key] = sorted(terms)
+        delta = {key: sorted([alg.path_key(u), alg.path_key(v), str(c)]
+                             for (u, v), c in self.delta_gen[key].items())
+                 for key in alg.generator_keys()}
         out = {
             "name": self.name,
             "quiver": self.quiver.to_dict(),
@@ -676,14 +671,14 @@ def _add_blocks(out, width, terms, pm, pn, src, tgt):
                         base += width
 
 
-def _act(spec, pm, pn, square, element):
-    """act(element) on M (x) N: its blocks (see _add_blocks) on the whole
-    tensor square, square its pair index, layout and dimension, pairs (x,
-    y) x-major (entry (k, l) of M_x (x) N_y at k*dim N + l), summed in one
-    buffer and returned as {row: sparse row} (see exact.eliminate), with no
-    cancelled entry or empty row stored."""
-    (index, layout, size), out, rows = square, defaultdict(int), defaultdict(dict)
-    _add_blocks(out, size, _terms(spec, element, index, index), pm, pn, layout, layout)
+def _act(pm, pn, square, terms):
+    """act of an element on M (x) N: the blocks (see _add_blocks) of its
+    terms on the whole tensor square (see CoproductSpec), square the layout
+    and dimension of every pair (x, y), x-major (entry (k, l) of M_x (x) N_y
+    at k*dim N + l), summed in one buffer and returned as {row: sparse row}
+    (see exact.eliminate), with no cancelled entry or empty row stored."""
+    (layout, size), out, rows = square, defaultdict(int), defaultdict(dict)
+    _add_blocks(out, size, terms, pm, pn, layout, layout)
     for p, z in out.items():
         if z:
             r, col = divmod(p, size)
@@ -729,7 +724,8 @@ def tensor_wba(spec, m, n):
     off act(Q_v)'s nonzero rows instead, and an arrow with an end without
     pairs reads its map off act(D(a)Q_s); act (see _act) adds the same
     blocks by the same kernel (see _add_blocks) on the whole tensor
-    square, built at most once.  Factor maps are read by slot (see
+    square, laid out at most once, from spec.unit_terms and
+    spec.arrow_terms.  Factor maps are read by slot (see
     _slot_maps).  Each arrow's map is summed in one flat row-major buffer,
     kept as summed, canonical already, when spec.integral_blocks holds and
     M's and N's maps hold no Fraction, else passed through exact.frac,
@@ -750,27 +746,27 @@ def tensor_wba(spec, m, n):
         raise DimensionGuardError(f"tensor square would have dimension above"
                                   f" {MAX_TENSOR_DIM}")
     pm, pn = _slot_maps(spec, m), _slot_maps(spec, n)
-    if spec.module_checks or spec.eliminated:  # _act's whole square, built once
+    if spec.module_checks or spec.eliminated:  # _act's whole-square layout, built once
         whole = [(x, range(1, len(dn) + 1)) for x in range(1, len(dm) + 1)]
-        square = _pair_index(whole), _layout([whole], dm, dn)[0][0], size
+        square = _layout([whole], dm, dn)[0][0], size
     for error, message, lhs, rhs in spec.module_checks:
-        if _act(spec, pm, pn, square, lhs) != _act(spec, pm, pn, square, rhs):
+        if _act(pm, pn, square, lhs) != _act(pm, pn, square, rhs):
             raise error(message)
     places, dims = _layout(spec.vertex_pairs, dm, dn)
     bases = {}  # vertex -> (pivots, reduced rows) of act(Q_v)
     for v in spec.eliminated:
         pivots, reduced, _ = exact.eliminate(
-            _act(spec, pm, pn, square, spec.vertex_units[v - 1]).values(), size)
+            _act(pm, pn, square, spec.unit_terms[v - 1]).values(), size)
         bases[v] = pivots, reduced
         dims[v - 1] = len(pivots)
     entries = chain.from_iterable(chain.from_iterable(m.maps + n.maps))
     integral = spec.integral_blocks and Fraction not in map(type, entries)  # all ints
     maps = []
-    for a, unit, blocks in zip(spec.quiver.arrows, spec.arrow_units, spec.arrow_blocks):
+    for a, unit, blocks in zip(spec.quiver.arrows, spec.arrow_terms, spec.arrow_blocks):
         height, width = dims[a.target - 1], dims[a.source - 1]
         out = [0] * (height * width)
         if blocks is None:  # R_t act(D(a)Q_s) at the pivot columns of Q_s
-            action = _act(spec, pm, pn, square, unit)
+            action = _act(pm, pn, square, unit)
             colof = {p: c for c, p in enumerate(bases[a.source][0])}
             for r, row in enumerate(bases[a.target][1]):
                 for p, w in row.items():  # w times row p of act(D(a)Q_s)

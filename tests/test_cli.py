@@ -340,12 +340,14 @@ def test_spectral_rejects_non_numeric_and_non_finite_entries(tmp_path, text):
         (KRONECKER, {"dims": [1, 1], "maps": {"r1": [{"1": 0}]}}),
         (KRONECKER, {"dims": [1, 1], "maps": {"zz": [[1]]}}),
         (KRONECKER, {"maps": {}}),
+        ({"vertices": 2, "arrows": [{"id": 5, "from": 1, "to": 2}]}, SIMPLE_1),
+        ({"vertices": 2, "arrows": [{"id": True, "from": 1, "to": 2}]}, SIMPLE_1),
     ],
     ids=["rep-is-a-list", "vertices-not-int", "dims-float", "dims-string",
          "map-entry-bool", "maps-is-a-list", "map-entry-zero-denominator",
          "vertices-missing", "map-row-is-a-string", "map-is-a-string",
          "no-quiver-anywhere", "map-is-null", "map-row-is-an-object",
-         "unknown-arrow", "dims-missing"],
+         "unknown-arrow", "dims-missing", "arrow-id-number", "arrow-id-bool"],
 )
 def test_malformed_files_are_bad_input(tmp_path, quiver, rep):
     """A string where an array goes is refused, not read as its characters
@@ -371,13 +373,17 @@ sys.exit(run(sys.argv[1:]))
     [
         ({"vertices": 10 ** 12, "arrows": []}, None),
         (None, {"quiver": KRONECKER, "dims": [10 ** 8, 10 ** 8]}),
+        (None, {"quiver": {"vertices": 2, "arrows": [
+            {"id": f"r{k}", "from": 1, "to": 2} for k in range(20000)]}, "dims": [0, 10000]}),
     ],
-    ids=["vertex-count", "dims-with-maps-omitted"],
+    ids=["vertex-count", "dims-with-maps-omitted", "maps-from-a-zero-space"],
 )
 def test_oversized_inputs_are_bad_input_under_a_memory_cap(tmp_path, quiver, rep):
     """Sizes that would exhaust memory are rejected before anything is
     allocated.  The child process caps its own address space at 1 GiB, so
-    a regression ends in its MemoryError rather than in the host's."""
+    a regression ends in its MemoryError rather than in the host's.  A map
+    from a zero space stores one empty row per target dimension, so 20 000
+    such maps of 10 000 rows are too large, though they hold no entry."""
     if quiver is not None:
         argv = ["hom", "--quiver", write_json(tmp_path / "q.json", quiver),
                 "--left", "interval:1,1", "--right", "interval:1,1"]
@@ -404,16 +410,27 @@ def test_spectral_matrix_over_the_size_limit_is_bad_input(tmp_path):
     assert error["type"] == "bad_input" and "too large" in error["message"]
 
 
-def test_oversized_tensor_is_a_dimension_guard_under_a_memory_cap(tmp_path):
-    """Two A_2 representations within the input limits whose vertexwise
-    tensor would have 10^12 map entries: refused before kron allocates,
-    under the same 1 GiB address-space cap."""
-    m = write_json(tmp_path / "m.json", {"quiver": {
-        "vertices": 2, "arrows": [{"id": "a", "from": 1, "to": 2}]},
-        "dims": [1000, 1000]})
+@pytest.mark.parametrize(
+    "argv, rep",
+    [
+        (["tensor", "--left", "M", "--right", "M"], {"quiver": {
+            "vertices": 2, "arrows": [{"id": "a", "from": 1, "to": 2}]}, "dims": [1000, 1000]}),
+        (["tensor", "--quiver", "typeA:>", "--left", "M", "--right", "M"],
+         {"dims": [0, 10000], "maps": {}}),
+        (["fpv", "--quiver", "typeA:>", "--object", "M", "--n-max", "3"],
+         {"dims": [0, 1000], "maps": {}}),
+    ],
+    ids=["dims-1000-1000", "maps-from-a-zero-space", "fpv-powers-of-maps-from-a-zero-space"],
+)
+def test_oversized_tensor_is_a_dimension_guard_under_a_memory_cap(tmp_path, argv, rep):
+    """A_2 representations within the input limits whose vertexwise tensor
+    would have 10^12 map entries, or 10^8 and (at the third power, in fpv)
+    10^9 empty rows of maps from a zero space: refused before kron
+    allocates, under the same 1 GiB address-space cap."""
+    m = write_json(tmp_path / "m.json", rep)
     env = dict(os.environ, PYTHONPATH=str(Path(fpq.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_RUN, "tensor", "--left", m, "--right", m],
+        [sys.executable, "-c", _CAPPED_RUN, *[m if a == "M" else a for a in argv]],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout)["error"]["type"] == "dimension_guard"

@@ -120,6 +120,9 @@ def _a2_spec(**changes):
     lambda: Quiver(2, [("a", True, 2)]),
     lambda: Quiver(2.7, [("a", 1, 2.9)]),
     lambda: Quiver(2, [("a", 1, "2")]),
+    lambda: Quiver(2, [(5, 1, 2)]),
+    lambda: Quiver(2, [(None, 1, 2)]),
+    lambda: Quiver(2, [(True, 1, 2)]),
     lambda: Quiver(MAX_VERTICES + 1, []),
     lambda: Quiver(2, [("a", 1, 2)] * (MAX_ARROWS + 1)),
     lambda: Representation(A2, [True, 1], {}),
@@ -143,7 +146,8 @@ def _a2_spec(**changes):
     _a2_spec(delta_zz=[("e1", "e2", "5")]),
     _a2_spec(counit_typo=7),
 ], ids=["vertices-bool", "vertices-float", "vertices-string", "arrow-end-bool",
-        "arrow-ends-float", "arrow-end-string", "too-many-vertices", "too-many-arrows",
+        "arrow-ends-float", "arrow-end-string", "arrow-id-int", "arrow-id-none",
+        "arrow-id-bool", "too-many-vertices", "too-many-arrows",
         "dim-bool", "dim-float", "dim-string", "dims-a-string", "row-a-string",
         "matrix-a-string", "row-an-object", "matrix-none", "unknown-arrow",
         "entry-not-a-number", "entry-zero-denominator", "entry-float",

@@ -27,6 +27,18 @@ def test_input_validation():
         spectral_radius([[0.5]])
 
 
+@pytest.mark.parametrize("matrix", [5, [5], None, [[1, 2]], [[-1]], [[True]]],
+                         ids=["int", "row-an-int", "none", "not-square", "negative", "bool"])
+@pytest.mark.parametrize("radius", [spectral_radius, lambda a: integer_radius(a, 1.0)],
+                         ids=["spectral_radius", "integer_radius"])
+def test_both_radius_functions_check_their_matrix(radius, matrix):
+    """A matrix that is not an array of arrays, not square, or holds a
+    negative or a bool entry is an InputError, also for integer_radius,
+    which read [[1, 2]] and [[True]] as radius 1 unchecked."""
+    with pytest.raises(InputError):
+        radius(matrix)
+
+
 def test_triangular_and_tiny_cases():
     assert spectral_radius([]) == 0.0
     assert spectral_radius([[7]]) == 7.0

@@ -226,9 +226,9 @@ def _half_twisted_kronecker1():
 
 
 def test_stored_coefficients_of_a_spec_are_canonical():
-    """D(1), the vertex and arrow units, D of every path, both sides of
-    each module check and the solved counit hold canonical coefficients,
-    also where they are sums and products of Fractions: on the
+    """D(1), the vertex and arrow units, D of every path, the terms of
+    both sides of each module check and the solved counit hold canonical
+    coefficients, also where they are sums and products of Fractions: on the
     half-twisted kronecker1, a D(1) whose halves sum to 1, an A3 counit
     solved as 1 / (1/2), an A3 whose D(a1.a2) is (1/2) * 2 on a1.a2 (x)
     a1.a2, the canonical structure on A3-A4 and perturbations of each."""
@@ -262,8 +262,9 @@ def test_stored_coefficients_of_a_spec_are_canonical():
     for s in specs:
         elements = [s.delta_unit, *s.vertex_units, *s.arrow_units]
         elements += [s.delta(k) for k in range(len(s.algebra))]
-        elements += [side for check in s.module_checks for side in check[2:]]
         assert all(is_canonical(c) for x in elements for c in x.values()), s.name
+        assert all(is_canonical(t[0]) for check in s.module_checks for side in check[2:]
+                   for t in side), s.name
         assert all(is_canonical(s.eps(k)) for k in range(len(s.algebra))), s.name
         checked += len(s.module_checks)
     assert checked > 100
@@ -620,9 +621,11 @@ def test_tensor_matches_the_sympy_reference_where_the_vertex_basis_is_not_unit_c
 
 def _on_the_elimination_route(spec):
     """A copy of spec on which tensor_wba eliminates act(Q_v) at every
-    vertex.  It keeps spec's slots: spec.read_paths already holds every
-    path of length two or more in the arrow units and the vertex units,
-    which are all that route reads besides the module checks."""
+    vertex.  It keeps spec's slots and term tables: spec.read_paths already
+    holds every path of length two or more in the arrow units and the
+    vertex units, which are all that route reads besides the module
+    checks, and spec.unit_terms and arrow_terms list every vertex's and
+    arrow's terms on the whole tensor square."""
     forced = copy.copy(spec)
     forced.vertex_pairs = [None] * spec.quiver.n
     forced.arrow_blocks = [None] * len(spec.quiver.arrows)
@@ -670,15 +673,15 @@ def test_vertex_bases_read_off_the_dims_are_the_eliminated_ones():
             pm, pn = wba._slot_maps(spec, m), wba._slot_maps(spec, x)
             places, dims = wba._layout([square], m.dims, x.dims)
             assert dims == [m.total_dim() * dn]
-            whole = wba._pair_index(square), places[0], dims[0]
+            whole = places[0], dims[0]
             laid_out = [(square, range(m.total_dim() * dn))]
-            for pairs, unit in zip(spec.vertex_pairs, spec.vertex_units):
+            for v, (pairs, unit) in enumerate(zip(spec.vertex_pairs, spec.vertex_units), 1):
                 flat = [(i, j) for i, ys in pairs for j in ys]
                 assert flat == sorted(flat)
                 assert unit == {(i - 1, j - 1): 1 for i, j in flat}
                 read = sorted(k * dn + l for i, j in flat for k in range(om[i - 1], om[i])
                               for l in range(on[j - 1], on[j]))
-                rows = list(wba._act(spec, pm, pn, whole, unit).values())
+                rows = list(wba._act(pm, pn, whole, spec.unit_terms[v - 1]).values())
                 assert exact.eliminate(rows, m.total_dim() * dn) == (
                     read, [{p: 1} for p in read], []), spec.name
                 laid_out.append((pairs, read))
@@ -699,6 +702,28 @@ def test_vertex_bases_read_off_the_dims_are_the_eliminated_ones():
             assert (list(t.dims), maps) == sympy_tensor_wba(spec, m, x), (spec.name, m, x)
             nonzero += any(v for mat in t.maps for row in mat for v in row)
     assert zero_dims >= 150 and nonzero >= 20, (zero_dims, nonzero)
+
+
+def test_terms_are_listed_only_while_a_spec_is_built(monkeypatch):
+    """tensor_wba reads every term list off the spec: on the corrupted A2
+    structure of the CI smoke job, with three module checks and vertices 1
+    and 2 eliminated, seeded products run _act (counted) but never _terms,
+    which building a spec does run."""
+    spec = wba.perturb_spec(wba.canonical_wba(A2), 2)
+    assert len(spec.module_checks) == 3 and spec.eliminated == [1, 2]
+    calls = {"_terms": 0, "_act": 0}
+    for name in calls:
+        def counted(*args, real=getattr(wba, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(wba, name, counted)
+    rng = random.Random(72)
+    outcomes = {_outcome(spec, _rational_rep(A2, rng, 3), _rational_rep(A2, rng, 3))[0]
+                for _ in range(12)}
+    assert calls["_terms"] == 0 and calls["_act"] >= 12, calls
+    assert NotAQuiverActionError in outcomes and len(outcomes) > 1, outcomes
+    wba.perturb_spec(spec, 3)
+    assert calls["_terms"] > 0
 
 
 def test_corrupted_structures_take_both_routes_with_the_same_outcomes():
